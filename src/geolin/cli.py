@@ -17,55 +17,20 @@ import sys
 import time
 from typing import Dict, Optional, Tuple
 
-from .criteria import (
-    CoefficientDomainError,
-    appendix_residuals,
-    check_cubic2,
-    check_linear2,
-    check_quadratic2,
-    lie_gauge_residuals,
-    tresse_scalar,
-)
-from .document import (
-    COEFFICIENT_KEYS,
-    DocumentError,
-    SystemDocument,
-    load_document,
-)
-from .geometry import (
-    GeometryError,
-    geodesic2_flat_conditions,
-    metric_pde_residuals,
-    riemann,
-)
+from .criteria import CoefficientDomainError
+from .document import KINDS, DocumentError, SystemDocument, load_document
+from .geometry import GeometryError, is_flat, metric_pde_residuals
 from .kernel import ParseError, ZeroTestConfig, parse
-from .projection import lift_scalar, lift_system, project
-from .report import (
-    FAIL,
-    PASS,
-    UNDECIDED,
-    ConditionReport,
-    evaluate_conditions,
-)
+from .projection import project
+from .report import FAIL, PASS, UNDECIDED, ConditionReport
 from .transform import (
     TransformError,
-    linearization_residuals,
     normal_form,
+    verify_linearizing_transformation,
 )
 
 _EXIT_BY_OVERALL = {PASS: 0, FAIL: 1, UNDECIDED: 2}
 _INPUT_ERROR = 3
-
-_COMMANDS = (
-    ("check", "run the linearizability test matching the document kind"),
-    ("project", "rewrite a geodesic system as explicit equations"),
-    ("lift", "reconstruct a connection from the equations and a gauge"),
-    ("verify-transform", "substitute the document's map and test the result"),
-    ("verify-metric", "test the document's metric against the lifted system"),
-    ("riemann", "evaluate all curvature components of a connection"),
-    ("normal-form", "reduce a general pair to cubic shape with a consistency report"),
-    ("appendix", "evaluate the full integrability table on an explicit gauge"),
-)
 
 
 def main(argv=None) -> int:
@@ -80,7 +45,10 @@ def main(argv=None) -> int:
     try:
         doc = load_document(args.file)
         overrides = _parse_gauge_overrides(args.gauge)
-        payload, code = _dispatch(args.command, doc, config, overrides)
+        _, handler, takes_gauge = _COMMANDS[args.command]
+        if overrides and not takes_gauge:
+            raise DocumentError(f"{args.command} does not use a gauge")
+        payload, code = handler(doc, config, doc.gauge(overrides))
     except (DocumentError, ParseError, TransformError, GeometryError,
             CoefficientDomainError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -121,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override one gauge entry (repeatable)")
     commands = parser.add_subparsers(dest="command", required=True,
                                      metavar="command")
-    for name, blurb in _COMMANDS:
+    for name, (blurb, _, _) in _COMMANDS.items():
         commands.add_parser(name, parents=[shared], help=blurb,
                             description=blurb)
     return parser
@@ -135,32 +103,6 @@ def _parse_gauge_overrides(pairs) -> Dict[str, object]:
             raise DocumentError(f"--gauge expects KEY=EXPR, got {item!r}")
         overrides[key.strip()] = parse(text.strip())
     return overrides
-
-
-def _dispatch(command: str, doc: SystemDocument, config: ZeroTestConfig,
-              overrides) -> Tuple[dict, int]:
-    if command == "check":
-        return _cmd_check(doc, config, overrides)
-    if command == "project":
-        return _cmd_project(doc, overrides)
-    if command == "lift":
-        return _cmd_lift(doc, overrides)
-    if command == "verify-transform":
-        return _cmd_verify_transform(doc, config, overrides)
-    if command == "verify-metric":
-        return _cmd_verify_metric(doc, config, overrides)
-    if command == "riemann":
-        return _cmd_riemann(doc, config, overrides)
-    if command == "normal-form":
-        return _cmd_normal_form(doc, config, overrides)
-    if command == "appendix":
-        return _cmd_appendix(doc, config, overrides)
-    raise DocumentError(f"unknown command {command!r}")
-
-
-def _reject_gauge(doc: SystemDocument, overrides, command: str) -> None:
-    if overrides:
-        raise DocumentError(f"{command} does not use a gauge")
 
 
 def _base_payload(doc: SystemDocument, command: str) -> dict:
@@ -196,138 +138,104 @@ def _report_payload(doc: SystemDocument, command: str,
     return payload, _EXIT_BY_OVERALL[report.overall]
 
 
-def _coefficient_table(kind: str, values: Dict[str, object]) -> dict:
-    return {key: str(values[key]) for key in COEFFICIENT_KEYS[kind]}
+def _result_payload(doc: SystemDocument, command: str, result_kind: str,
+                    value) -> Tuple[dict, int]:
+    payload = _base_payload(doc, command)
+    payload["result_kind"] = result_kind
+    payload["coefficients"] = KINDS[result_kind].table(value)
+    return payload, 0
 
 
-def _cmd_check(doc, config, overrides):
-    _reject_gauge(doc, overrides, "check")
-    system = doc.system()
-    if doc.kind == "scalar-cubic":
-        report = tresse_scalar(system, config)
-    elif doc.kind == "cubic-2":
-        report = check_cubic2(system, config)
-    elif doc.kind == "quadratic-2":
-        report = check_quadratic2(system, config)
-    elif doc.kind == "linear-2":
-        report = check_linear2(system, config)
-    elif doc.kind == "geodesic-2":
-        report = geodesic2_flat_conditions(system, config)
-    elif doc.kind == "geodesic-3":
-        labelled = [(f"Eq6.{label}", component)
-                    for label, component in riemann(system).labelled()]
-        report = evaluate_conditions("geodesic-3 flatness", labelled, config)
-    else:
+def _cmd_check(doc, config, gauge):
+    if doc.spec.check is None:
         raise DocumentError(
             "a general-2 pair has no direct invariant test; reduce it "
             "with the normal-form command first")
-    return _report_payload(doc, "check", report)
+    return _report_payload(doc, "check", doc.spec.check(doc.system(), config))
 
 
-def _cmd_project(doc, overrides):
-    _reject_gauge(doc, overrides, "project")
-    if doc.kind == "geodesic-2":
-        cubic = project(doc.system().as_christoffel())
-        table = {name: str(getattr(cubic, name))
-                 for name in COEFFICIENT_KEYS["scalar-cubic"]}
-        result_kind = "scalar-cubic"
-    elif doc.kind == "geodesic-3":
-        pair = project(doc.system())
-        table = {name: str(getattr(pair, name))
-                 for name in COEFFICIENT_KEYS["cubic-2"]}
-        result_kind = "cubic-2"
-    else:
-        raise DocumentError("project applies to geodesic-2 or geodesic-3 documents")
-    payload = _base_payload(doc, "project")
-    payload["result_kind"] = result_kind
-    payload["coefficients"] = table
-    return payload, 0
+def _connection(doc: SystemDocument, command: str):
+    if doc.spec.connection is None:
+        raise DocumentError(
+            f"{command} applies to geodesic-2 or geodesic-3 documents")
+    return doc.spec.connection(doc.system())
 
 
-def _cmd_lift(doc, overrides):
-    if doc.kind == "scalar-cubic":
-        coef = lift_scalar(doc.system(), doc.gauge(overrides))
-        table = {name: str(getattr(coef, name))
-                 for name in COEFFICIENT_KEYS["geodesic-2"]}
-        result_kind = "geodesic-2"
-    elif doc.kind in ("cubic-2", "quadratic-2", "linear-2"):
-        system = doc.system()
-        if doc.kind != "cubic-2":
-            system = system.as_cubic()
-        gamma = lift_system(system, doc.gauge(overrides))
-        table = {key: str(gamma.gamma(int(key[1]), int(key[3]), int(key[4])))
-                 for key in COEFFICIENT_KEYS["geodesic-3"]}
-        result_kind = "geodesic-3"
-    else:
+def _cmd_project(doc, config, gauge):
+    equations = project(_connection(doc, "project"))
+    return _result_payload(doc, "project", doc.spec.counterpart, equations)
+
+
+def _lift(doc: SystemDocument, gauge):
+    spec = doc.spec
+    if spec.lift is None:
         raise DocumentError("lift applies to equation documents, not connections")
-    payload = _base_payload(doc, "lift")
-    payload["result_kind"] = result_kind
-    payload["coefficients"] = table
-    return payload, 0
+    return spec.lift(spec.equations(doc.system()), gauge)
 
 
-def _cmd_verify_transform(doc, config, overrides):
-    _reject_gauge(doc, overrides, "verify-transform")
+def _cmd_lift(doc, config, gauge):
+    return _result_payload(doc, "lift", doc.spec.counterpart, _lift(doc, gauge))
+
+
+def _cmd_verify_transform(doc, config, gauge):
     candidate = doc.transformation()
     if candidate is None:
         raise DocumentError("verify-transform needs a [transformation] block")
-    labelled = linearization_residuals(doc.system(), candidate)
-    report = evaluate_conditions("verify-transform", labelled, config)
+    report = verify_linearizing_transformation(doc.system(), candidate, config)
     return _report_payload(doc, "verify-transform", report)
 
 
-def _cmd_verify_metric(doc, config, overrides):
+def _cmd_verify_metric(doc, config, gauge):
     metric = doc.metric()
     if metric is None:
         raise DocumentError("verify-metric needs a [metric] block")
-    if doc.kind == "geodesic-2":
-        _reject_gauge(doc, overrides, "verify-metric on a connection")
-        coef = doc.system()
-    elif doc.kind == "scalar-cubic":
-        coef = lift_scalar(doc.system(), doc.gauge(overrides))
-    else:
-        raise DocumentError(
-            "verify-metric applies to scalar-cubic or geodesic-2 documents")
+    # a metric block exists only on scalar-cubic and geodesic-2 documents
+    coef = doc.system() if doc.spec.connection else _lift(doc, gauge)
     report = metric_pde_residuals(coef, metric, config)
     return _report_payload(doc, "verify-metric", report)
 
 
-def _cmd_riemann(doc, config, overrides):
-    _reject_gauge(doc, overrides, "riemann")
-    if doc.kind == "geodesic-2":
-        gamma = doc.system().as_christoffel()
-    elif doc.kind == "geodesic-3":
-        gamma = doc.system()
-    else:
-        raise DocumentError("riemann applies to geodesic-2 or geodesic-3 documents")
-    labelled = [(f"Eq6.{label}", component)
-                for label, component in riemann(gamma).labelled()]
-    report = evaluate_conditions("riemann", labelled, config)
+def _cmd_riemann(doc, config, gauge):
+    report = is_flat(_connection(doc, "riemann"), config)
     return _report_payload(doc, "riemann", report)
 
 
-def _cmd_normal_form(doc, config, overrides):
-    _reject_gauge(doc, overrides, "normal-form")
+def _cmd_normal_form(doc, config, gauge):
     if doc.kind != "general-2":
         raise DocumentError("normal-form applies to general-2 documents")
     cubic, report = normal_form(doc.system(), config)
-    table = {name: str(getattr(cubic, name))
-             for name in COEFFICIENT_KEYS["cubic-2"]}
-    return _report_payload(doc, "normal-form", report, coefficients=table)
+    return _report_payload(doc, "normal-form", report,
+                           coefficients=KINDS["cubic-2"].table(cubic))
 
 
-def _cmd_appendix(doc, config, overrides):
-    if doc.kind == "scalar-cubic":
-        report = lie_gauge_residuals(doc.system(), doc.gauge(overrides), config)
-    elif doc.kind in ("cubic-2", "quadratic-2", "linear-2"):
-        system = doc.system()
-        if doc.kind != "cubic-2":
-            system = system.as_cubic()
-        report = appendix_residuals(system, doc.gauge(overrides), config)
-    else:
+def _cmd_appendix(doc, config, gauge):
+    spec = doc.spec
+    if spec.appendix is None:
         raise DocumentError(
             "appendix applies to equation documents with a gauge")
+    report = spec.appendix(spec.equations(doc.system()), gauge, config)
     return _report_payload(doc, "appendix", report)
+
+
+# command name -> (help text, handler, whether --gauge applies)
+_COMMANDS = {
+    "check": ("run the linearizability test matching the document kind",
+              _cmd_check, False),
+    "project": ("rewrite a geodesic system as explicit equations",
+                _cmd_project, False),
+    "lift": ("reconstruct a connection from the equations and a gauge",
+             _cmd_lift, True),
+    "verify-transform": ("substitute the document's map and test the result",
+                         _cmd_verify_transform, False),
+    "verify-metric": ("test the document's metric against the lifted system",
+                      _cmd_verify_metric, True),
+    "riemann": ("evaluate all curvature components of a connection",
+                _cmd_riemann, False),
+    "normal-form": ("reduce a general pair to cubic shape with a consistency report",
+                    _cmd_normal_form, False),
+    "appendix": ("evaluate the full integrability table on an explicit gauge",
+                 _cmd_appendix, True),
+}
 
 
 def _render_text(payload: dict, elapsed: float) -> str:

@@ -15,7 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .geometry import Geodesic2Coefficients, geodesic2_flat_conditions
+from .geometry import (
+    Geodesic2Coefficients,
+    geodesic2_flat_conditions,
+    geodesic2_flat_residuals,
+)
 from .kernel import DEFAULT_CONFIG, Expr, ZeroTestConfig, as_expr, rational
 from .projection import (
     ScalarCubic,
@@ -451,25 +455,13 @@ def appendix_residuals(
     return evaluate_conditions("cubic-2 appendix", labelled, config, facts)
 
 
-def _eq9_residuals_yz(coef: Geodesic2Coefficients) -> List[Expr]:
-    """Plane flatness residuals written in coordinates (y, z)."""
-    a, b, c = coef.a, coef.b, coef.c
-    d, e, f = coef.d, coef.e, coef.f
-    return [
-        a.diff("z") - b.diff("y") + b * e - c * d,
-        b.diff("z") - c.diff("y") + (a * c - b * b) + (b * f - c * e),
-        d.diff("z") - e.diff("y") - (a * e - b * d) - (d * f - e * e),
-        (b + f).diff("y") - (a + e).diff("z"),
-    ]
-
-
 def _remark_differences(q: Quadratic2, flip: bool = False) -> List[Tuple[str, Expr]]:
     sign = 1 if flip else -1
     coef = Geodesic2Coefficients(
         a=-q.B2_22, b=-q.B2_23, c=-q.B2_33,
         d=-q.B3_22, e=sign * q.B3_23, f=-q.B3_33,
     )
-    r9 = _eq9_residuals_yz(coef)
+    r9 = [res for _, res in geodesic2_flat_residuals(coef, ("y", "z"))]
     r53 = [res for _, res in quadratic2_residuals(q)]
     return [
         ("Eq53.1-Eq9.3", r53[0] - r9[2]),

@@ -13,18 +13,35 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
-from .criteria import Linear2, Quadratic2
-from .geometry import Christoffel, Geodesic2Coefficients, Metric
+from .criteria import (
+    Linear2,
+    Quadratic2,
+    appendix_residuals,
+    check_cubic2,
+    check_linear2,
+    check_quadratic2,
+    lie_gauge_residuals,
+    tresse_scalar,
+)
+from .geometry import (
+    Christoffel,
+    Geodesic2Coefficients,
+    Metric,
+    SYM_PAIRS,
+    coordinates,
+    geodesic2_flat_conditions,
+    is_flat,
+)
 from .kernel import Expr, ParseError, parse
 from .projection import (
     ScalarCubic,
     ScalarGauge,
     SystemCubic2,
     SystemGauge,
-    ZERO_SCALAR_GAUGE,
-    ZERO_SYSTEM_GAUGE,
+    lift_scalar,
+    lift_system,
 )
 from .transform import GeneralSystem2, Transformation
 
@@ -37,46 +54,90 @@ def _field_names(cls) -> Tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls))
 
 
-_CHRISTOFFEL3_KEYS = tuple(
-    f"G{i}_{j}{k}"
-    for i in (1, 2, 3)
-    for (j, k) in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
-)
+@dataclass(frozen=True)
+class Kind:
+    """What the package knows about one document kind.
 
-COEFFICIENT_KEYS: Dict[str, Tuple[str, ...]] = {
-    "scalar-cubic": _field_names(ScalarCubic),
-    "cubic-2": _field_names(SystemCubic2),
-    "quadratic-2": _field_names(Quadratic2),
-    "linear-2": _field_names(Linear2),
-    "geodesic-2": _field_names(Geodesic2Coefficients),
-    "geodesic-3": _CHRISTOFFEL3_KEYS,
-    "general-2": (
-        "J2_2", "J2_3", "J3_2", "J3_3", "G2_23", "G3_23",
-        "Del2_222", "Del2_223", "Del2_233", "Del2_333",
-        "Del3_222", "Del3_223", "Del3_233", "Del3_333",
-        "Lam2_22", "Lam2_23", "Lam2_33", "Lam3_22", "Lam3_23", "Lam3_33",
-        "Om2_2", "Om2_3", "Om3_2", "Om3_3", "E2", "E3",
-    ),
+    `build` turns the coefficient table (keyed by `keys`) into the typed
+    system and `entry` reads a key back out of it.  `check` is the
+    invariant test, taking the system and a zero-test config.  An
+    equation kind converts its system to the cubic shape with
+    `equations`, lifts that with a `gauge` through `lift`, and scores a
+    gauge with `appendix`; a connection kind converts its system to a
+    connection with `connection`.  `counterpart` names the kind that
+    lifting or projecting produces.
+    """
+
+    dim: int
+    keys: Tuple[str, ...]
+    build: Callable
+    entry: Callable[[object, str], Expr] = getattr
+    check: Optional[Callable] = None
+    counterpart: Optional[str] = None
+    equations: Optional[Callable] = None
+    gauge: Optional[type] = None
+    lift: Optional[Callable] = None
+    appendix: Optional[Callable] = None
+    connection: Optional[Callable] = None
+
+    @property
+    def gauge_keys(self) -> Optional[Tuple[str, ...]]:
+        return None if self.gauge is None else _field_names(self.gauge)
+
+    def table(self, value) -> Dict[str, str]:
+        """Printed coefficient table of a value of this kind."""
+        return {key: str(self.entry(value, key)) for key in self.keys}
+
+
+def _itself(value):
+    return value
+
+
+def _christoffel_index(key: str) -> Tuple[int, int, int]:
+    return int(key[1]), int(key[3]), int(key[4])
+
+
+def _christoffel3(**table) -> Christoffel:
+    return Christoffel.from_components(
+        3, {_christoffel_index(key): value for key, value in table.items()})
+
+
+_SCALAR_EQUATION = dict(
+    dim=2, counterpart="geodesic-2", equations=_itself, gauge=ScalarGauge,
+    lift=lift_scalar, appendix=lie_gauge_residuals)
+_PAIR_EQUATION = dict(
+    dim=3, counterpart="geodesic-3", gauge=SystemGauge, lift=lift_system,
+    appendix=appendix_residuals)
+
+KINDS: Dict[str, Kind] = {
+    "scalar-cubic": Kind(
+        keys=_field_names(ScalarCubic), build=ScalarCubic.make,
+        check=tresse_scalar, **_SCALAR_EQUATION),
+    "cubic-2": Kind(
+        keys=_field_names(SystemCubic2), build=SystemCubic2.make,
+        check=check_cubic2, equations=_itself, **_PAIR_EQUATION),
+    "quadratic-2": Kind(
+        keys=_field_names(Quadratic2), build=Quadratic2.make,
+        check=check_quadratic2, equations=Quadratic2.as_cubic,
+        **_PAIR_EQUATION),
+    "linear-2": Kind(
+        keys=_field_names(Linear2), build=Linear2.make,
+        check=check_linear2, equations=Linear2.as_cubic, **_PAIR_EQUATION),
+    "geodesic-2": Kind(
+        dim=2, keys=_field_names(Geodesic2Coefficients),
+        build=Geodesic2Coefficients.make, check=geodesic2_flat_conditions,
+        counterpart="scalar-cubic",
+        connection=Geodesic2Coefficients.as_christoffel),
+    "geodesic-3": Kind(
+        dim=3,
+        keys=tuple(f"G{i}_{j}{k}" for i in (1, 2, 3) for j, k in SYM_PAIRS[3]),
+        build=_christoffel3,
+        entry=lambda gamma, key: gamma.gamma(*_christoffel_index(key)),
+        check=is_flat, counterpart="cubic-2", connection=_itself),
+    "general-2": Kind(
+        dim=3, keys=_field_names(GeneralSystem2), build=GeneralSystem2.make),
 }
 
-KIND_DIMENSION = {
-    "scalar-cubic": 2,
-    "geodesic-2": 2,
-    "cubic-2": 3,
-    "quadratic-2": 3,
-    "linear-2": 3,
-    "geodesic-3": 3,
-    "general-2": 3,
-}
-
-GAUGE_KEYS = {
-    "scalar-cubic": _field_names(ScalarGauge),
-    "cubic-2": _field_names(SystemGauge),
-    "quadratic-2": _field_names(SystemGauge),
-    "linear-2": _field_names(SystemGauge),
-}
-
-_COORDS = {2: ("x", "y"), 3: ("x", "y", "z")}
 _MAP_KEYS = {2: ("u", "v"), 3: ("u", "v", "w")}
 _METRIC_KEYS = ("p", "q", "r")
 _SECTIONS = ("system", "coefficients", "transformation", "metric", "gauge")
@@ -96,31 +157,16 @@ class SystemDocument:
     gauge_entries: Optional[Dict[str, Expr]] = None
 
     @property
+    def spec(self) -> Kind:
+        return KINDS[self.kind]
+
+    @property
     def dim(self) -> int:
-        return KIND_DIMENSION[self.kind]
+        return self.spec.dim
 
     def system(self):
         """Build the typed coefficient object the kind declares."""
-        kind, table = self.kind, self.coefficients
-        if kind == "scalar-cubic":
-            return ScalarCubic.make(**table)
-        if kind == "cubic-2":
-            return SystemCubic2.make(**table)
-        if kind == "quadratic-2":
-            return Quadratic2.make(**table)
-        if kind == "linear-2":
-            return Linear2.make(**table)
-        if kind == "geodesic-2":
-            return Geodesic2Coefficients.make(**table)
-        if kind == "geodesic-3":
-            components = {}
-            for key, value in table.items():
-                i, j, k = int(key[1]), int(key[3]), int(key[4])
-                components[(i, j, k)] = value
-            return Christoffel.from_components(3, components)
-        if kind == "general-2":
-            return GeneralSystem2.make(**table)
-        raise DocumentError(f"unsupported kind {kind!r}")
+        return self.spec.build(**self.coefficients)
 
     def transformation(self) -> Optional[Transformation]:
         if self.transformation_components is None:
@@ -140,7 +186,7 @@ class SystemDocument:
               ) -> Union[ScalarGauge, SystemGauge, None]:
         """Gauge block merged with command-line overrides; zero gauge
         when the kind supports one and nothing was given."""
-        keys = GAUGE_KEYS.get(self.kind)
+        keys = self.spec.gauge_keys
         if keys is None:
             if self.gauge_entries or overrides:
                 raise DocumentError(
@@ -152,8 +198,7 @@ class SystemDocument:
                 raise DocumentError(
                     f"unknown gauge key {key!r} for kind {self.kind!r}")
             table[key] = value
-        cls = ScalarGauge if self.kind == "scalar-cubic" else SystemGauge
-        return cls.make(**table)
+        return self.spec.gauge.make(**table)
 
 
 def load_document(path: str) -> SystemDocument:
@@ -174,19 +219,19 @@ def parse_document(text: str, label: str = "<string>") -> SystemDocument:
             f"{label}: unknown [system] keys {sorted(head)}")
     if not name:
         raise DocumentError(f"{label}: [system] needs a name")
-    if kind not in COEFFICIENT_KEYS:
+    if kind not in KINDS:
         raise DocumentError(
             f"{label}: unknown kind {kind!r}; expected one of "
-            + ", ".join(sorted(COEFFICIENT_KEYS)))
-    dim = KIND_DIMENSION[kind]
-    if coords is not None and tuple(coords.split()) != _COORDS[dim]:
+            + ", ".join(sorted(KINDS)))
+    spec = KINDS[kind]
+    dim = spec.dim
+    if coords is not None and tuple(coords.split()) != coordinates(dim):
         raise DocumentError(
             f"{label}: kind {kind!r} uses coordinates "
-            + " ".join(_COORDS[dim]))
+            + " ".join(coordinates(dim)))
 
     coefficients = _expression_table(
-        sections.get("coefficients", []), COEFFICIENT_KEYS[kind],
-        "coefficient", label)
+        sections.get("coefficients", []), spec.keys, "coefficient", label)
     transformation = None
     if "transformation" in sections:
         transformation = _expression_table(
@@ -205,7 +250,7 @@ def parse_document(text: str, label: str = "<string>") -> SystemDocument:
             sections["metric"], _METRIC_KEYS, "metric", label)
     gauge = None
     if "gauge" in sections:
-        keys = GAUGE_KEYS.get(kind)
+        keys = spec.gauge_keys
         if keys is None:
             raise DocumentError(
                 f"{label}: kind {kind!r} does not take a gauge block")

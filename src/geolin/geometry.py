@@ -14,23 +14,19 @@ related to the connection by a plain sign flip per component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .kernel import (
     DEFAULT_CONFIG,
     Expr,
     Verdict,
     ZeroTestConfig,
-    ZeroTestResult,
     as_expr,
     integer,
     is_zero,
     rational,
 )
 from .report import ConditionReport, evaluate_conditions
-
-COORDS2 = ("x", "y")
-COORDS3 = ("x", "y", "z")
 
 # ordered symmetric index pairs (1-based), the storage layout everywhere
 SYM_PAIRS = {
@@ -55,11 +51,22 @@ class UndecidedMetricError(GeometryError):
 
 
 def coordinates(dim: int) -> Tuple[str, ...]:
-    if dim == 2:
-        return COORDS2
-    if dim == 3:
-        return COORDS3
-    raise GeometryError(f"unsupported dimension {dim}")
+    """Coordinate names: (x, y) in two dimensions, (x, y, z) in three."""
+    if dim not in (2, 3):
+        raise GeometryError(f"unsupported dimension {dim}")
+    return ("x", "y", "z")[:dim]
+
+
+def determinant(m: Sequence[Sequence[Expr]]) -> Expr:
+    """Determinant of a 2x2 or 3x3 matrix given by rows: a*d - b*c in 2D,
+    cofactor expansion along the first row in 3D."""
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return (
+        m[0][0] * determinant(((m[1][1], m[1][2]), (m[2][1], m[2][2])))
+        - m[0][1] * determinant(((m[1][0], m[1][2]), (m[2][0], m[2][2])))
+        + m[0][2] * determinant(((m[1][0], m[1][1]), (m[2][0], m[2][1])))
+    )
 
 
 @dataclass(frozen=True)
@@ -123,18 +130,8 @@ class Metric:
         return self.g(2, 2)
 
     def determinant(self) -> Expr:
-        if self.dim == 2:
-            return self.g(1, 1) * self.g(2, 2) - self.g(1, 2) * self.g(1, 2)
-        row = lambda i, j: self.g(i, j)
-        return (
-            row(1, 1) * (row(2, 2) * row(3, 3) - row(2, 3) * row(3, 2))
-            - row(1, 2) * (row(2, 1) * row(3, 3) - row(2, 3) * row(3, 1))
-            + row(1, 3) * (row(2, 1) * row(3, 2) - row(2, 2) * row(3, 1))
-        )
-
-    def degeneracy(self, config: ZeroTestConfig = DEFAULT_CONFIG) -> ZeroTestResult:
-        """Zero test of the determinant; ZERO means degenerate."""
-        return is_zero(self.determinant(), config)
+        index = range(1, self.dim + 1)
+        return determinant([[self.g(i, j) for j in index] for i in index])
 
     def inverse_times_det(self) -> Tuple[Tuple[Expr, ...], ...]:
         """Adjugate matrix, i.e. det(g) times the inverse metric."""
@@ -147,7 +144,7 @@ class Metric:
         def cof(i, j):
             rows = [r for r in (1, 2, 3) if r != i]
             cols = [c for c in (1, 2, 3) if c != j]
-            minor = g(rows[0], cols[0]) * g(rows[1], cols[1]) - g(rows[0], cols[1]) * g(rows[1], cols[0])
+            minor = determinant([[g(r, c) for c in cols] for r in rows])
             return minor if (i + j) % 2 == 0 else -minor
         # adjugate = transposed cofactors; symmetric here
         return tuple(tuple(cof(j, i) for j in (1, 2, 3)) for i in (1, 2, 3))
@@ -195,17 +192,10 @@ class Christoffel:
         )
         return Christoffel(dim, entries)
 
-    @staticmethod
-    def zero(dim: int) -> "Christoffel":
-        return Christoffel.from_components(dim, {})
-
     def gamma(self, i: int, j: int, k: int) -> Expr:
         pairs = SYM_PAIRS[self.dim]
         jk = (j, k) if j <= k else (k, j)
         return self.entries[(i - 1) * len(pairs) + pairs.index(jk)]
-
-    def component_count(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -358,48 +348,36 @@ def first_bianchi_residuals(curv: Riemann) -> Tuple[Expr, ...]:
 
 def is_flat(
     gamma: Christoffel, config: ZeroTestConfig = DEFAULT_CONFIG
-) -> ZeroTestResult:
-    """ZERO iff every curvature component is canonically zero.
+) -> ConditionReport:
+    """Zero test of every stored curvature component, labelled
+    Eq6.R{i}_{jkl} in storage order; PASS certifies a flat connection."""
+    labelled = [(f"Eq6.{label}", component)
+                for label, component in riemann(gamma).labelled()]
+    return evaluate_conditions("flatness", labelled, config)
 
-    The first component the zero test can witness nonzero decides the
-    FAIL direction; components are scanned in storage order so the
-    witness is deterministic.
-    """
-    curv = riemann(gamma)
-    first_undecided: Optional[ZeroTestResult] = None
-    for label, component in curv.labelled():
-        if component.is_zero_literal():
-            continue
-        res = is_zero(component, config)
-        if res.verdict is Verdict.NONZERO:
-            return ZeroTestResult(
-                Verdict.NONZERO,
-                witness=res.witness,
-                witness_value=res.witness_value,
-                detail=f"curvature component {label} is nonzero",
-            )
-        if first_undecided is None:
-            first_undecided = ZeroTestResult(
-                Verdict.UNDECIDED,
-                detail=f"curvature component {label}: {res.detail}",
-            )
-    if first_undecided is not None:
-        return first_undecided
-    return ZeroTestResult(Verdict.ZERO, detail="all curvature components canonically zero")
+
+def geodesic2_flat_residuals(
+    coef: Geodesic2Coefficients, coords: Tuple[str, str]
+) -> List[Tuple[str, Expr]]:
+    """The four plane flatness residuals on a..f, written in the given
+    pair of coordinates."""
+    u, v = coords
+    a, b, c, d, e, f = coef.a, coef.b, coef.c, coef.d, coef.e, coef.f
+    return [
+        ("Eq9.1", a.diff(v) - b.diff(u) + b * e - c * d),
+        ("Eq9.2", b.diff(v) - c.diff(u) + (a * c - b * b) + (b * f - c * e)),
+        ("Eq9.3", d.diff(v) - e.diff(u) - (a * e - b * d) - (d * f - e * e)),
+        ("Eq9.4", (b + f).diff(u) - (a + e).diff(v)),
+    ]
 
 
 def geodesic2_flat_conditions(
     coef: Geodesic2Coefficients, config: ZeroTestConfig = DEFAULT_CONFIG
 ) -> ConditionReport:
     """The four flatness conditions on the coefficients a..f."""
-    a, b, c, d, e, f = coef.a, coef.b, coef.c, coef.d, coef.e, coef.f
-    labelled = [
-        ("Eq9.1", a.diff("y") - b.diff("x") + b * e - c * d),
-        ("Eq9.2", b.diff("y") - c.diff("x") + (a * c - b * b) + (b * f - c * e)),
-        ("Eq9.3", d.diff("y") - e.diff("x") - (a * e - b * d) - (d * f - e * e)),
-        ("Eq9.4", (b + f).diff("x") - (a + e).diff("y")),
-    ]
-    return evaluate_conditions("geodesic-2 flatness", labelled, config)
+    return evaluate_conditions(
+        "geodesic-2 flatness",
+        geodesic2_flat_residuals(coef, coordinates(2)), config)
 
 
 def metric_pde_residuals(

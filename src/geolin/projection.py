@@ -113,8 +113,6 @@ class SystemGauge:
         return SystemGauge(as_expr(G1_12), as_expr(G2_12), as_expr(G3_33))
 
 
-LiftGauge = Union[ScalarGauge, SystemGauge]
-
 ZERO_SCALAR_GAUGE = ScalarGauge.make()
 ZERO_SYSTEM_GAUGE = SystemGauge.make()
 

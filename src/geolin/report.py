@@ -87,24 +87,3 @@ def evaluate_conditions(
     )
     return ConditionReport(kind=kind, records=records, facts=facts)
 
-
-def combine_zero_results(results: list, labels: list) -> ZeroTestResult:
-    """Conjunction of zero tests: ZERO only if every part is ZERO.
-
-    The first NONZERO part decides the verdict and keeps its witness,
-    with the part label folded into the detail.
-    """
-    if len(results) != len(labels):
-        raise ValueError("results and labels must pair up")
-    for res, label in zip(results, labels):
-        if res.verdict is Verdict.NONZERO:
-            return ZeroTestResult(
-                Verdict.NONZERO,
-                witness=res.witness,
-                witness_value=res.witness_value,
-                detail=f"{label}: {res.detail}",
-            )
-    for res, label in zip(results, labels):
-        if res.verdict is Verdict.UNDECIDED:
-            return ZeroTestResult(Verdict.UNDECIDED, detail=f"{label}: {res.detail}")
-    return ZeroTestResult(Verdict.ZERO, detail="all parts canonically zero")

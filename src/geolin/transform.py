@@ -13,9 +13,15 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Tuple, Union
+from typing import Tuple, Union
 
-from .geometry import Christoffel, Geodesic2Coefficients, Metric
+from .geometry import (
+    Christoffel,
+    Geodesic2Coefficients,
+    Metric,
+    coordinates,
+    determinant,
+)
 from .kernel import (
     DEFAULT_CONFIG,
     Expr,
@@ -28,10 +34,7 @@ from .kernel import (
     var,
 )
 from .projection import ScalarCubic, SystemCubic2, project
-from .report import ConditionReport, combine_zero_results, evaluate_conditions
-
-_COORDS = {2: ("x", "y"), 3: ("x", "y", "z")}
-_JET = {2: "yp", 3: "zp"}
+from .report import ConditionReport, evaluate_conditions
 
 
 class TransformError(ValueError):
@@ -67,28 +70,21 @@ class Transformation:
 
     @staticmethod
     def identity(dim: int) -> "Transformation":
-        return Transformation(tuple(var(n) for n in _COORDS[dim]))
+        return Transformation(tuple(var(n) for n in coordinates(dim)))
 
     @property
     def dim(self) -> int:
         return len(self.components)
 
     def jacobian(self) -> Tuple[Tuple[Expr, ...], ...]:
-        coords = _COORDS[self.dim]
+        coords = coordinates(self.dim)
         return tuple(
             tuple(comp.diff(name) for name in coords)
             for comp in self.components
         )
 
     def jacobian_determinant(self) -> Expr:
-        j = self.jacobian()
-        if self.dim == 2:
-            return j[0][0] * j[1][1] - j[0][1] * j[1][0]
-        return (
-            j[0][0] * (j[1][1] * j[2][2] - j[1][2] * j[2][1])
-            - j[0][1] * (j[1][0] * j[2][2] - j[1][2] * j[2][0])
-            + j[0][2] * (j[1][0] * j[2][1] - j[1][1] * j[2][0])
-        )
+        return determinant(self.jacobian())
 
 
 def jacobian_invertibility(
@@ -209,22 +205,20 @@ class GeneralSystem2:
 
     def leading_determinant(self, yp: Expr, zp: Expr) -> Expr:
         """Determinant of the matrix multiplying the second derivatives."""
-        m = self._leading_matrix(yp, zp)
-        return m[2][2] * m[3][3] - m[2][3] * m[3][2]
+        return determinant(self._leading_matrix(yp, zp))
 
-    def _leading_matrix(self, yp: Expr, zp: Expr) -> Dict[int, Dict[int, Expr]]:
-        return {
-            i: {
-                2: self.J(i, 2) - self.G(i, 2, 3) * zp,
-                3: self.J(i, 3) + self.G(i, 2, 3) * yp,
-            }
+    def _leading_matrix(self, yp: Expr, zp: Expr) -> Tuple[Tuple[Expr, Expr], ...]:
+        """Rows i = 2, 3; columns multiply y'' and z''."""
+        return tuple(
+            (self.J(i, 2) - self.G(i, 2, 3) * zp,
+             self.J(i, 3) + self.G(i, 2, 3) * yp)
             for i in (2, 3)
-        }
+        )
 
     def solve_second_derivatives(self, yp: Expr, zp: Expr) -> Tuple[Expr, Expr]:
         """Explicit (y'', z'') as functions of position and slope."""
         m = self._leading_matrix(yp, zp)
-        det = m[2][2] * m[3][3] - m[2][3] * m[3][2]
+        det = determinant(m)
         if det.is_zero_literal():
             raise SingularSystemError(
                 "leading matrix determinant is canonically zero")
@@ -239,26 +233,21 @@ class GeneralSystem2:
             for k, l, m_ in product((2, 3), repeat=3):
                 total = total + self.Delta(i, k, l, m_) * first[k] * first[l] * first[m_]
             lower[i] = total
-        ypp = (-lower[2] * m[3][3] + lower[3] * m[2][3]) / det
-        zpp = (-lower[3] * m[2][2] + lower[2] * m[3][2]) / det
+        ypp = (-lower[2] * m[1][1] + lower[3] * m[0][1]) / det
+        zpp = (-lower[3] * m[0][0] + lower[2] * m[1][0]) / det
         return ypp, zpp
 
 
-def _check_invertible(t: Transformation, config: ZeroTestConfig) -> None:
-    det = t.jacobian_determinant()
-    if det.is_zero_literal():
-        raise DegenerateJacobianError("Jacobian determinant is canonically zero")
-    # a sampled UNDECIDED is tolerated; a canonical zero never is
-    is_zero(det, config)
-
-
 def coefficients_from_transformation(
-    t: Transformation, config: ZeroTestConfig = DEFAULT_CONFIG
+    t: Transformation,
 ) -> Union[GeneralScalar, GeneralSystem2]:
     """Coefficient families induced by substituting the map into the
-    free particle system; the result is linearizable by construction."""
-    _check_invertible(t, config)
-    coords = _COORDS[t.dim]
+    free particle system; the result is linearizable by construction.
+
+    Only a canonically zero Jacobian determinant is rejected."""
+    if t.jacobian_determinant().is_zero_literal():
+        raise DegenerateJacobianError("Jacobian determinant is canonically zero")
+    coords = coordinates(t.dim)
     comp = {i + 1: c for i, c in enumerate(t.components)}
 
     def d(i, a):
@@ -323,7 +312,7 @@ def normal_form(
     generates, record by record.  A FAIL means the pair is not
     expressible with a single shared cubic coefficient matrix.
     """
-    det = g.J(2, 2) * g.J(3, 3) - g.J(2, 3) * g.J(3, 2)
+    det = determinant(((g.J(2, 2), g.J(2, 3)), (g.J(3, 2), g.J(3, 3))))
     if det.is_zero_literal():
         raise DegenerateJacobianError("leading Jacobian block is singular")
     inv = {
@@ -505,24 +494,24 @@ def linearization_residuals(system, t: Transformation):
 
 def verify_linearizing_transformation(
     system, t: Transformation, config: ZeroTestConfig = DEFAULT_CONFIG
-) -> ZeroTestResult:
+) -> ConditionReport:
     """Check by substitution that the map straightens every solution.
 
     Builds the transformed first derivatives with fresh slope symbols,
     differentiates once more along solutions (eliminating second
-    derivatives through the system), and zero-tests the result.  ZERO
-    certifies the map sends solutions to straight lines.
+    derivatives through the system), and zero-tests each residual of
+    `linearization_residuals`.  PASS certifies the map sends solutions
+    to straight lines.
     """
-    labelled = linearization_residuals(system, t)
-    results = [is_zero(residual, config) for _, residual in labelled]
-    return combine_zero_results(results, [label for label, _ in labelled])
+    return evaluate_conditions(
+        "verify-transform", linearization_residuals(system, t), config)
 
 
 def pullback_metric(t: Transformation, target: Metric) -> Metric:
     """Transport a metric on the image coordinates back along the map."""
     if target.dim != t.dim:
         raise TransformError("map and metric dimensions differ")
-    coords = _COORDS[t.dim]
+    coords = coordinates(t.dim)
     compose = {name: comp for name, comp in zip(coords, t.components)}
     jac = t.jacobian()
     n = t.dim

@@ -4,7 +4,7 @@ import pytest
 
 from geolin.criteria import Linear2, Quadratic2
 from geolin.document import (
-    COEFFICIENT_KEYS,
+    KINDS,
     DocumentError,
     load_document,
     parse_document,
@@ -55,7 +55,7 @@ class TestParsing:
     def test_omitted_coefficients_are_zero(self):
         doc = parse_document('[system]\nname = a\nkind = cubic-2\n')
         system = doc.system()
-        for name in COEFFICIENT_KEYS["cubic-2"]:
+        for name in KINDS["cubic-2"].keys:
             assert getattr(system, name).is_zero_literal()
 
     def test_comment_hash_inside_quotes_survives(self):

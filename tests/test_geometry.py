@@ -23,6 +23,7 @@ from geolin.geometry import (
     riemann,
 )
 from geolin.kernel import Verdict, cos, exp, integer, parse, sin, var
+from geolin.report import FAIL, PASS
 from helpers import random_polynomial
 
 
@@ -98,15 +99,15 @@ class TestSphere:
         curv = riemann(self.gamma)
         # R1_212 = sin(x)^2 on the unit sphere
         assert (curv.component(1, 2, 1, 2) - sin(var("x")) ** 2).is_zero_literal()
-        res = is_flat(self.gamma)
-        assert res.verdict is Verdict.NONZERO
-        assert "R1_212" in res.detail
+        report = is_flat(self.gamma)
+        assert report.overall == FAIL
+        assert report.record("Eq6.R1_212").verdict is Verdict.NONZERO
 
 
 class TestRiemann:
     def test_flat_for_worked_connection(self):
-        res = is_flat(ex2_coefficients().as_christoffel())
-        assert res.verdict is Verdict.ZERO
+        report = is_flat(ex2_coefficients().as_christoffel())
+        assert report.overall == PASS
 
     def test_skew_accessor(self):
         gamma = Christoffel.from_components(3, {(1, 2, 3): var("x") * var("y")})

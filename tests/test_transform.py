@@ -5,8 +5,8 @@ import pytest
 
 from geolin.criteria import Linear2, Quadratic2, check_cubic2, tresse_scalar
 from geolin.geometry import Geodesic2Coefficients, Metric
-from geolin.kernel import exp, integer, ln, parse, rational, sqrt, var
-from geolin.report import PASS
+from geolin.kernel import Verdict, exp, integer, ln, parse, rational, sqrt, var
+from geolin.report import FAIL, PASS
 from geolin.projection import ScalarCubic, SystemCubic2, SystemGauge, lift_system
 from geolin.transform import (
     DegenerateJacobianError,
@@ -292,43 +292,47 @@ class TestNormalForm:
 
 class TestVerifyTransformation:
     def test_simple_pair_with_exponential_map(self):
-        assert bool(verify_linearizing_transformation(SIMPLE_PAIR, EXP_MAP))
+        assert verify_linearizing_transformation(SIMPLE_PAIR, EXP_MAP).overall == PASS
 
     def test_worked_pair_with_log_map(self):
-        assert bool(verify_linearizing_transformation(WORKED_PAIR, LOG_MAP))
+        assert verify_linearizing_transformation(WORKED_PAIR, LOG_MAP).overall == PASS
 
     def test_tangled_general_pair_with_its_own_map(self):
         g = coefficients_from_transformation(TANGLED_MAP)
-        assert bool(verify_linearizing_transformation(g, TANGLED_MAP))
+        assert verify_linearizing_transformation(g, TANGLED_MAP).overall == PASS
 
     def test_scalar_flat_equation(self):
-        assert bool(verify_linearizing_transformation(SCALAR_FLAT, SCALAR_FLAT_MAP))
+        report = verify_linearizing_transformation(SCALAR_FLAT, SCALAR_FLAT_MAP)
+        assert report.overall == PASS
 
     def test_scalar_damped_equation(self):
-        assert bool(verify_linearizing_transformation(SCALAR_DAMPED, SCALAR_DAMPED_MAP))
+        report = verify_linearizing_transformation(SCALAR_DAMPED, SCALAR_DAMPED_MAP)
+        assert report.overall == PASS
 
     def test_forced_pair_identity_is_not_linearizing(self):
-        res = verify_linearizing_transformation(
+        report = verify_linearizing_transformation(
             FORCED_PAIR, Transformation.identity(3))
-        assert res.verdict.value == "nonzero"
-        assert res.witness is not None
+        assert report.overall == FAIL
+        assert all(record.result.witness is not None for record in report.records
+                   if record.verdict is Verdict.NONZERO)
 
     def test_connection_input_is_projected_first(self):
         lifted = lift_system(SIMPLE_PAIR, SystemGauge.make(G3_33=1))
-        assert bool(verify_linearizing_transformation(lifted, EXP_MAP))
+        assert verify_linearizing_transformation(lifted, EXP_MAP).overall == PASS
 
     def test_plane_coefficient_input_is_projected_first(self):
         coef = Geodesic2Coefficients.make(a=1, c=1, e=1)
-        assert bool(verify_linearizing_transformation(coef, SCALAR_FLAT_MAP))
+        report = verify_linearizing_transformation(coef, SCALAR_FLAT_MAP)
+        assert report.overall == PASS
 
     def test_restricted_shapes_are_widened(self):
         # e^y straightens y'' + y'^2 = 0
         quad = Quadratic2.make(B2_22=1, B3_33=1)
         t = Transformation.make(X, exp(Y), exp(Z))
-        assert bool(verify_linearizing_transformation(quad, t))
+        assert verify_linearizing_transformation(quad, t).overall == PASS
         lin = Linear2.make(D2="z", D3="z")
-        res = verify_linearizing_transformation(lin, Transformation.identity(3))
-        assert res.verdict.value == "nonzero"
+        report = verify_linearizing_transformation(lin, Transformation.identity(3))
+        assert report.overall == FAIL
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(TransformError):
@@ -356,7 +360,7 @@ class TestVerifyTransformation:
         for _ in range(3):
             t = random_perturbed_identity(rng)
             g = coefficients_from_transformation(t)
-            assert bool(verify_linearizing_transformation(g, t))
+            assert verify_linearizing_transformation(g, t).overall == PASS
             cubic, report = normal_form(g)
             if report.overall == PASS:
                 count += 1
