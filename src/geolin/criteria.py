@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .geometry import (
+    CoefficientTable,
     Geodesic2Coefficients,
     geodesic2_flat_conditions,
     geodesic2_flat_residuals,
 )
-from .kernel import DEFAULT_CONFIG, Expr, ZeroTestConfig, as_expr, rational
+from .kernel import DEFAULT_CONFIG, Expr, ZeroTestConfig, rational
 from .projection import (
     ScalarCubic,
     ScalarGauge,
@@ -55,7 +56,7 @@ def _dz(f: Expr) -> Expr:
 
 
 @dataclass(frozen=True)
-class Quadratic2:
+class Quadratic2(CoefficientTable):
     """Quadratically semi-linear pair; coefficients functions of (y, z).
 
         y'' + B2_22 y'^2 + 2 B2_23 y'z' + B2_33 z'^2 = 0
@@ -70,26 +71,18 @@ class Quadratic2:
     B3_33: Expr
 
     def __post_init__(self):
-        for name in ("B2_22", "B2_23", "B2_33", "B3_22", "B3_23", "B3_33"):
-            if not getattr(self, name).diff("x").is_zero_literal():
+        for name, value in self.entries().items():
+            if not value.diff("x").is_zero_literal():
                 raise CoefficientDomainError(
                     f"quadratic coefficient {name} depends on x"
                 )
 
-    @staticmethod
-    def make(B2_22=0, B2_23=0, B2_33=0, B3_22=0, B3_23=0, B3_33=0) -> "Quadratic2":
-        return Quadratic2(*(as_expr(v) for v in (
-            B2_22, B2_23, B2_33, B3_22, B3_23, B3_33)))
-
     def as_cubic(self) -> SystemCubic2:
-        return SystemCubic2.make(
-            B2_22=self.B2_22, B2_23=self.B2_23, B2_33=self.B2_33,
-            B3_22=self.B3_22, B3_23=self.B3_23, B3_33=self.B3_33,
-        )
+        return SystemCubic2.make(**self.entries())
 
 
 @dataclass(frozen=True)
-class Linear2:
+class Linear2(CoefficientTable):
     """Pair linear in first derivatives; the C's are functions of x only.
 
         y'' + C2_2 y' + C2_3 z' + D2 = 0
@@ -112,15 +105,8 @@ class Linear2:
                         f"linear coefficient {name} depends on {coord}"
                     )
 
-    @staticmethod
-    def make(C2_2=0, C2_3=0, C3_2=0, C3_3=0, D2=0, D3=0) -> "Linear2":
-        return Linear2(*(as_expr(v) for v in (C2_2, C2_3, C3_2, C3_3, D2, D3)))
-
     def as_cubic(self) -> SystemCubic2:
-        return SystemCubic2.make(
-            C2_2=self.C2_2, C2_3=self.C2_3, C3_2=self.C3_2, C3_3=self.C3_3,
-            D2=self.D2, D3=self.D3,
-        )
+        return SystemCubic2.make(**self.entries())
 
 
 def tresse_residuals(cubic: ScalarCubic) -> List[Tuple[str, Expr]]:

@@ -10,7 +10,6 @@ never silently weaken a check.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, Union
@@ -50,10 +49,6 @@ class DocumentError(ValueError):
     """Malformed or inconsistent system description."""
 
 
-def _field_names(cls) -> Tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
 @dataclass(frozen=True)
 class Kind:
     """What the package knows about one document kind.
@@ -82,7 +77,7 @@ class Kind:
 
     @property
     def gauge_keys(self) -> Optional[Tuple[str, ...]]:
-        return None if self.gauge is None else _field_names(self.gauge)
+        return None if self.gauge is None else self.gauge.keys()
 
     def table(self, value) -> Dict[str, str]:
         """Printed coefficient table of a value of this kind."""
@@ -95,6 +90,11 @@ def _itself(value):
 
 def _christoffel_index(key: str) -> Tuple[int, int, int]:
     return int(key[1]), int(key[3]), int(key[4])
+
+
+def _table(cls) -> Dict[str, object]:
+    """Key list and builder of a kind that reads one coefficient table."""
+    return dict(keys=cls.keys(), build=cls.make)
 
 
 def _christoffel3(**table) -> Christoffel:
@@ -111,22 +111,19 @@ _PAIR_EQUATION = dict(
 
 KINDS: Dict[str, Kind] = {
     "scalar-cubic": Kind(
-        keys=_field_names(ScalarCubic), build=ScalarCubic.make,
-        check=tresse_scalar, **_SCALAR_EQUATION),
+        **_table(ScalarCubic), check=tresse_scalar, **_SCALAR_EQUATION),
     "cubic-2": Kind(
-        keys=_field_names(SystemCubic2), build=SystemCubic2.make,
-        check=check_cubic2, equations=_itself, **_PAIR_EQUATION),
-    "quadratic-2": Kind(
-        keys=_field_names(Quadratic2), build=Quadratic2.make,
-        check=check_quadratic2, equations=Quadratic2.as_cubic,
+        **_table(SystemCubic2), check=check_cubic2, equations=_itself,
         **_PAIR_EQUATION),
+    "quadratic-2": Kind(
+        **_table(Quadratic2), check=check_quadratic2,
+        equations=Quadratic2.as_cubic, **_PAIR_EQUATION),
     "linear-2": Kind(
-        keys=_field_names(Linear2), build=Linear2.make,
-        check=check_linear2, equations=Linear2.as_cubic, **_PAIR_EQUATION),
+        **_table(Linear2), check=check_linear2, equations=Linear2.as_cubic,
+        **_PAIR_EQUATION),
     "geodesic-2": Kind(
-        dim=2, keys=_field_names(Geodesic2Coefficients),
-        build=Geodesic2Coefficients.make, check=geodesic2_flat_conditions,
-        counterpart="scalar-cubic",
+        dim=2, **_table(Geodesic2Coefficients),
+        check=geodesic2_flat_conditions, counterpart="scalar-cubic",
         connection=Geodesic2Coefficients.as_christoffel),
     "geodesic-3": Kind(
         dim=3,
@@ -135,7 +132,7 @@ KINDS: Dict[str, Kind] = {
         entry=lambda gamma, key: gamma.gamma(*_christoffel_index(key)),
         check=is_flat, counterpart="cubic-2", connection=_itself),
     "general-2": Kind(
-        dim=3, keys=_field_names(GeneralSystem2), build=GeneralSystem2.make),
+        dim=3, **_table(GeneralSystem2)),
 }
 
 _MAP_KEYS = {2: ("u", "v"), 3: ("u", "v", "w")}

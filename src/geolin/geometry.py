@@ -13,6 +13,7 @@ related to the connection by a plain sign flip per component.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -48,6 +49,35 @@ class DegenerateMetricError(GeometryError):
 
 class UndecidedMetricError(GeometryError):
     """The determinant could not be certified nonzero."""
+
+
+class CoefficientTable:
+    """Base of the frozen dataclasses that hold one named coefficient
+    table; the field order is the table's key order."""
+
+    @classmethod
+    def keys(cls) -> Tuple[str, ...]:
+        return tuple(f.name for f in dataclasses.fields(cls))
+
+    @classmethod
+    def make(cls, *args, **kwargs):
+        """Values by position in key order or by keyword, each coerced
+        to an expression; omitted values are zero, and an unknown,
+        surplus or repeated value raises TypeError."""
+        keys = cls.keys()
+        given = dict(zip(keys, args))
+        unknown = sorted(set(kwargs) - set(keys)) + [str(v) for v in args[len(keys):]]
+        if unknown:
+            raise TypeError(f"unknown coefficients {unknown}")
+        twice = sorted(given.keys() & kwargs.keys())
+        if twice:
+            raise TypeError(f"coefficients given twice {twice}")
+        given.update(kwargs)
+        return cls(**{key: as_expr(given.get(key, 0)) for key in keys})
+
+    def entries(self) -> Dict[str, Expr]:
+        """The table as a plain {key: value} dict, values not copied."""
+        return {key: getattr(self, key) for key in self.keys()}
 
 
 def coordinates(dim: int) -> Tuple[str, ...]:
@@ -237,7 +267,7 @@ class Riemann:
 
 
 @dataclass(frozen=True)
-class Geodesic2Coefficients:
+class Geodesic2Coefficients(CoefficientTable):
     """The six named functions a..f of a 2D quadratic geodesic system."""
 
     a: Expr
@@ -246,10 +276,6 @@ class Geodesic2Coefficients:
     d: Expr
     e: Expr
     f: Expr
-
-    @staticmethod
-    def make(a=0, b=0, c=0, d=0, e=0, f=0) -> "Geodesic2Coefficients":
-        return Geodesic2Coefficients(*(as_expr(v) for v in (a, b, c, d, e, f)))
 
     def as_christoffel(self) -> Christoffel:
         # the components are the negatives of the named coefficients

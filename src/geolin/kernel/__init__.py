@@ -12,8 +12,6 @@ from .core import (
     integer,
     kernel_apply,
     ln,
-    pythagorean_enabled,
-    pythagorean_rewrite,
     rational,
     sin,
     sqrt,
@@ -38,8 +36,6 @@ __all__ = [
     "ln",
     "parse",
     "ParseError",
-    "pythagorean_enabled",
-    "pythagorean_rewrite",
     "rational",
     "sin",
     "sqrt",

@@ -11,8 +11,8 @@ canonical expressions.  Construction keeps every value normalized:
   as a monomial factor,
 * squares of sqrt kernels collapse to their arguments, and sqrt arguments
   are reduced to integer coefficient polynomials,
-* squares of sin kernels optionally rewrite through the Pythagorean
-  identity (enabled by default, switchable per context).
+* squares of sin kernels always rewrite through the Pythagorean
+  identity sin^2 = 1 - cos^2.
 
 Equality is structural equality of the canonical pair.  Deciding whether a
 canonically nonzero pair represents the zero function is delegated to the
@@ -21,8 +21,7 @@ probabilistic zero test, not to this module.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
+from fractions import Fraction as _Fraction
 from math import gcd as _igcd, lcm as _ilcm
 from typing import Iterable, Mapping, Optional
 
@@ -39,13 +38,13 @@ except ImportError:  # pragma: no cover
 
 _Q0 = _Q(0)
 _Q1 = _Q(1)
+# exact rationals accepted as constants, whichever backend is active
+_QTYPES = (type(_Q0), _Fraction)
 
 VAR = 0
 KERNEL = 1
 
 KERNEL_NAMES = ("exp", "ln", "sin", "cos", "sqrt")
-
-_PYTHAGOREAN: ContextVar[bool] = ContextVar("pythagorean_rewrite", default=True)
 
 
 class KernelError(Exception):
@@ -54,25 +53,6 @@ class KernelError(Exception):
 
 class KernelDomainError(KernelError):
     """A kernel was applied to a constant outside its real domain."""
-
-
-def pythagorean_enabled() -> bool:
-    """Report whether sin squares currently rewrite to cos squares."""
-    return _PYTHAGOREAN.get()
-
-
-@contextmanager
-def pythagorean_rewrite(enabled: bool):
-    """Context manager switching the sin square rewrite on or off.
-
-    The switch affects expressions built inside the context; existing
-    expressions are never renormalized retroactively.
-    """
-    token = _PYTHAGOREAN.set(bool(enabled))
-    try:
-        yield
-    finally:
-        _PYTHAGOREAN.reset(token)
 
 
 class Gen:
@@ -211,7 +191,6 @@ def _mono_combine(m1, m2):
     exp_arg = None
     extras = []
     out = []
-    pyth = _PYTHAGOREAN.get()
     for g in sorted(merged):
         e = merged[g]
         if g.kind == KERNEL:
@@ -224,7 +203,7 @@ def _mono_combine(m1, m2):
                 e %= 2
                 if not e:
                     continue
-            elif g.name == "sin" and e >= 2 and pyth:
+            elif g.name == "sin" and e >= 2:
                 extras.extend([_pyth_poly(g.arg)] * (e // 2))
                 e %= 2
                 if not e:
@@ -621,13 +600,6 @@ class Expr:
         _collect_vars(self.den, names)
         return frozenset(names)
 
-    def kernels(self) -> tuple:
-        """All kernel generators appearing anywhere, deterministic order."""
-        found = {}
-        _collect_kernels(self.num, found)
-        _collect_kernels(self.den, found)
-        return tuple(sorted(found.values(), key=lambda g: g.skey))
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
@@ -741,14 +713,6 @@ class Expr:
         return f"Expr({self})"
 
 
-try:
-    from fractions import Fraction as _Fraction
-
-    _QTYPES = (type(_Q0), _Fraction)
-except ImportError:  # pragma: no cover
-    _QTYPES = (type(_Q0),)
-
-
 def _mk(num, den) -> Expr:
     """Normalize a raw polynomial pair into a canonical expression."""
     if not den:
@@ -812,15 +776,6 @@ def _collect_vars(p, names: set):
                 names.add(g.name)
             else:
                 names.update(g.arg.variables())
-
-
-def _collect_kernels(p, found: dict):
-    for m, _ in p:
-        for g, _ in m:
-            if g.kind == KERNEL:
-                found[g.skey] = g
-                _collect_kernels(g.arg.num, found)
-                _collect_kernels(g.arg.den, found)
 
 
 # ---------------------------------------------------------------------------

@@ -12,19 +12,23 @@ the gauge again, which is the round-trip identity tested here.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
-from .geometry import Christoffel, Geodesic2Coefficients, GeometryError
-from .kernel import Expr, as_expr, integer, rational
+from .geometry import (
+    Christoffel,
+    CoefficientTable,
+    Geodesic2Coefficients,
+    GeometryError,
+)
+from .kernel import Expr, integer, rational
 
 _HALF = rational(1, 2)
 _TWO = integer(2)
 
 
 @dataclass(frozen=True)
-class ScalarCubic:
+class ScalarCubic(CoefficientTable):
     """Coefficients of y'' + E3 y'^3 + E2 y'^2 + E1 y' + E0 = 0."""
 
     E0: Expr
@@ -32,13 +36,9 @@ class ScalarCubic:
     E2: Expr
     E3: Expr
 
-    @staticmethod
-    def make(E0=0, E1=0, E2=0, E3=0) -> "ScalarCubic":
-        return ScalarCubic(as_expr(E0), as_expr(E1), as_expr(E2), as_expr(E3))
-
 
 @dataclass(frozen=True)
-class SystemCubic2:
+class SystemCubic2(CoefficientTable):
     """Cubically semi-linear pair in normal form; 15 coefficient slots.
 
         y'' + (A22 y'^2 + 2 A23 y'z' + A33 z'^2) y'
@@ -65,14 +65,6 @@ class SystemCubic2:
     D2: Expr
     D3: Expr
 
-    @staticmethod
-    def make(**kwargs) -> "SystemCubic2":
-        names = [f.name for f in dataclasses.fields(SystemCubic2)]
-        unknown = set(kwargs) - set(names)
-        if unknown:
-            raise TypeError(f"unknown coefficients {sorted(unknown)}")
-        return SystemCubic2(**{n: as_expr(kwargs.get(n, 0)) for n in names})
-
     def A(self, l: int, m: int) -> Expr:
         key = "".join(str(v) for v in sorted((l, m)))
         return getattr(self, f"A{key}")
@@ -89,28 +81,20 @@ class SystemCubic2:
 
 
 @dataclass(frozen=True)
-class ScalarGauge:
+class ScalarGauge(CoefficientTable):
     """Free connection entries b, e left open by a 2D lift."""
 
     b: Expr
     e: Expr
 
-    @staticmethod
-    def make(b=0, e=0) -> "ScalarGauge":
-        return ScalarGauge(as_expr(b), as_expr(e))
-
 
 @dataclass(frozen=True)
-class SystemGauge:
+class SystemGauge(CoefficientTable):
     """Free connection entries G1_12, G2_12, G3_33 left open by a 3D lift."""
 
     G1_12: Expr
     G2_12: Expr
     G3_33: Expr
-
-    @staticmethod
-    def make(G1_12=0, G2_12=0, G3_33=0) -> "SystemGauge":
-        return SystemGauge(as_expr(G1_12), as_expr(G2_12), as_expr(G3_33))
 
 
 ZERO_SCALAR_GAUGE = ScalarGauge.make()

@@ -10,13 +10,13 @@ metrics back along a map.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from itertools import product
 from typing import Tuple, Union
 
 from .geometry import (
     Christoffel,
+    CoefficientTable,
     Geodesic2Coefficients,
     Metric,
     coordinates,
@@ -94,7 +94,7 @@ def jacobian_invertibility(
 
 
 @dataclass(frozen=True)
-class GeneralScalar:
+class GeneralScalar(CoefficientTable):
     """Scalar general linearizable form J y'' + Delta y'^3 + Lam y'^2
     + Om y' + E = 0; five coefficient slots."""
 
@@ -103,10 +103,6 @@ class GeneralScalar:
     Lam: Expr
     Om: Expr
     E: Expr
-
-    @staticmethod
-    def make(J=0, Delta=0, Lam=0, Om=0, E=0) -> "GeneralScalar":
-        return GeneralScalar(*(as_expr(v) for v in (J, Delta, Lam, Om, E)))
 
     def as_scalar_cubic(self) -> ScalarCubic:
         if self.J.is_zero_literal():
@@ -120,7 +116,7 @@ class GeneralScalar:
 
 
 @dataclass(frozen=True)
-class GeneralSystem2:
+class GeneralSystem2(CoefficientTable):
     """General linearizable pair; 26 independent coefficient slots.
 
         J2_2 y'' + J2_3 z'' + G2_23 (y'z'' - z'y'') + cubic + lower = 0
@@ -158,14 +154,6 @@ class GeneralSystem2:
     E2: Expr
     E3: Expr
 
-    @staticmethod
-    def make(**kwargs) -> "GeneralSystem2":
-        names = [f.name for f in dataclasses.fields(GeneralSystem2)]
-        unknown = set(kwargs) - set(names)
-        if unknown:
-            raise TypeError(f"unknown coefficients {sorted(unknown)}")
-        return GeneralSystem2(**{n: as_expr(kwargs.get(n, 0)) for n in names})
-
     def J(self, i: int, j: int) -> Expr:
         return getattr(self, f"J{i}_{j}")
 
@@ -191,12 +179,15 @@ class GeneralSystem2:
 
     def residual(self, i: int, yp: Expr, zp: Expr, ypp: Expr, zpp: Expr) -> Expr:
         """Left side of equation i on explicit jet values."""
+        return (self._lower(i, yp, zp) + self.J(i, 2) * ypp + self.J(i, 3) * zpp
+                + self.G(i, 2, 3) * (yp * zpp - zp * ypp))
+
+    def _lower(self, i: int, yp: Expr, zp: Expr) -> Expr:
+        """The terms of equation i free of second derivatives."""
         first = {2: yp, 3: zp}
-        second = {2: ypp, 3: zpp}
         total = self.E(i)
         for j in (2, 3):
-            total = total + self.J(i, j) * second[j] + self.Om(i, j) * first[j]
-        total = total + self.G(i, 2, 3) * (yp * zpp - zp * ypp)
+            total = total + self.Om(i, j) * first[j]
         for k, l in product((2, 3), repeat=2):
             total = total + self.Lam(i, k, l) * first[k] * first[l]
         for k, l, m in product((2, 3), repeat=3):
@@ -222,17 +213,7 @@ class GeneralSystem2:
         if det.is_zero_literal():
             raise SingularSystemError(
                 "leading matrix determinant is canonically zero")
-        first = {2: yp, 3: zp}
-        lower = {}
-        for i in (2, 3):
-            total = self.E(i)
-            for j in (2, 3):
-                total = total + self.Om(i, j) * first[j]
-            for k, l in product((2, 3), repeat=2):
-                total = total + self.Lam(i, k, l) * first[k] * first[l]
-            for k, l, m_ in product((2, 3), repeat=3):
-                total = total + self.Delta(i, k, l, m_) * first[k] * first[l] * first[m_]
-            lower[i] = total
+        lower = {i: self._lower(i, yp, zp) for i in (2, 3)}
         ypp = (-lower[2] * m[1][1] + lower[3] * m[0][1]) / det
         zpp = (-lower[3] * m[0][0] + lower[2] * m[1][0]) / det
         return ypp, zpp
@@ -405,17 +386,19 @@ def sum_g_b(g: GeneralSystem2, i: int, m: int, b_slot, k: int, l: int) -> Expr:
     return g.G(i, m, 2) * b_slot[(2, k, l)] + g.G(i, m, 3) * b_slot[(3, k, l)]
 
 
-def _guard_jet_names(t: Transformation, exprs) -> None:
-    reserved = {"yp", "zp"}
-    for e in list(t.components) + list(exprs):
-        clash = reserved & set(e.variables())
-        if clash:
-            raise TransformError(
-                f"names {sorted(clash)} are reserved for derivative symbols")
+# names of the slope symbols y', z'; maps and tables may not use them
+_SLOPES = ("yp", "zp")
 
 
-def _scalar_second_derivative(cubic: ScalarCubic, yp: Expr) -> Expr:
-    return -(cubic.E3 * yp ** 3 + cubic.E2 * yp ** 2 + cubic.E1 * yp + cubic.E0)
+def _along_solutions(f: Expr, coords, slopes, seconds) -> Expr:
+    """Derivative of f along solutions with respect to coords[0]: slopes
+    stand for the first derivatives of the other coordinates, seconds
+    for the second ones (empty while f holds no slope symbol)."""
+    total = f.diff(coords[0])
+    names = coords[1:] + _SLOPES[:len(seconds)]
+    for name, factor in zip(names, slopes + seconds):
+        total = total + factor * f.diff(name)
+    return total
 
 
 def _cubic2_second_derivatives(s: SystemCubic2, yp: Expr, zp: Expr):
@@ -444,52 +427,38 @@ def linearization_residuals(system, t: Transformation):
         system = project(system)
     if isinstance(system, (Quadratic2, Linear2)):
         system = system.as_cubic()
-
-    if isinstance(system, ScalarCubic):
-        if t.dim != 2:
-            raise TransformError("scalar equation needs a 2-component map")
-        _guard_jet_names(t, [system.E0, system.E1, system.E2, system.E3])
-        yp = var("yp")
-        d1 = [c.diff("x") + yp * c.diff("y") for c in t.components]
-        if d1[0].is_zero_literal():
-            raise TransversalityError(
-                "new independent variable is constant along solutions")
-        s = d1[1] / d1[0]
-        ypp = _scalar_second_derivative(system, yp)
-        residual = (s.diff("x") + yp * s.diff("y") + ypp * s.diff("yp")) / d1[0]
-        return [("Eqr4.2", residual)]
-
-    if isinstance(system, SystemCubic2):
-        if t.dim != 3:
-            raise TransformError("a pair of equations needs a 3-component map")
-        coeffs = [getattr(system, f.name) for f in dataclasses.fields(system)]
-        _guard_jet_names(t, coeffs)
-        yp, zp = var("yp"), var("zp")
-        ypp, zpp = _cubic2_second_derivatives(system, yp, zp)
-    elif isinstance(system, GeneralSystem2):
-        if t.dim != 3:
-            raise TransformError("a pair of equations needs a 3-component map")
-        coeffs = [getattr(system, f.name) for f in dataclasses.fields(system)]
-        _guard_jet_names(t, coeffs)
-        yp, zp = var("yp"), var("zp")
-        ypp, zpp = system.solve_second_derivatives(yp, zp)
-    else:
+    elif isinstance(system, GeneralScalar):
+        system = system.as_scalar_cubic()
+    if not isinstance(system, (ScalarCubic, SystemCubic2, GeneralSystem2)):
         raise TransformError(f"unsupported system type {type(system).__name__}")
+    dim = 2 if isinstance(system, ScalarCubic) else 3
+    if t.dim != dim:
+        shape = "a scalar equation" if dim == 2 else "a pair of equations"
+        raise TransformError(f"{shape} needs a {dim}-component map")
+    for e in t.components + tuple(system.entries().values()):
+        clash = set(_SLOPES) & e.variables()
+        if clash:
+            raise TransformError(
+                f"names {sorted(clash)} are reserved for derivative symbols")
 
-    d1 = [c.diff("x") + yp * c.diff("y") + zp * c.diff("z")
-          for c in t.components]
+    coords = coordinates(dim)
+    slopes = tuple(var(name) for name in _SLOPES[:dim - 1])
+    if isinstance(system, ScalarCubic):
+        (yp,) = slopes
+        seconds = (-(system.E3 * yp ** 3 + system.E2 * yp ** 2
+                     + system.E1 * yp + system.E0),)
+    elif isinstance(system, SystemCubic2):
+        seconds = _cubic2_second_derivatives(system, *slopes)
+    else:
+        seconds = system.solve_second_derivatives(*slopes)
+    d1 = [_along_solutions(c, coords, slopes, ()) for c in t.components]
     if d1[0].is_zero_literal():
         raise TransversalityError(
             "new independent variable is constant along solutions")
-    labelled = []
-    for i in (1, 2):
-        s = d1[i] / d1[0]
-        residual = (
-            s.diff("x") + yp * s.diff("y") + zp * s.diff("z")
-            + ypp * s.diff("yp") + zpp * s.diff("zp")
-        ) / d1[0]
-        labelled.append((f"Eqr4.{i + 1}", residual))
-    return labelled
+    return [
+        (f"Eqr4.{i + 1}", _along_solutions(d1[i] / d1[0], coords, slopes, seconds) / d1[0])
+        for i in range(1, dim)
+    ]
 
 
 def verify_linearizing_transformation(

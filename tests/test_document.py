@@ -11,8 +11,8 @@ from geolin.document import (
 )
 from geolin.geometry import Christoffel, Geodesic2Coefficients
 from geolin.kernel import integer, parse
-from geolin.projection import ScalarCubic, ScalarGauge, SystemGauge
-from geolin.transform import GeneralSystem2
+from geolin.projection import ScalarCubic, ScalarGauge, SystemCubic2, SystemGauge
+from geolin.transform import GeneralScalar, GeneralSystem2
 
 SCALAR_DOC = """
 # comment line
@@ -193,3 +193,34 @@ class TestCorpus:
         doc = load_document(str(CORPUS / "sys-ex5.ini"))
         assert doc.system() == coefficients_from_transformation(
             doc.transformation())
+
+
+TABLES = (ScalarCubic, SystemCubic2, ScalarGauge, SystemGauge,
+          Geodesic2Coefficients, Quadratic2, Linear2, GeneralScalar,
+          GeneralSystem2)
+
+
+@pytest.mark.parametrize("table", TABLES, ids=lambda table: table.__name__)
+def test_coefficient_table_make(table):
+    keys = table.keys()
+    empty = table.make()
+    assert list(empty.entries()) == list(keys)
+    assert all(value.is_zero_literal() for value in empty.entries().values())
+    # constants pass the coordinate checks of Quadratic2 and Linear2
+    values = [integer(n + 1) for n in range(len(keys))]
+    by_position = table.make(*values)
+    assert by_position == table.make(**dict(zip(keys, values)))
+    # entries hand back the stored values themselves, not copies
+    assert all(got is want for got, want in
+               zip(by_position.entries().values(), values))
+    with pytest.raises(TypeError, match="unknown coefficients"):
+        table.make(not_a_key=1)
+    with pytest.raises(TypeError, match="unknown coefficients"):
+        table.make(*values, 1)
+    with pytest.raises(TypeError):
+        table.make(1, **{keys[0]: 1})
+    for kind in KINDS.values():
+        if kind.build == table.make:
+            assert kind.keys == keys
+        if kind.gauge is table:
+            assert kind.gauge_keys == keys

@@ -17,7 +17,6 @@ from geolin.kernel import (
     integer,
     is_zero,
     ln,
-    pythagorean_rewrite,
     rational,
     sin,
     sqrt,
@@ -111,10 +110,6 @@ def test_sqrt_rules():
 
 def test_pythagorean_toggle():
     assert sin(x) ** 2 + cos(x) ** 2 - 1 == ZERO
-    with pythagorean_rewrite(False):
-        e = sin(x) ** 2 + cos(x) ** 2 - 1
-    assert e != ZERO
-    assert is_zero(e).verdict is Verdict.UNDECIDED
 
 
 def test_sin_odd_powers_keep_one_factor():

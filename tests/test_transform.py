@@ -354,6 +354,13 @@ class TestVerifyTransformation:
             verify_linearizing_transformation(
                 SIMPLE_PAIR, Transformation.make(2, Y, Z))
 
+    def test_random_scalar_maps_verify_against_their_own_output(self):
+        rng = random.Random(24)
+        for _ in range(4):
+            t = random_perturbed_identity(rng, dim=2)
+            g = coefficients_from_transformation(t)
+            assert verify_linearizing_transformation(g, t).overall == PASS
+
     def test_random_maps_verify_against_their_own_output(self):
         rng = random.Random(23)
         count = 0
