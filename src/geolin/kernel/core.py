@@ -14,6 +14,15 @@ canonical expressions.  Construction keeps every value normalized:
 * squares of sin kernels always rewrite through the Pythagorean
   identity sin^2 = 1 - cos^2.
 
+Common factors are found by a polynomial gcd that returns its cofactors.
+Polynomials in plain variables use the heuristic gcd GCDHEU (Char, Geddes
+and Gonnet, 1989); a candidate counts only once it divides both inputs
+exactly, so soundness never rests on the heuristic.  Inputs holding
+kernels, and pairs the heuristic gives up on, use a primitive
+pseudo-remainder sequence.  Past a size guard neither runs and only the
+common monomial factor cancels, which bounds the work at the price of a
+form that may not be fully reduced.
+
 Equality is structural equality of the canonical pair.  Deciding whether a
 canonically nonzero pair represents the zero function is delegated to the
 probabilistic zero test, not to this module.
@@ -22,7 +31,7 @@ probabilistic zero test, not to this module.
 from __future__ import annotations
 
 from fractions import Fraction as _Fraction
-from math import gcd as _igcd, lcm as _ilcm
+from math import gcd as _igcd, isqrt as _misqrt, lcm as _ilcm
 from typing import Iterable, Mapping, Optional
 
 try:
@@ -416,13 +425,20 @@ def _p_primitive(p) -> tuple:
     return _p_scale(p, inv)
 
 
-def _p_content_in(p, g) -> tuple:
-    """Polynomial content of p viewed in the main generator g."""
-    parts = _p_split_main(p, g)
+def _p_content_in(p, g):
+    """Polynomial content of p viewed in the main generator g.
+
+    None when a gcd on the way gives up: a content that is only a common
+    divisor would leave the remainder non-primitive, and the sequence would
+    go on to return a non-divisor.
+    """
     content = P_ZERO
-    for coeff in parts.values():
-        content = _p_gcd(content, coeff)
-        if _p_is_const(content) and content:
+    for coeff in _p_split_main(p, g).values():
+        found = _p_gcd(content, coeff, strict=True)
+        if found is None:
+            return None
+        content = found[0]
+        if _p_is_const(content):
             return P_ONE
     return content
 
@@ -455,72 +471,289 @@ def _p_pseudo_rem(a, b, g):
 
 _GCD_TERM_LIMIT = 150
 _GCD_GEN_LIMIT = 6
+# evaluation points tried by the heuristic gcd before it gives up
+_HEU_TRIES = 6
 
 
-def _p_gcd(a, b) -> tuple:
-    """Best effort polynomial gcd, primitive with positive leading term.
+def _p_gcd(a, b, strict=False):
+    """Polynomial gcd with cofactors: (g, a/g, b/g).
 
-    Complete on polynomials in plain variables of moderate size; degrades
-    to the common monomial factor beyond the size guard, which keeps the
-    worst case bounded at the price of weaker cancellation.
+    g is primitive with a positive leading term, and the cofactors are
+    exact quotients, so g always divides both inputs.  Polynomials in plain
+    variables go to the heuristic gcd, whose candidates count only once
+    they divide both inputs exactly; inputs holding kernels, and any pair
+    the heuristic gives up on, go to the primitive pseudo-remainder
+    sequence.  Beyond the size guard (_GCD_TERM_LIMIT terms,
+    _GCD_GEN_LIMIT shared generators) neither runs.  A search that stops
+    early degrades to the common monomial factor, or to (P_ONE, a, b);
+    with strict=True it returns None instead, for callers that need the
+    greatest divisor.
     """
-    if not a:
-        return _p_primitive(b)
-    if not b:
-        return _p_primitive(a)
+    if not a or not b:
+        c = _poly_rat_content(a or b)
+        k = _p_const(c)
+        return _p_scale(a or b, _Q1 / c), k if a else P_ZERO, k if b else P_ZERO
     if _p_is_const(a) or _p_is_const(b):
-        return P_ONE
-    if len(a) == 1 or len(b) == 1:
-        mono = _mono_common([m for m, _ in a] + [m for m, _ in b])
-        if not mono:
-            return P_ONE
-        return ((mono, _Q1),)
-    common = _p_gens(a) & _p_gens(b)
-    if not common:
-        return P_ONE
-    # the monomial part factors out cheaply and keeps the PRS small
+        return P_ONE, a, b
+    give_up = None if strict else (P_ONE, a, b)
+    gens_a = _p_gens(a)
+    gens_b = _p_gens(b)
+    common = gens_a & gens_b
     mono = _mono_common([m for m, _ in a] + [m for m, _ in b])
+    if len(a) == 1 or len(b) == 1 or not common:
+        if not mono:
+            return P_ONE, a, b
+        return _p_cofactors(((mono, _Q1),), a, b) or give_up
     if mono:
-        qa = _p_exact_div(a, ((mono, _Q1),))
-        qb = _p_exact_div(b, ((mono, _Q1),))
-        if qa is not None and qb is not None:
-            inner = _p_gcd(qa, qb)
-            return _p_primitive(_p_mul(((mono, _Q1),), inner))
+        # the monomial part factors out cheaply and keeps the search small
+        found = _p_cofactors(((mono, _Q1),), a, b)
+        if found is not None:
+            inner = _p_gcd(found[1], found[2], strict)
+            if inner is None:
+                return None
+            g, ca, cb = inner
+            return _p_normalized(_p_mul(found[0], g), ca, cb)
     if (
         len(a) > _GCD_TERM_LIMIT
         or len(b) > _GCD_TERM_LIMIT
         or len(common) > _GCD_GEN_LIMIT
     ):
-        return P_ONE
+        return give_up
+    gens = gens_a | gens_b
+    if all(g.kind == VAR for g in gens):
+        found = _heu_gcd(a, b, sorted(gens))
+        if found is not None:
+            return found
+    g = _prs_gcd(a, b, common, strict)
+    if g is None:
+        return give_up
+    return _p_cofactors(g, a, b) or give_up
+
+
+def _p_cofactors(d, a, b):
+    """(d, a/d, b/d) with d made primitive, or None when a division fails."""
+    qa = _p_exact_div(a, d)
+    qb = _p_exact_div(b, d) if qa is not None else None
+    if qb is None:
+        return None
+    return _p_normalized(d, qa, qb)
+
+
+def _p_normalized(g, ca, cb):
+    """Move the rational content of g into its cofactors."""
+    c = _poly_rat_content(g)
+    if c == 1:
+        return g, ca, cb
+    return _p_scale(g, _Q1 / c), _p_scale(ca, c), _p_scale(cb, c)
+
+
+def _prs_gcd(a, b, common, strict):
+    """Primitive pseudo-remainder sequence gcd, or None when it gives up.
+
+    The main generator is the shared one of least degree.  A kernel rewrite
+    that defeats a pseudo-division ends the sequence with the gcd of the
+    contents, which still divides both inputs (None when strict).
+    """
     main = min(
         common,
         key=lambda g: (min(_p_degree_in(a, g), _p_degree_in(b, g)), g.skey),
     )
     ca = _p_content_in(a, main)
     cb = _p_content_in(b, main)
+    if ca is None or cb is None:
+        return None
     pa = _p_exact_div(a, ca)
     pb = _p_exact_div(b, cb)
     if pa is None or pb is None:
-        return P_ONE
-    cg = _p_gcd(ca, cb)
+        return None
+    found = _p_gcd(ca, cb, strict)
+    if found is None:
+        return None
+    cg = found[0]
+    partial = None if strict else cg
     if _p_degree_in(pa, main) < _p_degree_in(pb, main):
         pa, pb = pb, pa
     while True:
         r = _p_pseudo_rem(pa, pb, main)
         if r is None:
-            return _p_primitive(cg)
+            return partial
         if not r:
             break
         content = _p_content_in(r, main)
+        if content is None:
+            return None
         r = _p_exact_div(r, content)
         if r is None:
-            return _p_primitive(cg)
+            return partial
         r = _p_primitive(r)
         pa, pb = pb, r
         if _p_degree_in(pb, main) == 0:
-            return _p_primitive(cg)
-    g = _p_primitive(pb)
-    return _p_primitive(_p_mul(cg, g))
+            return cg
+    return _p_primitive(_p_mul(cg, _p_primitive(pb)))
+
+
+# Heuristic gcd (GCDHEU; Char, Geddes and Gonnet, 1989) on integer
+# polynomials held as dicts from exponent tuples to ints.  Evaluating the
+# first variable at an integer xi turns a gcd in n variables into one in
+# n - 1, down to an integer gcd; balanced xi-adic expansion lifts the
+# image gcd back.  The point choice and its growth follow sympy's
+# dmp_zz_heu_gcd.
+
+
+def _heu_gcd(a, b, gens):
+    """(g, a/g, b/g) for polynomials in the variables gens, or None."""
+    ka, fa = _zz_from_poly(a, gens)
+    kb, fb = _zz_from_poly(b, gens)
+    found = _zz_heu_gcd(fa, fb, len(gens))
+    if found is None:
+        return None
+    h, cfa, cfb = found
+    return _p_normalized(
+        _poly_from_zz(h, gens),
+        _p_scale(_poly_from_zz(cfa, gens), ka),
+        _p_scale(_poly_from_zz(cfb, gens), kb),
+    )
+
+
+def _zz_from_poly(p, gens):
+    """(k, f) with p = k * f and f a primitive integer polynomial."""
+    k = _poly_rat_content(p)
+    index = {g: i for i, g in enumerate(gens)}
+    f = {}
+    for m, c in p:
+        exps = [0] * len(gens)
+        for g, e in m:
+            exps[index[g]] = e
+        f[tuple(exps)] = int((c / k).numerator)
+    return k, f
+
+
+def _poly_from_zz(f, gens) -> tuple:
+    return _poly_from_dict({
+        tuple((g, e) for g, e in zip(gens, exps) if e): _Q(c)
+        for exps, c in f.items()
+    })
+
+
+def _zz_heu_gcd(f, g, n):
+    """(h, f/h, g/h) for nonzero integer polynomials in n variables, or None."""
+    if not n:
+        a = f[()]
+        b = g[()]
+        h = _igcd(a, b)
+        return {(): h}, {(): a // h}, {(): b // h}
+    k = _igcd(*f.values(), *g.values())
+    if k != 1:
+        f = {m: c // k for m, c in f.items()}
+        g = {m: c // k for m, c in g.items()}
+    f_norm = max(abs(c) for c in f.values())
+    g_norm = max(abs(c) for c in g.values())
+    bound = 2 * min(f_norm, g_norm) + 29
+    x = max(
+        min(bound, 99 * _misqrt(bound)),
+        2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 2,
+    )
+    for _ in range(_HEU_TRIES):
+        ff = _zz_eval_first(f, x)
+        gg = _zz_eval_first(g, x)
+        if ff and gg:
+            found = _zz_heu_gcd(ff, gg, n - 1)
+            if found is None:
+                return None
+            h, cff, cfg = found
+            h = _zz_primitive(_zz_interpolate(h, x))
+            cf = _zz_exact_div(f, h)
+            cg = _zz_exact_div(g, h) if cf is not None else None
+            if cg is not None:
+                return _zz_scale(h, k), cf, cg
+            cf = _zz_interpolate(cff, x)
+            h = _zz_exact_div(f, cf)
+            cg = _zz_exact_div(g, h) if h is not None else None
+            if cg is not None:
+                return _zz_scale(h, k), cf, cg
+            cg = _zz_interpolate(cfg, x)
+            h = _zz_exact_div(g, cg)
+            cf = _zz_exact_div(f, h) if h is not None else None
+            if cf is not None:
+                return _zz_scale(h, k), cf, cg
+        x = 73794 * x * _misqrt(_misqrt(x)) // 27011
+    return None
+
+
+def _zz_eval_first(f, x) -> dict:
+    """f with its first variable set to x, as a polynomial in the rest."""
+    powers = {}
+    out: dict = {}
+    for m, c in f.items():
+        e = m[0]
+        p = powers.get(e)
+        if p is None:
+            p = powers[e] = x ** e
+        rest = m[1:]
+        out[rest] = out.get(rest, 0) + c * p
+    return {m: c for m, c in out.items() if c}
+
+
+def _zz_interpolate(h, x) -> dict:
+    """Balanced x-adic expansion of h's coefficients as a new first variable."""
+    out = {}
+    half = x // 2
+    i = 0
+    while h:
+        rest = {}
+        for m, c in h.items():
+            r = c % x
+            if r > half:
+                r -= x
+            if r:
+                out[(i,) + m] = r
+            c = (c - r) // x
+            if c:
+                rest[m] = c
+        h = rest
+        i += 1
+    return out
+
+
+def _zz_primitive(f) -> dict:
+    k = _igcd(*f.values())
+    return _zz_scale(f, k) if k == 1 else {m: c // k for m, c in f.items()}
+
+
+def _zz_scale(f, k) -> dict:
+    return f if k == 1 else {m: c * k for m, c in f.items()}
+
+
+def _zz_exact_div(f, d):
+    """Exact quotient f / d over the integers, or None.
+
+    Lexicographic division; every quotient exponent must stay within the
+    degree gap of f and d, which stops a failing division early.
+    """
+    lead = max(d)
+    gap = [max(m[i] for m in f) - max(m[i] for m in d) for i in range(len(lead))]
+    if min(gap, default=0) < 0:
+        return None
+    lc = d[lead]
+    rem = dict(f)
+    quo = {}
+    while rem:
+        m = max(rem)
+        t = tuple(e - l for e, l in zip(m, lead))
+        if any(e < 0 or e > gap_i for e, gap_i in zip(t, gap)):
+            return None
+        c, r = divmod(rem[m], lc)
+        if r:
+            return None
+        quo[t] = c
+        for dm, dc in d.items():
+            mm = tuple(e + de for e, de in zip(t, dm))
+            v = rem.get(mm, 0) - c * dc
+            if v:
+                rem[mm] = v
+            else:
+                del rem[mm]
+    return quo
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +845,10 @@ class Expr:
             return self
         if self.den == other.den:
             return _mk(_p_add(self.num, other.num), self.den)
-        num = _p_add(_p_mul(self.num, other.den), _p_mul(other.num, self.den))
-        return _mk(num, _p_mul(self.den, other.den))
+        # over the least common denominator: b*d / gcd(b, d)
+        _, qb, qd = _p_gcd(self.den, other.den)
+        num = _p_add(_p_mul(self.num, qd), _p_mul(other.num, qb))
+        return _mk(num, _p_mul(self.den, qd))
 
     __radd__ = __add__
 
@@ -639,9 +874,9 @@ class Expr:
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
-        # cross reduction keeps intermediate products small
-        a, d2 = _cross_reduce(self.num, other.den)
-        b, d1 = _cross_reduce(other.num, self.den)
+        # cancelling across the operands keeps intermediate products small
+        a, d2 = _cancel(self.num, other.den)
+        b, d1 = _cancel(other.num, self.den)
         return _mk(_p_mul(a, b), _p_mul(d1, d2))
 
     __rmul__ = __mul__
@@ -654,8 +889,8 @@ class Expr:
             raise ZeroDivisionError("exact division by zero expression")
         if not self.num:
             return ZERO
-        a, b = _cross_reduce(self.num, other.num)
-        c, d = _cross_reduce(other.den, self.den)
+        a, b = _cancel(self.num, other.num)
+        c, d = _cancel(other.den, self.den)
         return _mk(_p_mul(a, c), _p_mul(d, b))
 
     def __rtruediv__(self, other):
@@ -740,13 +975,7 @@ def _mk(num, den) -> Expr:
             rp = (((g, 1),), _Q1)
             num = _p_mul(num, (rp,))
             den = _p_mul(den, (rp,))
-    if not _p_is_const(den):
-        g = _p_gcd(num, den)
-        if not _p_is_const(g):
-            qn = _p_exact_div(num, g)
-            qd = _p_exact_div(den, g)
-            if qn is not None and qd is not None:
-                num, den = qn, qd
+    num, den = _cancel(num, den)
     c = _poly_rat_content(den)
     if c != 1:
         inv = _Q1 / c
@@ -755,17 +984,11 @@ def _mk(num, den) -> Expr:
     return Expr(num, den, _internal=True)
 
 
-def _cross_reduce(num, den):
-    """Cancel common factors between a numerator and a foreign denominator."""
+def _cancel(num, den):
+    """Divide a numerator and a denominator by their polynomial gcd."""
     if _p_is_const(den) or _p_is_const(num):
         return num, den
-    g = _p_gcd(num, den)
-    if _p_is_const(g):
-        return num, den
-    qn = _p_exact_div(num, g)
-    qd = _p_exact_div(den, g)
-    if qn is None or qd is None:
-        return num, den
+    _, qn, qd = _p_gcd(num, den)
     return qn, qd
 
 

@@ -23,6 +23,7 @@ from geolin.kernel import (
     sqrt,
     var,
 )
+from geolin.transform import Transformation
 
 FD_H = Fraction(1, 10**8)
 
@@ -99,3 +100,14 @@ def random_polynomial(rng: random.Random, names=("x", "y"), degree: int = 2, ter
             term = term * var(rng.choice(names))
         acc = acc + term
     return acc
+
+
+def random_invertible_map(rng: random.Random) -> Transformation:
+    """Identity plus a two-term polynomial per component, redrawn until
+    the Jacobian determinant is not the canonical zero."""
+    while True:
+        comps = [var(n) + random_polynomial(rng, names=("x", "y", "z"), terms=2)
+                 for n in ("x", "y", "z")]
+        t = Transformation.make(*comps)
+        if not t.jacobian_determinant().is_zero_literal():
+            return t
