@@ -608,6 +608,8 @@ def _heu_gcd(a, b, gens):
     if found is None:
         return None
     h, cfa, cfb = found
+    if len(h) == 1 and not any(next(iter(h))):
+        return P_ONE, a, b
     return _p_normalized(
         _poly_from_zz(h, gens),
         _p_scale(_poly_from_zz(cfa, gens), ka),
@@ -618,13 +620,15 @@ def _heu_gcd(a, b, gens):
 def _zz_from_poly(p, gens):
     """(k, f) with p = k * f and f a primitive integer polynomial."""
     k = _poly_rat_content(p)
+    kn = int(k.numerator)
+    kd = int(k.denominator)
     index = {g: i for i, g in enumerate(gens)}
     f = {}
     for m, c in p:
         exps = [0] * len(gens)
         for g, e in m:
             exps[index[g]] = e
-        f[tuple(exps)] = int((c / k).numerator)
+        f[tuple(exps)] = int(c.numerator) * kd // (int(c.denominator) * kn)
     return k, f
 
 
@@ -717,7 +721,7 @@ def _zz_interpolate(h, x) -> dict:
 
 def _zz_primitive(f) -> dict:
     k = _igcd(*f.values())
-    return _zz_scale(f, k) if k == 1 else {m: c // k for m, c in f.items()}
+    return f if k == 1 else {m: c // k for m, c in f.items()}
 
 
 def _zz_scale(f, k) -> dict:
@@ -728,8 +732,19 @@ def _zz_exact_div(f, d):
     """Exact quotient f / d over the integers, or None.
 
     Lexicographic division; every quotient exponent must stay within the
-    degree gap of f and d, which stops a failing division early.
+    degree gap of f and d, which stops a failing division early.  A
+    single-term divisor (most often the constant 1) divides term by term.
     """
+    if len(d) == 1:
+        ((lead, lc),) = d.items()
+        quo = {}
+        for m, c in f.items():
+            t = tuple(e - l for e, l in zip(m, lead))
+            q, r = divmod(c, lc)
+            if r or min(t, default=0) < 0:
+                return None
+            quo[t] = q
+        return quo
     lead = max(d)
     gap = [max(m[i] for m in f) - max(m[i] for m in d) for i in range(len(lead))]
     if min(gap, default=0) < 0:
