@@ -889,7 +889,7 @@ class Expr:
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
-        # cancelling across the operands keeps intermediate products small
+        # cross reduction keeps intermediate products small
         a, d2 = _cancel(self.num, other.den)
         b, d1 = _cancel(other.num, self.den)
         return _mk(_p_mul(a, b), _p_mul(d1, d2))
