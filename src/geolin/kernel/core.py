@@ -1,7 +1,10 @@
 """Exact multivariate rational expressions over opaque transcendental kernels.
 
 The canonical form is a reduced pair of sparse polynomials with exact
-rational coefficients.  Generators are either named variables or kernel
+coefficients.  A coefficient is a plain Python int whenever it is integral
+and an exact rational (gmpy2's mpq, or fractions.Fraction without gmpy2)
+only when it is not; every coefficient division goes through _qdiv, which
+keeps that rule.  Generators are either named variables or kernel
 applications (exp, ln, sin, cos, sqrt) whose arguments are themselves
 canonical expressions.  Construction keeps every value normalized:
 
@@ -13,6 +16,9 @@ canonical expressions.  Construction keeps every value normalized:
   are reduced to integer coefficient polynomials,
 * squares of sin kernels always rewrite through the Pythagorean
   identity sin^2 = 1 - cos^2.
+
+A product of two monomials free of kernels needs none of these rewrites
+and is merged without scanning for them.
 
 Common factors are found by a polynomial gcd that returns its cofactors.
 Polynomials in plain variables use the heuristic gcd GCDHEU (Char, Geddes
@@ -32,7 +38,8 @@ from __future__ import annotations
 
 from fractions import Fraction as _Fraction
 from math import gcd as _igcd, isqrt as _misqrt, lcm as _ilcm
-from typing import Iterable, Mapping, Optional
+from operator import attrgetter
+from typing import Mapping, Optional
 
 try:
     from gmpy2 import mpq as _Q, is_square as _is_square, isqrt as _isqrt
@@ -45,10 +52,27 @@ except ImportError:  # pragma: no cover
         return r * r == n
 
 
-_Q0 = _Q(0)
-_Q1 = _Q(1)
 # exact rationals accepted as constants, whichever backend is active
-_QTYPES = (type(_Q0), _Fraction)
+_QTYPES = (type(_Q(0)), _Fraction)
+
+
+def _qnorm(v):
+    """An exact coefficient as an int when it is integral."""
+    if v.__class__ is int or v.denominator != 1:
+        return v
+    return int(v.numerator)
+
+
+def _qdiv(a, b):
+    """Exact coefficient quotient a / b: an int when it is integral.
+
+    Every coefficient division goes through here, since int / int would
+    give a float.
+    """
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return _Q(a, b) if r else q
+    return _qnorm(_Q(a) / b)
 
 VAR = 0
 KERNEL = 1
@@ -122,15 +146,18 @@ def _kernel_gen(fname: str, arg: "Expr") -> Gen:
 P_ZERO: tuple = ()
 
 
+_SKEY = attrgetter("skey")
+
+
 def _term_sort_key(mono):
     deg = 0
     for _, e in mono:
         deg += e
-    return (-deg, tuple((g.skey, -e) for g, e in mono))
+    return (-deg, tuple([(g.skey, -e) for g, e in mono]))
 
 
 def _poly_from_dict(d: dict) -> tuple:
-    items = [(m, c) for m, c in d.items() if c != 0]
+    items = [(m, c if c.__class__ is int else _qnorm(c)) for m, c in d.items() if c]
     items.sort(key=lambda t: _term_sort_key(t[0]))
     return tuple(items)
 
@@ -138,7 +165,7 @@ def _poly_from_dict(d: dict) -> tuple:
 def _p_const(q) -> tuple:
     if q == 0:
         return P_ZERO
-    return (((), _Q(q)),)
+    return (((), _qnorm(q)),)
 
 
 P_ONE = _p_const(1)
@@ -176,13 +203,20 @@ def _p_scale(p, q) -> tuple:
         return P_ZERO
     if q == 1:
         return p
-    return tuple((m, c * q) for m, c in p)
+    return tuple((m, _qnorm(c * q)) for m, c in p)
+
+
+def _p_quo(p, q) -> tuple:
+    """p with every coefficient divided exactly by the nonzero scalar q."""
+    if q == 1:
+        return p
+    return tuple((m, _qdiv(c, q)) for m, c in p)
 
 
 def _pyth_poly(arg: "Expr") -> tuple:
     # 1 - cos(arg)^2
     g = _kernel_gen("cos", arg)
-    return _poly_from_dict({(): _Q1, ((g, 2),): -_Q1})
+    return _poly_from_dict({(): 1, ((g, 2),): -1})
 
 
 def _mono_combine(m1, m2):
@@ -190,17 +224,25 @@ def _mono_combine(m1, m2):
 
     Returns (mono, extras) where extras is a list of polynomials that still
     have to be multiplied in (arguments of collapsed sqrt squares, the
-    Pythagorean replacement of sin squares).
+    Pythagorean replacement of sin squares).  Without a kernel no rule can
+    fire, so the merged monomial is returned without the scan.
     """
-    merged: dict = {}
-    for g, e in m1:
-        merged[g] = e
+    if not m1:
+        return m2, ()
+    if not m2:
+        return m1, ()
+    merged = dict(m1)
     for g, e in m2:
         merged[g] = merged.get(g, 0) + e
+    for g in merged:
+        if g.kind == KERNEL:
+            break
+    else:
+        return tuple([(g, merged[g]) for g in sorted(merged, key=_SKEY)]), ()
     exp_arg = None
     extras = []
     out = []
-    for g in sorted(merged):
+    for g in sorted(merged, key=_SKEY):
         e = merged[g]
         if g.kind == KERNEL:
             if g.name == "exp":
@@ -321,8 +363,7 @@ def _p_exact_div(p, d):
     if not p:
         return P_ZERO
     if _p_is_const(d):
-        inv = _Q1 / d[0][1]
-        return _p_scale(p, inv)
+        return _p_quo(p, d[0][1])
     rem = dict(p)
     quo: dict = {}
     d_lead_m, d_lead_c = d[0]
@@ -335,10 +376,10 @@ def _p_exact_div(p, d):
         t = _mono_div(lt_m, d_lead_m)
         if t is None:
             return None
-        c = rem[lt_m] / d_lead_c
+        c = _qdiv(rem[lt_m], d_lead_c)
         prod = _p_mul(((t, c),), d)
         for m, cc in prod:
-            v = rem.get(m, _Q0) - cc
+            v = rem.get(m, 0) - cc
             if v == 0:
                 rem.pop(m, None)
             else:
@@ -403,13 +444,16 @@ def _p_join_main(g, coeffmap) -> tuple:
 
 
 def _poly_rat_content(p):
-    """Signed rational c with p / c primitive integer, positive leading."""
+    """Signed c with p / c primitive integer, positive leading; an int if integral."""
     num_gcd = 0
     den_lcm = 1
     for _, c in p:
-        num_gcd = _igcd(num_gcd, abs(int(c.numerator)))
-        den_lcm = _ilcm(den_lcm, int(c.denominator))
-    content = _Q(num_gcd, den_lcm)
+        if c.__class__ is int:
+            num_gcd = _igcd(num_gcd, c)
+        else:
+            num_gcd = _igcd(num_gcd, int(c.numerator))
+            den_lcm = _ilcm(den_lcm, int(c.denominator))
+    content = num_gcd if den_lcm == 1 else _Q(num_gcd, den_lcm)
     if p[0][1] < 0:
         content = -content
     return content
@@ -418,11 +462,7 @@ def _poly_rat_content(p):
 def _p_primitive(p) -> tuple:
     if not p:
         return p
-    c = _poly_rat_content(p)
-    if c == 1:
-        return p
-    inv = _Q1 / c
-    return _p_scale(p, inv)
+    return _p_quo(p, _poly_rat_content(p))
 
 
 def _p_content_in(p, g):
@@ -492,7 +532,7 @@ def _p_gcd(a, b, strict=False):
     if not a or not b:
         c = _poly_rat_content(a or b)
         k = _p_const(c)
-        return _p_scale(a or b, _Q1 / c), k if a else P_ZERO, k if b else P_ZERO
+        return _p_quo(a or b, c), k if a else P_ZERO, k if b else P_ZERO
     if _p_is_const(a) or _p_is_const(b):
         return P_ONE, a, b
     give_up = None if strict else (P_ONE, a, b)
@@ -503,10 +543,10 @@ def _p_gcd(a, b, strict=False):
     if len(a) == 1 or len(b) == 1 or not common:
         if not mono:
             return P_ONE, a, b
-        return _p_cofactors(((mono, _Q1),), a, b) or give_up
+        return _p_cofactors(((mono, 1),), a, b) or give_up
     if mono:
         # the monomial part factors out cheaply and keeps the search small
-        found = _p_cofactors(((mono, _Q1),), a, b)
+        found = _p_cofactors(((mono, 1),), a, b)
         if found is not None:
             inner = _p_gcd(found[1], found[2], strict)
             if inner is None:
@@ -544,7 +584,7 @@ def _p_normalized(g, ca, cb):
     c = _poly_rat_content(g)
     if c == 1:
         return g, ca, cb
-    return _p_scale(g, _Q1 / c), _p_scale(ca, c), _p_scale(cb, c)
+    return _p_quo(g, c), _p_scale(ca, c), _p_scale(cb, c)
 
 
 def _prs_gcd(a, b, common, strict):
@@ -596,8 +636,9 @@ def _prs_gcd(a, b, common, strict):
 # polynomials held as dicts from exponent tuples to ints.  Evaluating the
 # first variable at an integer xi turns a gcd in n variables into one in
 # n - 1, down to an integer gcd; balanced xi-adic expansion lifts the
-# image gcd back.  The point choice and its growth follow sympy's
-# dmp_zz_heu_gcd.
+# image gcd back.  The first point is the bound of Char, Geddes and
+# Gonnet's theorem, so a candidate that divides both inputs is their gcd;
+# the growth between tries follows sympy's dmp_zz_heu_gcd.
 
 
 def _heu_gcd(a, b, gens):
@@ -620,21 +661,19 @@ def _heu_gcd(a, b, gens):
 def _zz_from_poly(p, gens):
     """(k, f) with p = k * f and f a primitive integer polynomial."""
     k = _poly_rat_content(p)
-    kn = int(k.numerator)
-    kd = int(k.denominator)
     index = {g: i for i, g in enumerate(gens)}
     f = {}
     for m, c in p:
         exps = [0] * len(gens)
         for g, e in m:
             exps[index[g]] = e
-        f[tuple(exps)] = int(c.numerator) * kd // (int(c.denominator) * kn)
+        f[tuple(exps)] = _qdiv(c, k)
     return k, f
 
 
 def _poly_from_zz(f, gens) -> tuple:
     return _poly_from_dict({
-        tuple((g, e) for g, e in zip(gens, exps) if e): _Q(c)
+        tuple((g, e) for g, e in zip(gens, exps) if e): c
         for exps, c in f.items()
     })
 
@@ -652,11 +691,9 @@ def _zz_heu_gcd(f, g, n):
         g = {m: c // k for m, c in g.items()}
     f_norm = max(abs(c) for c in f.values())
     g_norm = max(abs(c) for c in g.values())
-    bound = 2 * min(f_norm, g_norm) + 29
-    x = max(
-        min(bound, 99 * _misqrt(bound)),
-        2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 2,
-    )
+    # below 2 min(|f|, |g|) + 2 a candidate can divide both inputs and still
+    # not be their greatest common divisor
+    x = 2 * min(f_norm, g_norm) + 2
     for _ in range(_HEU_TRIES):
         ff = _zz_eval_first(f, x)
         gg = _zz_eval_first(g, x)
@@ -838,8 +875,8 @@ class Expr:
         if not self.is_rational():
             raise KernelError("expression is not a rational constant")
         if not self.num:
-            return _Q0
-        return self.num[0][1] / self.den[0][1]
+            return 0
+        return _qdiv(self.num[0][1], self.den[0][1])
 
     def variables(self) -> frozenset:
         """Names of all variables, including those inside kernel arguments."""
@@ -969,6 +1006,9 @@ def _mk(num, den) -> Expr:
         raise ZeroDivisionError("zero denominator in exact arithmetic")
     if not num:
         return ZERO
+    if len(den) == 1 and not den[0][0]:
+        # a constant denominator only moves its value into the numerator
+        return Expr(_p_quo(num, den[0][1]), P_ONE, _internal=True)
     # pull exp kernels out of the denominator through its monomial content
     common = _mono_common([m for m, _ in den])
     exp_gens = [(g, e) for g, e in common if g.kind == KERNEL and g.name == "exp"]
@@ -981,21 +1021,20 @@ def _mk(num, den) -> Expr:
         den = _poly_from_dict(dict(new_terms))
         for g, e in exp_gens:
             inv_arg = -(g.arg * e) if e != 1 else -g.arg
-            num = _p_mul(num, (((( _kernel_gen("exp", inv_arg), 1),), _Q1),))
+            num = _p_mul(num, ((((_kernel_gen("exp", inv_arg), 1),), 1),))
     # rationalize sqrt kernels sitting in a pure monomial denominator
     if len(den) == 1:
         mono, _ = den[0]
         roots = [g for g, _ in mono if g.kind == KERNEL and g.name == "sqrt"]
         for g in roots:
-            rp = (((g, 1),), _Q1)
+            rp = (((g, 1),), 1)
             num = _p_mul(num, (rp,))
             den = _p_mul(den, (rp,))
     num, den = _cancel(num, den)
     c = _poly_rat_content(den)
     if c != 1:
-        inv = _Q1 / c
-        den = _p_scale(den, inv)
-        num = _p_scale(num, inv)
+        den = _p_quo(den, c)
+        num = _p_quo(num, c)
     return Expr(num, den, _internal=True)
 
 
@@ -1037,10 +1076,7 @@ def as_expr(value) -> Expr:
     if isinstance(value, int):
         return Expr(_p_const(value), P_ONE, _internal=True)
     if isinstance(value, _QTYPES):
-        q = _Q(value)
-        num = _p_const(q.numerator)
-        den = _p_const(q.denominator)
-        return _mk(num, den)
+        return Expr(_p_const(_Q(value)), P_ONE, _internal=True)
     if isinstance(value, float):
         raise TypeError("floats are not exact; use rational() instead")
     return NotImplemented
@@ -1058,12 +1094,15 @@ def rational(p, q=1) -> Expr:
     return as_expr(_Q(p, q))
 
 
+def _gen_expr(g: Gen) -> Expr:
+    return Expr(((((g, 1),), 1),), P_ONE, _internal=True)
+
+
 def var(name: str) -> Expr:
     """The expression consisting of a single named variable."""
     if not name or not isinstance(name, str):
         raise KernelError("variable names must be nonempty strings")
-    g = _var_gen(name)
-    return Expr(((((g, 1),), _Q1),), P_ONE, _internal=True)
+    return _gen_expr(_var_gen(name))
 
 
 def variables(names: str) -> list:
@@ -1076,8 +1115,7 @@ def exp(arg) -> Expr:
     arg = as_expr(arg)
     if not arg.num:
         return ONE
-    g = _kernel_gen("exp", arg)
-    return Expr(((((g, 1),), _Q1),), P_ONE, _internal=True)
+    return _gen_expr(_kernel_gen("exp", arg))
 
 
 def ln(arg) -> Expr:
@@ -1087,8 +1125,7 @@ def ln(arg) -> Expr:
         return ZERO
     if arg.is_rational() and arg.as_rational() <= 0:
         raise KernelDomainError("ln of a nonpositive constant")
-    g = _kernel_gen("ln", arg)
-    return Expr(((((g, 1),), _Q1),), P_ONE, _internal=True)
+    return _gen_expr(_kernel_gen("ln", arg))
 
 
 def sin(arg) -> Expr:
@@ -1096,8 +1133,7 @@ def sin(arg) -> Expr:
     arg = as_expr(arg)
     if not arg.num:
         return ZERO
-    g = _kernel_gen("sin", arg)
-    return Expr(((((g, 1),), _Q1),), P_ONE, _internal=True)
+    return _gen_expr(_kernel_gen("sin", arg))
 
 
 def cos(arg) -> Expr:
@@ -1105,8 +1141,7 @@ def cos(arg) -> Expr:
     arg = as_expr(arg)
     if not arg.num:
         return ONE
-    g = _kernel_gen("cos", arg)
-    return Expr(((((g, 1),), _Q1),), P_ONE, _internal=True)
+    return _gen_expr(_kernel_gen("cos", arg))
 
 
 def sqrt(arg) -> Expr:
@@ -1122,7 +1157,7 @@ def sqrt(arg) -> Expr:
         return ZERO
     prod = _p_mul(arg.num, arg.den)
     c = _poly_rat_content(prod)
-    p0 = _p_scale(prod, _Q1 / c)
+    p0 = _p_quo(prod, c)
     u = int(c.numerator)
     v = int(c.denominator)
     w = u * v
@@ -1133,17 +1168,16 @@ def sqrt(arg) -> Expr:
             return rational(s, v) / den_expr
         inner = Expr(p0, P_ONE, _internal=True)
         g = _kernel_gen("sqrt", inner)
-        root = Expr(((((g, 1),), _Q(s)),), P_ONE, _internal=True)
+        root = Expr(((((g, 1),), s),), P_ONE, _internal=True)
         return root / (integer(v) * den_expr)
     if p0 == P_ONE:
         if w < 0:
             raise KernelDomainError("sqrt of a negative constant")
         inner = Expr(_p_const(w), P_ONE, _internal=True)
     else:
-        inner = Expr(_p_scale(p0, _Q(w)), P_ONE, _internal=True)
+        inner = Expr(_p_scale(p0, w), P_ONE, _internal=True)
     g = _kernel_gen("sqrt", inner)
-    root = Expr(((((g, 1),), _Q1),), P_ONE, _internal=True)
-    return root / (integer(v) * den_expr)
+    return _gen_expr(g) / (integer(v) * den_expr)
 
 
 _KERNEL_BUILDERS = {"exp": exp, "ln": ln, "sin": sin, "cos": cos, "sqrt": sqrt}
@@ -1160,10 +1194,6 @@ def kernel_apply(fname: str, arg) -> Expr:
 # ---------------------------------------------------------------------------
 # Differentiation and substitution over the polynomial layer.
 # ---------------------------------------------------------------------------
-
-
-def _gen_expr(g: Gen) -> Expr:
-    return Expr(((((g, 1),), _Q1),), P_ONE, _internal=True)
 
 
 def _gen_diff(g: Gen, name: str) -> Expr:
@@ -1196,7 +1226,7 @@ def _poly_diff(p, name: str) -> Expr:
                 rest = m[:i] + ((g, e - 1),) + m[i + 1:]
             else:
                 rest = m[:i] + m[i + 1:]
-            base = Expr(((rest, c * e),), P_ONE, _internal=True)
+            base = Expr(((rest, _qnorm(c * e)),), P_ONE, _internal=True)
             total = total + base * dg
     return total
 

@@ -5,15 +5,19 @@ the value itself, the largest intermediate magnitude met along the way.
 That peak is what a relative smallness test must compare against: a tiny
 result produced from huge intermediates is evidence of cancellation, not
 of a tiny function.
+
+mpmath is imported on the first eval_expr call, not with this module:
+most runs decide every residual structurally and never evaluate, so they
+do not pay for the import.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Tuple
 
-import mpmath
-
 from .core import Expr, KERNEL, KernelError, P_ONE
+
+mpmath = None  # bound by eval_expr on its first call
 
 
 class EvalDomainError(KernelError):
@@ -96,6 +100,9 @@ def eval_expr(expr: Expr, point: Mapping[str, object], precision_bits: int = 256
     converted at the working precision.  Raises EvalDomainError at poles,
     for ln or sqrt outside their real domain, and for missing variables.
     """
+    global mpmath
+    if mpmath is None:
+        import mpmath
     with mpmath.workprec(precision_bits):
         mp_point = {name: _to_mpf(v) for name, v in point.items()}
         ev = _Evaluator(mp_point)

@@ -10,6 +10,8 @@ Grammar, in decreasing binding strength:
 
 Exponents are integer literals, optionally signed, optionally
 parenthesized, and chain right associatively, so x^2^3 means x^(2^3).
+A tower whose value would exceed 2^_TOWER_LOG2 is refused before it is
+computed: 2^9^9^9 would otherwise build an int of about 370M digits.
 The caret binds tighter than unary minus: -x^2 is -(x^2).  Numbers may
 carry a decimal fraction part and are converted exactly.  Every error
 carries the byte offset where parsing failed.
@@ -18,6 +20,7 @@ carries the byte offset where parsing failed.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import log2
 
 from .core import Expr, KernelError, KERNEL_NAMES, as_expr, kernel_apply, var
 
@@ -33,6 +36,8 @@ class ParseError(KernelError):
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_CONT = _NAME_START | set("0123456789")
 _DIGITS = set("0123456789")
+# an exponent tower may evaluate to at most 2^_TOWER_LOG2
+_TOWER_LOG2 = 64
 
 
 class _Parser:
@@ -141,6 +146,8 @@ class _Parser:
             rhs = self.parse_exponent()
             if rhs < 0:
                 self.error("negative exponent inside an exponent tower", at)
+            if abs(value) > 1 and rhs > _TOWER_LOG2 / log2(abs(value)):
+                self.error(f"exponent tower exceeds 2^{_TOWER_LOG2}", at)
             value = value ** rhs
         return sign * value
 

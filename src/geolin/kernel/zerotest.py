@@ -12,7 +12,7 @@ the answer is UNDECIDED, never ZERO.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from geolin.cli import main
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 
 def run(capsys, *argv):
@@ -290,8 +295,45 @@ class TestInputErrors:
         assert code == 3
         assert err
 
+    def test_exponent_tower_is_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "tower.ini"
+        bad.write_text(
+            '[system]\nname = tower\nkind = linear-2\n'
+            '[coefficients]\nD2 = "z^(2^9^9^9)"\n')
+        code, _, err = run(capsys, "check", bad)
+        assert code == 3
+        assert "exponent tower" in err
+
     def test_gauge_on_gaugeless_command(self, capsys):
         code, _, err = run(capsys, "check", doc_path("lie-ex1"),
                            "--gauge", "b=1")
         assert code == 3
         assert "gauge" in err
+
+
+class TestStartup:
+    def run_python(self, code):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    def test_mpmath_is_imported_only_by_evaluation(self):
+        out = self.run_python(textwrap.dedent("""
+            import contextlib, io, sys
+            import geolin.cli
+            seen = ['mpmath' in sys.modules]
+            for cmd, doc in [('check', 'sys-ex2'), ('check', 'sys-ex3'),
+                             ('verify-metric', 'lie-ex2')]:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = geolin.cli.main([cmd, f'corpus/{doc}.ini', '--format', 'json'])
+                seen += [code, 'mpmath' in sys.modules]
+            print(*seen)
+        """))
+        # sys-ex2 fails on a constant residual and sys-ex3 passes, both
+        # decided without evaluation; verify-metric on lie-ex2 samples
+        assert out[:5] == ["False", "1", "False", "0", "False"]
+        assert out[6] == "True"

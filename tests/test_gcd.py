@@ -68,6 +68,16 @@ def test_gcd_properties_with_planted_factor(f, u, v):
     assert prs is None or prs == (g, qa, qb)
 
 
+def test_heuristic_point_keeps_the_greatest_divisor():
+    # with x*y^2 = 256711 the image pair in z is 256711 - z and
+    # (256711 - z)(91*z + 1); a first point of 513422, below the bound
+    # 2*256711 + 2, expanded their gcd to the constant 1, which divides
+    # both inputs and was taken for the gcd
+    f = _poly([(1, 1, 2, 0), (-1, 0, 0, 1)])
+    b = core._p_mul(f, _poly([(1, 0, 1, 1), (1, 0, 0, 0)]))
+    assert core._p_gcd(f, b) == (f, core.P_ONE, core._p_exact_div(b, f))
+
+
 def test_prs_gives_up_instead_of_returning_a_non_divisor():
     # 9 and 12 terms; the remainder contents pass the size guard, which
     # once made the PRS return a 357-term polynomial dividing neither input

@@ -1,10 +1,12 @@
 """Parser grammar, round trips, and byte offset error reporting."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from geolin.kernel import ParseError, exp, parse, rational, var
+from geolin.kernel.parse import _Parser
 from helpers import random_expr
 
 x = var("x")
@@ -68,6 +70,31 @@ def test_error_offsets():
     with pytest.raises(ParseError) as e:
         parse("x^1.5")
     assert e.value.offset == 3
+
+
+def test_exponent_tower_refused_before_it_is_computed():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError):
+            _Parser("10^(10^6)").parse_exponent()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 10^(10^6) alone would be an int of over 400 kB
+    assert peak < 100_000
+    with pytest.raises(ParseError) as e:
+        parse("x^(10^(10^6))")
+    assert "exponent tower" in str(e.value)
+    assert e.value.offset == 5
+    with pytest.raises(ParseError):
+        parse("x^(2^9^9^9)")
+    with pytest.raises(ParseError):
+        parse("x^2^65")
+    with pytest.raises(ParseError):
+        parse("x^3^" + "9" * 400)
+    assert parse("x^2^64") == x ** (2 ** 64)
+    assert parse("x^1^(10^10)") == x
+    assert parse("x^(-2)^3") == x ** -8
 
 
 def test_empty_input():
