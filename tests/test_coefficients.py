@@ -54,7 +54,8 @@ def test_integral_coefficients_of_cubic2_residuals_are_ints():
 
 def test_integral_rational_products_fold_to_ints():
     half = parse("x/2 + 1/2")
-    assert [type(c) for c in coefficients(half)] == [Fraction, Fraction, int]
+    rational_type = type(rational(1, 2).as_rational())  # mpq, or Fraction without gmpy2
+    assert [type(c) for c in coefficients(half)] == [rational_type, rational_type, int]
     doubled = half * 2
     assert doubled == x + 1
     assert all(type(c) is int for c in coefficients(doubled))
