@@ -703,6 +703,9 @@ def _zz_heu_gcd(f, g, n):
                 return None
             h, cff, cfg = found
             h = _zz_primitive(_zz_interpolate(h, x))
+            if len(h) == 1 and h.get((0,) * n) == 1:
+                # a unit divides both, and past the bound it is their gcd
+                return _zz_scale(h, k), f, g
             cf = _zz_exact_div(f, h)
             cg = _zz_exact_div(g, h) if cf is not None else None
             if cg is not None:
@@ -898,9 +901,17 @@ class Expr:
         if self.den == other.den:
             return _mk(_p_add(self.num, other.num), self.den)
         # over the least common denominator: b*d / gcd(b, d)
-        _, qb, qd = _p_gcd(self.den, other.den)
+        g, qb, qd = _p_gcd(self.den, other.den)
         num = _p_add(_p_mul(self.num, qd), _p_mul(other.num, qb))
-        return _mk(num, _p_mul(self.den, qd))
+        if not _settled(self, other):
+            return _mk(num, _p_mul(self.den, qd))
+        if not num:
+            return ZERO
+        # Henrici: a common factor of num and b*d/g divides g
+        if _p_is_const(g):
+            return _mk_coprime(num, _p_mul(self.den, qd))
+        _, num, qg = _p_gcd(num, g)
+        return _mk_coprime(num, _p_mul(_p_mul(qb, qd), qg))
 
     __radd__ = __add__
 
@@ -929,7 +940,7 @@ class Expr:
         # cross reduction keeps intermediate products small
         a, d2 = _cancel(self.num, other.den)
         b, d1 = _cancel(other.num, self.den)
-        return _mk(_p_mul(a, b), _p_mul(d1, d2))
+        return _mk_product(_p_mul(a, b), _p_mul(d1, d2), self, other)
 
     __rmul__ = __mul__
 
@@ -943,7 +954,7 @@ class Expr:
             return ZERO
         a, b = _cancel(self.num, other.num)
         c, d = _cancel(other.den, self.den)
-        return _mk(_p_mul(a, c), _p_mul(d, b))
+        return _mk_product(_p_mul(a, c), _p_mul(d, b), self, other)
 
     def __rtruediv__(self, other):
         other = as_expr(other)
@@ -959,13 +970,13 @@ class Expr:
         if n < 0:
             if not self.num:
                 raise ZeroDivisionError("zero raised to a negative power")
-            base = _mk(self.den, self.num)
+            base = _mk_product(self.den, self.num, self, self)
             n = -n
         else:
             base = self
         if n == 1:
             return base
-        return _mk(_p_pow(base.num, n), _p_pow(base.den, n))
+        return _mk_product(_p_pow(base.num, n), _p_pow(base.den, n), base, base)
 
     # -- calculus ----------------------------------------------------------
 
@@ -1036,6 +1047,50 @@ def _mk(num, den) -> Expr:
         den = _p_quo(den, c)
         num = _p_quo(num, c)
     return Expr(num, den, _internal=True)
+
+
+def _mk_product(num, den, x, y) -> Expr:
+    """Canonical num / den for a pair built from the operands x and y.
+
+    The callers pass products of the operands' cross-cancelled parts, which
+    are coprime when both operands are settled, so the final gcd is skipped.
+    """
+    if _p_is_const(den) or not _settled(x, y):
+        return _mk(num, den)
+    return _mk_coprime(num, den)
+
+
+def _mk_coprime(num, den) -> Expr:
+    """Canonical expression from a kernel-free pair known to be coprime.
+
+    Only the denominator's rational content and sign move.
+    """
+    c = _poly_rat_content(den)
+    if c != 1:
+        den = _p_quo(den, c)
+        num = _p_quo(num, c)
+    return Expr(num, den, _internal=True)
+
+
+def _settled(x, y) -> bool:
+    """True when neither operand can hide a common factor of its pair.
+
+    A settled pair holds no kernel, since the quotient ring of kernels is
+    not a unique factorization domain, and lies within the gcd size guard,
+    past which its own gcd would have stopped early.
+    """
+    for e in (x, y) if x is not y else (x,):
+        num, den = e.num, e.den
+        if len(num) > _GCD_TERM_LIMIT or len(den) > _GCD_TERM_LIMIT:
+            return False
+        gens_num = _p_gens(num)
+        gens_den = _p_gens(den)
+        if len(gens_num & gens_den) > _GCD_GEN_LIMIT:
+            return False
+        for g in gens_num | gens_den:
+            if g.kind != VAR:
+                return False
+    return True
 
 
 def _cancel(num, den):
