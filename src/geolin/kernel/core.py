@@ -29,6 +29,21 @@ pseudo-remainder sequence.  Past a size guard neither runs and only the
 common monomial factor cancels, which bounds the work at the price of a
 form that may not be fully reduced.
 
+No gcd runs whose answer the canonical form already fixes.  Kernel-free
+reduced pairs live in Q[vars], a unique factorization domain, so for
+operands a/b and c/d the products a*c and b*d are coprime once gcd(a, d)
+and gcd(c, b) are cancelled; the same holds for quotients and for
+num^n / den^n, and such a pair only moves its denominator's content and
+sign (_mk_coprime).  A sum over unequal denominators follows Henrici
+(Knuth, TAOCP Vol. 2, 4.5.1): with g = gcd(b, d) and
+N = a*(d/g) + c*(b/g), every common factor of N and the denominator
+divides g, so the last gcd is gcd(N, g), or none when g is constant.
+Kernels are excluded: their quotient ring is not a unique factorization
+domain, and sqrt(x) * (sqrt(x)/x) reduces to 1 only through the final
+gcd.  So are operands past the size guard, which may keep a common
+factor.  The operand check runs only when the result's denominator is not
+constant.
+
 Equality is structural equality of the canonical pair.  Deciding whether a
 canonically nonzero pair represents the zero function is delegated to the
 probabilistic zero test, not to this module.
@@ -970,13 +985,13 @@ class Expr:
         if n < 0:
             if not self.num:
                 raise ZeroDivisionError("zero raised to a negative power")
-            base = _mk_product(self.den, self.num, self, self)
+            base = _mk_product(self.den, self.num, self)
             n = -n
         else:
             base = self
         if n == 1:
             return base
-        return _mk_product(_p_pow(base.num, n), _p_pow(base.den, n), base, base)
+        return _mk_product(_p_pow(base.num, n), _p_pow(base.den, n), base)
 
     # -- calculus ----------------------------------------------------------
 
@@ -1049,13 +1064,14 @@ def _mk(num, den) -> Expr:
     return Expr(num, den, _internal=True)
 
 
-def _mk_product(num, den, x, y) -> Expr:
-    """Canonical num / den for a pair built from the operands x and y.
+def _mk_product(num, den, *operands) -> Expr:
+    """Canonical num / den for a pair built from the given operands.
 
-    The callers pass products of the operands' cross-cancelled parts, which
-    are coprime when both operands are settled, so the final gcd is skipped.
+    The callers pass products or powers of the operands' cross-cancelled
+    parts, which are coprime when every operand is settled, so the final
+    gcd is skipped.
     """
-    if _p_is_const(den) or not _settled(x, y):
+    if _p_is_const(den) or not _settled(*operands):
         return _mk(num, den)
     return _mk_coprime(num, den)
 
@@ -1072,14 +1088,14 @@ def _mk_coprime(num, den) -> Expr:
     return Expr(num, den, _internal=True)
 
 
-def _settled(x, y) -> bool:
-    """True when neither operand can hide a common factor of its pair.
+def _settled(*operands) -> bool:
+    """True when no operand can hide a common factor of its pair.
 
     A settled pair holds no kernel, since the quotient ring of kernels is
     not a unique factorization domain, and lies within the gcd size guard,
     past which its own gcd would have stopped early.
     """
-    for e in (x, y) if x is not y else (x,):
+    for e in operands:
         num, den = e.num, e.den
         if len(num) > _GCD_TERM_LIMIT or len(den) > _GCD_TERM_LIMIT:
             return False

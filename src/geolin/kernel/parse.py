@@ -12,6 +12,10 @@ Exponents are integer literals, optionally signed, optionally
 parenthesized, and chain right associatively, so x^2^3 means x^(2^3).
 A tower whose value would exceed 2^_TOWER_LOG2 is refused before it is
 computed: 2^9^9^9 would otherwise build an int of about 370M digits.
+So is a power whose numerator or denominator could have more than
+_POWER_TERMS terms, or a coefficient wider than _POWER_BITS bits: a
+t-term polynomial to the n has up to C(n + t - 1, t - 1) terms, and
+(x+y+z+1)^40 would take seconds to build its 12341.
 The caret binds tighter than unary minus: -x^2 is -(x^2).  Numbers may
 carry a decimal fraction part and are converted exactly.  Every error
 carries the byte offset where parsing failed.
@@ -20,7 +24,7 @@ carries the byte offset where parsing failed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import log2
+from math import comb, log2
 
 from .core import Expr, KernelError, KERNEL_NAMES, as_expr, kernel_apply, var
 
@@ -38,6 +42,9 @@ _NAME_CONT = _NAME_START | set("0123456789")
 _DIGITS = set("0123456789")
 # an exponent tower may evaluate to at most 2^_TOWER_LOG2
 _TOWER_LOG2 = 64
+# bounds on the numerator and denominator of a literal power
+_POWER_TERMS = 1000
+_POWER_BITS = 1 << 16
 
 
 class _Parser:
@@ -114,8 +121,20 @@ class _Parser:
             e = self.parse_exponent()
             if e < 0 and base.is_zero_literal():
                 self.error("zero raised to a negative power", at)
+            self.check_power_size(base, abs(e), at)
             return base ** e
         return base
+
+    def check_power_size(self, base: Expr, n: int, at: int):
+        """Refuse base^n when its bounded size is past the limits."""
+        for poly in (base.num, base.den):
+            t = len(poly)
+            if t > 1 and comb(n + t - 1, t - 1) > _POWER_TERMS:
+                self.error(f"power may exceed {_POWER_TERMS} terms", at)
+            top = max((max(abs(int(c.numerator)), int(c.denominator)) for _, c in poly),
+                      default=1)
+            if top > 1 and n * top.bit_length() > _POWER_BITS:
+                self.error(f"power may exceed {_POWER_BITS}-bit coefficients", at)
 
     def parse_exponent(self) -> int:
         self.skip_ws()

@@ -231,11 +231,20 @@ def coefficients_from_transformation(
     coords = coordinates(t.dim)
     comp = {i + 1: c for i, c in enumerate(t.components)}
 
+    # every partial is asked for many times below; each is derived once
+    partials = {}
+
     def d(i, a):
-        return comp[i].diff(coords[a - 1])
+        v = partials.get((i, a))
+        if v is None:
+            v = partials[i, a] = comp[i].diff(coords[a - 1])
+        return v
 
     def d2(i, a, b):
-        return comp[i].diff(coords[a - 1]).diff(coords[b - 1])
+        v = partials.get((i, a, b))
+        if v is None:
+            v = partials[i, a, b] = d(i, a).diff(coords[b - 1])
+        return v
 
     if t.dim == 2:
         return GeneralScalar(

@@ -304,6 +304,15 @@ class TestInputErrors:
         assert code == 3
         assert "exponent tower" in err
 
+    def test_huge_literal_power_is_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "power.ini"
+        bad.write_text(
+            '[system]\nname = power\nkind = linear-2\n'
+            '[coefficients]\nD2 = "(x+y+z+1)^100"\n')
+        code, _, err = run(capsys, "check", bad)
+        assert code == 3
+        assert "terms" in err
+
     def test_gauge_on_gaugeless_command(self, capsys):
         code, _, err = run(capsys, "check", doc_path("lie-ex1"),
                            "--gauge", "b=1")

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from geolin.kernel import ParseError, exp, parse, rational, var
+from geolin.kernel import Expr, ParseError, exp, parse, rational, var
 from geolin.kernel.parse import _Parser
 from helpers import random_expr
 
@@ -95,6 +95,27 @@ def test_exponent_tower_refused_before_it_is_computed():
     assert parse("x^2^64") == x ** (2 ** 64)
     assert parse("x^1^(10^10)") == x
     assert parse("x^(-2)^3") == x ** -8
+
+
+def test_huge_literal_power_refused_before_it_is_built(monkeypatch):
+    built = []
+    real_pow = Expr.__pow__
+    monkeypatch.setattr(Expr, "__pow__", lambda b, n: built.append(n) or real_pow(b, n))
+    # (x+y+z+1)^40 would have 12341 terms
+    with pytest.raises(ParseError) as e:
+        parse("(x+y+z+1)^40")
+    assert "terms" in str(e.value)
+    assert e.value.offset == 9
+    with pytest.raises(ParseError):
+        parse("1/(x+1)^(-2000)")
+    with pytest.raises(ParseError) as e:
+        parse("(2*x)^(2^64)")
+    assert "bit" in str(e.value)
+    with pytest.raises(ParseError):
+        parse("(1/3)^100000")
+    assert built == []
+    assert len(parse("(x+y+z+1)^16").num) == 969
+    assert parse("x^2^64 * 2^1000") == x ** (2 ** 64) * 2 ** 1000
 
 
 def test_empty_input():
