@@ -15,7 +15,7 @@ computed: 2^9^9^9 would otherwise build an int of about 370M digits.
 So is a power whose numerator or denominator could have more than
 _POWER_TERMS terms, or a coefficient wider than _POWER_BITS bits: a
 t-term polynomial to the n has up to C(n + t - 1, t - 1) terms, and
-(x+y+z+1)^40 would take seconds to build its 12341.
+building the 12341 terms of (x+y+z+1)^40 would take seconds.
 The caret binds tighter than unary minus: -x^2 is -(x^2).  Numbers may
 carry a decimal fraction part and are converted exactly.  Every error
 carries the byte offset where parsing failed.
@@ -42,9 +42,10 @@ _NAME_CONT = _NAME_START | set("0123456789")
 _DIGITS = set("0123456789")
 # an exponent tower may evaluate to at most 2^_TOWER_LOG2
 _TOWER_LOG2 = 64
-# bounds on the numerator and denominator of a literal power
+# bounds on the numerator and denominator of a literal power; 2^13 bits
+# also stays below Python's 4300-digit limit on printing an int
 _POWER_TERMS = 1000
-_POWER_BITS = 1 << 16
+_POWER_BITS = 1 << 13
 
 
 class _Parser:
@@ -127,13 +128,15 @@ class _Parser:
 
     def check_power_size(self, base: Expr, n: int, at: int):
         """Refuse base^n when its bounded size is past the limits."""
+        if n < 2:
+            return
         for poly in (base.num, base.den):
             t = len(poly)
             if t > 1 and comb(n + t - 1, t - 1) > _POWER_TERMS:
                 self.error(f"power may exceed {_POWER_TERMS} terms", at)
             top = max((max(abs(int(c.numerator)), int(c.denominator)) for _, c in poly),
                       default=1)
-            if top > 1 and n * top.bit_length() > _POWER_BITS:
+            if top > 1 and n * log2(top) > _POWER_BITS:
                 self.error(f"power may exceed {_POWER_BITS}-bit coefficients", at)
 
     def parse_exponent(self) -> int:

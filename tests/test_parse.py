@@ -113,7 +113,11 @@ def test_huge_literal_power_refused_before_it_is_built(monkeypatch):
     assert "bit" in str(e.value)
     with pytest.raises(ParseError):
         parse("(1/3)^100000")
+    with pytest.raises(ParseError):
+        parse("2^8193")
     assert built == []
+    # 2^8192 still prints: 2467 digits, under Python's 4300-digit limit
+    assert len(str(parse("2^8192"))) == 2467
     assert len(parse("(x+y+z+1)^16").num) == 969
     assert parse("x^2^64 * 2^1000") == x ** (2 ** 64) * 2 ** 1000
 
