@@ -40,9 +40,12 @@ N = a*(d/g) + c*(b/g), every common factor of N and the denominator
 divides g, so the last gcd is gcd(N, g), or none when g is constant.
 Kernels are excluded: their quotient ring is not a unique factorization
 domain, and sqrt(x) * (sqrt(x)/x) reduces to 1 only through the final
-gcd.  So are operands past the size guard, which may keep a common
-factor.  The operand check runs only when the result's denominator is not
-constant.
+gcd.  So is every gcd that stops early, which may leave a common factor:
+an operand built by one, and a cross gcd (b with d, a with d, N with g)
+that stops on this operation, send the result through the full path.
+Each expression records whether its own gcd ran to the end, and the
+cross gcds run in _p_gcd's strict mode, which reports an early stop.  The
+operand check runs only when the result's denominator is not constant.
 
 Equality is structural equality of the canonical pair.  Deciding whether a
 canonically nonzero pair represents the zero function is delegated to the
@@ -841,7 +844,10 @@ def _poly_key(p):
 class Expr:
     """An immutable exact expression in canonical rational form."""
 
-    __slots__ = ("num", "den", "_key", "_hash", "_str")
+    # _plain: False once a kernel is seen or a gcd building the pair stopped
+    # early, True once the pair is known to be reduced and free of kernels,
+    # None until _is_plain first looks
+    __slots__ = ("num", "den", "_key", "_hash", "_str", "_plain")
 
     def __init__(self, num, den, _internal=False):
         if not _internal:
@@ -851,6 +857,7 @@ class Expr:
         self._key = None
         self._hash = None
         self._str = None
+        self._plain = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -916,22 +923,26 @@ class Expr:
         if self.den == other.den:
             return _mk(_p_add(self.num, other.num), self.den)
         # over the least common denominator: b*d / gcd(b, d)
-        g, qb, qd = _p_gcd(self.den, other.den)
+        g, qb, qd, whole = _gcd_whole(self.den, other.den)
         num = _p_add(_p_mul(self.num, qd), _p_mul(other.num, qb))
-        if not _settled(self, other):
-            return _mk(num, _p_mul(self.den, qd))
+        den = _p_mul(self.den, qd)
+        if not (whole and _is_plain(self) and _is_plain(other)):
+            return _mk(num, den)
         if not num:
             return ZERO
         # Henrici: a common factor of num and b*d/g divides g
         if _p_is_const(g):
-            return _mk_coprime(num, _p_mul(self.den, qd))
-        _, num, qg = _p_gcd(num, g)
-        return _mk_coprime(num, _p_mul(_p_mul(qb, qd), qg))
+            return _mk_coprime(num, den)
+        _, qn, qg, whole = _gcd_whole(num, g)
+        if not whole:
+            return _mk(num, den)
+        return _mk_coprime(qn, _p_mul(_p_mul(qb, qd), qg))
 
     __radd__ = __add__
 
     def __neg__(self):
         e = Expr(_p_neg(self.num), self.den, _internal=True)
+        e._plain = self._plain
         return e
 
     def __sub__(self, other):
@@ -953,9 +964,9 @@ class Expr:
         if not self.num or not other.num:
             return ZERO
         # cross reduction keeps intermediate products small
-        a, d2 = _cancel(self.num, other.den)
-        b, d1 = _cancel(other.num, self.den)
-        return _mk_product(_p_mul(a, b), _p_mul(d1, d2), self, other)
+        a, d2, whole = _cancel(self.num, other.den)
+        b, d1, whole2 = _cancel(other.num, self.den)
+        return _mk_product(_p_mul(a, b), _p_mul(d1, d2), whole and whole2, self, other)
 
     __rmul__ = __mul__
 
@@ -967,9 +978,9 @@ class Expr:
             raise ZeroDivisionError("exact division by zero expression")
         if not self.num:
             return ZERO
-        a, b = _cancel(self.num, other.num)
-        c, d = _cancel(other.den, self.den)
-        return _mk_product(_p_mul(a, c), _p_mul(d, b), self, other)
+        a, b, whole = _cancel(self.num, other.num)
+        c, d, whole2 = _cancel(other.den, self.den)
+        return _mk_product(_p_mul(a, c), _p_mul(d, b), whole and whole2, self, other)
 
     def __rtruediv__(self, other):
         other = as_expr(other)
@@ -985,13 +996,13 @@ class Expr:
         if n < 0:
             if not self.num:
                 raise ZeroDivisionError("zero raised to a negative power")
-            base = _mk_product(self.den, self.num, self)
+            base = _mk_product(self.den, self.num, True, self)
             n = -n
         else:
             base = self
         if n == 1:
             return base
-        return _mk_product(_p_pow(base.num, n), _p_pow(base.den, n), base)
+        return _mk_product(_p_pow(base.num, n), _p_pow(base.den, n), True, base)
 
     # -- calculus ----------------------------------------------------------
 
@@ -1056,65 +1067,71 @@ def _mk(num, den) -> Expr:
             rp = (((g, 1),), 1)
             num = _p_mul(num, (rp,))
             den = _p_mul(den, (rp,))
-    num, den = _cancel(num, den)
-    c = _poly_rat_content(den)
-    if c != 1:
-        den = _p_quo(den, c)
-        num = _p_quo(num, c)
-    return Expr(num, den, _internal=True)
+    num, den, whole = _cancel(num, den)
+    return _mk_coprime(num, den, whole)
 
 
-def _mk_product(num, den, *operands) -> Expr:
+def _mk_product(num, den, whole, *operands) -> Expr:
     """Canonical num / den for a pair built from the given operands.
 
     The callers pass products or powers of the operands' cross-cancelled
-    parts, which are coprime when every operand is settled, so the final
-    gcd is skipped.
+    parts, which are coprime when every cross gcd ran to the end (whole)
+    and every operand is plain, so the final gcd is skipped.
     """
-    if _p_is_const(den) or not _settled(*operands):
-        return _mk(num, den)
-    return _mk_coprime(num, den)
+    if whole and not _p_is_const(den) and all(_is_plain(e) for e in operands):
+        return _mk_coprime(num, den)
+    return _mk(num, den)
 
 
-def _mk_coprime(num, den) -> Expr:
-    """Canonical expression from a kernel-free pair known to be coprime.
+def _mk_coprime(num, den, whole=True) -> Expr:
+    """Canonical expression from a pair with no common factor left to find.
 
-    Only the denominator's rational content and sign move.
+    Only the denominator's rational content and sign move.  whole=False
+    marks a pair whose gcd stopped early, so it may still share a factor.
     """
     c = _poly_rat_content(den)
     if c != 1:
         den = _p_quo(den, c)
         num = _p_quo(num, c)
-    return Expr(num, den, _internal=True)
+    e = Expr(num, den, _internal=True)
+    if not whole:
+        e._plain = False
+    return e
 
 
-def _settled(*operands) -> bool:
-    """True when no operand can hide a common factor of its pair.
+def _is_plain(e) -> bool:
+    """True when e's pair is reduced and holds no kernel.
 
-    A settled pair holds no kernel, since the quotient ring of kernels is
-    not a unique factorization domain, and lies within the gcd size guard,
-    past which its own gcd would have stopped early.
+    Kernels are excluded because their quotient ring is not a unique
+    factorization domain, so coprime operands can still give a product
+    that reduces.
     """
-    for e in operands:
-        num, den = e.num, e.den
-        if len(num) > _GCD_TERM_LIMIT or len(den) > _GCD_TERM_LIMIT:
-            return False
-        gens_num = _p_gens(num)
-        gens_den = _p_gens(den)
-        if len(gens_num & gens_den) > _GCD_GEN_LIMIT:
-            return False
-        for g in gens_num | gens_den:
-            if g.kind != VAR:
-                return False
-    return True
+    plain = e._plain
+    if plain is None:
+        plain = all(g.kind == VAR for g in _p_gens(e.num)) and all(
+            g.kind == VAR for g in _p_gens(e.den))
+        e._plain = plain
+    return plain
+
+
+def _gcd_whole(a, b):
+    """(g, a/g, b/g, whole): _p_gcd's result, and whether g is the greatest
+    common divisor rather than what an early stop left."""
+    found = _p_gcd(a, b, strict=True)
+    if found is None:
+        return (*_p_gcd(a, b), False)
+    return (*found, True)
 
 
 def _cancel(num, den):
-    """Divide a numerator and a denominator by their polynomial gcd."""
+    """Divide a numerator and a denominator by their polynomial gcd.
+
+    Returns (num/g, den/g, whole) with whole as in _gcd_whole.
+    """
     if _p_is_const(den) or _p_is_const(num):
-        return num, den
-    _, qn, qd = _p_gcd(num, den)
-    return qn, qd
+        return num, den, True
+    _, qn, qd, whole = _gcd_whole(num, den)
+    return qn, qd, whole
 
 
 def _collect_vars(p, names: set):

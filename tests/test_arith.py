@@ -5,8 +5,8 @@ coprime pairs once their cross-cancellations are done, and their sum
 can only share a factor with its denominator through gcd(b, d)
 (Henrici).  The kernel skips the final gcd there; these tests compare
 each result with the full normalization of the raw, unskipped pair, and
-check that kernels, and pairs past the gcd size guard, still take the
-full path.
+check that kernels, operands whose own gcd stopped at the size guard,
+and cross gcds that stop there still take the full path.
 """
 
 import random
@@ -18,6 +18,16 @@ from geolin.kernel import core, exp, integer, sqrt, var
 from helpers import random_polynomial
 
 x, y, z, w = (var(n) for n in "xyzw")
+# six more generators: two factors S + p share seven generators, past the
+# gcd size guard of six
+S = sum((var(f"x{i}") for i in range(1, 7)), integer(0))
+
+
+def _linear(rng):
+    while True:
+        p = random_polynomial(rng, names=("x", "y", "z"), degree=1, terms=2)
+        if not p.is_rational():
+            return p
 
 
 def _factor_pool(rng):
@@ -48,8 +58,35 @@ def _full(num, den):
     return core._mk(num, den)
 
 
-def _same(e, expected):
-    assert (e.num, e.den) == (expected.num, expected.den)
+def _same(e, num, den):
+    """e is the full normalization of the raw pair num / den.
+
+    Where that normalization's gcd stops at the size guard, the smaller
+    gcds of the skipping path may still cancel a factor, so e need only
+    be the same function there.
+    """
+    if core._p_gcd(num, den, strict=True) is not None:
+        expected = _full(num, den)
+        assert (e.num, e.den) == (expected.num, expected.den)
+        return
+    # the same function: equal cross products at random integer points
+    rng = random.Random(0)
+    for _ in range(3):
+        point = {}
+        left = _value(e.num, point, rng) * _value(den, point, rng)
+        assert left == _value(num, point, rng) * _value(e.den, point, rng)
+
+
+def _value(p, point, rng):
+    """p at point, drawing a value for each variable not yet in it."""
+    total = 0
+    for mono, c in p:
+        for g, k in mono:
+            if g.name not in point:
+                point[g.name] = rng.randint(-10 ** 6, 10 ** 6)
+            c = c * point[g.name] ** k
+        total += c
+    return total
 
 
 @settings(max_examples=60, deadline=None)
@@ -60,21 +97,45 @@ def test_skipped_gcds_match_the_full_normalization(seed):
     a = _fraction(rng, pool)
     b = _fraction(rng, pool)
     pm = core._p_mul
-    _same(a * b, _full(pm(a.num, b.num), pm(a.den, b.den)))
-    _same(a / b, _full(pm(a.num, b.den), pm(a.den, b.num)))
+    _same(a * b, pm(a.num, b.num), pm(a.den, b.den))
+    _same(a / b, pm(a.num, b.den), pm(a.den, b.num))
 
     def raw_sum(p, q):
-        return _full(core._p_add(pm(p.num, q.den), pm(q.num, p.den)), pm(p.den, q.den))
+        return core._p_add(pm(p.num, q.den), pm(q.num, p.den)), pm(p.den, q.den)
 
-    _same(a + b, raw_sum(a, b))
-    _same(a - b, raw_sum(a, -b))
+    _same(a + b, *raw_sum(a, b))
+    _same(a - b, *raw_sum(a, -b))
     # a + (b - a) cancels back to b through gcd(a.den, (b - a).den)
     c = b - a
-    _same(a + c, raw_sum(a, c))
-    assert a + c == b
+    _same(a + c, *raw_sum(a, c))
     n = rng.choice((2, 3))
-    _same(a ** n, _full(core._p_pow(a.num, n), core._p_pow(a.den, n)))
-    _same(a ** -n, _full(core._p_pow(a.den, n), core._p_pow(a.num, n)))
+    _same(a ** n, core._p_pow(a.num, n), core._p_pow(a.den, n))
+    _same(a ** -n, core._p_pow(a.den, n), core._p_pow(a.num, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_gcds_past_the_size_guard_match_the_full_normalization(seed):
+    # denominators f * (S + p) make gcd(b, d) and the cross gcds stop at
+    # the generator guard; with a shared f, unequal S + p and equal
+    # numerators, a - b loses S and only the final gcd finds f
+    rng = random.Random(seed)
+    pool = _factor_pool(rng)
+    wide = [S + _linear(rng) for _ in range(2)]
+
+    def operand(num):
+        if rng.random() < 0.3:
+            num = num * rng.choice(wide)
+        return num / (rng.choice(pool[:2]) * rng.choice(wide))
+
+    top = rng.choice(pool)
+    a = operand(top)
+    b = operand(top if rng.random() < 0.5 else rng.choice(pool))
+    pm = core._p_mul
+    _same(a * b, pm(a.num, b.num), pm(a.den, b.den))
+    _same(a / b, pm(a.num, b.den), pm(a.den, b.num))
+    for q in (b, -b):
+        _same(a + q, core._p_add(pm(a.num, q.den), pm(q.num, a.den)), pm(a.den, q.den))
 
 
 def test_kernel_operands_keep_the_final_gcd():
@@ -93,6 +154,37 @@ def test_operand_past_the_size_guard_keeps_the_final_gcd():
     assert len(big.num) > core._GCD_TERM_LIMIT
     assert big.den == ((y + 1) * z).num
     assert big * ((1 - x) / w) == (1 - x ** 151) / (z * w)
+    # negation keeps the record that big's gcd stopped early
+    assert (-big) * ((1 - x) / w) == (x ** 151 - 1) / (z * w)
+
+
+def test_sum_whose_denominator_gcd_stops_early_keeps_the_final_gcd():
+    # the denominators share seven generators, so gcd(b, d) stops at the
+    # guard and finds 1 although x + 1 divides both; the final gcd of the
+    # full pair still sees x + 1, which Henrici's rule would have skipped
+    b = (x + 1) * (S + y)
+    d = (x + 1) * (S + z)
+    assert core._p_gcd(b.num, d.num, strict=True) is None
+    total = 1 / b - 1 / d
+    assert total == (z - y) / ((x + 1) * (S + y) * (S + z))
+    raw_num = core._p_add(d.num, core._p_neg(b.num))
+    assert (total.num, total.den) == (
+        _full(raw_num, core._p_mul(b.num, d.num)).num,
+        _full(raw_num, core._p_mul(b.num, d.num)).den,
+    )
+
+
+def test_product_whose_cross_gcd_stops_early_keeps_the_final_gcd():
+    # s has 152 terms and the factor x + 1; the cross gcd of s with
+    # (x + 1) w stops at the term guard, and only the final gcd of
+    # (x^152 - 1) / ((x + 1) z w) cancels x + 1
+    s = sum((x ** k for k in range(152)), integer(0))
+    a = s / z
+    b = (x - 1) / ((x + 1) * w)
+    assert core._p_gcd(s.num, b.den, strict=True) is None
+    product = a * b
+    assert product.den == (z * w).num
+    assert product == (x ** 152 - 1) / ((x + 1) * z * w)
 
 
 @pytest.fixture
