@@ -77,9 +77,13 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--zero-test-points", type=int, default=16, metavar="N",
                         help="sample points for the probabilistic zero test")
     shared.add_argument("--precision-bits", type=int, default=256, metavar="B",
-                        help="working precision for numeric evaluation")
+                        help="working precision for evaluating residuals that "
+                             "hold exp, ln, sin, cos or sqrt (or have degree "
+                             "over 4096), and for rounding the printed witness "
+                             "value; other residuals are evaluated exactly")
     shared.add_argument("--tolerance", type=float, default=1e-30, metavar="T",
-                        help="relative smallness threshold at sample points")
+                        help="relative smallness threshold at sample points, "
+                             "for the residuals evaluated at working precision")
     shared.add_argument("--seed", type=int, default=0, metavar="S",
                         help="seed for sample point generation")
     shared.add_argument("--format", choices=("text", "json"), default="text",

@@ -54,6 +54,7 @@ probabilistic zero test, not to this module.
 
 from __future__ import annotations
 
+from decimal import Decimal as _Decimal
 from fractions import Fraction as _Fraction
 from math import gcd as _igcd, isqrt as _misqrt, lcm as _ilcm
 from operator import attrgetter
@@ -1341,12 +1342,23 @@ def _poly_subst(p, mapping: Mapping[str, Expr]) -> Expr:
 # ---------------------------------------------------------------------------
 
 
+def int_str(n) -> str:
+    """The decimal digits of an integer, also past the interpreter's limit
+    on str(int) (4300 digits by default), which is not lifted: it is
+    process-wide."""
+    n = int(n)
+    try:
+        return str(n)
+    except ValueError:
+        return str(_Decimal(n))
+
+
 def _print_coeff(c) -> str:
-    n = int(c.numerator)
+    n = int_str(c.numerator)
     d = int(c.denominator)
     if d == 1:
-        return str(n)
-    return f"{n}/{d}"
+        return n
+    return f"{n}/{int_str(d)}"
 
 
 def _print_gen(g: Gen) -> str:

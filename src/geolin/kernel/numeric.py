@@ -6,9 +6,9 @@ That peak is what a relative smallness test must compare against: a tiny
 result produced from huge intermediates is evidence of cancellation, not
 of a tiny function.
 
-mpmath is imported on the first eval_expr call, not with this module:
-most runs decide every residual structurally and never evaluate, so they
-do not pay for the import.
+mpmath is imported on first use, not with this module: most runs decide
+every residual structurally and never evaluate, so they do not pay for
+the import.
 """
 
 from __future__ import annotations
@@ -17,11 +17,17 @@ from typing import Mapping, Tuple
 
 from .core import Expr, KERNEL, KernelError, P_ONE
 
-mpmath = None  # bound by eval_expr on its first call
+mpmath = None  # bound by _load on first use
 
 
 class EvalDomainError(KernelError):
     """Evaluation hit a pole or left the real domain of a kernel."""
+
+
+def _load():
+    global mpmath
+    if mpmath is None:
+        import mpmath
 
 
 def _to_mpf(value):
@@ -100,9 +106,7 @@ def eval_expr(expr: Expr, point: Mapping[str, object], precision_bits: int = 256
     converted at the working precision.  Raises EvalDomainError at poles,
     for ln or sqrt outside their real domain, and for missing variables.
     """
-    global mpmath
-    if mpmath is None:
-        import mpmath
+    _load()
     with mpmath.workprec(precision_bits):
         mp_point = {name: _to_mpf(v) for name, v in point.items()}
         ev = _Evaluator(mp_point)
@@ -110,3 +114,12 @@ def eval_expr(expr: Expr, point: Mapping[str, object], precision_bits: int = 256
         if ev.peak < abs(value):
             ev.peak = abs(value)
         return value, ev.peak
+
+
+def rational_str(p: int, q: int, precision_bits: int = 256) -> str:
+    """str() of the exact rational p / q rounded to the nearest mpf of
+    precision_bits bits, printed as eval_expr's values print."""
+    _load()
+    from mpmath.libmp import from_rational, round_nearest
+    return str(mpmath.mpf(from_rational(p, q, precision_bits, round_nearest),
+                          prec=precision_bits))

@@ -15,7 +15,11 @@ computed: 2^9^9^9 would otherwise build an int of about 370M digits.
 So is a power whose numerator or denominator could have more than
 _POWER_TERMS terms, or a coefficient wider than _POWER_BITS bits: a
 t-term polynomial to the n has up to C(n + t - 1, t - 1) terms, and
-building the 12341 terms of (x+y+z+1)^40 would take seconds.
+building the 12341 terms of (x+y+z+1)^40 would take seconds.  A product
+or quotient is refused in the same way when a numerator or denominator
+would multiply a t1-term polynomial by a t2-term one with t1*t2 past
+_PRODUCT_TERMS, so (x+y+z+1)^16*(x+y+z+1)^16 cannot go round the power
+bound.
 The caret binds tighter than unary minus: -x^2 is -(x^2).  Numbers may
 carry a decimal fraction part and are converted exactly.  Every error
 carries the byte offset where parsing failed.
@@ -42,10 +46,12 @@ _NAME_CONT = _NAME_START | set("0123456789")
 _DIGITS = set("0123456789")
 # an exponent tower may evaluate to at most 2^_TOWER_LOG2
 _TOWER_LOG2 = 64
-# bounds on the numerator and denominator of a literal power; 2^13 bits
-# also stays below Python's 4300-digit limit on printing an int
+# bounds on the numerator and denominator of a literal power
 _POWER_TERMS = 1000
 _POWER_BITS = 1 << 13
+# bound on a product of a t1-term and a t2-term polynomial, which forms
+# t1*t2 term products and has up to that many terms
+_PRODUCT_TERMS = 10_000
 
 
 class _Parser:
@@ -89,15 +95,18 @@ class _Parser:
         while True:
             self.skip_ws()
             op = self.peek()
+            at = self.pos
             if op == "*":
                 self.pos += 1
-                value = value * self.parse_factor()
+                rhs = self.parse_factor()
+                self.check_product_size(((value.num, rhs.num), (value.den, rhs.den)), at)
+                value = value * rhs
             elif op == "/":
-                at = self.pos
                 self.pos += 1
                 rhs = self.parse_factor()
                 if rhs.is_zero_literal():
                     self.error("division by zero", at)
+                self.check_product_size(((value.num, rhs.den), (value.den, rhs.num)), at)
                 value = value / rhs
             else:
                 return value
@@ -125,6 +134,13 @@ class _Parser:
             self.check_power_size(base, abs(e), at)
             return base ** e
         return base
+
+    def check_product_size(self, pairs, at: int):
+        """Refuse a product when one of its pairs of polynomial factors
+        would form more than _PRODUCT_TERMS term products."""
+        for p, q in pairs:
+            if len(p) * len(q) > _PRODUCT_TERMS:
+                self.error(f"product may exceed {_PRODUCT_TERMS} terms", at)
 
     def check_power_size(self, base: Expr, n: int, at: int):
         """Refuse base^n when its bounded size is past the limits."""

@@ -3,8 +3,19 @@
 The test never lies in the ZERO direction: ZERO is returned only for the
 canonical zero expression.  A nonzero rational constant is NONZERO by
 exact inspection.  Everything else is sampled at deterministic
-pseudorandom rational points and judged at high precision relative to
-the largest intermediate magnitude, so catastrophic cancellation cannot
+pseudorandom rational points.
+
+A residual free of kernels, of degree at most _EXACT_DEGREE, is
+evaluated exactly, over plain ints: a sample where its denominator
+vanishes is a pole and is drawn again, and a nonzero numerator proves
+the residual nonzero.  By Schwartz (1980) and Zippel (1979) a
+canonically nonzero polynomial vanishes at a random point of this grid
+with probability about deg / 2^16 per coordinate, so the first sample
+almost always decides.
+
+Any other residual, one holding kernels (exp, ln, sin, cos, sqrt) or of
+higher degree, is evaluated at high precision and judged relative to the
+largest intermediate magnitude, so catastrophic cancellation cannot
 spoof a NONZERO verdict into existence.  When every sample stays small
 the answer is UNDECIDED, never ZERO.
 """
@@ -15,10 +26,11 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm as _ilcm
 from typing import Optional
 
-from .core import Expr
-from .numeric import EvalDomainError, eval_expr
+from .core import VAR, Expr, int_str
+from .numeric import EvalDomainError, eval_expr, rational_str
 
 
 class Verdict(Enum):
@@ -32,8 +44,11 @@ class ZeroTestConfig:
     """Knobs for the probabilistic zero test.
 
     points: number of sample points per decision.
-    precision_bits: binary working precision of the evaluator.
+    precision_bits: binary working precision of the numeric evaluator,
+        and the precision the printed witness value is rounded to.
     tolerance: relative threshold against the peak intermediate magnitude.
+    Kernel-free residuals up to degree 4096 are decided exactly, so only
+    the rounding of their witness value depends on these two.
     seed: seed of the deterministic sample stream.
     """
 
@@ -57,15 +72,67 @@ class ZeroTestResult:
         return self.verdict is Verdict.ZERO
 
 
-_SCALE = 1 << 16
+_SCALE_BITS = 16
+_SCALE = 1 << _SCALE_BITS
+# exact values grow by about _SCALE_BITS + 1 bits per degree; past this
+# degree a numeric evaluation is cheaper, and x^(2^64) is valid input
+_EXACT_DEGREE = 1 << 12
 
 
 def _sample_point(rng: random.Random, names) -> dict:
-    # components in [1/2, 3/2], away from the usual coordinate poles at 0
-    return {
-        name: Fraction(rng.randint(0, _SCALE), _SCALE) + Fraction(1, 2)
-        for name in names
-    }
+    """One sample point as {name: a}, standing for the component a / _SCALE.
+
+    Components lie in [1/2, 3/2], away from the usual coordinate poles at 0.
+    """
+    return {name: rng.randint(0, _SCALE) + _SCALE // 2 for name in names}
+
+
+def _exact(expr: Expr) -> bool:
+    """True when expr holds no kernel and has degree at most _EXACT_DEGREE."""
+    for p in (expr.num, expr.den):
+        # terms are in graded order, so the leading term has the top degree
+        if sum(e for _, e in p[0][0]) > _EXACT_DEGREE:
+            return False
+        for m, _ in p:
+            for g, _ in m:
+                if g.kind != VAR:
+                    return False
+    return True
+
+
+def _poly_at(p, point) -> tuple:
+    """Exact value of a nonzero kernel-free polynomial at a sample point,
+    whose terms are in graded order.
+
+    Returns ints (v, w) with v / w the value: w is the lcm of the
+    coefficient denominators times _SCALE^degree, which makes every term
+    an integer.
+    """
+    degree = sum(e for _, e in p[0][0])
+    lcm = 1
+    for _, c in p:
+        if c.__class__ is not int:
+            lcm = _ilcm(lcm, int(c.denominator))
+    total = 0
+    for m, c in p:
+        if c.__class__ is int:
+            v = c * lcm
+        else:
+            v = int(c.numerator) * (lcm // int(c.denominator))
+        d = degree
+        for g, e in m:
+            v *= point[g.name] ** e
+            d -= e
+        total += v << (_SCALE_BITS * d)
+    return total, lcm << (_SCALE_BITS * degree)
+
+
+def _exact_at(expr: Expr, point) -> tuple:
+    """Ints (p, q) with p / q the value of a kernel-free expr at a sample
+    point, as in _poly_at; q is 0 at a pole."""
+    num, num_scale = _poly_at(expr.num, point)
+    den, den_scale = _poly_at(expr.den, point)
+    return num * den_scale, den * num_scale
 
 
 def is_zero(expr: Expr, config: ZeroTestConfig = DEFAULT_CONFIG) -> ZeroTestResult:
@@ -81,7 +148,7 @@ def is_zero(expr: Expr, config: ZeroTestConfig = DEFAULT_CONFIG) -> ZeroTestResu
         return ZeroTestResult(
             Verdict.NONZERO,
             witness={},
-            witness_value=f"{int(q.numerator)}/{int(q.denominator)}",
+            witness_value=f"{int_str(q.numerator)}/{int_str(q.denominator)}",
             detail="nonzero rational constant",
         )
     names = sorted(expr.variables())
@@ -98,6 +165,7 @@ def is_zero(expr: Expr, config: ZeroTestConfig = DEFAULT_CONFIG) -> ZeroTestResu
                 detail="nonzero kernel constant",
             )
         return ZeroTestResult(Verdict.UNDECIDED, detail="constant numerically small")
+    exact = _exact(expr)
     budget = 8 * config.points
     accepted = 0
     while accepted < config.points:
@@ -108,19 +176,31 @@ def is_zero(expr: Expr, config: ZeroTestConfig = DEFAULT_CONFIG) -> ZeroTestResu
             )
         point = _sample_point(rng, names)
         budget -= 1
-        try:
-            value, peak = eval_expr(expr, point, config.precision_bits)
-        except EvalDomainError:
-            continue
-        accepted += 1
-        if abs(value) > config.tolerance * peak:
-            witness = {name: str(point[name]) for name in names}
-            return ZeroTestResult(
-                Verdict.NONZERO,
-                witness=witness,
-                witness_value=str(value),
-                detail=f"nonzero at sample {accepted}",
-            )
+        if exact:
+            p, q = _exact_at(expr, point)
+            if not q:
+                continue
+            accepted += 1
+            if not p:
+                continue
+            value = rational_str(p, q, config.precision_bits)
+        else:
+            try:
+                value, peak = eval_expr(
+                    expr, {name: Fraction(a, _SCALE) for name, a in point.items()},
+                    config.precision_bits)
+            except EvalDomainError:
+                continue
+            accepted += 1
+            if not abs(value) > config.tolerance * peak:
+                continue
+            value = str(value)
+        return ZeroTestResult(
+            Verdict.NONZERO,
+            witness={name: str(Fraction(a, _SCALE)) for name, a in point.items()},
+            witness_value=value,
+            detail=f"nonzero at sample {accepted}",
+        )
     return ZeroTestResult(
         Verdict.UNDECIDED,
         detail=f"small at all {config.points} samples",

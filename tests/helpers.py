@@ -46,6 +46,16 @@ def fd_derivative(expr: Expr, name: str, point: dict, precision_bits: int = 192)
         return (vu - vd) / (2 * h)
 
 
+def from_digits(s: str) -> int:
+    """The int a decimal string spells, also past the 4300-digit limit
+    that int(str) shares with str(int)."""
+    value = 0
+    for i in range(0, len(s), 1000):
+        chunk = s[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 def relative_close(a, b, tol=1e-6) -> bool:
     scale = max(abs(a), abs(b), mpmath.mpf(1))
     return abs(a - b) <= tol * scale

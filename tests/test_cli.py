@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -312,6 +313,18 @@ class TestInputErrors:
         code, _, err = run(capsys, "check", bad)
         assert code == 3
         assert "terms" in err
+
+    def test_huge_parsed_product_is_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "product.ini"
+        bad.write_text(
+            '[system]\nname = product\nkind = linear-2\n'
+            '[coefficients]\nD2 = "(x+y+z+1)^16*(x+y+z+1)^16*(x+y+z+1)^8"\n')
+        start = time.perf_counter()
+        code, _, err = run(capsys, "check", bad)
+        assert code == 3
+        assert "product" in err
+        # building the 12341-term product took about 7 s
+        assert time.perf_counter() - start < 3
 
     def test_gauge_on_gaugeless_command(self, capsys):
         code, _, err = run(capsys, "check", doc_path("lie-ex1"),

@@ -15,7 +15,8 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 STANDIN = TESTS / "gmpy2_standin"
-FILES = ("test_coefficients.py", "test_gcd.py", "test_kernel_core.py", "test_arith.py")
+FILES = ("test_coefficients.py", "test_gcd.py", "test_kernel_core.py", "test_arith.py",
+         "test_zerotest.py")
 
 _RUN = """
 import sys

@@ -7,7 +7,7 @@ import pytest
 
 from geolin.kernel import Expr, ParseError, exp, parse, rational, var
 from geolin.kernel.parse import _Parser
-from helpers import random_expr
+from helpers import from_digits, random_expr
 
 x = var("x")
 y = var("y")
@@ -120,6 +120,35 @@ def test_huge_literal_power_refused_before_it_is_built(monkeypatch):
     assert len(str(parse("2^8192"))) == 2467
     assert len(parse("(x+y+z+1)^16").num) == 969
     assert parse("x^2^64 * 2^1000") == x ** (2 ** 64) * 2 ** 1000
+
+
+def test_huge_parsed_product_refused_before_it_is_built(monkeypatch):
+    seen = []
+    real_mul, real_div = Expr.__mul__, Expr.__truediv__
+    monkeypatch.setattr(Expr, "__mul__",
+                        lambda a, b: seen.append(len(a.num) * len(b.num)) or real_mul(a, b))
+    monkeypatch.setattr(Expr, "__truediv__",
+                        lambda a, b: seen.append(len(a.num) * len(b.den)) or real_div(a, b))
+    # each factor (x+y+z+1)^16 has 969 terms; the product would have 12341
+    with pytest.raises(ParseError) as e:
+        parse("(x+y+z+1)^16*(x+y+z+1)^16*(x+y+z+1)^8")
+    assert "terms" in str(e.value)
+    assert e.value.offset == 12
+    with pytest.raises(ParseError):
+        parse("(x+y+z+1)^16/(x+y+z+1)^(-16)")
+    with pytest.raises(ParseError):
+        parse("1/(x+y+z+1)^16/(x+y+z+1)^16")
+    assert max(seen, default=0) <= 10_000
+    assert len(parse("(x+y+z+1)^5*(x+y+z+1)^5").num) == 286
+
+
+def test_integers_past_the_str_limit_print():
+    s = str(parse("2^8000*2^8000*x"))
+    assert s.endswith("*x")
+    digits = s[:-2]
+    assert len(digits) == 4817 and from_digits(digits) == 2 ** 16000
+    assert str(parse("2^8000*2^8000")) == digits
+    assert str(parse("-x/2^8000/2^8000")) == f"-1/{digits}*x"
 
 
 def test_empty_input():

@@ -1,22 +1,34 @@
 """Zero test soundness, determinism, and the numeric evaluator."""
 
+import json
+import random
+from fractions import Fraction
+
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geolin.kernel import (
     EvalDomainError,
     Verdict,
     ZeroTestConfig,
+    as_expr,
     cos,
     eval_expr,
     exp,
     integer,
     is_zero,
     ln,
+    parse,
     rational,
     sin,
     sqrt,
     var,
 )
+from geolin.kernel import zerotest
+from geolin.kernel.core import KERNEL_NAMES
+from helpers import from_digits
+from test_golden import CASES, run_case
 
 x = var("x")
 y = var("y")
@@ -102,3 +114,111 @@ def test_eval_peak_tracks_cancellation():
     v, peak = eval_expr(e, {"x": 1}, 256)
     assert abs(v) < 1e-60
     assert peak > 2
+
+
+def _draws(seed, count):
+    """The first count components the zero test draws for one variable."""
+    rng = random.Random(seed)
+    return [Fraction(rng.randint(0, 2 ** 16) + 2 ** 15, 2 ** 16) for _ in range(count)]
+
+
+def test_kernel_free_nonzero_is_exact_whatever_the_tolerance():
+    r = is_zero(x**2 - y, ZeroTestConfig(tolerance=1e300))
+    assert r.verdict is Verdict.NONZERO
+    assert r.detail == "nonzero at sample 1"
+
+
+def test_pole_at_a_sample_point_is_redrawn():
+    first, second = _draws(0, 2)
+    r = is_zero(1 / (x - rational(first.numerator, first.denominator)))
+    assert r.verdict is Verdict.NONZERO
+    assert r.witness == {"x": str(second)}
+    assert r.detail == "nonzero at sample 1"
+    assert float(r.witness_value) == pytest.approx(float(1 / (second - first)), rel=1e-14)
+
+
+def test_poles_at_every_sample_exhaust_the_budget():
+    den = integer(1)
+    for d in _draws(0, 8):
+        den = den * (x - rational(d.numerator, d.denominator))
+    r = is_zero(1 / den, ZeroTestConfig(points=1))
+    assert r.verdict is Verdict.UNDECIDED
+    assert "budget" in r.detail
+
+
+def test_only_kernel_residuals_reach_the_numeric_evaluator(monkeypatch):
+    calls = []
+    real = zerotest.eval_expr
+    monkeypatch.setattr(zerotest, "eval_expr",
+                        lambda e, *args: calls.append(e) or real(e, *args))
+    e = x**2 - y / 3
+    r = is_zero(e)
+    assert calls == []
+    # the witness value prints as the numeric evaluation of the same point did
+    point = {name: Fraction(v) for name, v in r.witness.items()}
+    assert r.witness_value == str(real(e, point, 256)[0])
+    assert is_zero(exp(x) - y).verdict is Verdict.NONZERO
+    assert calls == [exp(x) - y]
+    # so do powers whose exact values would have about 2^68 bits
+    huge = parse("x^(2^64)") - y
+    assert is_zero(huge).verdict is Verdict.NONZERO
+    assert calls[-1] == huge
+
+
+def test_huge_rational_constant_prints_its_witness():
+    r = is_zero(parse("2^8000*2^8000") / 3)
+    assert r.verdict is Verdict.NONZERO
+    num, den = r.witness_value.split("/")
+    assert len(num) == 4817 and from_digits(num) == 2 ** 16000
+    assert den == "3"
+
+
+_coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+_terms = st.lists(st.tuples(_coeff, st.integers(0, 4), st.integers(0, 4)),
+                  min_size=1, max_size=6)
+_component = st.integers(2 ** 15, 2 ** 16 + 2 ** 15)
+
+
+def _poly(terms):
+    p = integer(0)
+    for c, i, j in terms:
+        p = p + as_expr(c) * x**i * y**j
+    return p
+
+
+@settings(max_examples=100, deadline=None)
+@given(_terms, _terms, _component, _component)
+def test_exact_value_agrees_with_numeric_evaluation(num_terms, den_terms, a, b):
+    num, den = _poly(num_terms), _poly(den_terms)
+    if num.is_zero_literal() or den.is_zero_literal():
+        return
+    e = num / den
+    p, q = zerotest._exact_at(e, {"x": a, "y": b})
+    point = {"x": Fraction(a, 2 ** 16), "y": Fraction(b, 2 ** 16)}
+    if q == 0:
+        assert e.den.substitute({k: as_expr(v) for k, v in point.items()}) == 0
+        return
+    value, peak = eval_expr(e, point, 512)
+    with mpmath.workprec(512):
+        assert abs(mpmath.mpf(p) / q - value) <= mpmath.mpf(2) ** -480 * peak
+
+
+def test_corpus_witnesses_replay_exactly(tmp_path):
+    replayed = 0
+    for _, command, document, gauge in CASES:
+        _, out = run_case(command, document, gauge, tmp_path)
+        if not out:
+            continue
+        for record in json.loads(out).get("conditions", []):
+            if record["verdict"] != "nonzero" or not record["witness"]:
+                continue
+            if any(f"{name}(" in record["residual"] for name in KERNEL_NAMES):
+                continue
+            residual = parse(record["residual"])
+            point = {k: as_expr(Fraction(v)) for k, v in record["witness"].items()}
+            value = residual.substitute(point)
+            assert value.is_rational() and not value.is_zero_literal(), record
+            assert float(value.as_rational()) == pytest.approx(
+                float(record["witness_value"]), rel=1e-14)
+            replayed += 1
+    assert replayed > 0
