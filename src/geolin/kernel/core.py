@@ -20,14 +20,16 @@ canonical expressions.  Construction keeps every value normalized:
 A product of two monomials free of kernels needs none of these rewrites
 and is merged without scanning for them.
 
-Common factors are found by a polynomial gcd that returns its cofactors.
-Polynomials in plain variables use the heuristic gcd GCDHEU (Char, Geddes
-and Gonnet, 1989); a candidate counts only once it divides both inputs
-exactly, so soundness never rests on the heuristic.  Inputs holding
-kernels, and pairs the heuristic gives up on, use a primitive
-pseudo-remainder sequence.  Past a size guard neither runs and only the
-common monomial factor cancels, which bounds the work at the price of a
-form that may not be fully reduced.
+Common factors are found by one polynomial gcd that returns its
+cofactors: the heuristic gcd GCDHEU (Char, Geddes and Gonnet, 1989),
+which takes each kernel for a free variable.  A candidate counts only once
+it divides both inputs exactly in the kernel ring, so soundness never
+rests on the heuristic.  Over kernels the quotient ring is not a unique
+factorization domain, and the gcd is a verified common divisor rather
+than the greatest one.  Past a size guard, when the heuristic gives up,
+or when a candidate does not divide, only the common monomial factor
+cancels, which bounds the work at the price of a form that may not be
+fully reduced; the gcd then reports that it stopped early.
 
 No gcd runs whose answer the canonical form already fixes.  Kernel-free
 reduced pairs live in Q[vars], a unique factorization domain, so for
@@ -38,13 +40,12 @@ sign (_mk_coprime).  A sum over unequal denominators follows Henrici
 (Knuth, TAOCP Vol. 2, 4.5.1): with g = gcd(b, d) and
 N = a*(d/g) + c*(b/g), every common factor of N and the denominator
 divides g, so the last gcd is gcd(N, g), or none when g is constant.
-Kernels are excluded: their quotient ring is not a unique factorization
-domain, and sqrt(x) * (sqrt(x)/x) reduces to 1 only through the final
-gcd.  So is every gcd that stops early, which may leave a common factor:
-an operand built by one, and a cross gcd (b with d, a with d, N with g)
-that stops on this operation, send the result through the full path.
-Each expression records whether its own gcd ran to the end, and the
-cross gcds run in _p_gcd's strict mode, which reports an early stop.  The
+Kernels are excluded, since over them sqrt(x) * (sqrt(x)/x) reduces to
+1 only through the final gcd.  So is every gcd that stops early, which may leave
+a common factor: an operand built by one, and a cross gcd (b with d, a
+with d, N with g) that stops on this operation, send the result through
+the full path.  Each expression records whether its own gcd ran to the
+end, and every gcd returns that flag (whole) beside its cofactors.  The
 operand check runs only when the result's denominator is not constant.
 
 Equality is structural equality of the canonical pair.  Deciding whether a
@@ -411,57 +412,6 @@ def _p_exact_div(p, d):
     return _poly_from_dict(quo)
 
 
-def _p_degree_in(p, g) -> int:
-    deg = 0
-    for m, _ in p:
-        for gg, e in m:
-            if gg is g and e > deg:
-                deg = e
-    return deg
-
-
-def _p_split_main(p, g) -> dict:
-    """View p as a polynomial in g: maps exponent of g to coefficient poly."""
-    out: dict = {}
-    for m, c in p:
-        e = 0
-        rest = []
-        for gg, ee in m:
-            if gg is g:
-                e = ee
-            else:
-                rest.append((gg, ee))
-        coeff = out.setdefault(e, {})
-        rm = tuple(rest)
-        v = coeff.get(rm)
-        coeff[rm] = c if v is None else v + c
-    return {e: _poly_from_dict(d) for e, d in out.items() if any(c != 0 for c in d.values())}
-
-
-def _p_join_main(g, coeffmap) -> tuple:
-    acc: dict = {}
-    for e, coeff in coeffmap.items():
-        if e == 0:
-            for m, c in coeff:
-                v = acc.get(m)
-                acc[m] = c if v is None else v + c
-            continue
-        gm = ((g, e),)
-        for m, c in coeff:
-            mono, extras = _mono_combine(m, gm)
-            if extras:
-                piece = ((mono, c),)
-                for ex in extras:
-                    piece = _p_mul(piece, ex)
-                for mm, cc in piece:
-                    v = acc.get(mm)
-                    acc[mm] = cc if v is None else v + cc
-            else:
-                v = acc.get(mono)
-                acc[mono] = c if v is None else v + c
-    return _poly_from_dict(acc)
-
-
 def _poly_rat_content(p):
     """Signed c with p / c primitive integer, positive leading; an int if integral."""
     num_gcd = 0
@@ -478,115 +428,56 @@ def _poly_rat_content(p):
     return content
 
 
-def _p_primitive(p) -> tuple:
-    if not p:
-        return p
-    return _p_quo(p, _poly_rat_content(p))
-
-
-def _p_content_in(p, g):
-    """Polynomial content of p viewed in the main generator g.
-
-    None when a gcd on the way gives up: a content that is only a common
-    divisor would leave the remainder non-primitive, and the sequence would
-    go on to return a non-divisor.
-    """
-    content = P_ZERO
-    for coeff in _p_split_main(p, g).values():
-        found = _p_gcd(content, coeff, strict=True)
-        if found is None:
-            return None
-        content = found[0]
-        if _p_is_const(content):
-            return P_ONE
-    return content
-
-
-def _p_pseudo_rem(a, b, g):
-    """Pseudo remainder of a by b with respect to the main generator g."""
-    da = _p_degree_in(a, g)
-    db = _p_degree_in(b, g)
-    bb = _p_split_main(b, g)
-    lb = bb[db]
-    r = a
-    dr = da
-    while r and dr >= db:
-        rr = _p_split_main(r, g)
-        lr = rr.get(dr)
-        if lr is None:
-            dr -= 1
-            continue
-        # r <- lb * r - lr * g^(dr-db) * b
-        shift = {e + dr - db: _p_mul(lr, coeff) for e, coeff in bb.items()}
-        sub = _p_join_main(g, shift)
-        r = _p_add(_p_mul(lb, r), _p_neg(sub))
-        ndr = _p_degree_in(r, g)
-        if ndr >= dr and r:
-            # rewrites destroyed the cancellation, give up on this pair
-            return None
-        dr = ndr
-    return r
-
-
 _GCD_TERM_LIMIT = 150
 _GCD_GEN_LIMIT = 6
 # evaluation points tried by the heuristic gcd before it gives up
 _HEU_TRIES = 6
 
 
-def _p_gcd(a, b, strict=False):
-    """Polynomial gcd with cofactors: (g, a/g, b/g).
+def _p_gcd(a, b):
+    """Polynomial gcd with cofactors: (g, a/g, b/g, whole).
 
     g is primitive with a positive leading term, and the cofactors are
-    exact quotients, so g always divides both inputs.  Polynomials in plain
-    variables go to the heuristic gcd, whose candidates count only once
-    they divide both inputs exactly; inputs holding kernels, and any pair
-    the heuristic gives up on, go to the primitive pseudo-remainder
-    sequence.  Beyond the size guard (_GCD_TERM_LIMIT terms,
-    _GCD_GEN_LIMIT shared generators) neither runs.  A search that stops
-    early degrades to the common monomial factor, or to (P_ONE, a, b);
-    with strict=True it returns None instead, for callers that need the
-    greatest divisor.
+    exact quotients, so g always divides both inputs.  The common monomial
+    factor comes out first; the rest goes to the heuristic gcd, which takes
+    each kernel for a free variable and whose candidates count only once
+    they divide both inputs exactly.  whole is False when the search
+    stopped early: past the size guard (_GCD_TERM_LIMIT terms,
+    _GCD_GEN_LIMIT shared generators), when the heuristic gives up, or when
+    a candidate does not divide in the kernel ring.  g is then only the
+    common monomial factor, or 1, and may leave a common factor behind.
     """
     if not a or not b:
         c = _poly_rat_content(a or b)
         k = _p_const(c)
-        return _p_quo(a or b, c), k if a else P_ZERO, k if b else P_ZERO
+        return _p_quo(a or b, c), k if a else P_ZERO, k if b else P_ZERO, True
     if _p_is_const(a) or _p_is_const(b):
-        return P_ONE, a, b
-    give_up = None if strict else (P_ONE, a, b)
+        return P_ONE, a, b, True
     gens_a = _p_gens(a)
     gens_b = _p_gens(b)
     common = gens_a & gens_b
     mono = _mono_common([m for m, _ in a] + [m for m, _ in b])
     if len(a) == 1 or len(b) == 1 or not common:
         if not mono:
-            return P_ONE, a, b
-        return _p_cofactors(((mono, 1),), a, b) or give_up
+            return P_ONE, a, b, True
+        found = _p_cofactors(((mono, 1),), a, b)
+        return (*found, True) if found else (P_ONE, a, b, False)
     if mono:
         # the monomial part factors out cheaply and keeps the search small
         found = _p_cofactors(((mono, 1),), a, b)
         if found is not None:
-            inner = _p_gcd(found[1], found[2], strict)
-            if inner is None:
-                return None
-            g, ca, cb = inner
-            return _p_normalized(_p_mul(found[0], g), ca, cb)
+            g, ca, cb, whole = _p_gcd(found[1], found[2])
+            return (*_p_normalized(_p_mul(found[0], g), ca, cb), whole)
     if (
         len(a) > _GCD_TERM_LIMIT
         or len(b) > _GCD_TERM_LIMIT
         or len(common) > _GCD_GEN_LIMIT
     ):
-        return give_up
-    gens = gens_a | gens_b
-    if all(g.kind == VAR for g in gens):
-        found = _heu_gcd(a, b, sorted(gens))
-        if found is not None:
-            return found
-    g = _prs_gcd(a, b, common, strict)
-    if g is None:
-        return give_up
-    return _p_cofactors(g, a, b) or give_up
+        return P_ONE, a, b, False
+    found = _heu_gcd(a, b, sorted(gens_a | gens_b))
+    if found is None:
+        return P_ONE, a, b, False
+    return (*found, True)
 
 
 def _p_cofactors(d, a, b):
@@ -606,62 +497,20 @@ def _p_normalized(g, ca, cb):
     return _p_quo(g, c), _p_scale(ca, c), _p_scale(cb, c)
 
 
-def _prs_gcd(a, b, common, strict):
-    """Primitive pseudo-remainder sequence gcd, or None when it gives up.
-
-    The main generator is the shared one of least degree.  A kernel rewrite
-    that defeats a pseudo-division ends the sequence with the gcd of the
-    contents, which still divides both inputs (None when strict).
-    """
-    main = min(
-        common,
-        key=lambda g: (min(_p_degree_in(a, g), _p_degree_in(b, g)), g.skey),
-    )
-    ca = _p_content_in(a, main)
-    cb = _p_content_in(b, main)
-    if ca is None or cb is None:
-        return None
-    pa = _p_exact_div(a, ca)
-    pb = _p_exact_div(b, cb)
-    if pa is None or pb is None:
-        return None
-    found = _p_gcd(ca, cb, strict)
-    if found is None:
-        return None
-    cg = found[0]
-    partial = None if strict else cg
-    if _p_degree_in(pa, main) < _p_degree_in(pb, main):
-        pa, pb = pb, pa
-    while True:
-        r = _p_pseudo_rem(pa, pb, main)
-        if r is None:
-            return partial
-        if not r:
-            break
-        content = _p_content_in(r, main)
-        if content is None:
-            return None
-        r = _p_exact_div(r, content)
-        if r is None:
-            return partial
-        r = _p_primitive(r)
-        pa, pb = pb, r
-        if _p_degree_in(pb, main) == 0:
-            return cg
-    return _p_primitive(_p_mul(cg, _p_primitive(pb)))
-
-
 # Heuristic gcd (GCDHEU; Char, Geddes and Gonnet, 1989) on integer
 # polynomials held as dicts from exponent tuples to ints.  Evaluating the
 # first variable at an integer xi turns a gcd in n variables into one in
 # n - 1, down to an integer gcd; balanced xi-adic expansion lifts the
 # image gcd back.  The first point is the bound of Char, Geddes and
 # Gonnet's theorem, so a candidate that divides both inputs is their gcd;
-# the growth between tries follows sympy's dmp_zz_heu_gcd.
+# the growth between tries follows sympy's dmp_zz_heu_gcd.  Kernels enter
+# as free variables, so over them the candidate is a gcd in the free
+# polynomial ring, and it counts only once it divides both inputs in the
+# kernel ring as well.
 
 
 def _heu_gcd(a, b, gens):
-    """(g, a/g, b/g) for polynomials in the variables gens, or None."""
+    """(g, a/g, b/g) for polynomials in the generators gens, or None."""
     ka, fa = _zz_from_poly(a, gens)
     kb, fb = _zz_from_poly(b, gens)
     found = _zz_heu_gcd(fa, fb, len(gens))
@@ -670,8 +519,12 @@ def _heu_gcd(a, b, gens):
     h, cfa, cfb = found
     if len(h) == 1 and not any(next(iter(h))):
         return P_ONE, a, b
+    g = _poly_from_zz(h, gens)
+    if any(x.kind == KERNEL for x in gens):
+        # kernel rewrites can break a division that holds for free variables
+        return _p_cofactors(g, a, b)
     return _p_normalized(
-        _poly_from_zz(h, gens),
+        g,
         _p_scale(_poly_from_zz(cfa, gens), ka),
         _p_scale(_poly_from_zz(cfb, gens), kb),
     )
@@ -924,7 +777,7 @@ class Expr:
         if self.den == other.den:
             return _mk(_p_add(self.num, other.num), self.den)
         # over the least common denominator: b*d / gcd(b, d)
-        g, qb, qd, whole = _gcd_whole(self.den, other.den)
+        g, qb, qd, whole = _p_gcd(self.den, other.den)
         num = _p_add(_p_mul(self.num, qd), _p_mul(other.num, qb))
         den = _p_mul(self.den, qd)
         if not (whole and _is_plain(self) and _is_plain(other)):
@@ -934,7 +787,7 @@ class Expr:
         # Henrici: a common factor of num and b*d/g divides g
         if _p_is_const(g):
             return _mk_coprime(num, den)
-        _, qn, qg, whole = _gcd_whole(num, g)
+        _, qn, qg, whole = _p_gcd(num, g)
         if not whole:
             return _mk(num, den)
         return _mk_coprime(qn, _p_mul(_p_mul(qb, qd), qg))
@@ -1115,23 +968,14 @@ def _is_plain(e) -> bool:
     return plain
 
 
-def _gcd_whole(a, b):
-    """(g, a/g, b/g, whole): _p_gcd's result, and whether g is the greatest
-    common divisor rather than what an early stop left."""
-    found = _p_gcd(a, b, strict=True)
-    if found is None:
-        return (*_p_gcd(a, b), False)
-    return (*found, True)
-
-
 def _cancel(num, den):
     """Divide a numerator and a denominator by their polynomial gcd.
 
-    Returns (num/g, den/g, whole) with whole as in _gcd_whole.
+    Returns (num/g, den/g, whole) with whole as in _p_gcd.
     """
     if _p_is_const(den) or _p_is_const(num):
         return num, den, True
-    _, qn, qd, whole = _gcd_whole(num, den)
+    _, qn, qd, whole = _p_gcd(num, den)
     return qn, qd, whole
 
 

@@ -19,7 +19,9 @@ building the 12341 terms of (x+y+z+1)^40 would take seconds.  A product
 or quotient is refused in the same way when a numerator or denominator
 would multiply a t1-term polynomial by a t2-term one with t1*t2 past
 _PRODUCT_TERMS, so (x+y+z+1)^16*(x+y+z+1)^16 cannot go round the power
-bound.
+bound.  A sum over unequal denominators is refused in the same way, since
+it multiplies each numerator by the other denominator and the two
+denominators together.
 The caret binds tighter than unary minus: -x^2 is -(x^2).  Numbers may
 carry a decimal fraction part and are converted exactly.  Every error
 carries the byte offset where parsing failed.
@@ -27,6 +29,7 @@ carries the byte offset where parsing failed.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, log2
 
@@ -52,6 +55,16 @@ _POWER_BITS = 1 << 13
 # bound on a product of a t1-term and a t2-term polynomial, which forms
 # t1*t2 term products and has up to that many terms
 _PRODUCT_TERMS = 10_000
+
+
+def _digits_int(digits: str) -> int:
+    """The integer a digit string spells, also past the interpreter's limit
+    on int(str) (4300 digits by default), which is not lifted: it is
+    process-wide."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
 
 
 class _Parser:
@@ -81,14 +94,17 @@ class _Parser:
         while True:
             self.skip_ws()
             op = self.peek()
-            if op == "+":
-                self.pos += 1
-                value = value + self.parse_term()
-            elif op == "-":
-                self.pos += 1
-                value = value - self.parse_term()
-            else:
+            if op not in ("+", "-"):
                 return value
+            at = self.pos
+            self.pos += 1
+            rhs = self.parse_term()
+            if value.den != rhs.den:
+                # over unequal denominators a sum cross-multiplies its parts
+                self.check_product_size(
+                    ((value.num, rhs.den), (rhs.num, value.den), (value.den, rhs.den)),
+                    at, "sum")
+            value = value + rhs if op == "+" else value - rhs
 
     def parse_term(self) -> Expr:
         value = self.parse_factor()
@@ -135,12 +151,12 @@ class _Parser:
             return base ** e
         return base
 
-    def check_product_size(self, pairs, at: int):
-        """Refuse a product when one of its pairs of polynomial factors
-        would form more than _PRODUCT_TERMS term products."""
+    def check_product_size(self, pairs, at: int, what: str = "product"):
+        """Refuse a product, or a sum, when one of its pairs of polynomial
+        factors would form more than _PRODUCT_TERMS term products."""
         for p, q in pairs:
             if len(p) * len(q) > _PRODUCT_TERMS:
-                self.error(f"product may exceed {_PRODUCT_TERMS} terms", at)
+                self.error(f"{what} may exceed {_PRODUCT_TERMS} terms", at)
 
     def check_power_size(self, base: Expr, n: int, at: int):
         """Refuse base^n when its bounded size is past the limits."""
@@ -222,9 +238,9 @@ class _Parser:
                 self.error("malformed number", start)
         if not int_part and not frac_part:
             self.error("malformed number", start)
-        whole = int(int_part) if int_part else 0
+        whole = _digits_int(int_part) if int_part else 0
         if frac_part:
-            q = Fraction(whole) + Fraction(int(frac_part), 10 ** len(frac_part))
+            q = Fraction(whole) + Fraction(_digits_int(frac_part), 10 ** len(frac_part))
             return as_expr(q)
         return as_expr(whole)
 

@@ -1,11 +1,11 @@
-"""Polynomial gcd: cofactors, primitivity, heuristic against the PRS.
+"""Polynomial gcd: cofactors, primitivity, and the heuristic over kernels.
 
-The kernel's gcd returns (g, a/g, b/g).  Polynomials in plain variables
-go to the heuristic gcd, whose candidates are confirmed by exact division;
-inputs holding kernels go to the primitive pseudo-remainder sequence (PRS).
-These tests build raw polynomials with a planted common factor and check
-the result against its definition and against the PRS, without any
-outside computer algebra system.
+The kernel's gcd returns (g, a/g, b/g, whole).  Every input goes to the
+heuristic gcd, which takes each kernel for a free variable; a candidate
+counts only once it divides both inputs exactly in the kernel ring, and
+whole says whether the search ran to the end.  These tests build raw
+polynomials with a planted common factor and check the result against
+its definition, without any outside computer algebra system.
 """
 
 import random
@@ -13,11 +13,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geolin.kernel import core, exp, sqrt, var
+from geolin.kernel import core, exp, parse, sqrt, var
 from geolin.transform import coefficients_from_transformation, linearization_residuals
 from helpers import random_invertible_map
 
 X, Y, Z = (core._var_gen(n) for n in ("x", "y", "z"))
+LN_Z = core._kernel_gen("ln", var("z"))
 
 _terms = st.lists(
     st.tuples(
@@ -26,25 +27,42 @@ _terms = st.lists(
     ),
     min_size=1, max_size=4,
 )
+_ln_terms = st.lists(
+    st.tuples(
+        st.integers(-6, 6).filter(bool),
+        st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+    ),
+    min_size=1, max_size=5,
+)
 
 
-def _poly(terms) -> tuple:
+def _poly(terms, gens=(X, Y, Z)) -> tuple:
     acc: dict = {}
-    for c, ex, ey, ez in terms:
-        mono = tuple((g, e) for g, e in ((X, ex), (Y, ey), (Z, ez)) if e)
+    for c, *exps in terms:
+        mono = tuple(sorted(((g, e) for g, e in zip(gens, exps) if e),
+                            key=lambda t: t[0].skey))
         acc[mono] = acc.get(mono, 0) + core._Q(c)
     return core._poly_from_dict(acc)
+
+
+def _primitive(p) -> tuple:
+    return core._p_quo(p, core._poly_rat_content(p))
 
 
 def _divides(d, p) -> bool:
     return core._p_exact_div(p, d) is not None
 
 
-def _prs_only(a, b):
-    """The gcd with the heuristic switched off, None if the PRS gives up."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_heu_gcd", lambda *args: None)
-        return core._p_gcd(a, b, strict=True)
+def _check_planted(f, a, b):
+    """The gcd of a and b is whole, has exact cofactors and holds f."""
+    g, qa, qb, whole = core._p_gcd(a, b)
+    assert whole
+    assert core._p_mul(g, qa) == a
+    assert core._p_mul(g, qb) == b
+    assert core._poly_rat_content(g) == 1
+    assert g[0][1] > 0
+    assert _divides(_primitive(f), g)
+    return g, qa, qb
 
 
 @settings(max_examples=80, deadline=None)
@@ -53,19 +71,32 @@ def test_gcd_properties_with_planted_factor(f, u, v):
     f, u, v = _poly(f), _poly(u), _poly(v)
     if not (f and u and v):
         return
-    a = core._p_mul(f, u)
-    b = core._p_mul(f, v)
-    g, qa, qb = core._p_gcd(a, b)
-    assert core._p_mul(g, qa) == a
-    assert core._p_mul(g, qb) == b
-    assert core._poly_rat_content(g) == 1
-    assert g[0][1] > 0
-    assert _divides(core._p_primitive(f), g)
+    _, qa, qb = _check_planted(f, core._p_mul(f, u), core._p_mul(f, v))
     assert core._p_is_const(core._p_gcd(qa, qb)[0])
-    # the PRS can trip the size guard on intermediate remainders even for
-    # small inputs; when it completes, both paths must agree
-    prs = _prs_only(a, b)
-    assert prs is None or prs == (g, qa, qb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ln_terms, _ln_terms, _ln_terms)
+def test_planted_factor_over_a_kernel_is_recovered(f, u, v):
+    # ln(z) has no rewrite, so the ring over x, y and ln(z) is a unique
+    # factorization domain and the heuristic finds the greatest divisor
+    gens = (X, Y, LN_Z)
+    f, u, v = _poly(f, gens), _poly(u, gens), _poly(v, gens)
+    if not (f and u and v):
+        return
+    _check_planted(f, core._p_mul(f, u), core._p_mul(f, v))
+
+
+def test_planted_factor_over_ln_that_stalled_the_old_sequence():
+    # the slowest of 150 seeded planted-factor pairs over x, y and ln(z):
+    # a pseudo-remainder sequence took about 3 s on it and missed the factor
+    f = parse("-3*ln(z)^3*x^2*y^3 + 6*ln(z)^3*x*y^3 - x^2*y^3 + 4*y^3 + 3*x^2")
+    u = parse("4*ln(z)^2*x^3*y^2 - 4*ln(z)^3*x^2*y + 3*ln(z)^3*y^3 + 3*ln(z)*y^3 + y^3")
+    v = parse("-3*ln(z)^3*x^2*y^3 - 6*ln(z)^2*x^3*y^2 - 4*ln(z)^3*x^2 + 5*x*y^2")
+    a, b = (f * u).num, (f * v).num
+    assert (len(a), len(b)) == (24, 19)
+    g, _, _ = _check_planted(f.num, a, b)
+    assert g == _primitive(f.num)
 
 
 def test_heuristic_point_keeps_the_greatest_divisor():
@@ -75,19 +106,21 @@ def test_heuristic_point_keeps_the_greatest_divisor():
     # both inputs and was taken for the gcd
     f = _poly([(1, 1, 2, 0), (-1, 0, 0, 1)])
     b = core._p_mul(f, _poly([(1, 0, 1, 1), (1, 0, 0, 0)]))
-    assert core._p_gcd(f, b) == (f, core.P_ONE, core._p_exact_div(b, f))
+    assert core._p_gcd(f, b) == (f, core.P_ONE, core._p_exact_div(b, f), True)
 
 
 def test_prs_gives_up_instead_of_returning_a_non_divisor():
-    # 9 and 12 terms; the remainder contents pass the size guard, which
-    # once made the PRS return a 357-term polynomial dividing neither input
+    # 9 and 12 terms; the remainder contents of a pseudo-remainder
+    # sequence, the gcd before the heuristic ran on every input, passed the
+    # size guard here and once made it return a 357-term polynomial
+    # dividing neither input
     f = _poly([(-2, 0, 0, 2), (-2, 3, 2, 0), (2, 0, 2, 0)])
     a = core._p_mul(f, _poly([(3, 0, 0, 0), (2, 3, 3, 0), (-1, 0, 0, 2)]))
     b = core._p_mul(f, _poly([(-5, 0, 2, 1), (-6, 0, 1, 2), (-3, 2, 2, 0), (2, 0, 2, 0)]))
-    prs = core._prs_gcd(a, b, core._p_gens(a) & core._p_gens(b), False)
-    assert prs is None or (_divides(prs, a) and _divides(prs, b))
-    g, qa, qb = core._p_gcd(a, b)
-    assert g == core._p_primitive(f)
+    g, qa, qb, whole = core._p_gcd(a, b)
+    assert whole
+    assert _divides(g, a) and _divides(g, b)
+    assert g == _primitive(f)
     assert core._p_mul(g, qa) == a
     assert core._p_mul(g, qb) == b
 
@@ -102,26 +135,23 @@ def test_variable_inputs_use_the_heuristic(monkeypatch):
 
 
 @pytest.mark.parametrize("kernel", [exp, sqrt])
-def test_kernel_inputs_take_the_prs_path(monkeypatch, kernel):
+def test_kernel_inputs_take_the_heuristic(monkeypatch, kernel):
     x, y = var("x"), var("y")
     factor = kernel(x) + y
     a = (factor * (y + 2)).num
     b = (factor * (x - 3 * y)).num
-    heu, prs = core._heu_gcd, core._prs_gcd
-    prs_inputs = []
+    heu = core._heu_gcd
+    gens_seen = []
 
-    def variables_only(a, b, gens):
-        assert all(g.kind == core.VAR for g in gens)
+    def spy(a, b, gens):
+        gens_seen.append(gens)
         return heu(a, b, gens)
 
-    def spy(a, b, *rest):
-        prs_inputs.append((a, b))
-        return prs(a, b, *rest)
-
-    monkeypatch.setattr(core, "_heu_gcd", variables_only)
-    monkeypatch.setattr(core, "_prs_gcd", spy)
-    g, qa, qb = core._p_gcd(a, b)
-    assert (a, b) in prs_inputs
+    monkeypatch.setattr(core, "_heu_gcd", spy)
+    g, qa, qb, whole = core._p_gcd(a, b)
+    assert any(gen.kind == core.KERNEL for gens in gens_seen for gen in gens)
+    assert whole
+    assert _divides(g, a) and _divides(g, b)
     assert g == factor.num
     assert core._p_mul(g, qa) == a
     assert core._p_mul(g, qb) == b
@@ -129,12 +159,13 @@ def test_kernel_inputs_take_the_prs_path(monkeypatch, kernel):
 
 def test_prs_give_up_propagates_on_pool_31_draw_19(monkeypatch):
     """Pool 31, draw 19 used to hand the gcd an 85-term and a 60-term
-    polynomial whose true gcd has 6 terms.  The PRS tripped the size guard
-    while taking a remainder's content, read the give-up as content 1 and
-    returned a 567-term non-divisor after about 10 s.  Addition now works
-    over the gcd of the denominators, so the pair is rebuilt here from the
-    captured operands of each addition, as the cross products that the
-    addition used to form."""
+    polynomial whose true gcd has 6 terms.  The pseudo-remainder sequence
+    (PRS), the gcd before the heuristic ran on every input, tripped the
+    size guard while taking a remainder's content, read the give-up as
+    content 1 and returned a 567-term non-divisor after about 10 s.
+    Addition now works over the gcd of the denominators, so the pair is
+    rebuilt here from the captured operands of each addition, as the cross
+    products that the addition used to form."""
     rng = random.Random(31)
     for _ in range(19):
         random_invertible_map(rng)
@@ -160,9 +191,9 @@ def test_prs_give_up_propagates_on_pool_31_draw_19(monkeypatch):
             pairs.append((num, den))
     assert len(pairs) == 1
     a, b = pairs[0]
-    prs = core._prs_gcd(a, b, core._p_gens(a) & core._p_gens(b), False)
-    assert prs is None or (_divides(prs, a) and _divides(prs, b))
-    g, qa, qb = core._p_gcd(a, b)
+    g, qa, qb, whole = core._p_gcd(a, b)
+    assert whole
+    assert _divides(g, a) and _divides(g, b)
     y, z, yp, zp = var("y"), var("z"), var("yp"), var("zp")
     assert g == ((2 * y * zp + 2 * yp * z - 1) ** 2).num
     assert len(g) == 6

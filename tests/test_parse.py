@@ -142,6 +142,29 @@ def test_huge_parsed_product_refused_before_it_is_built(monkeypatch):
     assert len(parse("(x+y+z+1)^5*(x+y+z+1)^5").num) == 286
 
 
+def test_huge_parsed_sum_refused_before_it_is_built():
+    # each + over unequal denominators multiplies them: the 24th summand
+    # 1/(x+y+z+i) would multiply a 2600-term denominator by a 4-term one,
+    # and 29 summands once built a 4495/4960-term fraction in about 2 s
+    sums = ["+".join(f"1/(x+y+z+{i})" for i in range(1, n + 1)) for n in (19, 28)]
+    with pytest.raises(ParseError) as e:
+        parse(sums[1])
+    assert "sum" in str(e.value)
+    assert e.value.offset == 289
+    small = parse(sums[0])
+    assert (len(small.num), len(small.den)) == (1330, 1540)
+    # equal denominators only add their numerators
+    assert parse("x/(y+1) + 1/(y+1)") == (x + 1) / (y + 1)
+
+
+def test_digit_strings_past_the_int_limit_parse():
+    e = parse("2^8000*2^8000*x")
+    assert parse(str(e)) == e
+    sevens = "7" * 5000
+    assert parse(f"{sevens}*y") == from_digits(sevens) * y
+    assert parse(f"0.{sevens}") == rational(from_digits(sevens), 10 ** 5000)
+
+
 def test_integers_past_the_str_limit_print():
     s = str(parse("2^8000*2^8000*x"))
     assert s.endswith("*x")
