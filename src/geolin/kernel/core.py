@@ -521,7 +521,6 @@ def _heu_gcd(a, b, gens):
         return P_ONE, a, b
     g = _poly_from_zz(h, gens)
     if any(x.kind == KERNEL for x in gens):
-        # kernel rewrites can break a division that holds for free variables
         return _p_cofactors(g, a, b)
     return _p_normalized(
         g,
