@@ -12,8 +12,10 @@ canonical expressions.  Construction keeps every value normalized:
   coefficient and shares no detected polynomial factor with the numerator,
 * exp kernels merge under multiplication and never remain in a denominator
   as a monomial factor,
-* squares of sqrt kernels collapse to their arguments, and sqrt arguments
-  are reduced to integer coefficient polynomials,
+* a polynomial sqrt argument is reduced to an integer coefficient
+  polynomial, and squares of such sqrt kernels collapse to their
+  arguments; an argument N/D with a nonconstant denominator stays whole,
+  since sqrt(N/D) = sqrt(N*D)/D holds only where D > 0,
 * squares of sin kernels always rewrite through the Pythagorean
   identity sin^2 = 1 - cos^2.
 
@@ -109,22 +111,19 @@ class KernelDomainError(KernelError):
 
 
 class Gen:
-    """An interned generator: a named variable or a kernel application."""
+    """An interned generator: a named variable or a kernel application.
 
-    __slots__ = ("kind", "name", "arg", "skey", "_hash")
+    Interning makes equality identity, so Gen keeps object's own __eq__
+    and __hash__, which a monomial lookup calls once per generator.
+    """
+
+    __slots__ = ("kind", "name", "arg", "skey")
 
     def __init__(self, kind: int, name: str, arg: Optional["Expr"], skey):
         self.kind = kind
         self.name = name
         self.arg = arg
         self.skey = skey
-        self._hash = hash(skey)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return self is other
 
     def __lt__(self, other: "Gen") -> bool:
         return self.skey < other.skey
@@ -158,12 +157,20 @@ def _kernel_gen(fname: str, arg: "Expr") -> Gen:
 
 
 # ---------------------------------------------------------------------------
-# Sparse polynomial layer.  A polynomial is a tuple of (monomial, coeff)
-# terms; a monomial is a tuple of (Gen, positive int exponent) pairs sorted
-# by generator.  Terms are kept in graded order, leading term first.
+# Sparse polynomial layer.  A polynomial is a dict from monomial to nonzero
+# coefficient, never mutated once built; a monomial is a tuple of (Gen,
+# positive int exponent) pairs sorted by generator.  The dict holds no term
+# order.  Graded order (_term_sort_key, leading term first) is computed only
+# where it is observed: printing and the structural key (_terms), the
+# leading term of exact division and of sign normalization (_lead), and
+# the summation order of numeric evaluation, which fixes its rounding.
+# Differentiation and substitution also sum their terms in graded order:
+# over kernels, or past a gcd that stops early, the form a sum reduces to
+# can depend on that order, and equal polynomials must give equal results.
 # ---------------------------------------------------------------------------
 
-P_ZERO: tuple = ()
+P_ZERO: dict = {}
+P_ONE: dict = {(): 1}
 
 
 _SKEY = attrgetter("skey")
@@ -176,32 +183,39 @@ def _term_sort_key(mono):
     return (-deg, tuple([(g.skey, -e) for g, e in mono]))
 
 
-def _poly_from_dict(d: dict) -> tuple:
-    items = [(m, c if c.__class__ is int else _qnorm(c)) for m, c in d.items() if c]
-    items.sort(key=lambda t: _term_sort_key(t[0]))
-    return tuple(items)
+def _terms(p) -> list:
+    """p's (monomial, coefficient) terms in graded order, leading term first."""
+    return sorted(p.items(), key=lambda t: _term_sort_key(t[0]))
 
 
-def _p_const(q) -> tuple:
+def _lead(p):
+    """The leading monomial of a nonzero polynomial in graded order."""
+    return min(p, key=_term_sort_key)
+
+
+def _poly_from_dict(d: dict) -> dict:
+    return {m: c if c.__class__ is int else _qnorm(c) for m, c in d.items() if c}
+
+
+def _p_const(q) -> dict:
     if q == 0:
         return P_ZERO
-    return (((), _qnorm(q)),)
-
-
-P_ONE = _p_const(1)
+    if q == 1:
+        return P_ONE
+    return {(): _qnorm(q)}
 
 
 def _p_is_const(p) -> bool:
-    return not p or (len(p) == 1 and not p[0][0])
+    return not p or (len(p) == 1 and () in p)
 
 
-def _p_add(p1, p2) -> tuple:
+def _p_add(p1, p2) -> dict:
     if not p1:
         return p2
     if not p2:
         return p1
     acc = dict(p1)
-    for m, c in p2:
+    for m, c in p2.items():
         v = acc.get(m)
         if v is None:
             acc[m] = c
@@ -210,33 +224,33 @@ def _p_add(p1, p2) -> tuple:
             if v == 0:
                 del acc[m]
             else:
-                acc[m] = v
-    return _poly_from_dict(acc)
+                acc[m] = v if v.__class__ is int else _qnorm(v)
+    return acc
 
 
-def _p_neg(p) -> tuple:
-    return tuple((m, -c) for m, c in p)
+def _p_neg(p) -> dict:
+    return {m: -c for m, c in p.items()}
 
 
-def _p_scale(p, q) -> tuple:
+def _p_scale(p, q) -> dict:
     if q == 0:
         return P_ZERO
     if q == 1:
         return p
-    return tuple((m, _qnorm(c * q)) for m, c in p)
+    return {m: _qnorm(c * q) for m, c in p.items()}
 
 
-def _p_quo(p, q) -> tuple:
+def _p_quo(p, q) -> dict:
     """p with every coefficient divided exactly by the nonzero scalar q."""
     if q == 1:
         return p
-    return tuple((m, _qdiv(c, q)) for m, c in p)
+    return {m: _qdiv(c, q) for m, c in p.items()}
 
 
-def _pyth_poly(arg: "Expr") -> tuple:
+def _pyth_poly(arg: "Expr") -> dict:
     # 1 - cos(arg)^2
     g = _kernel_gen("cos", arg)
-    return _poly_from_dict({(): 1, ((g, 2),): -1})
+    return {(): 1, ((g, 2),): -1}
 
 
 def _mono_combine(m1, m2):
@@ -269,7 +283,7 @@ def _mono_combine(m1, m2):
                 contrib = g.arg if e == 1 else g.arg * e
                 exp_arg = contrib if exp_arg is None else exp_arg + contrib
                 continue
-            if g.name == "sqrt" and e >= 2:
+            if g.name == "sqrt" and e >= 2 and _p_is_const(g.arg.den):
                 extras.extend([g.arg.num] * (e // 2))
                 e %= 2
                 if not e:
@@ -287,7 +301,7 @@ def _mono_combine(m1, m2):
     return tuple(out), extras
 
 
-def _p_mul(p1, p2) -> tuple:
+def _p_mul(p1, p2) -> dict:
     if not p1 or not p2:
         return P_ZERO
     if p1 is P_ONE:
@@ -295,15 +309,16 @@ def _p_mul(p1, p2) -> tuple:
     if p2 is P_ONE:
         return p1
     acc: dict = {}
-    for m1, c1 in p1:
-        for m2, c2 in p2:
+    items2 = p2.items()
+    for m1, c1 in p1.items():
+        for m2, c2 in items2:
             c = c1 * c2
             mono, extras = _mono_combine(m1, m2)
             if extras:
-                piece = ((mono, c),)
+                piece = {mono: c}
                 for ex in extras:
                     piece = _p_mul(piece, ex)
-                for m, cc in piece:
+                for m, cc in piece.items():
                     v = acc.get(m)
                     acc[m] = cc if v is None else v + cc
             else:
@@ -312,7 +327,7 @@ def _p_mul(p1, p2) -> tuple:
     return _poly_from_dict(acc)
 
 
-def _p_pow(p, n: int) -> tuple:
+def _p_pow(p, n: int) -> dict:
     if n == 0:
         return P_ONE
     result = None
@@ -329,7 +344,7 @@ def _p_pow(p, n: int) -> tuple:
 
 def _p_gens(p) -> set:
     s = set()
-    for m, _ in p:
+    for m in p:
         for g, _ in m:
             s.add(g)
     return s
@@ -376,17 +391,18 @@ def _p_exact_div(p, d):
     multiple look indivisible, in which case None is returned and the
     caller must keep the unreduced pair.
     """
-    if d is P_ONE or (_p_is_const(d) and d and d[0][1] == 1):
+    if d is P_ONE:
         return p
     if not d:
         raise ZeroDivisionError("polynomial division by zero")
     if not p:
         return P_ZERO
     if _p_is_const(d):
-        return _p_quo(p, d[0][1])
+        return _p_quo(p, d[()])
     rem = dict(p)
     quo: dict = {}
-    d_lead_m, d_lead_c = d[0]
+    d_lead_m = _lead(d)
+    d_lead_c = d[d_lead_m]
     d_lead_key = _term_sort_key(d_lead_m)
     while rem:
         lt_m = min(rem, key=_term_sort_key)
@@ -397,8 +413,8 @@ def _p_exact_div(p, d):
         if t is None:
             return None
         c = _qdiv(rem[lt_m], d_lead_c)
-        prod = _p_mul(((t, c),), d)
-        for m, cc in prod:
+        prod = _p_mul({t: c}, d)
+        for m, cc in prod.items():
             v = rem.get(m, 0) - cc
             if v == 0:
                 rem.pop(m, None)
@@ -416,14 +432,14 @@ def _poly_rat_content(p):
     """Signed c with p / c primitive integer, positive leading; an int if integral."""
     num_gcd = 0
     den_lcm = 1
-    for _, c in p:
+    for c in p.values():
         if c.__class__ is int:
             num_gcd = _igcd(num_gcd, c)
         else:
             num_gcd = _igcd(num_gcd, int(c.numerator))
             den_lcm = _ilcm(den_lcm, int(c.denominator))
     content = num_gcd if den_lcm == 1 else _Q(num_gcd, den_lcm)
-    if p[0][1] < 0:
+    if p[_lead(p)] < 0:
         content = -content
     return content
 
@@ -456,15 +472,15 @@ def _p_gcd(a, b):
     gens_a = _p_gens(a)
     gens_b = _p_gens(b)
     common = gens_a & gens_b
-    mono = _mono_common([m for m, _ in a] + [m for m, _ in b])
+    mono = _mono_common([*a, *b])
     if len(a) == 1 or len(b) == 1 or not common:
         if not mono:
             return P_ONE, a, b, True
-        found = _p_cofactors(((mono, 1),), a, b)
+        found = _p_cofactors({mono: 1}, a, b)
         return (*found, True) if found else (P_ONE, a, b, False)
     if mono:
         # the monomial part factors out cheaply and keeps the search small
-        found = _p_cofactors(((mono, 1),), a, b)
+        found = _p_cofactors({mono: 1}, a, b)
         if found is not None:
             g, ca, cb, whole = _p_gcd(found[1], found[2])
             return (*_p_normalized(_p_mul(found[0], g), ca, cb), whole)
@@ -534,7 +550,7 @@ def _zz_from_poly(p, gens):
     k = _poly_rat_content(p)
     index = {g: i for i, g in enumerate(gens)}
     f = {}
-    for m, c in p:
+    for m, c in p.items():
         exps = [0] * len(gens)
         for g, e in m:
             exps[index[g]] = e
@@ -542,7 +558,7 @@ def _zz_from_poly(p, gens):
     return k, f
 
 
-def _poly_from_zz(f, gens) -> tuple:
+def _poly_from_zz(f, gens) -> dict:
     return _poly_from_dict({
         tuple((g, e) for g, e in zip(gens, exps) if e): c
         for exps, c in f.items()
@@ -690,7 +706,7 @@ def _zz_exact_div(f, d):
 def _poly_key(p):
     return tuple(
         (tuple((g.skey, e) for g, e in m), (int(c.numerator), int(c.denominator)))
-        for m, c in p
+        for m, c in _terms(p)
     )
 
 
@@ -754,7 +770,7 @@ class Expr:
             raise KernelError("expression is not a rational constant")
         if not self.num:
             return 0
-        return _qdiv(self.num[0][1], self.den[0][1])
+        return _qdiv(self.num[()], self.den[()])
 
     def variables(self) -> frozenset:
         """Names of all variables, including those inside kernel arguments."""
@@ -896,30 +912,27 @@ def _mk(num, den) -> Expr:
         raise ZeroDivisionError("zero denominator in exact arithmetic")
     if not num:
         return ZERO
-    if len(den) == 1 and not den[0][0]:
+    if len(den) == 1 and () in den:
         # a constant denominator only moves its value into the numerator
-        return Expr(_p_quo(num, den[0][1]), P_ONE, _internal=True)
+        return Expr(_p_quo(num, den[()]), P_ONE, _internal=True)
     # pull exp kernels out of the denominator through its monomial content
-    common = _mono_common([m for m, _ in den])
+    common = _mono_common(den)
     exp_gens = [(g, e) for g, e in common if g.kind == KERNEL and g.name == "exp"]
     if exp_gens:
         strip = tuple(exp_gens)
-        new_terms = []
-        for m, c in den:
-            q = _mono_div(m, strip)
-            new_terms.append((q, c))
-        den = _poly_from_dict(dict(new_terms))
+        den = {_mono_div(m, strip): c for m, c in den.items()}
         for g, e in exp_gens:
             inv_arg = -(g.arg * e) if e != 1 else -g.arg
-            num = _p_mul(num, ((((_kernel_gen("exp", inv_arg), 1),), 1),))
+            num = _p_mul(num, {((_kernel_gen("exp", inv_arg), 1),): 1})
     # rationalize sqrt kernels sitting in a pure monomial denominator
     if len(den) == 1:
-        mono, _ = den[0]
-        roots = [g for g, _ in mono if g.kind == KERNEL and g.name == "sqrt"]
+        (mono,) = den
+        roots = [g for g, _ in mono
+                 if g.kind == KERNEL and g.name == "sqrt" and _p_is_const(g.arg.den)]
         for g in roots:
-            rp = (((g, 1),), 1)
-            num = _p_mul(num, (rp,))
-            den = _p_mul(den, (rp,))
+            rp = {((g, 1),): 1}
+            num = _p_mul(num, rp)
+            den = _p_mul(den, rp)
     num, den, whole = _cancel(num, den)
     return _mk_coprime(num, den, whole)
 
@@ -979,7 +992,7 @@ def _cancel(num, den):
 
 
 def _collect_vars(p, names: set):
-    for m, _ in p:
+    for m in p:
         for g, _ in m:
             if g.kind == VAR:
                 names.add(g.name)
@@ -1027,7 +1040,7 @@ def rational(p, q=1) -> Expr:
 
 
 def _gen_expr(g: Gen) -> Expr:
-    return Expr(((((g, 1),), 1),), P_ONE, _internal=True)
+    return Expr({((g, 1),): 1}, P_ONE, _internal=True)
 
 
 def var(name: str) -> Expr:
@@ -1077,31 +1090,31 @@ def cos(arg) -> Expr:
 
 
 def sqrt(arg) -> Expr:
-    """Opaque square root kernel with integer polynomial argument form.
+    """Opaque square root kernel.
 
-    A rational function argument N/D is rewritten as sqrt(N*D)/D and the
-    rational content of the product is pulled out, so the stored kernel
-    argument is always an integer coefficient polynomial.  Perfect square
-    rational constants fold away completely.
+    A polynomial argument has its rational content pulled out, so the
+    stored kernel argument is an integer coefficient polynomial, and
+    perfect square rational constants fold away completely.  An argument
+    N/D with a nonconstant denominator is stored whole: sqrt(N*D)/D
+    equals it only where D > 0, and the sign of D is not known.
     """
     arg = as_expr(arg)
     if not arg.num:
         return ZERO
-    prod = _p_mul(arg.num, arg.den)
-    c = _poly_rat_content(prod)
-    p0 = _p_quo(prod, c)
+    if not _p_is_const(arg.den):
+        return _gen_expr(_kernel_gen("sqrt", arg))
+    c = _poly_rat_content(arg.num)
+    p0 = _p_quo(arg.num, c)
     u = int(c.numerator)
     v = int(c.denominator)
     w = u * v
-    den_expr = Expr(arg.den, P_ONE, _internal=True)
     if w > 0 and _is_square(w):
         s = int(_isqrt(w))
         if p0 == P_ONE:
-            return rational(s, v) / den_expr
+            return rational(s, v)
         inner = Expr(p0, P_ONE, _internal=True)
         g = _kernel_gen("sqrt", inner)
-        root = Expr(((((g, 1),), s),), P_ONE, _internal=True)
-        return root / (integer(v) * den_expr)
+        return Expr({((g, 1),): s}, P_ONE, _internal=True) / integer(v)
     if p0 == P_ONE:
         if w < 0:
             raise KernelDomainError("sqrt of a negative constant")
@@ -1109,7 +1122,7 @@ def sqrt(arg) -> Expr:
     else:
         inner = Expr(_p_scale(p0, w), P_ONE, _internal=True)
     g = _kernel_gen("sqrt", inner)
-    return _gen_expr(g) / (integer(v) * den_expr)
+    return _gen_expr(g) / integer(v)
 
 
 _KERNEL_BUILDERS = {"exp": exp, "ln": ln, "sin": sin, "cos": cos, "sqrt": sqrt}
@@ -1149,7 +1162,7 @@ def _gen_diff(g: Gen, name: str) -> Expr:
 
 def _poly_diff(p, name: str) -> Expr:
     total = ZERO
-    for m, c in p:
+    for m, c in _terms(p):
         for i, (g, e) in enumerate(m):
             dg = _gen_diff(g, name)
             if not dg.num:
@@ -1158,14 +1171,14 @@ def _poly_diff(p, name: str) -> Expr:
                 rest = m[:i] + ((g, e - 1),) + m[i + 1:]
             else:
                 rest = m[:i] + m[i + 1:]
-            base = Expr(((rest, _qnorm(c * e)),), P_ONE, _internal=True)
+            base = Expr({rest: _qnorm(c * e)}, P_ONE, _internal=True)
             total = total + base * dg
     return total
 
 
 def _poly_subst(p, mapping: Mapping[str, Expr]) -> Expr:
     total = ZERO
-    for m, c in p:
+    for m, c in _terms(p):
         term = as_expr(c)
         for g, e in m:
             if g.kind == VAR:
@@ -1224,7 +1237,7 @@ def _print_poly(p) -> str:
     if not p:
         return "0"
     pieces = []
-    for i, (m, c) in enumerate(p):
+    for i, (m, c) in enumerate(_terms(p)):
         neg = c < 0
         mag = -c if neg else c
         if not m:

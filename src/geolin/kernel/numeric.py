@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Mapping, Tuple
 
-from .core import Expr, KERNEL, KernelError, P_ONE
+from .core import Expr, KERNEL, KernelError, P_ONE, _terms
 
 mpmath = None  # bound by _load on first use
 
@@ -81,8 +81,9 @@ class _Evaluator:
         return self.note(base ** e)
 
     def poly(self, p):
+        # in graded order, which fixes how the sum rounds
         total = mpmath.mpf(0)
-        for m, c in p:
+        for m, c in _terms(p):
             term = _to_mpf(c)
             for g, e in m:
                 term = self.note(term * self.gen(g, e))

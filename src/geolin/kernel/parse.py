@@ -12,6 +12,7 @@ Exponents are integer literals, optionally signed, optionally
 parenthesized, and chain right associatively, so x^2^3 means x^(2^3).
 A tower whose value would exceed 2^_TOWER_LOG2 is refused before it is
 computed: 2^9^9^9 would otherwise build an int of about 370M digits.
+So is a single exponent past that bound, before its digits are read.
 So is a power whose numerator or denominator could have more than
 _POWER_TERMS terms, or a coefficient wider than _POWER_BITS bits: a
 t-term polynomial to the n has up to C(n + t - 1, t - 1) terms, and
@@ -47,8 +48,9 @@ class ParseError(KernelError):
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_CONT = _NAME_START | set("0123456789")
 _DIGITS = set("0123456789")
-# an exponent tower may evaluate to at most 2^_TOWER_LOG2
+# an exponent tower, and so any exponent, may be at most 2^_TOWER_LOG2
 _TOWER_LOG2 = 64
+_EXPONENT_DIGITS = len(str(1 << _TOWER_LOG2))
 # bounds on the numerator and denominator of a literal power
 _POWER_TERMS = 1000
 _POWER_BITS = 1 << 13
@@ -166,7 +168,7 @@ class _Parser:
             t = len(poly)
             if t > 1 and comb(n + t - 1, t - 1) > _POWER_TERMS:
                 self.error(f"power may exceed {_POWER_TERMS} terms", at)
-            top = max((max(abs(int(c.numerator)), int(c.denominator)) for _, c in poly),
+            top = max((max(abs(int(c.numerator)), int(c.denominator)) for c in poly.values()),
                       default=1)
             if top > 1 and n * log2(top) > _POWER_BITS:
                 self.error(f"power may exceed {_POWER_BITS}-bit coefficients", at)
@@ -192,7 +194,12 @@ class _Parser:
                 self.error("expected an integer exponent")
             if self.peek() == ".":
                 self.error("exponents must be integers")
-            value = int(self.text[start:self.pos])
+            # the length test comes first: converting a long digit string
+            # takes time quadratic in its length
+            digits = self.text[start:self.pos].lstrip("0") or "0"
+            if len(digits) > _EXPONENT_DIGITS or int(digits) > 1 << _TOWER_LOG2:
+                self.error(f"exponent exceeds 2^{_TOWER_LOG2}", start)
+            value = int(digits)
         self.skip_ws()
         if self.peek() == "^":
             at = self.pos

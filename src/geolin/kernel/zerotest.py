@@ -90,40 +90,45 @@ def _sample_point(rng: random.Random, names) -> dict:
 def _exact(expr: Expr) -> bool:
     """True when expr holds no kernel and has degree at most _EXACT_DEGREE."""
     for p in (expr.num, expr.den):
-        # terms are in graded order, so the leading term has the top degree
-        if sum(e for _, e in p[0][0]) > _EXACT_DEGREE:
-            return False
-        for m, _ in p:
-            for g, _ in m:
+        for m in p:
+            d = 0
+            for g, e in m:
                 if g.kind != VAR:
                     return False
+                d += e
+            if d > _EXACT_DEGREE:
+                return False
     return True
 
 
 def _poly_at(p, point) -> tuple:
-    """Exact value of a nonzero kernel-free polynomial at a sample point,
-    whose terms are in graded order.
+    """Exact value of a nonzero kernel-free polynomial at a sample point.
 
     Returns ints (v, w) with v / w the value: w is the lcm of the
     coefficient denominators times _SCALE^degree, which makes every term
-    an integer.
+    an integer.  The sum is exact, so the terms are taken in the dict's
+    own order, and the running total is rescaled whenever a term of
+    higher degree than any before it arrives.
     """
-    degree = sum(e for _, e in p[0][0])
     lcm = 1
-    for _, c in p:
+    for c in p.values():
         if c.__class__ is not int:
             lcm = _ilcm(lcm, int(c.denominator))
     total = 0
-    for m, c in p:
+    degree = 0
+    for m, c in p.items():
         if c.__class__ is int:
             v = c * lcm
         else:
             v = int(c.numerator) * (lcm // int(c.denominator))
-        d = degree
+        d = 0
         for g, e in m:
             v *= point[g.name] ** e
-            d -= e
-        total += v << (_SCALE_BITS * d)
+            d += e
+        if d > degree:
+            total <<= _SCALE_BITS * (d - degree)
+            degree = d
+        total += v << (_SCALE_BITS * (degree - d))
     return total, lcm << (_SCALE_BITS * degree)
 
 

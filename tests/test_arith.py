@@ -81,7 +81,7 @@ def _same(e, num, den):
 def _value(p, point, rng):
     """p at point, drawing a value for each variable not yet in it."""
     total = 0
-    for mono, c in p:
+    for mono, c in p.items():
         for g, k in mono:
             if g.name not in point:
                 point[g.name] = rng.randint(-10 ** 6, 10 ** 6)

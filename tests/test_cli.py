@@ -305,6 +305,16 @@ class TestInputErrors:
         assert code == 3
         assert "exponent tower" in err
 
+    def test_huge_plain_exponent_is_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "exponent.ini"
+        bad.write_text(
+            '[system]\nname = exponent\nkind = linear-2\n'
+            '[coefficients]\nD2 = "z^' + "7" * 5000 + '"\n')
+        code, _, err = run(capsys, "check", bad)
+        assert code == 3
+        assert "exponent exceeds 2^64" in err
+        assert "4300" not in err
+
     def test_huge_literal_power_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "power.ini"
         bad.write_text(

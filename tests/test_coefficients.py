@@ -17,7 +17,7 @@ y = var("y")
 def coefficients(e):
     """Every coefficient of e, kernel arguments included."""
     for p in (e.num, e.den):
-        for m, c in p:
+        for m, c in p.items():
             yield c
             for g, _ in m:
                 if g.arg is not None:
@@ -44,7 +44,7 @@ def test_integral_coefficients_of_cubic2_residuals_are_ints():
     for record in check_cubic2(integer_pair(5)).records:
         r = record.residual
         # denominators are primitive integer polynomials
-        assert all(type(c) is int for _, c in r.den)
+        assert all(type(c) is int for c in r.den.values())
         for c in coefficients(r):
             seen += 1
             # a rational coefficient only where the value is not integral

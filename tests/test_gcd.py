@@ -36,7 +36,7 @@ _ln_terms = st.lists(
 )
 
 
-def _poly(terms, gens=(X, Y, Z)) -> tuple:
+def _poly(terms, gens=(X, Y, Z)) -> dict:
     acc: dict = {}
     for c, *exps in terms:
         mono = tuple(sorted(((g, e) for g, e in zip(gens, exps) if e),
@@ -45,7 +45,7 @@ def _poly(terms, gens=(X, Y, Z)) -> tuple:
     return core._poly_from_dict(acc)
 
 
-def _primitive(p) -> tuple:
+def _primitive(p) -> dict:
     return core._p_quo(p, core._poly_rat_content(p))
 
 
@@ -60,7 +60,7 @@ def _check_planted(f, a, b):
     assert core._p_mul(g, qa) == a
     assert core._p_mul(g, qb) == b
     assert core._poly_rat_content(g) == 1
-    assert g[0][1] > 0
+    assert g[core._lead(g)] > 0
     assert _divides(_primitive(f), g)
     return g, qa, qb
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mpmath
+
 from geolin.kernel import (
     KernelDomainError,
     ONE,
@@ -17,6 +19,7 @@ from geolin.kernel import (
     integer,
     is_zero,
     ln,
+    parse,
     rational,
     sin,
     sqrt,
@@ -106,6 +109,55 @@ def test_sqrt_rules():
     assert 1 / sqrt(x) == sqrt(x) / x
     with pytest.raises(KernelDomainError):
         sqrt(integer(-1))
+
+
+def test_sqrt_of_a_rational_function_stays_whole():
+    # sqrt(N/D) = sqrt(N*D)/D holds only where D > 0; rewriting it there
+    # made this sum the canonical 0, though it is 2 at x = 1
+    e = parse("sqrt(-1/(x-2))*sqrt(2-x) + 1")
+    assert is_zero(e).verdict is Verdict.NONZERO
+    assert eval_expr(e, {"x": 1})[0] == 2
+    f = parse("sqrt(1/(1-x))")
+    assert str(f) == "sqrt(-1/(x - 1))"
+    assert eval_expr(f, {"x": Fraction(3, 4)})[0] == 2
+    for g in (e, f):
+        assert parse(str(g)) == g
+    # without the rewrite, squares and denominators keep the kernel
+    q = x / (x + 1)
+    assert sqrt(q) ** 2 != q
+    assert str(1 / sqrt(1 / x)) == "1/(sqrt(1/(x)))"
+
+
+_signed_poly = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
+_GRID = [Fraction(k, 8) for k in range(-16, 17)]
+
+
+def _negative_somewhere(coeffs, at):
+    """The polynomial with these coefficients in x, shifted to be -1 at x = at."""
+    p = sum((c * x ** i for i, c in enumerate(coeffs)), ZERO)
+    return p - p.substitute({"x": rational(at)}) - 1
+
+
+def _exact_at(p, point) -> Fraction:
+    v = p.substitute({"x": rational(point)}).as_rational()
+    return Fraction(int(v.numerator), int(v.denominator))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_signed_poly, _signed_poly, st.sampled_from(_GRID), st.sampled_from(_GRID))
+def test_sqrt_of_a_signed_quotient_is_the_real_root(n, d, at_n, at_d):
+    num = _negative_somewhere(n, at_n)
+    den = _negative_somewhere(d, at_d)
+    root = sqrt(num / den)
+    for point in _GRID:
+        nv, dv = (_exact_at(p, point) for p in (num, den))
+        if not dv or nv / dv <= 0:
+            continue
+        q = nv / dv
+        value, _ = eval_expr(root, {"x": point})
+        with mpmath.workprec(256):
+            expected = mpmath.sqrt(mpmath.mpf(q.numerator) / q.denominator)
+        assert relative_close(value, expected, 1e-60), (str(root), point)
 
 
 def test_pythagorean_toggle():

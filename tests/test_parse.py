@@ -97,6 +97,18 @@ def test_exponent_tower_refused_before_it_is_computed():
     assert parse("x^(-2)^3") == x ** -8
 
 
+def test_plain_exponent_past_the_bound_is_refused():
+    # int() refused 5000 digits with a ValueError that named no offset
+    for text, offset in (("x^" + "7" * 5000, 2), ("x^18446744073709551617", 2),
+                         ("x^-" + "9" * 21, 3), ("(x+1)^(2^3)^" + "1" * 30, 12)):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert "exponent exceeds 2^64" in str(e.value)
+        assert e.value.offset == offset
+    assert parse("x^18446744073709551616") == x ** (2 ** 64)
+    assert parse("x^000000000000000000000000002") == x ** 2
+
+
 def test_huge_literal_power_refused_before_it_is_built(monkeypatch):
     built = []
     real_pow = Expr.__pow__
