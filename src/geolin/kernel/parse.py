@@ -12,7 +12,8 @@ Exponents are integer literals, optionally signed, optionally
 parenthesized, and chain right associatively, so x^2^3 means x^(2^3).
 A tower whose value would exceed 2^_TOWER_LOG2 is refused before it is
 computed: 2^9^9^9 would otherwise build an int of about 370M digits.
-So is a single exponent past that bound, before its digits are read.
+A single exponent past that bound is refused before its digits are
+converted.
 So is a power whose numerator or denominator could have more than
 _POWER_TERMS terms, or a coefficient wider than _POWER_BITS bits: a
 t-term polynomial to the n has up to C(n + t - 1, t - 1) terms, and
@@ -194,8 +195,8 @@ class _Parser:
                 self.error("expected an integer exponent")
             if self.peek() == ".":
                 self.error("exponents must be integers")
-            # the length test comes first: converting a long digit string
-            # takes time quadratic in its length
+            # the length test comes first: int() refuses more than 4300
+            # digits, and any longer conversion takes quadratic time
             digits = self.text[start:self.pos].lstrip("0") or "0"
             if len(digits) > _EXPONENT_DIGITS or int(digits) > 1 << _TOWER_LOG2:
                 self.error(f"exponent exceeds 2^{_TOWER_LOG2}", start)

@@ -3,10 +3,9 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
-
-import mpmath
 
 from geolin.kernel import (
     KernelDomainError,

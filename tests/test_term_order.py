@@ -6,8 +6,6 @@ builds the same polynomial from its terms in two shuffled insertion
 orders and checks that nothing downstream can tell them apart.
 """
 
-import random
-
 from hypothesis import given, settings, strategies as st
 
 from geolin.kernel import core, eval_expr, is_zero, var
