@@ -423,11 +423,11 @@ def appendix_residuals(
     """
     gs = (gauge.G1_12, gauge.G2_12, gauge.G3_33)
     rhs = _appendix_rhs(s, *gs)
-    gauge_free = cubic2_residuals(s)[:7]
+    residuals = cubic2_residuals(s)
     labelled = []
     for label, free_index in _APPENDIX_ORDER:
         if free_index is not None:
-            labelled.append((f"Eq{label}", gauge_free[free_index][1]))
+            labelled.append((f"Eq{label}", residuals[free_index][1]))
         else:
             slot, coord = _APPENDIX_SLOTS[label]
             labelled.append((f"Eq{label}", gs[slot].diff(coord) - rhs[label]))
@@ -436,7 +436,7 @@ def appendix_residuals(
 
     # the printed table and the fifteen-condition list disagree on one
     # combination; record the instance value of that mismatch openly
-    gap = (rhs["A1.4"] - rhs["A2.3"]) - cubic2_residuals(s)[11][1]
+    gap = (rhs["A1.4"] - rhs["A2.3"]) - residuals[11][1]
     facts = (("gap Eq51.12 vs EqA1.4-A2.3", str(gap)),)
     return evaluate_conditions("cubic-2 appendix", labelled, config, facts)
 

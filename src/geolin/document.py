@@ -88,18 +88,18 @@ def _itself(value):
     return value
 
 
-def _christoffel_index(key: str) -> Tuple[int, int, int]:
-    return int(key[1]), int(key[3]), int(key[4])
-
-
 def _table(cls) -> Dict[str, object]:
     """Key list and builder of a kind that reads one coefficient table."""
     return dict(keys=cls.keys(), build=cls.make)
 
 
+# geodesic-3 coefficient keys G{i}_{jk} and the connection index each names
+_GEODESIC3 = {f"G{i}_{j}{k}": (i, j, k) for i in (1, 2, 3) for j, k in SYM_PAIRS[3]}
+
+
 def _christoffel3(**table) -> Christoffel:
     return Christoffel.from_components(
-        3, {_christoffel_index(key): value for key, value in table.items()})
+        3, {_GEODESIC3[key]: value for key, value in table.items()})
 
 
 _SCALAR_EQUATION = dict(
@@ -127,9 +127,9 @@ KINDS: Dict[str, Kind] = {
         connection=Geodesic2Coefficients.as_christoffel),
     "geodesic-3": Kind(
         dim=3,
-        keys=tuple(f"G{i}_{j}{k}" for i in (1, 2, 3) for j, k in SYM_PAIRS[3]),
+        keys=tuple(_GEODESIC3),
         build=_christoffel3,
-        entry=lambda gamma, key: gamma.gamma(*_christoffel_index(key)),
+        entry=lambda gamma, key: gamma.gamma(*_GEODESIC3[key]),
         check=is_flat, counterpart="cubic-2", connection=_itself),
     "general-2": Kind(
         dim=3, **_table(GeneralSystem2)),

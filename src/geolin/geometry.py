@@ -34,6 +34,16 @@ SYM_PAIRS = {
     2: ((1, 1), (1, 2), (2, 2)),
     3: ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)),
 }
+# ordered skew index pairs k < l, the stored last pair of a curvature entry
+SKEW_PAIRS = {dim: tuple((k, l) for k, l in pairs if k < l)
+              for dim, pairs in SYM_PAIRS.items()}
+# position of a pair in SYM_PAIRS, under either index order
+_SYM_SLOT = {dim: {pair: n for n, (j, k) in enumerate(pairs) for pair in ((j, k), (k, j))}
+             for dim, pairs in SYM_PAIRS.items()}
+# position of a pair in SKEW_PAIRS and the sign of that index order
+_SKEW_SLOT = {dim: {pair: (n, sign) for n, (k, l) in enumerate(pairs)
+                    for pair, sign in (((k, l), 1), ((l, k), -1))}
+              for dim, pairs in SKEW_PAIRS.items()}
 
 _ZERO = integer(0)
 _HALF = rational(1, 2)
@@ -80,6 +90,41 @@ class CoefficientTable:
         return {key: getattr(self, key) for key in self.keys()}
 
 
+def sym_key(*indices: int) -> str:
+    """Key suffix of an index tuple symmetric in all its indices: the
+    indices in ascending order, so sym_key(3, 2) is "23"."""
+    return "".join(str(v) for v in sorted(indices))
+
+
+def _sym_pairs(dim: int) -> Tuple[Tuple[int, int], ...]:
+    pairs = SYM_PAIRS.get(dim)
+    if pairs is None:
+        raise GeometryError(f"unsupported dimension {dim}")
+    return pairs
+
+
+def _symmetric_entries(
+    dim: int, mapping: Mapping[Tuple[int, ...], Expr], what: str,
+    heads: Tuple[Tuple[int, ...], ...],
+) -> Tuple[Expr, ...]:
+    """Storage tuple of a table symmetric in its last index pair: for each
+    leading index tuple in `heads`, one entry per pair of SYM_PAIRS[dim].
+    Either order of a pair names the same entry, and omitted entries are
+    zero; a bad index or two different values for one entry raise."""
+    pairs = _sym_pairs(dim)
+    table: Dict[Tuple[int, ...], Expr] = {}
+    for index, value in mapping.items():
+        head, slot = tuple(index[:-2]), _SYM_SLOT[dim].get(tuple(index[-2:]))
+        if head not in heads or slot is None:
+            raise GeometryError(f"bad {what} index {index} for dimension {dim}")
+        key = head + pairs[slot]
+        value = as_expr(value)
+        if key in table and table[key] != value:
+            raise GeometryError(f"conflicting values for {what} entry {key}")
+        table[key] = value
+    return tuple(table.get(head + pair, _ZERO) for head in heads for pair in pairs)
+
+
 def coordinates(dim: int) -> Tuple[str, ...]:
     """Coordinate names: (x, y) in two dimensions, (x, y, z) in three."""
     if dim not in (2, 3):
@@ -111,9 +156,7 @@ class Metric:
     entries: Tuple[Expr, ...]
 
     def __post_init__(self):
-        pairs = SYM_PAIRS.get(self.dim)
-        if pairs is None:
-            raise GeometryError(f"unsupported dimension {self.dim}")
+        pairs = _sym_pairs(self.dim)
         if len(self.entries) != len(pairs):
             raise GeometryError(
                 f"{self.dim}D metric needs {len(pairs)} entries, got {len(self.entries)}"
@@ -121,18 +164,7 @@ class Metric:
 
     @staticmethod
     def from_components(dim: int, mapping: Mapping[Tuple[int, int], Expr]) -> "Metric":
-        pairs = SYM_PAIRS.get(dim)
-        if pairs is None:
-            raise GeometryError(f"unsupported dimension {dim}")
-        table: Dict[Tuple[int, int], Expr] = {}
-        for (i, j), value in mapping.items():
-            key = (i, j) if i <= j else (j, i)
-            if key not in pairs:
-                raise GeometryError(f"bad metric index {(i, j)} for dimension {dim}")
-            if key in table and table[key] != as_expr(value):
-                raise GeometryError(f"conflicting values for metric entry {key}")
-            table[key] = as_expr(value)
-        return Metric(dim, tuple(table.get(p, _ZERO) for p in pairs))
+        return Metric(dim, _symmetric_entries(dim, mapping, "metric", ((),)))
 
     @staticmethod
     def plane(p, q, r) -> "Metric":
@@ -144,8 +176,7 @@ class Metric:
         return Metric.from_components(dim, {(i, i): one for i in range(1, dim + 1)})
 
     def g(self, i: int, j: int) -> Expr:
-        key = (i, j) if i <= j else (j, i)
-        return self.entries[SYM_PAIRS[self.dim].index(key)]
+        return self.entries[_SYM_SLOT[self.dim][i, j]]
 
     @property
     def p(self) -> Expr:
@@ -192,10 +223,7 @@ class Christoffel:
     entries: Tuple[Expr, ...]
 
     def __post_init__(self):
-        pairs = SYM_PAIRS.get(self.dim)
-        if pairs is None:
-            raise GeometryError(f"unsupported dimension {self.dim}")
-        expected = self.dim * len(pairs)
+        expected = self.dim * len(_sym_pairs(self.dim))
         if len(self.entries) != expected:
             raise GeometryError(
                 f"{self.dim}D connection needs {expected} components, got {len(self.entries)}"
@@ -203,29 +231,12 @@ class Christoffel:
 
     @staticmethod
     def from_components(dim: int, mapping: Mapping[Tuple[int, int, int], Expr]) -> "Christoffel":
-        pairs = SYM_PAIRS.get(dim)
-        if pairs is None:
-            raise GeometryError(f"unsupported dimension {dim}")
-        table: Dict[Tuple[int, int, int], Expr] = {}
-        for (i, j, k), value in mapping.items():
-            jk = (j, k) if j <= k else (k, j)
-            if not (1 <= i <= dim and jk in pairs):
-                raise GeometryError(f"bad connection index {(i, j, k)} for dimension {dim}")
-            key = (i,) + jk
-            if key in table and table[key] != as_expr(value):
-                raise GeometryError(f"conflicting values for connection entry {key}")
-            table[key] = as_expr(value)
-        entries = tuple(
-            table.get((i,) + jk, _ZERO)
-            for i in range(1, dim + 1)
-            for jk in pairs
-        )
-        return Christoffel(dim, entries)
+        uppers = tuple((i,) for i in range(1, dim + 1))
+        return Christoffel(dim, _symmetric_entries(dim, mapping, "connection", uppers))
 
     def gamma(self, i: int, j: int, k: int) -> Expr:
-        pairs = SYM_PAIRS[self.dim]
-        jk = (j, k) if j <= k else (k, j)
-        return self.entries[(i - 1) * len(pairs) + pairs.index(jk)]
+        slots = _SYM_SLOT[self.dim]
+        return self.entries[(i - 1) * len(SYM_PAIRS[self.dim]) + slots[j, k]]
 
 
 @dataclass(frozen=True)
@@ -245,25 +256,16 @@ class Riemann:
     def component(self, i: int, j: int, k: int, l: int) -> Expr:
         if k == l:
             return _ZERO
-        sign = 1
-        if k > l:
-            k, l, sign = l, k, -1
-        skews = [(a, b) for a in range(1, self.dim + 1) for b in range(a + 1, self.dim + 1)]
-        idx = ((i - 1) * self.dim + (j - 1)) * len(skews) + skews.index((k, l))
-        value = self.entries[idx]
+        slot, sign = _SKEW_SLOT[self.dim][k, l]
+        value = self.entries[((i - 1) * self.dim + (j - 1)) * len(SKEW_PAIRS[self.dim]) + slot]
         return value if sign == 1 else -value
 
     def labelled(self) -> Tuple[Tuple[str, Expr], ...]:
         """Stored components with R{i}_{jkl} labels, in storage order."""
-        skews = [(a, b) for a in range(1, self.dim + 1) for b in range(a + 1, self.dim + 1)]
-        out = []
-        pos = 0
-        for i in range(1, self.dim + 1):
-            for j in range(1, self.dim + 1):
-                for k, l in skews:
-                    out.append((f"R{i}_{j}{k}{l}", self.entries[pos]))
-                    pos += 1
-        return tuple(out)
+        index = range(1, self.dim + 1)
+        labels = [f"R{i}_{j}{k}{l}" for i in index for j in index
+                  for k, l in SKEW_PAIRS[self.dim]]
+        return tuple(zip(labels, self.entries))
 
 
 @dataclass(frozen=True)
@@ -277,29 +279,17 @@ class Geodesic2Coefficients(CoefficientTable):
     e: Expr
     f: Expr
 
+    # a..f in field order are the negated 2D connection components in
+    # storage order: G1_11, G1_12, G1_22, G2_11, G2_12, G2_22
+
     def as_christoffel(self) -> Christoffel:
-        # the components are the negatives of the named coefficients
-        return Christoffel.from_components(2, {
-            (1, 1, 1): -self.a,
-            (1, 1, 2): -self.b,
-            (1, 2, 2): -self.c,
-            (2, 1, 1): -self.d,
-            (2, 1, 2): -self.e,
-            (2, 2, 2): -self.f,
-        })
+        return Christoffel(2, tuple(-value for value in self.entries().values()))
 
     @staticmethod
     def from_christoffel(gamma: Christoffel) -> "Geodesic2Coefficients":
         if gamma.dim != 2:
             raise GeometryError("named coefficients a..f exist only in 2D")
-        return Geodesic2Coefficients(
-            a=-gamma.gamma(1, 1, 1),
-            b=-gamma.gamma(1, 1, 2),
-            c=-gamma.gamma(1, 2, 2),
-            d=-gamma.gamma(2, 1, 1),
-            e=-gamma.gamma(2, 1, 2),
-            f=-gamma.gamma(2, 2, 2),
-        )
+        return Geodesic2Coefficients(*(-value for value in gamma.entries))
 
 
 def christoffel_from_metric(
@@ -346,13 +336,12 @@ def riemann(gamma: Christoffel) -> Riemann:
     entries = []
     for i in range(1, gamma.dim + 1):
         for j in range(1, gamma.dim + 1):
-            for k in range(1, gamma.dim + 1):
-                for l in range(k + 1, gamma.dim + 1):
-                    term = gamma.gamma(i, j, l).diff(names[k - 1]) - gamma.gamma(i, j, k).diff(names[l - 1])
-                    for m in range(1, gamma.dim + 1):
-                        term = term + gamma.gamma(i, m, k) * gamma.gamma(m, j, l)
-                        term = term - gamma.gamma(i, m, l) * gamma.gamma(m, j, k)
-                    entries.append(term)
+            for k, l in SKEW_PAIRS[gamma.dim]:
+                term = gamma.gamma(i, j, l).diff(names[k - 1]) - gamma.gamma(i, j, k).diff(names[l - 1])
+                for m in range(1, gamma.dim + 1):
+                    term = term + gamma.gamma(i, m, k) * gamma.gamma(m, j, l)
+                    term = term - gamma.gamma(i, m, l) * gamma.gamma(m, j, k)
+                entries.append(term)
     return Riemann(gamma.dim, tuple(entries))
 
 

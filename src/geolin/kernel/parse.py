@@ -25,13 +25,13 @@ bound.  A sum over unequal denominators is refused in the same way, since
 it multiplies each numerator by the other denominator and the two
 denominators together.
 The caret binds tighter than unary minus: -x^2 is -(x^2).  Numbers may
-carry a decimal fraction part and are converted exactly.  Every error
-carries the byte offset where parsing failed.
+carry a decimal fraction part and are converted exactly; a number with
+more than _LITERAL_DIGITS digits is refused before it is converted.
+Every error carries the byte offset where parsing failed.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal
 from fractions import Fraction
 from math import comb, log2
 
@@ -55,19 +55,24 @@ _EXPONENT_DIGITS = len(str(1 << _TOWER_LOG2))
 # bounds on the numerator and denominator of a literal power
 _POWER_TERMS = 1000
 _POWER_BITS = 1 << 13
+# bound on the digits of a number literal, refused before any conversion
+_LITERAL_DIGITS = 10 ** 6
 # bound on a product of a t1-term and a t2-term polynomial, which forms
 # t1*t2 term products and has up to that many terms
 _PRODUCT_TERMS = 10_000
+# digits read by one int() call, below the interpreter's 4300-digit limit
+_CHUNK_DIGITS = 4000
 
 
 def _digits_int(digits: str) -> int:
     """The integer a digit string spells, also past the interpreter's limit
     on int(str) (4300 digits by default), which is not lifted: it is
-    process-wide."""
-    try:
+    process-wide.  Longer strings are split in halves and joined with one
+    multiplication, which keeps the time subquadratic."""
+    if len(digits) <= _CHUNK_DIGITS:
         return int(digits)
-    except ValueError:
-        return int(Decimal(digits))
+    low = len(digits) // 2
+    return _digits_int(digits[:-low]) * 10 ** low + _digits_int(digits[-low:])
 
 
 class _Parser:
@@ -242,10 +247,10 @@ class _Parser:
             while self.peek() in _DIGITS:
                 self.pos += 1
             frac_part = self.text[fstart:self.pos]
-            if not int_part and not frac_part:
-                self.error("malformed number", start)
         if not int_part and not frac_part:
             self.error("malformed number", start)
+        if len(int_part) + len(frac_part) > _LITERAL_DIGITS:
+            self.error(f"number literal exceeds {_LITERAL_DIGITS} digits", start)
         whole = _digits_int(int_part) if int_part else 0
         if frac_part:
             q = Fraction(whole) + Fraction(_digits_int(frac_part), 10 ** len(frac_part))

@@ -65,20 +65,6 @@ class SystemCubic2(CoefficientTable):
     D2: Expr
     D3: Expr
 
-    def A(self, l: int, m: int) -> Expr:
-        key = "".join(str(v) for v in sorted((l, m)))
-        return getattr(self, f"A{key}")
-
-    def B(self, i: int, k: int, l: int) -> Expr:
-        kl = "".join(str(v) for v in sorted((k, l)))
-        return getattr(self, f"B{i}_{kl}")
-
-    def C(self, i: int, k: int) -> Expr:
-        return getattr(self, f"C{i}_{k}")
-
-    def D(self, i: int) -> Expr:
-        return getattr(self, f"D{i}")
-
 
 @dataclass(frozen=True)
 class ScalarGauge(CoefficientTable):

@@ -11,7 +11,7 @@ metrics back along a map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Tuple, Union
 
 from .geometry import (
@@ -19,8 +19,10 @@ from .geometry import (
     CoefficientTable,
     Geodesic2Coefficients,
     Metric,
+    SYM_PAIRS,
     coordinates,
     determinant,
+    sym_key,
 )
 from .kernel import (
     DEFAULT_CONFIG,
@@ -164,12 +166,10 @@ class GeneralSystem2(CoefficientTable):
         return field if (k, j) == (2, 3) else -field
 
     def Delta(self, i: int, k: int, l: int, m: int) -> Expr:
-        key = "".join(str(v) for v in sorted((k, l, m)))
-        return getattr(self, f"Del{i}_{key}")
+        return getattr(self, f"Del{i}_{sym_key(k, l, m)}")
 
     def Lam(self, i: int, k: int, l: int) -> Expr:
-        key = "".join(str(v) for v in sorted((k, l)))
-        return getattr(self, f"Lam{i}_{key}")
+        return getattr(self, f"Lam{i}_{sym_key(k, l)}")
 
     def Om(self, i: int, k: int) -> Expr:
         return getattr(self, f"Om{i}_{k}")
@@ -217,6 +217,10 @@ class GeneralSystem2(CoefficientTable):
         ypp = (-lower[2] * m[1][1] + lower[3] * m[0][1]) / det
         zpp = (-lower[3] * m[0][0] + lower[2] * m[1][0]) / det
         return ypp, zpp
+
+
+# the ordered symmetric pairs of the dependent indices 2, 3
+_DEPENDENT_PAIRS = tuple(combinations_with_replacement((2, 3), 2))
 
 
 def coefficients_from_transformation(
@@ -282,13 +286,16 @@ def coefficients_from_transformation(
             values[f"Om{i}_{j}"] = omega(i, j)
         values[f"G{i}_23"] = d(1, 2) * d(i, 3) - d(1, 3) * d(i, 2)
         values[f"E{i}"] = d(1, 1) * d2(i, 1, 1) - d2(1, 1, 1) * d(i, 1)
-        for key in ("222", "223", "233", "333"):
-            j, k, l = (int(c) for c in key)
-            values[f"Del{i}_{key}"] = delta_sym(i, j, k, l)
-        for key in ("22", "23", "33"):
-            j, l = (int(c) for c in key)
-            values[f"Lam{i}_{key}"] = lam_sym(i, j, l)
+        for j, k, l in combinations_with_replacement((2, 3), 3):
+            values[f"Del{i}_{sym_key(j, k, l)}"] = delta_sym(i, j, k, l)
+        for j, l in _DEPENDENT_PAIRS:
+            values[f"Lam{i}_{sym_key(j, l)}"] = lam_sym(i, j, l)
     return GeneralSystem2.make(**values)
+
+
+def _dot(row, col) -> Expr:
+    """row[2] * col[2] + row[3] * col[3], for {2: ..., 3: ...} dicts."""
+    return row[2] * col[2] + row[3] * col[3]
 
 
 def normal_form(
@@ -302,97 +309,76 @@ def normal_form(
     generates, record by record.  A FAIL means the pair is not
     expressible with a single shared cubic coefficient matrix.
     """
-    det = determinant(((g.J(2, 2), g.J(2, 3)), (g.J(3, 2), g.J(3, 3))))
+    jac = {i: {j: g.J(i, j) for j in (2, 3)} for i in (2, 3)}
+    gee = {(i, k): {j: g.G(i, k, j) for j in (2, 3)} for i, k in product((2, 3), repeat=2)}
+    det = determinant(((jac[2][2], jac[2][3]), (jac[3][2], jac[3][3])))
     if det.is_zero_literal():
         raise DegenerateJacobianError("leading Jacobian block is singular")
     inv = {
-        2: {2: g.J(3, 3) / det, 3: -g.J(2, 3) / det},
-        3: {2: -g.J(3, 2) / det, 3: g.J(2, 2) / det},
+        2: {2: jac[3][3] / det, 3: -jac[2][3] / det},
+        3: {2: -jac[3][2] / det, 3: jac[2][2] / det},
     }
 
-    def apply_inv(rhs):
-        return {j: inv[j][2] * rhs[2] + inv[j][3] * rhs[3] for j in (2, 3)}
+    def solve(rhs):
+        """The column x with J x = rhs, for a column rhs = {i: ...}."""
+        return {j: _dot(inv[j], rhs) for j in (2, 3)}
 
-    d_slot = apply_inv({i: g.E(i) for i in (2, 3)})
-    c_slot = {}
-    for k in (2, 3):
-        rhs = {i: g.Om(i, k) - sum_g_d(g, i, k, d_slot) for i in (2, 3)}
-        col = apply_inv(rhs)
-        for j in (2, 3):
-            c_slot[(j, k)] = col[j]
-    b_slot = {}
-    for k, l in ((2, 2), (2, 3), (3, 3)):
-        rhs = {
+    # each unknown is a column {2: ..., 3: ...} over its upper index,
+    # keyed by its remaining lower indices
+    d = solve({i: g.E(i) for i in (2, 3)})
+    c = {k: solve({i: g.Om(i, k) - _dot(gee[i, k], d) for i in (2, 3)})
+         for k in (2, 3)}
+    b = {}
+    for k, l in _DEPENDENT_PAIRS:
+        b[k, l] = b[l, k] = solve({
             i: g.Lam(i, k, l) - rational(1, 2) * (
-                sum_g_c(g, i, l, c_slot, k) + sum_g_c(g, i, k, c_slot, l))
+                _dot(gee[i, l], c[k]) + _dot(gee[i, k], c[l]))
             for i in (2, 3)
-        }
-        col = apply_inv(rhs)
-        for j in (2, 3):
-            b_slot[(j, k, l)] = col[j]
-            b_slot[(j, l, k)] = col[j]
+        })
 
     def p_component(i, k, l, m):
         sym_gb = rational(1, 3) * (
-            sum_g_b(g, i, m, b_slot, k, l)
-            + sum_g_b(g, i, k, b_slot, l, m)
-            + sum_g_b(g, i, l, b_slot, m, k))
+            _dot(gee[i, m], b[k, l])
+            + _dot(gee[i, k], b[l, m])
+            + _dot(gee[i, l], b[m, k]))
         return 3 * g.Delta(i, k, l, m) - 3 * sym_gb
 
-    q222 = apply_inv({i: p_component(i, 2, 2, 2) for i in (2, 3)})
-    q223 = apply_inv({i: p_component(i, 2, 2, 3) for i in (2, 3)})
-    q333 = apply_inv({i: p_component(i, 3, 3, 3) for i in (2, 3)})
-    a_slot = {
+    q222 = solve({i: p_component(i, 2, 2, 2) for i in (2, 3)})
+    q223 = solve({i: p_component(i, 2, 2, 3) for i in (2, 3)})
+    q333 = solve({i: p_component(i, 3, 3, 3) for i in (2, 3)})
+    a = {
         (2, 2): q222[2] / 3,
         (2, 3): q223[2] / 2,
         (3, 3): q333[3] / 3,
     }
-    a_slot[(3, 2)] = a_slot[(2, 3)]
+    a[3, 2] = a[2, 3]
 
     cubic = SystemCubic2.make(
-        A22=a_slot[(2, 2)], A23=a_slot[(2, 3)], A33=a_slot[(3, 3)],
-        B2_22=b_slot[(2, 2, 2)], B2_23=b_slot[(2, 2, 3)], B2_33=b_slot[(2, 3, 3)],
-        B3_22=b_slot[(3, 2, 2)], B3_23=b_slot[(3, 2, 3)], B3_33=b_slot[(3, 3, 3)],
-        C2_2=c_slot[(2, 2)], C2_3=c_slot[(2, 3)],
-        C3_2=c_slot[(3, 2)], C3_3=c_slot[(3, 3)],
-        D2=d_slot[2], D3=d_slot[3],
+        **{f"A{sym_key(k, l)}": a[k, l] for k, l in _DEPENDENT_PAIRS},
+        **{f"B{j}_{sym_key(k, l)}": b[k, l][j]
+           for j in (2, 3) for k, l in _DEPENDENT_PAIRS},
+        **{f"C{j}_{k}": c[k][j] for j, k in product((2, 3), repeat=2)},
+        D2=d[2], D3=d[3],
     )
 
     labelled = []
     for i, k, l, m in product((2, 3), (2, 3), (2, 3), (2, 3)):
-        res = (g.Delta(i, k, l, m) - g.J(i, k) * a_slot[(l, m)]
-               - sum_g_b(g, i, m, b_slot, k, l))
+        res = g.Delta(i, k, l, m) - jac[i][k] * a[l, m] - _dot(gee[i, m], b[k, l])
         labelled.append((f"Eqr57.Del{i}_{k}{l}{m}", res))
     for i, k, l in product((2, 3), (2, 3), (2, 3)):
-        res = (g.Lam(i, k, l)
-               - (g.J(i, 2) * b_slot[(2, k, l)] + g.J(i, 3) * b_slot[(3, k, l)])
-               - sum_g_c(g, i, l, c_slot, k))
+        res = g.Lam(i, k, l) - _dot(jac[i], b[k, l]) - _dot(gee[i, l], c[k])
         labelled.append((f"Eqr55.Lam{i}_{k}{l}", res))
     for i, k in product((2, 3), (2, 3)):
-        res = (g.Om(i, k)
-               - (g.J(i, 2) * c_slot[(2, k)] + g.J(i, 3) * c_slot[(3, k)])
-               - sum_g_d(g, i, k, d_slot))
+        res = g.Om(i, k) - _dot(jac[i], c[k]) - _dot(gee[i, k], d)
         labelled.append((f"Eqr55.Om{i}_{k}", res))
     for i in (2, 3):
-        res = g.E(i) - (g.J(i, 2) * d_slot[2] + g.J(i, 3) * d_slot[3])
+        res = g.E(i) - _dot(jac[i], d)
         labelled.append((f"Eqr55.E{i}", res))
 
     report = evaluate_conditions(
         "general-2 reduction", labelled, config,
         facts=(("det J", str(det)),))
     return cubic, report
-
-
-def sum_g_d(g: GeneralSystem2, i: int, k: int, d_slot) -> Expr:
-    return g.G(i, k, 2) * d_slot[2] + g.G(i, k, 3) * d_slot[3]
-
-
-def sum_g_c(g: GeneralSystem2, i: int, l: int, c_slot, k: int) -> Expr:
-    return g.G(i, l, 2) * c_slot[(2, k)] + g.G(i, l, 3) * c_slot[(3, k)]
-
-
-def sum_g_b(g: GeneralSystem2, i: int, m: int, b_slot, k: int, l: int) -> Expr:
-    return g.G(i, m, 2) * b_slot[(2, k, l)] + g.G(i, m, 3) * b_slot[(3, k, l)]
 
 
 # names of the slope symbols y', z'; maps and tables may not use them
@@ -494,12 +480,11 @@ def pullback_metric(t: Transformation, target: Metric) -> Metric:
     jac = t.jacobian()
     n = t.dim
     entries = {}
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            total = integer(0)
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    gij = target.g(i, j).substitute(compose)
-                    total = total + jac[i - 1][a - 1] * jac[j - 1][b - 1] * gij
-            entries[(a, b)] = total
+    for a, b in SYM_PAIRS[n]:
+        total = integer(0)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                gij = target.g(i, j).substitute(compose)
+                total = total + jac[i - 1][a - 1] * jac[j - 1][b - 1] * gij
+        entries[(a, b)] = total
     return Metric.from_components(n, entries)

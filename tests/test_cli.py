@@ -315,6 +315,15 @@ class TestInputErrors:
         assert "exponent exceeds 2^64" in err
         assert "4300" not in err
 
+    def test_huge_literal_is_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "literal.ini"
+        bad.write_text(
+            '[system]\nname = literal\nkind = linear-2\n'
+            '[coefficients]\nD2 = "y*' + "7" * (10 ** 6 + 1) + '"\n')
+        code, _, err = run(capsys, "check", bad)
+        assert code == 3
+        assert "number literal exceeds 1000000 digits (at offset 2)" in err
+
     def test_huge_literal_power_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "power.ini"
         bad.write_text(

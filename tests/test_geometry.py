@@ -5,6 +5,7 @@ round sphere, and the two printed flat-candidate metrics.  Property
 tests cover the first Bianchi identity and the sign-map round trip.
 """
 
+import itertools
 import random
 
 import pytest
@@ -82,6 +83,34 @@ class TestMetric:
             christoffel_from_metric(ex1_metric())
 
 
+class TestIndexValidation:
+    BUILDERS = (
+        # (builder, a valid index, out-of-range indices, the valid index reordered)
+        (Metric.from_components, (1, 2), [(1, 3), (0, 1), (3, 3)], (2, 1)),
+        (Christoffel.from_components, (1, 1, 2),
+         [(3, 1, 1), (0, 1, 1), (1, 1, 3), (1, 0, 2)], (1, 2, 1)),
+    )
+
+    @pytest.mark.parametrize("build, valid, bad, swapped", BUILDERS)
+    def test_out_of_range_index(self, build, valid, bad, swapped):
+        for index in bad:
+            with pytest.raises(GeometryError):
+                build(2, {valid: var("x"), index: var("y")})
+
+    @pytest.mark.parametrize("build, valid, bad, swapped", BUILDERS)
+    def test_conflicting_orders(self, build, valid, bad, swapped):
+        with pytest.raises(GeometryError):
+            build(2, {valid: var("x"), swapped: var("y")})
+        agreeing = build(2, {valid: var("x"), swapped: var("x")})
+        assert agreeing == build(2, {swapped: var("x")})
+
+    @pytest.mark.parametrize("build, valid, bad, swapped", BUILDERS)
+    def test_unsupported_dimension(self, build, valid, bad, swapped):
+        for dim in (1, 4):
+            with pytest.raises(GeometryError):
+                build(dim, {valid: var("x")})
+
+
 class TestSphere:
     def setup_method(self):
         x = var("x")
@@ -116,6 +145,28 @@ class TestRiemann:
             for j in (1, 2, 3):
                 assert curv.component(i, j, 1, 2) == -curv.component(i, j, 2, 1)
                 assert curv.component(i, j, 2, 2).is_zero_literal()
+
+    def random_curvature(self, seed):
+        rng = random.Random(seed)
+        names = ("x", "y", "z")
+        mapping = {(i, j, k): random_polynomial(rng, names)
+                   for i in (1, 2, 3) for j in (1, 2, 3) for k in range(j, 4)}
+        return riemann(Christoffel.from_components(3, mapping))
+
+    def test_skew_in_last_pair_3d(self):
+        curv = self.random_curvature(11)
+        for i, j, k, l in itertools.product((1, 2, 3), repeat=4):
+            if k != l:
+                assert curv.component(i, j, k, l) == -curv.component(i, j, l, k)
+
+    def test_labelled_agrees_with_component(self):
+        curv = self.random_curvature(12)
+        labelled = curv.labelled()
+        assert len(labelled) == len(curv.entries) == 27
+        for label, value in labelled:
+            i, j, k, l = (int(c) for c in label[1] + label[3:])
+            assert label == f"R{i}_{j}{k}{l}" and k < l
+            assert curv.component(i, j, k, l) == value
 
     def test_first_bianchi_random(self):
         rng = random.Random(7)

@@ -177,6 +177,23 @@ def test_digit_strings_past_the_int_limit_parse():
     assert parse(f"0.{sevens}") == rational(from_digits(sevens), 10 ** 5000)
 
 
+def test_long_literal_round_trips():
+    # past int()'s 4300-digit limit, read in halves, printed back in full
+    rng = random.Random(5)
+    digits = "9" + "".join(rng.choice("0123456789") for _ in range(10 ** 5 - 1))
+    e = parse(f"{digits}*x")
+    assert e == from_digits(digits) * x
+    assert parse(str(e)) == e
+    assert str(parse(digits)) == digits
+
+
+def test_literal_past_the_digit_bound_is_refused():
+    with pytest.raises(ParseError) as err:
+        parse("x + 0." + "1" * 10 ** 6)
+    assert err.value.offset == 4
+    assert "number literal exceeds 1000000 digits" in str(err.value)
+
+
 def test_integers_past_the_str_limit_print():
     s = str(parse("2^8000*2^8000*x"))
     assert s.endswith("*x")

@@ -1,7 +1,7 @@
 import dataclasses
 import random
 
-from geolin.geometry import Christoffel, Geodesic2Coefficients
+from geolin.geometry import Christoffel, Geodesic2Coefficients, sym_key
 from geolin.kernel import Expr, integer, parse, var
 from geolin.projection import (
     ScalarCubic,
@@ -13,6 +13,7 @@ from geolin.projection import (
     project,
     swap_scalar_axes,
 )
+from geolin.transform import GeneralSystem2
 
 from helpers import random_polynomial
 
@@ -140,8 +141,8 @@ class TestShapes:
             raise AssertionError("expected TypeError")
 
     def test_indexed_accessors(self):
-        s = SystemCubic2.make(A23="x", B3_23="y", C2_3="z", D3=7)
-        assert s.A(3, 2) == var("x")
-        assert s.B(3, 3, 2) == var("y")
-        assert s.C(2, 3) == var("z")
-        assert s.D(3) == integer(7)
+        # a symmetric index tuple names the field whose suffix is sym_key
+        g = GeneralSystem2.make(Del2_223="x", Lam3_23="y")
+        assert sym_key(3, 2, 2) == "223" and sym_key(3, 2) == "23"
+        assert g.Delta(2, 3, 2, 2) == g.Del2_223 == var("x")
+        assert g.Lam(3, 3, 2) == g.Lam3_23 == var("y")
