@@ -6,8 +6,9 @@ and the exact bytes it prints with the files under `tests/golden/`:
 holds the printed report of each case that prints one (input errors
 print nothing).  The cases are every (corpus document, command) pair,
 two inline connection documents under every command (the corpus has no
-connection document), and the `--gauge` option where it is accepted and
-where it is refused.
+connection document), an inline `general-2` document whose map does not
+straighten it (the corpus has no `verify-transform` FAIL), and the
+`--gauge` option where it is accepted and where it is refused.
 
 After a deliberate change of output, regenerate the files with
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -73,7 +74,41 @@ v = "exp(y)"
 w = "exp(y + z)"
 """
 
-INLINE = {"geodesic-2": GEODESIC2_DOC, "geodesic-3": GEODESIC3_DOC}
+# corpus/sys-ex5.ini with sin(x) added to the map's second component:
+# the map no longer straightens the pair, so verify-transform FAILs
+GENERAL2_DOC = """\
+[system]
+name = tangled-pair
+kind = general-2
+
+[coefficients]
+J2_2 = "x*y*z^2*exp(y*z)*(2 - y*z)"
+J2_3 = "x*y^2*z*exp(y*z)*(2 - y*z)"
+J3_2 = "exp(y*z)"
+G3_23 = "-x*y*exp(y*z)"
+Del2_222 = "2*x^2*z^3*exp(y*z)*(1 - y*z)"
+Del2_223 = "2*x^2*y*z^2*exp(y*z)*(1 - y*z)"
+Del2_233 = "2*x^2*y^2*z*exp(y*z)*(1 - y*z)"
+Del2_333 = "2*x^2*y^3*exp(y*z)*(1 - y*z)"
+Del3_222 = "-x*z^2*exp(y*z)"
+Del3_223 = "-(2/3)*x*(1 + y*z)*exp(y*z)"
+Del3_233 = "-(1/3)*x*y^2*exp(y*z)"
+Lam2_22 = "x*z^2*exp(y*z)*(2 - y^2*z^2)"
+Lam2_23 = "x*y*z*exp(y*z)*(4 - y*z - y^2*z^2)"
+Lam2_33 = "x*y^2*exp(y*z)*(2 - y^2*z^2)"
+Lam3_22 = "-2*z*exp(y*z)"
+Lam3_23 = "-y*exp(y*z)"
+Om2_2 = "2*y*z^2*exp(y*z)*(2 - y*z)"
+Om2_3 = "2*y^2*z*exp(y*z)*(2 - y*z)"
+
+[transformation]
+u = "x*exp(y*z)"
+v = "x*y^2*z^2 + sin(x)"
+w = "y"
+"""
+
+INLINE = {"geodesic-2": GEODESIC2_DOC, "geodesic-3": GEODESIC3_DOC,
+          "general-2": GENERAL2_DOC}
 
 # (case name, command, document, gauge overrides)
 GAUGE_CASES = [
