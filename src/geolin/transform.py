@@ -206,17 +206,23 @@ class GeneralSystem2(CoefficientTable):
             for i in (2, 3)
         )
 
-    def solve_second_derivatives(self, yp: Expr, zp: Expr) -> Tuple[Expr, Expr]:
-        """Explicit (y'', z'') as functions of position and slope."""
+    def second_derivative_numerators(self, yp: Expr, zp: Expr) -> Tuple[Expr, Expr, Expr]:
+        """(det, Sy, Sz) with y'' = Sy/det and z'' = Sz/det: Cramer's rule
+        on the leading matrix, before any division."""
         m = self._leading_matrix(yp, zp)
         det = determinant(m)
         if det.is_zero_literal():
             raise SingularSystemError(
                 "leading matrix determinant is canonically zero")
         lower = {i: self._lower(i, yp, zp) for i in (2, 3)}
-        ypp = (-lower[2] * m[1][1] + lower[3] * m[0][1]) / det
-        zpp = (-lower[3] * m[0][0] + lower[2] * m[1][0]) / det
-        return ypp, zpp
+        sy = -lower[2] * m[1][1] + lower[3] * m[0][1]
+        sz = -lower[3] * m[0][0] + lower[2] * m[1][0]
+        return det, sy, sz
+
+    def solve_second_derivatives(self, yp: Expr, zp: Expr) -> Tuple[Expr, Expr]:
+        """Explicit (y'', z'') as functions of position and slope."""
+        det, sy, sz = self.second_derivative_numerators(yp, zp)
+        return sy / det, sz / det
 
 
 # the ordered symmetric pairs of the dependent indices 2, 3
@@ -385,14 +391,13 @@ def normal_form(
 _SLOPES = ("yp", "zp")
 
 
-def _along_solutions(f: Expr, coords, slopes, seconds) -> Expr:
-    """Derivative of f along solutions with respect to coords[0]: slopes
-    stand for the first derivatives of the other coordinates, seconds
-    for the second ones (empty while f holds no slope symbol)."""
+def _along_solutions(f: Expr, coords, slopes) -> Expr:
+    """D0(f): the derivative of f with respect to coords[0] through the
+    coordinates, with slopes for the first derivatives of the others;
+    f's dependence on slope symbols is left out."""
     total = f.diff(coords[0])
-    names = coords[1:] + _SLOPES[:len(seconds)]
-    for name, factor in zip(names, slopes + seconds):
-        total = total + factor * f.diff(name)
+    for name, slope in zip(coords[1:], slopes):
+        total = total + slope * f.diff(name)
     return total
 
 
@@ -407,12 +412,32 @@ def _cubic2_second_derivatives(s: SystemCubic2, yp: Expr, zp: Expr):
     return ypp, zpp
 
 
+def _cleared_second_derivatives(system, slopes) -> Tuple[Expr, Tuple[Expr, ...]]:
+    """(det, S) with the system's explicit second derivatives S_k / det;
+    det is 1 for the cubic shapes, which are already solved."""
+    if isinstance(system, ScalarCubic):
+        (yp,) = slopes
+        return integer(1), (-(system.E3 * yp ** 3 + system.E2 * yp ** 2
+                              + system.E1 * yp + system.E0),)
+    if isinstance(system, SystemCubic2):
+        return integer(1), _cubic2_second_derivatives(system, *slopes)
+    det, sy, sz = system.second_derivative_numerators(*slopes)
+    return det, (sy, sz)
+
+
 def linearization_residuals(system, t: Transformation):
     """Labelled residuals of the straightening test, one per dependent
     variable: the second derivative of each transformed coordinate with
     respect to the new independent variable, with the system's second
     derivatives substituted in.  All identically zero exactly when the
     map sends solutions to straight lines.
+
+    With d1 the first derivatives of the components along solutions and
+    D the derivative along solutions that also eliminates the second
+    derivatives, residual i is D(d1_i/d1_0)/d1_0.  It is built as
+    N_i/(det*d1_0^3) with N_i = detD(d1_i)*d1_0 - d1_i*detD(d1_0) and
+    detD = det*D, which needs no division.  A ZERO record is the
+    canonical zero N_i, whose one division is trivial.
     """
     from .criteria import Linear2, Quadratic2
 
@@ -437,21 +462,25 @@ def linearization_residuals(system, t: Transformation):
                 f"names {sorted(clash)} are reserved for derivative symbols")
 
     coords = coordinates(dim)
-    slopes = tuple(var(name) for name in _SLOPES[:dim - 1])
-    if isinstance(system, ScalarCubic):
-        (yp,) = slopes
-        seconds = (-(system.E3 * yp ** 3 + system.E2 * yp ** 2
-                     + system.E1 * yp + system.E0),)
-    elif isinstance(system, SystemCubic2):
-        seconds = _cubic2_second_derivatives(system, *slopes)
-    else:
-        seconds = system.solve_second_derivatives(*slopes)
-    d1 = [_along_solutions(c, coords, slopes, ()) for c in t.components]
+    slope_names = _SLOPES[:dim - 1]
+    slopes = tuple(var(name) for name in slope_names)
+    det, seconds = _cleared_second_derivatives(system, slopes)
+    d1 = [_along_solutions(c, coords, slopes) for c in t.components]
     if d1[0].is_zero_literal():
         raise TransversalityError(
             "new independent variable is constant along solutions")
+
+    def det_along(f):
+        total = det * _along_solutions(f, coords, slopes)
+        for name, second in zip(slope_names, seconds):
+            total = total + second * f.diff(name)
+        return total
+
+    det_d0 = det_along(d1[0])
+    denominator = det * d1[0] ** 3
     return [
-        (f"Eqr4.{i + 1}", _along_solutions(d1[i] / d1[0], coords, slopes, seconds) / d1[0])
+        (f"Eqr4.{i + 1}",
+         (det_along(d1[i]) * d1[0] - d1[i] * det_d0) / denominator)
         for i in range(1, dim)
     ]
 

@@ -121,3 +121,21 @@ def random_invertible_map(rng: random.Random) -> Transformation:
         t = Transformation.make(*comps)
         if not t.jacobian_determinant().is_zero_literal():
             return t
+
+
+def fraction_chain_residuals(g, t: Transformation):
+    """The Eqr4 residuals of a general pair under a map, built as a chain
+    of reduced fractions: D(d1_i/d1_0)/d1_0, where D is the derivative
+    along solutions with the solved second derivatives substituted and
+    d1 the components' first derivatives along solutions.  This is the
+    definition that `linearization_residuals` rearranges over one
+    denominator, kept here as its oracle."""
+    yp, zp = var("yp"), var("zp")
+    ypp, zpp = g.solve_second_derivatives(yp, zp)
+
+    def along(f):
+        return (f.diff("x") + yp * f.diff("y") + zp * f.diff("z")
+                + ypp * f.diff("yp") + zpp * f.diff("zp"))
+
+    d1 = [along(c) for c in t.components]
+    return [(f"Eqr4.{i + 1}", along(d1[i] / d1[0]) / d1[0]) for i in (1, 2)]

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geolin.kernel import core, exp, parse, sqrt, var
-from geolin.transform import coefficients_from_transformation, linearization_residuals
-from helpers import random_invertible_map
+from geolin.transform import coefficients_from_transformation
+from helpers import fraction_chain_residuals, random_invertible_map
 
 X, Y, Z = (core._var_gen(n) for n in ("x", "y", "z"))
 LN_Z = core._kernel_gen("ln", var("z"))
@@ -163,9 +163,12 @@ def test_prs_give_up_propagates_on_pool_31_draw_19(monkeypatch):
     (PRS), the gcd before the heuristic ran on every input, tripped the
     size guard while taking a remainder's content, read the give-up as
     content 1 and returned a 567-term non-divisor after about 10 s.
-    Addition now works over the gcd of the denominators, so the pair is
-    rebuilt here from the captured operands of each addition, as the cross
-    products that the addition used to form."""
+    The pair came from the verify residuals built as a chain of
+    fractions, which `linearization_residuals` no longer forms, so the
+    chain is rebuilt here.  Addition now works over the gcd of the
+    denominators, so the pair is rebuilt from the captured operands of
+    each addition, as the cross products that the addition used to
+    form."""
     rng = random.Random(31)
     for _ in range(19):
         random_invertible_map(rng)
@@ -179,7 +182,7 @@ def test_prs_give_up_propagates_on_pool_31_draw_19(monkeypatch):
         return add(self, other)
 
     monkeypatch.setattr(core.Expr, "__add__", spy)
-    linearization_residuals(system, t)
+    fraction_chain_residuals(system, t)
     monkeypatch.undo()
     pairs = []
     for p, q in operands:

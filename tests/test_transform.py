@@ -1,11 +1,12 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
 from geolin.criteria import Linear2, Quadratic2, check_cubic2, tresse_scalar
 from geolin.geometry import Geodesic2Coefficients, Metric
-from geolin.kernel import Verdict, exp, integer, ln, parse, rational, sqrt, var
+from geolin.kernel import Verdict, as_expr, exp, integer, ln, parse, rational, sqrt, var
 from geolin.report import FAIL, PASS
 from geolin.projection import ScalarCubic, SystemCubic2, SystemGauge, lift_system
 from geolin.transform import (
@@ -18,12 +19,13 @@ from geolin.transform import (
     TransversalityError,
     coefficients_from_transformation,
     jacobian_invertibility,
+    linearization_residuals,
     normal_form,
     pullback_metric,
     verify_linearizing_transformation,
 )
 
-from helpers import random_polynomial
+from helpers import fraction_chain_residuals, random_invertible_map, random_polynomial
 
 X, Y, Z = var("x"), var("y"), var("z")
 
@@ -353,6 +355,46 @@ class TestVerifyTransformation:
         with pytest.raises(TransversalityError):
             verify_linearizing_transformation(
                 SIMPLE_PAIR, Transformation.make(2, Y, Z))
+
+    def test_singular_general_pair_rejected(self):
+        with pytest.raises(SingularSystemError):
+            verify_linearizing_transformation(
+                GeneralSystem2.make(Om2_2=1, Om3_3=1), Transformation.identity(3))
+
+    def test_kernel_map_with_huge_fraction_chain_verifies(self):
+        # its residuals as a chain of fractions stopped 29 gcds at the
+        # size guard and took minutes; over one denominator they are
+        # products only
+        t = Transformation.make(
+            "y^2 + sqrt(4*x^2 - 8*x*y + 4*y^2 + 1) + x - 4*y",
+            "4*y*z + y - 3",
+            "-3*y + z - 1",
+        )
+        g = coefficients_from_transformation(t)
+        report = verify_linearizing_transformation(g, t)
+        assert report.overall == PASS
+        assert [r.verdict for r in report.records] == [Verdict.ZERO] * 2
+
+    def test_residuals_match_the_fraction_chain_on_foreign_maps(self):
+        # pool 31: system k against map k + 1, which does not straighten it
+        rng = random.Random(31)
+        maps = [random_invertible_map(rng) for _ in range(11)]
+        nonzero = 0
+        for k in range(10):
+            g = coefficients_from_transformation(maps[k])
+            labelled = linearization_residuals(g, maps[k + 1])
+            oracle = fraction_chain_residuals(g, maps[k + 1])
+            assert [(label, str(res)) for label, res in labelled] == [
+                (label, str(res)) for label, res in oracle]
+            report = verify_linearizing_transformation(g, maps[k + 1])
+            for record in report.records:
+                assert record.verdict is Verdict.NONZERO
+                point = {name: as_expr(Fraction(value))
+                         for name, value in record.result.witness.items()}
+                value = record.residual.substitute(point)
+                assert value.is_rational() and not value.is_zero_literal()
+                nonzero += 1
+        assert nonzero == 20
 
     def test_random_scalar_maps_verify_against_their_own_output(self):
         rng = random.Random(24)
