@@ -25,13 +25,14 @@ and is merged without scanning for them.
 Common factors are found by one polynomial gcd that returns its
 cofactors: the heuristic gcd GCDHEU (Char, Geddes and Gonnet, 1989),
 which takes each kernel for a free variable.  A candidate counts only once
-it divides both inputs exactly in the kernel ring, so soundness never
-rests on the heuristic.  Over kernels the quotient ring is not a unique
-factorization domain, and the gcd is a verified common divisor rather
-than the greatest one.  Past a size guard, when the heuristic gives up,
-or when a candidate does not divide, only the common monomial factor
-cancels, which bounds the work at the price of a form that may not be
-fully reduced; the gcd then reports that it stopped early.
+it divides both inputs exactly over the integers, so soundness never
+rests on the heuristic, and since every polynomial here is rewrite-normal
+a divisor in the free ring divides in the kernel ring with the same
+cofactors.  Over kernels the quotient ring is not a unique factorization
+domain, and the gcd is a verified common divisor rather than the greatest
+one.  Past a size guard, or when the heuristic gives up, only the common
+monomial factor cancels, which bounds the work at the price of a form
+that may not be fully reduced; the gcd then reports that it stopped early.
 
 No gcd runs whose answer the canonical form already fixes.  Kernel-free
 reduced pairs live in Q[vars], a unique factorization domain, so for
@@ -162,8 +163,8 @@ def _kernel_gen(fname: str, arg: "Expr") -> Gen:
 # positive int exponent) pairs sorted by generator.  The dict holds no term
 # order.  Graded order (_term_sort_key, leading term first) is computed only
 # where it is observed: printing and the structural key (_terms), the
-# leading term of exact division and of sign normalization (_lead), and
-# the summation order of numeric evaluation, which fixes its rounding.
+# leading term of sign normalization (_lead), and the summation order of
+# numeric evaluation, which fixes its rounding.
 # Differentiation and substitution also sum their terms in graded order:
 # over kernels, or past a gcd that stops early, the form a sum reduces to
 # can depend on that order, and equal polynomials must give equal results.
@@ -351,18 +352,20 @@ def _p_gens(p) -> set:
 
 
 def _mono_div(m1, m2):
-    """Componentwise monomial quotient m1 / m2, or None if not divisible."""
+    """Componentwise quotient m1 / m2 of monomials, where m2 divides m1."""
     d = dict(m1)
     for g, e in m2:
-        have = d.get(g, 0) - e
-        if have < 0:
-            return None
-        if have == 0:
-            del d[g]
-        else:
+        have = d[g] - e
+        if have:
             d[g] = have
-    out = sorted(d.items(), key=lambda t: t[0].skey)
-    return tuple(out)
+        else:
+            del d[g]
+    return tuple(sorted(d.items(), key=lambda t: t[0].skey))
+
+
+def _p_mono_quo(p, mono) -> dict:
+    """p with every monomial divided by mono, which divides each of them."""
+    return {_mono_div(m, mono): c for m, c in p.items()}
 
 
 def _mono_common(monos):
@@ -381,51 +384,6 @@ def _mono_common(monos):
                 else:
                     common[g] = e
     return tuple(sorted(common.items(), key=lambda t: t[0].skey))
-
-
-def _p_exact_div(p, d):
-    """Exact polynomial quotient p / d, or None when division fails.
-
-    Division is performed over the free monoid of generators; kernel
-    rewrites firing inside intermediate products can make an honest
-    multiple look indivisible, in which case None is returned and the
-    caller must keep the unreduced pair.
-    """
-    if d is P_ONE:
-        return p
-    if not d:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not p:
-        return P_ZERO
-    if _p_is_const(d):
-        return _p_quo(p, d[()])
-    rem = dict(p)
-    quo: dict = {}
-    d_lead_m = _lead(d)
-    d_lead_c = d[d_lead_m]
-    d_lead_key = _term_sort_key(d_lead_m)
-    while rem:
-        lt_m = min(rem, key=_term_sort_key)
-        if _term_sort_key(lt_m) > d_lead_key:
-            # every remaining term is below the divisor's lead
-            return None
-        t = _mono_div(lt_m, d_lead_m)
-        if t is None:
-            return None
-        c = _qdiv(rem[lt_m], d_lead_c)
-        prod = _p_mul({t: c}, d)
-        for m, cc in prod.items():
-            v = rem.get(m, 0) - cc
-            if v == 0:
-                rem.pop(m, None)
-            else:
-                rem[m] = v
-        if lt_m in rem:
-            # a rewrite interfered with leading term cancellation
-            return None
-        v = quo.get(t)
-        quo[t] = c if v is None else v + c
-    return _poly_from_dict(quo)
 
 
 def _poly_rat_content(p):
@@ -455,13 +413,13 @@ def _p_gcd(a, b):
 
     g is primitive with a positive leading term, and the cofactors are
     exact quotients, so g always divides both inputs.  The common monomial
-    factor comes out first; the rest goes to the heuristic gcd, which takes
-    each kernel for a free variable and whose candidates count only once
-    they divide both inputs exactly.  whole is False when the search
-    stopped early: past the size guard (_GCD_TERM_LIMIT terms,
-    _GCD_GEN_LIMIT shared generators), when the heuristic gives up, or when
-    a candidate does not divide in the kernel ring.  g is then only the
-    common monomial factor, or 1, and may leave a common factor behind.
+    factor comes out first, term by term; the rest goes to the heuristic
+    gcd, which takes each kernel for a free variable and divides both
+    inputs by its candidate exactly over the integers.  whole is False when
+    the search stopped early: past the size guard (_GCD_TERM_LIMIT terms,
+    _GCD_GEN_LIMIT shared generators) or when the heuristic gives up.  g is
+    then only the common monomial factor, or 1, and may leave a common
+    factor behind.
     """
     if not a or not b:
         c = _poly_rat_content(a or b)
@@ -476,14 +434,13 @@ def _p_gcd(a, b):
     if len(a) == 1 or len(b) == 1 or not common:
         if not mono:
             return P_ONE, a, b, True
-        found = _p_cofactors({mono: 1}, a, b)
-        return (*found, True) if found else (P_ONE, a, b, False)
+        return {mono: 1}, _p_mono_quo(a, mono), _p_mono_quo(b, mono), True
     if mono:
-        # the monomial part factors out cheaply and keeps the search small
-        found = _p_cofactors({mono: 1}, a, b)
-        if found is not None:
-            g, ca, cb, whole = _p_gcd(found[1], found[2])
-            return (*_p_normalized(_p_mul(found[0], g), ca, cb), whole)
+        # the monomial part factors out cheaply and keeps the search small;
+        # g comes back primitive with a positive leading term, and so does
+        # its product with a monomial
+        g, ca, cb, whole = _p_gcd(_p_mono_quo(a, mono), _p_mono_quo(b, mono))
+        return _p_mul({mono: 1}, g), ca, cb, whole
     if (
         len(a) > _GCD_TERM_LIMIT
         or len(b) > _GCD_TERM_LIMIT
@@ -494,15 +451,6 @@ def _p_gcd(a, b):
     if found is None:
         return P_ONE, a, b, False
     return (*found, True)
-
-
-def _p_cofactors(d, a, b):
-    """(d, a/d, b/d) with d made primitive, or None when a division fails."""
-    qa = _p_exact_div(a, d)
-    qb = _p_exact_div(b, d) if qa is not None else None
-    if qb is None:
-        return None
-    return _p_normalized(d, qa, qb)
 
 
 def _p_normalized(g, ca, cb):
@@ -521,8 +469,7 @@ def _p_normalized(g, ca, cb):
 # Gonnet's theorem, so a candidate that divides both inputs is their gcd;
 # the growth between tries follows sympy's dmp_zz_heu_gcd.  Kernels enter
 # as free variables, so over them the candidate is a gcd in the free
-# polynomial ring, and it counts only once it divides both inputs in the
-# kernel ring as well.
+# polynomial ring, with cofactors checked there by exact integer division.
 
 
 def _heu_gcd(a, b, gens):
@@ -536,8 +483,13 @@ def _heu_gcd(a, b, gens):
     if len(h) == 1 and not any(next(iter(h))):
         return P_ONE, a, b
     g = _poly_from_zz(h, gens)
-    if any(x.kind == KERNEL for x in gens):
-        return _p_cofactors(g, a, b)
+    # A free-ring divisor divides in the kernel ring with the same
+    # cofactors.  Every polynomial built here is rewrite-normal: sin and
+    # constant-argument sqrt generators have exponent at most 1, and a
+    # monomial holds at most one exp generator, with exponent 1.  Degrees
+    # add under free multiplication, per generator and over all exp
+    # generators together, so the factors of a normal polynomial are
+    # normal and multiplying them back fires no rewrite.
     return _p_normalized(
         g,
         _p_scale(_poly_from_zz(cfa, gens), ka),
@@ -879,7 +831,8 @@ class Expr:
         """Exact partial derivative with respect to the named variable."""
         dn = _poly_diff(self.num, name)
         if _p_is_const(self.den):
-            return dn / _mk(self.den, P_ONE)
+            # a canonical constant denominator is 1
+            return dn
         dd = _poly_diff(self.den, name)
         den_e = Expr(self.den, P_ONE, _internal=True)
         num_e = Expr(self.num, P_ONE, _internal=True)

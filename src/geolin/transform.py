@@ -349,13 +349,14 @@ def normal_form(
             + _dot(gee[i, l], b[m, k]))
         return 3 * g.Delta(i, k, l, m) - 3 * sym_gb
 
-    q222 = solve({i: p_component(i, 2, 2, 2) for i in (2, 3)})
-    q223 = solve({i: p_component(i, 2, 2, 3) for i in (2, 3)})
-    q333 = solve({i: p_component(i, 3, 3, 3) for i in (2, 3)})
+    def solved(j, k, l, m):
+        """Component j of the column x with J x = P_klm: the only one read."""
+        return _dot(inv[j], {i: p_component(i, k, l, m) for i in (2, 3)})
+
     a = {
-        (2, 2): q222[2] / 3,
-        (2, 3): q223[2] / 2,
-        (3, 3): q333[3] / 3,
+        (2, 2): solved(2, 2, 2, 2) / 3,
+        (2, 3): solved(2, 2, 2, 3) / 2,
+        (3, 3): solved(3, 3, 3, 3) / 3,
     }
     a[3, 2] = a[2, 3]
 

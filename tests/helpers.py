@@ -14,6 +14,7 @@ import mpmath
 
 from geolin.kernel import (
     Expr,
+    core,
     cos,
     eval_expr,
     exp,
@@ -139,3 +140,21 @@ def fraction_chain_residuals(g, t: Transformation):
 
     d1 = [along(c) for c in t.components]
     return [(f"Eqr4.{i + 1}", along(d1[i] / d1[0]) / d1[0]) for i in (1, 2)]
+
+
+def poly_quotient(p, d):
+    """The exact quotient p / d of two kernel polynomials, or None.
+
+    Every generator counts as a free variable and the division runs over
+    the integers, on the exponent tuples of the heuristic gcd.  For
+    rewrite-normal p and d this is also their quotient in the kernel ring.
+    """
+    if not p:
+        return core.P_ZERO
+    gens = sorted(core._p_gens(p) | core._p_gens(d))
+    kp, fp = core._zz_from_poly(p, gens)
+    kd, fd = core._zz_from_poly(d, gens)
+    q = core._zz_exact_div(fp, fd)
+    if q is None:
+        return None
+    return core._p_scale(core._poly_from_zz(q, gens), core._qdiv(kp, kd))

@@ -2,10 +2,13 @@
 
 The kernel's gcd returns (g, a/g, b/g, whole).  Every input goes to the
 heuristic gcd, which takes each kernel for a free variable; a candidate
-counts only once it divides both inputs exactly in the kernel ring, and
-whole says whether the search ran to the end.  These tests build raw
-polynomials with a planted common factor and check the result against
-its definition, without any outside computer algebra system.
+counts only once it divides both inputs exactly over the integers, and
+whole says whether the search ran to the end.  Every polynomial the
+kernel builds is rewrite-normal, so a divisor in that free ring divides
+in the kernel ring with the same cofactors, and a property below checks
+this over sqrt, sin and exp atoms.  These tests build raw polynomials
+with a planted common factor and check the result against its
+definition, without any outside computer algebra system.
 """
 
 import random
@@ -13,9 +16,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geolin.kernel import core, exp, parse, sqrt, var
+from geolin.kernel import core, exp, integer, parse, sin, sqrt, var
 from geolin.transform import coefficients_from_transformation
-from helpers import fraction_chain_residuals, random_invertible_map
+from helpers import fraction_chain_residuals, poly_quotient, random_invertible_map
 
 X, Y, Z = (core._var_gen(n) for n in ("x", "y", "z"))
 LN_Z = core._kernel_gen("ln", var("z"))
@@ -50,7 +53,7 @@ def _primitive(p) -> dict:
 
 
 def _divides(d, p) -> bool:
-    return core._p_exact_div(p, d) is not None
+    return poly_quotient(p, d) is not None
 
 
 def _check_planted(f, a, b):
@@ -105,8 +108,8 @@ def test_heuristic_point_keeps_the_greatest_divisor():
     # 2*256711 + 2, expanded their gcd to the constant 1, which divides
     # both inputs and was taken for the gcd
     f = _poly([(1, 1, 2, 0), (-1, 0, 0, 1)])
-    b = core._p_mul(f, _poly([(1, 0, 1, 1), (1, 0, 0, 0)]))
-    assert core._p_gcd(f, b) == (f, core.P_ONE, core._p_exact_div(b, f), True)
+    u = _poly([(1, 0, 1, 1), (1, 0, 0, 0)])
+    assert core._p_gcd(f, core._p_mul(f, u)) == (f, core.P_ONE, u, True)
 
 
 def test_prs_gives_up_instead_of_returning_a_non_divisor():
@@ -134,7 +137,7 @@ def test_variable_inputs_use_the_heuristic(monkeypatch):
     assert calls
 
 
-@pytest.mark.parametrize("kernel", [exp, sqrt])
+@pytest.mark.parametrize("kernel", [exp, sqrt, sin])
 def test_kernel_inputs_take_the_heuristic(monkeypatch, kernel):
     x, y = var("x"), var("y")
     factor = kernel(x) + y
@@ -153,6 +156,40 @@ def test_kernel_inputs_take_the_heuristic(monkeypatch, kernel):
     assert whole
     assert _divides(g, a) and _divides(g, b)
     assert g == factor.num
+    assert core._p_mul(g, qa) == a
+    assert core._p_mul(g, qb) == b
+
+
+_ATOMS = (var("x"), var("y"), sqrt(var("x") ** 2 + 1), sin(var("y")),
+          exp(var("x")), exp(var("y")))
+_atom_terms = st.lists(
+    st.tuples(st.integers(-3, 3).filter(bool),
+              st.lists(st.sampled_from(range(len(_ATOMS))), max_size=3)),
+    min_size=1, max_size=3,
+)
+
+
+def _atom_poly(terms):
+    total = integer(0)
+    for c, picks in terms:
+        term = integer(c)
+        for i in picks:
+            term = term * _ATOMS[i]
+        total = total + term
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(_atom_terms, _atom_terms, _atom_terms)
+def test_free_ring_cofactors_hold_in_the_kernel_ring(f, u, v):
+    # the products rewrite sqrt and sin squares and merge exp factors, so
+    # a and b are rewrite-normal; the cofactors the heuristic takes from
+    # its integer division multiply back without a rewrite
+    f, u, v = _atom_poly(f), _atom_poly(u), _atom_poly(v)
+    a, b = (f * u).num, (f * v).num
+    if not (a and b):
+        return
+    g, qa, qb, _ = core._p_gcd(a, b)
     assert core._p_mul(g, qa) == a
     assert core._p_mul(g, qb) == b
 

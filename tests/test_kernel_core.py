@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geolin.kernel import (
     KernelDomainError,
@@ -144,10 +144,24 @@ def _exact_at(p, point) -> Fraction:
 
 @settings(max_examples=60, deadline=None)
 @given(_signed_poly, _signed_poly, st.sampled_from(_GRID), st.sampled_from(_GRID))
+# -(x + 3/2)/(2*x + 3) is the constant -1/2, whose square root is refused
+@example(n=[0, -1], d=[0, 2], at_n=Fraction(-1, 2), at_d=Fraction(-2))
+# (2*x - 3)/(x - 3/2) is the constant 2
+@example(n=[0, 2], d=[0, 1], at_n=Fraction(1), at_d=Fraction(1, 2))
 def test_sqrt_of_a_signed_quotient_is_the_real_root(n, d, at_n, at_d):
     num = _negative_somewhere(n, at_n)
     den = _negative_somewhere(d, at_d)
-    root = sqrt(num / den)
+    quotient = num / den
+    if quotient.is_rational():
+        if quotient.as_rational() < 0:
+            with pytest.raises(KernelDomainError):
+                sqrt(quotient)
+        else:
+            root = sqrt(quotient)
+            assert root ** 2 == quotient
+            assert eval_expr(root, {})[0] > 0
+        return
+    root = sqrt(quotient)
     for point in _GRID:
         nv, dv = (_exact_at(p, point) for p in (num, den))
         if not dv or nv / dv <= 0:

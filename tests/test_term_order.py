@@ -60,10 +60,11 @@ def test_insertion_order_is_never_observed(terms, divisor_terms, rnd):
     assert str(e1.diff("x")) == str(e2.diff("x"))
     d1, d2 = _shuffled_polys(divisor_terms, rnd, (X, Y, EXP_X))
     if d1:
-        q1 = core._p_exact_div(core._p_mul(p1, d1), d2)
-        q2 = core._p_exact_div(core._p_mul(p2, d2), d1)
-        assert q1 == q2
-        assert q1 is None or _expr(q1) == e1
+        a1, a2 = core._p_mul(p1, d1), core._p_mul(p2, d2)
+        assert a1 == a2
+        g, qa, qd, whole = core._p_gcd(a1, d2)
+        assert (g, qa, qd, whole) == core._p_gcd(a2, d1)
+        assert core._p_mul(g, qa) == a1
 
 
 @settings(max_examples=40, deadline=None)
