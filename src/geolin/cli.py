@@ -17,17 +17,12 @@ import sys
 import time
 from typing import Dict, Optional, Tuple
 
-from .criteria import CoefficientDomainError
 from .document import KINDS, DocumentError, SystemDocument, load_document
 from .geometry import GeometryError, is_flat, metric_pde_residuals
-from .kernel import ParseError, ZeroTestConfig, parse
+from .kernel import KernelDomainError, ParseError, ZeroTestConfig, parse
 from .projection import project
 from .report import FAIL, PASS, UNDECIDED, ConditionReport
-from .transform import (
-    TransformError,
-    normal_form,
-    verify_linearizing_transformation,
-)
+from .transform import normal_form, verify_linearizing_transformation
 
 _EXIT_BY_OVERALL = {PASS: 0, FAIL: 1, UNDECIDED: 2}
 _INPUT_ERROR = 3
@@ -49,8 +44,9 @@ def main(argv=None) -> int:
         if overrides and not takes_gauge:
             raise DocumentError(f"{args.command} does not use a gauge")
         payload, code = handler(doc, config, doc.gauge(overrides))
-    except (DocumentError, ParseError, TransformError, GeometryError,
-            CoefficientDomainError, OSError, ValueError) as err:
+    # document, transform and coefficient-domain errors are ValueErrors
+    except (ValueError, ParseError, KernelDomainError, GeometryError,
+            OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return _INPUT_ERROR
     payload["zero_test"] = {

@@ -33,7 +33,7 @@ from .geometry import (
     geodesic2_flat_conditions,
     is_flat,
 )
-from .kernel import Expr, ParseError, parse
+from .kernel import Expr, KernelDomainError, ParseError, parse
 from .projection import (
     ScalarCubic,
     ScalarGauge,
@@ -326,7 +326,7 @@ def _expression_table(entries, allowed, what, label) -> Dict[str, Expr]:
                 f"{label}:{lineno}: {what} values must be double-quoted")
         try:
             table[key] = parse(value[1:-1])
-        except ParseError as err:
+        except (ParseError, KernelDomainError) as err:
             raise DocumentError(
                 f"{label}:{lineno}: bad expression for {key}: {err}") from err
     return table

@@ -16,7 +16,6 @@ from .core import (
     sin,
     sqrt,
     var,
-    variables,
 )
 from .parse import ParseError, parse
 from .numeric import EvalDomainError, eval_expr
@@ -40,7 +39,6 @@ __all__ = [
     "sin",
     "sqrt",
     "var",
-    "variables",
     "EvalDomainError",
     "eval_expr",
     "DEFAULT_CONFIG",

@@ -1003,11 +1003,6 @@ def var(name: str) -> Expr:
     return _gen_expr(_var_gen(name))
 
 
-def variables(names: str) -> list:
-    """Split a whitespace separated name list into variable expressions."""
-    return [var(n) for n in names.split()]
-
-
 def exp(arg) -> Expr:
     """Opaque exponential kernel; exp(0) folds to 1."""
     arg = as_expr(arg)

@@ -19,6 +19,12 @@ from .core import Expr, KERNEL, KernelError, P_ONE, _terms
 
 mpmath = None  # bound by _load on first use
 
+# exp, sin and cos refuse an argument past 2^_ARG_MAG in magnitude:
+# reducing an argument a modulo ln(2) or pi takes about log2|a| bits of
+# working precision, and exp(exp(exp(exp(exp(x))))) meets arguments near
+# 2^(10^15) on the sampled box, which would run out of memory
+_ARG_MAG = 1 << 16
+
 
 class EvalDomainError(KernelError):
     """Evaluation hit a pole or left the real domain of a kernel."""
@@ -59,6 +65,9 @@ class _Evaluator:
                 raise EvalDomainError(f"no value supplied for variable {g.name!r}")
         else:
             arg = self.expr(g.arg)
+            if g.name in ("exp", "sin", "cos") and mpmath.mag(arg) > _ARG_MAG:
+                raise EvalDomainError(
+                    f"{g.name} evaluated at an argument past 2^{_ARG_MAG}")
             if g.name == "exp":
                 base = mpmath.exp(arg)
             elif g.name == "ln":
@@ -105,7 +114,8 @@ def eval_expr(expr: Expr, point: Mapping[str, object], precision_bits: int = 256
 
     Point values may be ints, exact rationals, or floats; they are
     converted at the working precision.  Raises EvalDomainError at poles,
-    for ln or sqrt outside their real domain, and for missing variables.
+    for ln or sqrt outside their real domain, for exp, sin or cos past
+    their argument bound, and for missing variables.
     """
     _load()
     with mpmath.workprec(precision_bits):

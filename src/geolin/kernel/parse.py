@@ -4,7 +4,7 @@ Grammar, in decreasing binding strength:
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
-    factor := ('+' | '-') factor | power
+    factor := ('+' | '-')* power
     power  := atom ('^' exponent)?
     atom   := number | name | name '(' expr ')' | '(' expr ')'
 
@@ -24,9 +24,14 @@ _PRODUCT_TERMS, so (x+y+z+1)^16*(x+y+z+1)^16 cannot go round the power
 bound.  A sum over unequal denominators is refused in the same way, since
 it multiplies each numerator by the other denominator and the two
 denominators together.
-The caret binds tighter than unary minus: -x^2 is -(x^2).  Numbers may
-carry a decimal fraction part and are converted exactly; a number with
-more than _LITERAL_DIGITS digits is refused before it is converted.
+The caret binds tighter than unary minus: -x^2 is -(x^2).  A run of
+signs of any length is read in a loop.  Parentheses, kernel calls and
+exponents nested more than _NESTING levels deep are refused, well before
+the recursion limit: each level of parentheses takes five stack frames
+here, and deeper kernel nests would also recurse in evaluation and
+printing.  Numbers may carry a decimal fraction part and are converted
+exactly; a number with more than _LITERAL_DIGITS digits is refused
+before it is converted.
 Every error carries the byte offset where parsing failed.
 """
 
@@ -62,6 +67,8 @@ _LITERAL_DIGITS = 10 ** 6
 _PRODUCT_TERMS = 10_000
 # digits read by one int() call, below the interpreter's 4300-digit limit
 _CHUNK_DIGITS = 4000
+# bound on nested parentheses, kernel calls and exponents
+_NESTING = 100
 
 
 def _digits_int(digits: str) -> int:
@@ -80,6 +87,7 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.n = len(text)
+        self.depth = 0
 
     def error(self, message: str, offset=None):
         raise ParseError(message, self.pos if offset is None else offset)
@@ -95,6 +103,23 @@ class _Parser:
         if self.peek() != ch:
             self.error(f"expected {ch!r}")
         self.pos += 1
+
+    def nest(self, at: int):
+        """Enter one level of nesting; the caller leaves it again."""
+        self.depth += 1
+        if self.depth > _NESTING:
+            self.error(f"nesting exceeds {_NESTING} levels", at)
+
+    def read_signs(self) -> int:
+        """Read a run of unary signs; -1 when it negates, else 1."""
+        sign = 1
+        self.skip_ws()
+        while self.peek() in ("+", "-"):
+            if self.peek() == "-":
+                sign = -sign
+            self.pos += 1
+            self.skip_ws()
+        return sign
 
     def parse_expr(self) -> Expr:
         self.skip_ws()
@@ -136,14 +161,8 @@ class _Parser:
                 return value
 
     def parse_factor(self) -> Expr:
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "+":
-            self.pos += 1
-            return self.parse_factor()
-        if ch == "-":
-            self.pos += 1
-            return -self.parse_factor()
+        if self.read_signs() < 0:
+            return -self.parse_power()
         return self.parse_power()
 
     def parse_power(self) -> Expr:
@@ -180,18 +199,14 @@ class _Parser:
                 self.error(f"power may exceed {_POWER_BITS}-bit coefficients", at)
 
     def parse_exponent(self) -> int:
-        self.skip_ws()
-        sign = 1
-        while self.peek() in "+-":
-            if self.peek() == "-":
-                sign = -sign
-            self.pos += 1
-            self.skip_ws()
+        sign = self.read_signs()
         if self.peek() == "(":
+            self.nest(self.pos)
             self.pos += 1
             value = self.parse_exponent()
             self.skip_ws()
             self.expect(")")
+            self.depth -= 1
         else:
             start = self.pos
             while self.peek() in _DIGITS:
@@ -209,8 +224,10 @@ class _Parser:
         self.skip_ws()
         if self.peek() == "^":
             at = self.pos
+            self.nest(at)
             self.pos += 1
             rhs = self.parse_exponent()
+            self.depth -= 1
             if rhs < 0:
                 self.error("negative exponent inside an exponent tower", at)
             if abs(value) > 1 and rhs > _TOWER_LOG2 / log2(abs(value)):
@@ -222,10 +239,12 @@ class _Parser:
         self.skip_ws()
         ch = self.peek()
         if ch == "(":
+            self.nest(self.pos)
             self.pos += 1
             value = self.parse_expr()
             self.skip_ws()
             self.expect(")")
+            self.depth -= 1
             return value
         if ch in _DIGITS or ch == ".":
             return self.parse_number()
@@ -266,10 +285,12 @@ class _Parser:
         if self.peek() == "(":
             if name not in KERNEL_NAMES:
                 self.error(f"unknown function {name!r}", start)
+            self.nest(start)
             self.pos += 1
             arg = self.parse_expr()
             self.skip_ws()
             self.expect(")")
+            self.depth -= 1
             return kernel_apply(name, arg)
         return var(name)
 

@@ -28,10 +28,8 @@ from .kernel import (
     DEFAULT_CONFIG,
     Expr,
     ZeroTestConfig,
-    ZeroTestResult,
     as_expr,
     integer,
-    is_zero,
     rational,
     var,
 )
@@ -87,34 +85,6 @@ class Transformation:
 
     def jacobian_determinant(self) -> Expr:
         return determinant(self.jacobian())
-
-
-def jacobian_invertibility(
-    t: Transformation, config: ZeroTestConfig = DEFAULT_CONFIG
-) -> ZeroTestResult:
-    return is_zero(t.jacobian_determinant(), config)
-
-
-@dataclass(frozen=True)
-class GeneralScalar(CoefficientTable):
-    """Scalar general linearizable form J y'' + Delta y'^3 + Lam y'^2
-    + Om y' + E = 0; five coefficient slots."""
-
-    J: Expr
-    Delta: Expr
-    Lam: Expr
-    Om: Expr
-    E: Expr
-
-    def as_scalar_cubic(self) -> ScalarCubic:
-        if self.J.is_zero_literal():
-            raise SingularSystemError("leading coefficient is zero")
-        return ScalarCubic(
-            E0=self.E / self.J,
-            E1=self.Om / self.J,
-            E2=self.Lam / self.J,
-            E3=self.Delta / self.J,
-        )
 
 
 @dataclass(frozen=True)
@@ -194,10 +164,6 @@ class GeneralSystem2(CoefficientTable):
             total = total + self.Delta(i, k, l, m) * first[k] * first[l] * first[m]
         return total
 
-    def leading_determinant(self, yp: Expr, zp: Expr) -> Expr:
-        """Determinant of the matrix multiplying the second derivatives."""
-        return determinant(self._leading_matrix(yp, zp))
-
     def _leading_matrix(self, yp: Expr, zp: Expr) -> Tuple[Tuple[Expr, Expr], ...]:
         """Rows i = 2, 3; columns multiply y'' and z''."""
         return tuple(
@@ -231,41 +197,30 @@ _DEPENDENT_PAIRS = tuple(combinations_with_replacement((2, 3), 2))
 
 def coefficients_from_transformation(
     t: Transformation,
-) -> Union[GeneralScalar, GeneralSystem2]:
+) -> Union[ScalarCubic, GeneralSystem2]:
     """Coefficient families induced by substituting the map into the
     free particle system; the result is linearizable by construction.
 
-    Only a canonically zero Jacobian determinant is rejected."""
-    if t.jacobian_determinant().is_zero_literal():
+    A two-component map induces J times Lie's cubic, with J the Jacobian
+    determinant, so its cubic comes back divided by J.  Only a
+    canonically zero Jacobian determinant is rejected."""
+    jac = t.jacobian()
+    det = determinant(jac)
+    if det.is_zero_literal():
         raise DegenerateJacobianError("Jacobian determinant is canonically zero")
     coords = coordinates(t.dim)
-    comp = {i + 1: c for i, c in enumerate(t.components)}
-
-    # every partial is asked for many times below; each is derived once
-    partials = {}
 
     def d(i, a):
-        v = partials.get((i, a))
-        if v is None:
-            v = partials[i, a] = comp[i].diff(coords[a - 1])
-        return v
+        return jac[i - 1][a - 1]
+
+    # every second partial is asked for many times below; each is derived once
+    seconds = {}
 
     def d2(i, a, b):
-        v = partials.get((i, a, b))
+        v = seconds.get((i, a, b))
         if v is None:
-            v = partials[i, a, b] = d(i, a).diff(coords[b - 1])
+            v = seconds[i, a, b] = d(i, a).diff(coords[b - 1])
         return v
-
-    if t.dim == 2:
-        return GeneralScalar(
-            J=d(1, 1) * d(2, 2) - d(1, 2) * d(2, 1),
-            Delta=d(1, 2) * d2(2, 2, 2) - d2(1, 2, 2) * d(2, 2),
-            Lam=2 * d(1, 2) * d2(2, 1, 2) - 2 * d2(1, 1, 2) * d(2, 2)
-            + d(1, 1) * d2(2, 2, 2) - d(2, 1) * d2(1, 2, 2),
-            Om=2 * d(1, 1) * d2(2, 1, 2) - 2 * d2(1, 1, 2) * d(2, 1)
-            + d(1, 2) * d2(2, 1, 1) - d2(1, 1, 1) * d(2, 2),
-            E=d(1, 1) * d2(2, 1, 1) - d2(1, 1, 1) * d(2, 1),
-        )
 
     def delta_raw(i, j, k, l):
         return d(1, l) * d2(i, j, k) - d2(1, j, k) * d(i, l)
@@ -285,13 +240,24 @@ def coefficients_from_transformation(
         return (2 * d(1, 1) * d2(i, 1, j) - 2 * d2(1, 1, j) * d(i, 1)
                 + d(1, j) * d2(i, 1, 1) - d2(1, 1, 1) * d(i, j))
 
+    def forcing(i):
+        return d(1, 1) * d2(i, 1, 1) - d2(1, 1, 1) * d(i, 1)
+
+    if t.dim == 2:
+        return ScalarCubic(
+            E0=forcing(2) / det,
+            E1=omega(2, 2) / det,
+            E2=lam_raw(2, 2, 2) / det,
+            E3=delta_raw(2, 2, 2, 2) / det,
+        )
+
     values = {}
     for i in (2, 3):
         for j in (2, 3):
             values[f"J{i}_{j}"] = d(1, 1) * d(i, j) - d(1, j) * d(i, 1)
             values[f"Om{i}_{j}"] = omega(i, j)
         values[f"G{i}_23"] = d(1, 2) * d(i, 3) - d(1, 3) * d(i, 2)
-        values[f"E{i}"] = d(1, 1) * d2(i, 1, 1) - d2(1, 1, 1) * d(i, 1)
+        values[f"E{i}"] = forcing(i)
         for j, k, l in combinations_with_replacement((2, 3), 3):
             values[f"Del{i}_{sym_key(j, k, l)}"] = delta_sym(i, j, k, l)
         for j, l in _DEPENDENT_PAIRS:
@@ -448,8 +414,6 @@ def linearization_residuals(system, t: Transformation):
         system = project(system)
     if isinstance(system, (Quadratic2, Linear2)):
         system = system.as_cubic()
-    elif isinstance(system, GeneralScalar):
-        system = system.as_scalar_cubic()
     if not isinstance(system, (ScalarCubic, SystemCubic2, GeneralSystem2)):
         raise TransformError(f"unsupported system type {type(system).__name__}")
     dim = 2 if isinstance(system, ScalarCubic) else 3

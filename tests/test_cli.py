@@ -358,6 +358,55 @@ class TestInputErrors:
         residuals = [c["residual"] for c in json.loads(out)["conditions"]]
         assert f"-{sevens}" in residuals
 
+    @pytest.mark.parametrize("text", ["sqrt(-1)", "ln(0)"])
+    def test_kernel_domain_error_is_input_error(self, capsys, tmp_path, text):
+        bad = tmp_path / "domain.ini"
+        bad.write_text(
+            '[system]\nname = domain\nkind = scalar-cubic\n'
+            f'[coefficients]\nE0 = "{text}"\n')
+        code, out, err = run(capsys, "check", bad)
+        assert code == 3
+        assert not out
+        assert err.startswith("error: ") and "constant" in err
+
+    def test_kernel_domain_error_in_gauge_override(self, capsys):
+        code, _, err = run(capsys, "lift", doc_path("lie-ex1"),
+                           "--gauge", "b=ln(-2)")
+        assert code == 3
+        assert err.startswith("error: ln of a nonpositive constant")
+
+    @pytest.mark.parametrize("text", [
+        "(" * 200 + "x" + ")" * 200,
+        "exp(" * 400 + "x" + ")" * 400,
+    ], ids=["parentheses", "exp"])
+    def test_deep_nesting_is_input_error(self, capsys, tmp_path, text):
+        bad = tmp_path / "nested.ini"
+        bad.write_text(
+            '[system]\nname = nested\nkind = scalar-cubic\n'
+            f'[coefficients]\nE0 = "{text}"\n')
+        code, _, err = run(capsys, "check", bad)
+        assert code == 3
+        assert err.startswith("error: ") and "nesting exceeds 100 levels" in err
+
+    def test_long_run_of_signs_is_read(self, capsys, tmp_path):
+        signs = tmp_path / "signs.ini"
+        signs.write_text(
+            '[system]\nname = signs\nkind = scalar-cubic\n'
+            '[coefficients]\nE0 = "' + "-" * 1000 + 'x"\n')
+        code, out, _ = run(capsys, "check", signs, "--format", "json")
+        assert code in (0, 1, 2)
+        assert json.loads(out)["overall"]
+
+    def test_exp_tower_ends_in_a_report(self, capsys, tmp_path):
+        # evaluating the tower once raised OverflowError inside mpmath
+        tower = tmp_path / "tower.ini"
+        tower.write_text(
+            '[system]\nname = tower\nkind = scalar-cubic\n'
+            '[coefficients]\nE0 = "exp(exp(exp(exp(exp(x*y)))))"\n')
+        code, out, _ = run(capsys, "check", tower, "--format", "json")
+        assert code in (0, 1, 2)
+        assert json.loads(out)["overall"]
+
     def test_gauge_on_gaugeless_command(self, capsys):
         code, _, err = run(capsys, "check", doc_path("lie-ex1"),
                            "--gauge", "b=1")

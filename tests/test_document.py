@@ -12,7 +12,7 @@ from geolin.document import (
 from geolin.geometry import Christoffel, Geodesic2Coefficients
 from geolin.kernel import integer, parse
 from geolin.projection import ScalarCubic, ScalarGauge, SystemCubic2, SystemGauge
-from geolin.transform import GeneralScalar, GeneralSystem2
+from geolin.transform import GeneralSystem2
 
 SCALAR_DOC = """
 # comment line
@@ -196,8 +196,7 @@ class TestCorpus:
 
 
 TABLES = (ScalarCubic, SystemCubic2, ScalarGauge, SystemGauge,
-          Geodesic2Coefficients, Quadratic2, Linear2, GeneralScalar,
-          GeneralSystem2)
+          Geodesic2Coefficients, Quadratic2, Linear2, GeneralSystem2)
 
 
 @pytest.mark.parametrize("table", TABLES, ids=lambda table: table.__name__)

@@ -177,6 +177,43 @@ def test_digit_strings_past_the_int_limit_parse():
     assert parse(f"0.{sevens}") == rational(from_digits(sevens), 10 ** 5000)
 
 
+def test_runs_of_signs_are_read_in_a_loop():
+    # each sign was one recursive call, so 1000 of them overflowed the stack
+    assert parse("-" * 1000 + "x") == x
+    assert parse("-" * 999 + "x") == -x
+    assert parse("- + -x") == x
+    assert parse("2*-x") == -2 * x
+    assert parse("--x^2") == x ** 2
+    assert parse("x^--2") == x ** 2
+
+
+def test_missing_exponent_is_refused():
+    # the exponent's sign loop once spun forever at the end of the input
+    for text, offset in (("x^", 2), ("x^-", 3), ("x^+ -", 5)):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert "expected an integer exponent" in str(e.value)
+        assert e.value.offset == offset
+
+
+def test_nesting_past_the_bound_is_refused():
+    # 200 parentheses or 400 exp( once ended in a RecursionError
+    assert parse("(" * 100 + "x" + ")" * 100) == x
+    assert parse("exp(" * 100 + "0" + ")" * 100) == parse("exp(" * 99 + "1" + ")" * 99)
+    assert parse("x^" + "(" * 99 + "2" + ")" * 99) == x ** 2
+    for text, offset in (
+        ("(" * 200 + "x" + ")" * 200, 100),
+        ("exp(" * 400 + "x" + ")" * 400, 400),
+        ("x + " + "sin(" * 101 + "x" + ")" * 101, 404),
+        ("x^" + "(" * 101 + "2" + ")" * 101, 102),
+        ("x^" + "1^" * 1500 + "1", 203),
+    ):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert "nesting exceeds 100 levels" in str(e.value)
+        assert e.value.offset == offset
+
+
 def test_long_literal_round_trips():
     # past int()'s 4300-digit limit, read in halves, printed back in full
     rng = random.Random(5)

@@ -107,6 +107,32 @@ def test_eval_domain_errors():
         eval_expr(x + y, {"x": 1})
 
 
+def test_eval_refuses_kernel_arguments_past_the_bound():
+    big = 2 ** (2 ** 16 + 1)
+    for kernel in (exp, sin, cos):
+        with pytest.raises(EvalDomainError, match="past 2"):
+            eval_expr(kernel(x), {"x": big})
+        with pytest.raises(EvalDomainError):
+            eval_expr(kernel(x), {"x": -big})
+    v, _ = eval_expr(exp(x), {"x": 2 ** 60}, 64)
+    assert mpmath.mag(v) > 2 ** 60
+    assert eval_expr(ln(x), {"x": big})[0] > 0
+
+
+def test_exp_towers_are_decided_or_undecided_without_raising():
+    # the five-level tower once asked mpmath for an exponent of about
+    # 10^15 bits and raised MemoryError; a sample whose exp argument is
+    # past the bound is now drawn again like a pole
+    four = is_zero(parse("exp(exp(exp(exp(x)))) - y"))
+    assert four.verdict is Verdict.NONZERO
+    assert four.witness == {"x": "41631/32768", "y": "87893/65536"}
+    assert four.witness_value == "5.8447868879137e+887149818185140"
+    five = is_zero(parse("exp(exp(exp(exp(exp(x))))) - y"))
+    assert five.verdict is Verdict.NONZERO
+    six = is_zero(parse("exp(exp(exp(exp(exp(exp(x)))))) - y"))
+    assert six.verdict is Verdict.UNDECIDED
+
+
 def test_eval_peak_tracks_cancellation():
     # ln(exp(x)) - x evaluates to rounding noise while the peak stays
     # around exp(x); the verdict logic depends on exactly this gap
