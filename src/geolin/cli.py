@@ -30,14 +30,14 @@ _INPUT_ERROR = 3
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    config = ZeroTestConfig(
-        points=args.zero_test_points,
-        precision_bits=args.precision_bits,
-        tolerance=args.tolerance,
-        seed=args.seed,
-    )
     started = time.perf_counter()
     try:
+        config = ZeroTestConfig(
+            points=args.zero_test_points,
+            precision_bits=args.precision_bits,
+            tolerance=args.tolerance,
+            seed=args.seed,
+        )
         doc = load_document(args.file)
         overrides = _parse_gauge_overrides(args.gauge)
         _, handler, takes_gauge = _COMMANDS[args.command]
@@ -63,8 +63,16 @@ def main(argv=None) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit 3, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(_INPUT_ERROR, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geolin",
         description="Exact linearizability checks for second-order ODE systems.",
     )

@@ -2,9 +2,8 @@
 
 The canonical form is a reduced pair of sparse polynomials with exact
 coefficients.  A coefficient is a plain Python int whenever it is integral
-and an exact rational (gmpy2's mpq, or fractions.Fraction without gmpy2)
-only when it is not; every coefficient division goes through _qdiv, which
-keeps that rule.  Generators are either named variables or kernel
+and a fractions.Fraction only when it is not; every coefficient division
+goes through _qdiv, which keeps that rule.  Generators are either named variables or kernel
 applications (exp, ln, sin, cos, sqrt) whose arguments are themselves
 canonical expressions.  Construction keeps every value normalized:
 
@@ -59,31 +58,17 @@ probabilistic zero test, not to this module.
 from __future__ import annotations
 
 from decimal import Decimal as _Decimal
-from fractions import Fraction as _Fraction
-from math import gcd as _igcd, isqrt as _misqrt, lcm as _ilcm
+from fractions import Fraction
+from math import gcd as _igcd, isqrt as _isqrt, lcm as _ilcm
 from operator import attrgetter
 from typing import Mapping, Optional
-
-try:
-    from gmpy2 import mpq as _Q, is_square as _is_square, isqrt as _isqrt
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _Q
-    from math import isqrt as _isqrt
-
-    def _is_square(n):
-        r = _isqrt(n)
-        return r * r == n
-
-
-# exact rationals accepted as constants, whichever backend is active
-_QTYPES = (type(_Q(0)), _Fraction)
 
 
 def _qnorm(v):
     """An exact coefficient as an int when it is integral."""
     if v.__class__ is int or v.denominator != 1:
         return v
-    return int(v.numerator)
+    return v.numerator
 
 
 def _qdiv(a, b):
@@ -94,8 +79,8 @@ def _qdiv(a, b):
     """
     if a.__class__ is int and b.__class__ is int:
         q, r = divmod(a, b)
-        return _Q(a, b) if r else q
-    return _qnorm(_Q(a) / b)
+        return Fraction(a, b) if r else q
+    return _qnorm(a / b)
 
 VAR = 0
 KERNEL = 1
@@ -394,9 +379,9 @@ def _poly_rat_content(p):
         if c.__class__ is int:
             num_gcd = _igcd(num_gcd, c)
         else:
-            num_gcd = _igcd(num_gcd, int(c.numerator))
-            den_lcm = _ilcm(den_lcm, int(c.denominator))
-    content = num_gcd if den_lcm == 1 else _Q(num_gcd, den_lcm)
+            num_gcd = _igcd(num_gcd, c.numerator)
+            den_lcm = _ilcm(den_lcm, c.denominator)
+    content = num_gcd if den_lcm == 1 else Fraction(num_gcd, den_lcm)
     if p[_lead(p)] < 0:
         content = -content
     return content
@@ -559,7 +544,7 @@ def _zz_heu_gcd(f, g, n):
             cf = _zz_exact_div(f, h) if h is not None else None
             if cf is not None:
                 return _zz_scale(h, k), cf, cg
-        x = 73794 * x * _misqrt(_misqrt(x)) // 27011
+        x = 73794 * x * _isqrt(_isqrt(x)) // 27011
     return None
 
 
@@ -657,7 +642,7 @@ def _zz_exact_div(f, d):
 
 def _poly_key(p):
     return tuple(
-        (tuple((g.skey, e) for g, e in m), (int(c.numerator), int(c.denominator)))
+        (tuple((g.skey, e) for g, e in m), (c.numerator, c.denominator))
         for m, c in _terms(p)
     )
 
@@ -701,7 +686,7 @@ class Expr:
         if self is other:
             return True
         if not isinstance(other, Expr):
-            if isinstance(other, (int, _QTYPES)):
+            if isinstance(other, (int, Fraction)):
                 return self == as_expr(other)
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -973,8 +958,8 @@ def as_expr(value) -> Expr:
         return parse(value)
     if isinstance(value, int):
         return Expr(_p_const(value), P_ONE, _internal=True)
-    if isinstance(value, _QTYPES):
-        return Expr(_p_const(_Q(value)), P_ONE, _internal=True)
+    if isinstance(value, Fraction):
+        return Expr(_p_const(value), P_ONE, _internal=True)
     if isinstance(value, float):
         raise TypeError("floats are not exact; use rational() instead")
     return NotImplemented
@@ -989,7 +974,7 @@ def integer(n: int) -> Expr:
 
 def rational(p, q=1) -> Expr:
     """Exact rational constant p / q."""
-    return as_expr(_Q(p, q))
+    return as_expr(Fraction(p, q))
 
 
 def _gen_expr(g: Gen) -> Expr:
@@ -1053,11 +1038,11 @@ def sqrt(arg) -> Expr:
         return _gen_expr(_kernel_gen("sqrt", arg))
     c = _poly_rat_content(arg.num)
     p0 = _p_quo(arg.num, c)
-    u = int(c.numerator)
-    v = int(c.denominator)
+    u = c.numerator
+    v = c.denominator
     w = u * v
-    if w > 0 and _is_square(w):
-        s = int(_isqrt(w))
+    s = _isqrt(w) if w > 0 else 0
+    if w > 0 and s * s == w:
         if p0 == P_ONE:
             return rational(s, v)
         inner = Expr(p0, P_ONE, _internal=True)
@@ -1150,7 +1135,6 @@ def int_str(n) -> str:
     """The decimal digits of an integer, also past the interpreter's limit
     on str(int) (4300 digits by default), which is not lifted: it is
     process-wide."""
-    n = int(n)
     try:
         return str(n)
     except ValueError:
@@ -1159,7 +1143,7 @@ def int_str(n) -> str:
 
 def _print_coeff(c) -> str:
     n = int_str(c.numerator)
-    d = int(c.denominator)
+    d = c.denominator
     if d == 1:
         return n
     return f"{n}/{int_str(d)}"

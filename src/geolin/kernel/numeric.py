@@ -13,6 +13,7 @@ the import.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping, Tuple
 
 from .core import Expr, KERNEL, KernelError, P_ONE, _terms
@@ -37,12 +38,8 @@ def _load():
 
 
 def _to_mpf(value):
-    if isinstance(value, (int, float)):
-        return mpmath.mpf(value)
-    num = getattr(value, "numerator", None)
-    den = getattr(value, "denominator", None)
-    if num is not None and den is not None:
-        return mpmath.mpf(int(num)) / mpmath.mpf(int(den))
+    if isinstance(value, Fraction):
+        return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
     return mpmath.mpf(value)
 
 

@@ -193,8 +193,7 @@ class _Parser:
             t = len(poly)
             if t > 1 and comb(n + t - 1, t - 1) > _POWER_TERMS:
                 self.error(f"power may exceed {_POWER_TERMS} terms", at)
-            top = max((max(abs(int(c.numerator)), int(c.denominator)) for c in poly.values()),
-                      default=1)
+            top = max((max(abs(c.numerator), c.denominator) for c in poly.values()), default=1)
             if top > 1 and n * log2(top) > _POWER_BITS:
                 self.error(f"power may exceed {_POWER_BITS}-bit coefficients", at)
 

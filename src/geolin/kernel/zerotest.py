@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm as _ilcm
+from math import isfinite, lcm as _ilcm, log2
 from typing import Optional
 
 from .core import VAR, Expr, int_str
@@ -50,12 +50,23 @@ class ZeroTestConfig:
     Kernel-free residuals up to degree 4096 are decided exactly, so only
     the rounding of their witness value depends on these two.
     seed: seed of the deterministic sample stream.
+    Out-of-range knobs raise ValueError, a guard rather than a proof: below
+    2^(20 - precision_bits) rounding alone could pass the tolerance.
     """
 
     points: int = 16
     precision_bits: int = 256
     tolerance: float = 1e-30
     seed: int = 0
+
+    def __post_init__(self):
+        n, bits, t = self.points, self.precision_bits, self.tolerance
+        if not (1 <= n <= 1024 and 53 <= bits <= 65536):
+            raise ValueError(f"zero test takes 1 to 1024 points at 53 to 65536 bits, "
+                             f"got {n} points at {bits} bits")
+        if not (isfinite(t) and t > 0 and log2(t) >= 20 - bits):
+            raise ValueError(f"zero test tolerance must be finite and at least "
+                             f"2^{20 - bits} at {bits} bits, got {t}")
 
 
 DEFAULT_CONFIG = ZeroTestConfig()
@@ -113,14 +124,14 @@ def _poly_at(p, point) -> tuple:
     lcm = 1
     for c in p.values():
         if c.__class__ is not int:
-            lcm = _ilcm(lcm, int(c.denominator))
+            lcm = _ilcm(lcm, c.denominator)
     total = 0
     degree = 0
     for m, c in p.items():
         if c.__class__ is int:
             v = c * lcm
         else:
-            v = int(c.numerator) * (lcm // int(c.denominator))
+            v = c.numerator * (lcm // c.denominator)
         d = 0
         for g, e in m:
             v *= point[g.name] ** e

@@ -15,7 +15,10 @@ CORPUS = ROOT / "corpus"
 
 
 def run(capsys, *argv):
-    code = main([str(a) for a in argv])
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as stop:  # argparse: usage errors and -h
+        code = stop.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -412,6 +415,46 @@ class TestInputErrors:
                            "--gauge", "b=1")
         assert code == 3
         assert "gauge" in err
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus", doc_path("lie-ex1")],
+        ["check", doc_path("lie-ex1"), "--zero-test-points", "abc"],
+    ], ids=["no-command", "unknown-command", "non-integer"])
+    def test_usage_error_is_input_error(self, capsys, argv):
+        # argparse's own exit status, 2, reads as UNDECIDED
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert not out
+        assert err.splitlines()[-1].startswith("error: ")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("zero-test-points", "0"), ("zero-test-points", "2000"),
+        ("precision-bits", "64"), ("precision-bits", "100000000"),
+        ("tolerance", "-1"), ("tolerance", "nan"),
+    ])
+    def test_zero_test_flag_out_of_range(self, capsys, flag, value):
+        code, out, err = run(capsys, "check", doc_path("lie-ex1"), f"--{flag}", value)
+        assert code == 3
+        assert not out
+        assert err.startswith("error: zero test ")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["check", "-h"]])
+    def test_help_exits_zero(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: geolin")
+
+    def test_rounding_is_not_a_witness(self, capsys, tmp_path):
+        # at 64 and 100 bits with the default tolerance, rounding once
+        # witnessed this zero function nonzero; those precisions are refused
+        doc = tmp_path / "sqrt.ini"
+        doc.write_text(
+            '[system]\nname = sqrt\nkind = geodesic-2\n'
+            '[coefficients]\na = "y*sqrt(2*y^2) - sqrt(2)*y^2"\n')
+        code, out, _ = run(capsys, "check", doc, "--precision-bits", "128")
+        assert code == 2
+        assert "overall: UNDECIDED" in out
 
 
 class TestStartup:

@@ -12,6 +12,7 @@ definition, without any outside computer algebra system.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,7 +45,7 @@ def _poly(terms, gens=(X, Y, Z)) -> dict:
     for c, *exps in terms:
         mono = tuple(sorted(((g, e) for g, e in zip(gens, exps) if e),
                             key=lambda t: t[0].skey))
-        acc[mono] = acc.get(mono, 0) + core._Q(c)
+        acc[mono] = acc.get(mono, 0) + Fraction(c)
     return core._poly_from_dict(acc)
 
 

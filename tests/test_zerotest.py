@@ -154,6 +154,15 @@ def test_kernel_free_nonzero_is_exact_whatever_the_tolerance():
     assert r.detail == "nonzero at sample 1"
 
 
+def test_config_tolerance_floor_follows_the_precision():
+    assert ZeroTestConfig(precision_bits=120).tolerance == 1e-30
+    assert ZeroTestConfig(precision_bits=53, tolerance=2.0 ** -33).precision_bits == 53
+    for bad in (dict(precision_bits=119), dict(precision_bits=53, tolerance=2.0 ** -34),
+                dict(tolerance=0.0), dict(tolerance=float("inf")), dict(points=1025)):
+        with pytest.raises(ValueError):
+            ZeroTestConfig(**bad)
+
+
 def test_pole_at_a_sample_point_is_redrawn():
     first, second = _draws(0, 2)
     r = is_zero(1 / (x - rational(first.numerator, first.denominator)))
