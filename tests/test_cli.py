@@ -278,6 +278,25 @@ class TestInputErrors:
         assert code == 3
         assert err
 
+    @pytest.mark.parametrize("text, message, line", [
+        ('[coefficients]\nE0 = "1"\n', "missing [system] section", None),
+        ("[system]\nname = a\nkind = scalar-cubic\ncolour = red\n",
+         "unknown [system] keys ['colour']", None),
+        ("[system]\nname = a\n[coefficients\n", "unterminated section header", 3),
+        ("[system]\nname a\n", "expected key = value", 2),
+        ("[system]\nname = a\n2name = b\n", "bad key '2name'", 3),
+    ], ids=["no-system", "system-key", "header", "no-equals", "bad-key"])
+    def test_malformed_document_is_input_error(self, capsys, tmp_path, text,
+                                               message, line):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        code, out, err = run(capsys, "check", bad)
+        assert code == 3
+        assert not out
+        assert err.startswith("error: ") and message in err
+        if line is not None:
+            assert f"{bad}:{line}: {message}" in err
+
     def test_bad_gauge_flag(self, capsys):
         code, _, err = run(capsys, "appendix", doc_path("sys-ex3"),
                            "--gauge", "G3_33")

@@ -6,13 +6,13 @@ from geolin.criteria import (
     CoefficientDomainError,
     Linear2,
     Quadratic2,
-    _remark_differences,
     appendix_residuals,
     check_cubic2,
     check_linear2,
     check_quadratic2,
     cubic2_residuals,
     lie_gauge_residuals,
+    quadratic2_residuals,
     remark_mapping,
     tresse_residuals,
     tresse_scalar,
@@ -27,7 +27,7 @@ from geolin.projection import (
 )
 from geolin.report import FAIL, PASS
 
-from helpers import random_polynomial
+from helpers import random_expr, random_polynomial
 
 
 def generic_function(prefix, names=("y", "z")):
@@ -136,6 +136,17 @@ class TestQuadraticPair:
         assert report.overall == FAIL
         assert report.record("Eq53.1").residual == integer(-1)
 
+    @pytest.mark.parametrize("values, expected", [
+        (dict(B3_33="y"), ("0", "4/3", "1/3", "0")),
+        (dict(B2_33="y"), ("0", "0", "0", "-1")),
+        (dict(B3_22="z"), ("-1", "0", "0", "0")),
+    ], ids=["B3_33", "B2_33", "B3_22"])
+    def test_each_condition_is_pinned(self, values, expected):
+        report = check_quadratic2(Quadratic2.make(**values))
+        assert [r.condition_id for r in report.records] == [
+            f"Eq53.{k}" for k in range(1, 5)]
+        assert [r.residual for r in report.records] == [parse(e) for e in expected]
+
     def test_rejects_x_dependence(self):
         with pytest.raises(CoefficientDomainError):
             Quadratic2.make(B2_22="x")
@@ -159,6 +170,17 @@ class TestLinearPair:
         assert report.overall == FAIL
         assert report.record("Eq55.2").residual == integer(1)
         assert report.record("Eq55.3").residual == integer(1)
+
+    @pytest.mark.parametrize("values, expected", [
+        (dict(D3="y"), ("1", "0", "0")),
+        (dict(D2="z"), ("0", "1", "0")),
+        (dict(D2="w1*y", D3="w2*z"), ("0", "0", "w2 - w1")),
+    ], ids=["D3", "D2", "anisotropic"])
+    def test_each_condition_is_pinned(self, values, expected):
+        report = check_linear2(Linear2.make(**values))
+        assert [r.condition_id for r in report.records] == [
+            f"Eq55.{k}" for k in range(1, 4)]
+        assert [r.residual for r in report.records] == [parse(e) for e in expected]
 
     def test_rejects_nonconstant_velocity_terms(self):
         with pytest.raises(CoefficientDomainError):
@@ -237,24 +259,39 @@ class TestRemark:
     def test_zero_case(self):
         assert remark_mapping(Quadratic2.make()).overall == PASS
 
-    def test_perturbed_mapping_is_rejected(self):
+    def test_identity_is_not_vacuous(self):
+        # every quadratic condition is nonzero on the generic pair, so the
+        # four vanishing differences compare nonzero residuals
         q = Quadratic2(
             B2_22=generic_function("a"), B2_23=generic_function("b"),
             B2_33=generic_function("c"), B3_22=generic_function("d"),
             B3_23=generic_function("e"), B3_33=generic_function("f"),
         )
-        flipped = _remark_differences(q, flip=True)
-        assert any(not res.is_zero_literal() for _, res in flipped)
+        assert all(not res.is_zero_literal() for _, res in quadratic2_residuals(q))
+        assert remark_mapping(q).overall == PASS
 
 
 class TestEmbeddings:
-    def test_quadratic_embedding_agrees(self):
-        q = Quadratic2.make(B2_22="y", B3_23="z^2")
-        embedded = cubic2_residuals(q.as_cubic())
-        direct = {cid: res for cid, res in quadratic_ids_to_cubic(q)}
-        for cid, res in embedded:
-            if cid in direct:
-                assert res == direct[cid]
+    @pytest.mark.parametrize("kernels", [False, True], ids=["polynomial", "kernel"])
+    def test_restricted_shapes_leave_only_their_own_lines(self, kernels):
+        # the quadratic and linear conditions are lines of the fifteen on
+        # the cubic embedding; every other line vanishes canonically there
+        rng = random.Random(53)
+
+        def coefficient(names):
+            if kernels:
+                return random_expr(rng, depth=2, names=names)
+            return random_polynomial(rng, names=names, terms=3)
+
+        for _ in range(25):
+            q = Quadratic2.make(**{k: coefficient(("y", "z")) for k in Quadratic2.keys()})
+            l = Linear2.make(
+                **{k: coefficient(("x",)) for k in ("C2_2", "C2_3", "C3_2", "C3_3")},
+                **{k: coefficient(("x", "y", "z")) for k in ("D2", "D3")})
+            for shape, kept in ((q, (8, 9, 11, 13)), (l, (1, 4, 12))):
+                for cid, res in cubic2_residuals(shape.as_cubic()):
+                    if int(cid.split(".")[1]) not in kept:
+                        assert res.is_zero_literal(), (cid, str(res))
 
     def test_linear_embedding_check(self):
         l = Linear2.make(D2="z", D3="z")
@@ -266,12 +303,3 @@ class TestEmbeddings:
         q = Quadratic2.make(B2_22=1, B3_33=1)
         assert check_cubic2(q.as_cubic()).overall == PASS
 
-
-def quadratic_ids_to_cubic(q):
-    """The four quadratic conditions appear verbatim among the fifteen
-    cubic ones when every A, C, D slot is zero."""
-    mapping = {"Eq53.1": "Eq51.11", "Eq53.2": "Eq51.13",
-               "Eq53.3": "Eq51.8", "Eq53.4": "Eq51.9"}
-    from geolin.criteria import quadratic2_residuals
-
-    return [(mapping[cid], res) for cid, res in quadratic2_residuals(q)]

@@ -240,3 +240,14 @@ def test_prs_give_up_propagates_on_pool_31_draw_19(monkeypatch):
     assert len(g) == 6
     assert core._p_mul(g, qa) == a
     assert core._p_mul(g, qb) == b
+
+
+def test_heuristic_giving_up_leaves_the_fraction_unreduced(monkeypatch):
+    # with no evaluation point to try the heuristic returns nothing, the
+    # gcd reports that it stopped early, and the fraction keeps its factor
+    monkeypatch.setattr(core, "_HEU_TRIES", 0)
+    x = var("x")
+    e = (x**2 - 1) / (x - 1)
+    assert core._p_gcd(e.num, e.den)[3] is False
+    assert str(e) == "(x^2 - 1)/(x - 1)"
+    assert (e - (x + 1)).is_zero_literal()

@@ -257,3 +257,26 @@ def test_corpus_witnesses_replay_exactly(tmp_path):
                 float(record["witness_value"]), rel=1e-14)
             replayed += 1
     assert replayed > 0
+
+
+def test_root_and_pole_at_sample_points_are_redrawn(monkeypatch):
+    # the first sample is a root of the residual and the second a pole;
+    # the root counts as a sample, the pole does not, and neither witnesses
+    scale = zerotest._SCALE
+    draws = iter([{"x": scale}, {"x": scale * 5 // 4}, {"x": scale * 3 // 2}])
+    monkeypatch.setattr(zerotest, "_sample_point", lambda rng, names: next(draws))
+    r = is_zero((x - 1) / (x - rational(5, 4)))
+    assert r.verdict is Verdict.NONZERO
+    assert r.witness == {"x": "3/2"}
+    assert r.detail == "nonzero at sample 2"
+    assert float(r.witness_value) == 2
+
+
+@pytest.mark.parametrize("expr, detail", [
+    (sqrt(integer(2)) * sqrt(integer(3)) - sqrt(integer(6)), "constant numerically small"),
+    (exp(integer(2) ** 70000) - 1, "evaluation failed"),
+], ids=["small", "failed"])
+def test_kernel_constant_left_undecided(expr, detail):
+    r = is_zero(expr)
+    assert r.verdict is Verdict.UNDECIDED
+    assert r.detail.startswith(detail)
