@@ -224,24 +224,11 @@ def check_cubic2(
 
 
 def quadratic2_residuals(q: Quadratic2) -> List[Tuple[str, Expr]]:
-    B222, B223, B233 = q.B2_22, q.B2_23, q.B2_33
-    B322, B323, B333 = q.B3_22, q.B3_23, q.B3_33
-    conditions = [
-        -B322 * B333 + _dy(B323) - _dz(B322) + B322 * B223
-        + B323 * B323 - B323 * B222,
-
-        rational(4, 3) * _dy(B333) - rational(4, 3) * _dz(B323)
-        + 2 * B322 * B233 - 2 * B323 * B223
-        - rational(2, 3) * _dy(B223) + rational(2, 3) * _dz(B222),
-
-        -_third * _dz(B323) + B233 * B322 - B223 * B323
-        - rational(2, 3) * _dy(B223) + _third * _dy(B333)
-        + rational(2, 3) * _dz(B222),
-
-        -_dy(B233) + _dz(B223) - B222 * B233 + B223 * B223
-        - B223 * B333 + B233 * B323,
-    ]
-    return [(f"Eq53.{k}", res) for k, res in enumerate(conditions, start=1)]
+    """The four quadratic pair conditions: Eq51.11, .13, .8 and .9 on the
+    cubic embedding, whose other lines vanish there."""
+    lines = cubic2_residuals(q.as_cubic())
+    return [(f"Eq53.{k}", lines[i - 1][1])
+            for k, i in enumerate((11, 13, 8, 9), start=1)]
 
 
 def check_quadratic2(
@@ -251,21 +238,13 @@ def check_quadratic2(
 
 
 def linear2_residuals(l: Linear2) -> List[Tuple[str, Expr]]:
-    # each residual is the derivative side minus the coefficient side,
-    # so a pure-D violation shows up with the sign of the D term
-    C22, C23, C32, C33 = l.C2_2, l.C2_3, l.C3_2, l.C3_3
-    D2, D3 = l.D2, l.D3
-    conditions = [
-        _dy(D3) - _half * _dx(C32) - _quarter * C33 * C32
-        - _quarter * C22 * C32,
-
-        _dz(D2) - _half * _dx(C23) - _quarter * C23 * C33
-        - _quarter * C23 * C22,
-
-        _dz(D3) - _dy(D2) - _half * _dx(C33) + _half * _dx(C22)
-        - _quarter * C33 * C33 + _quarter * C22 * C22,
-    ]
-    return [(f"Eq55.{k}", res) for k, res in enumerate(conditions, start=1)]
+    """The three linear pair conditions: -Eq51.1, -Eq51.4 and -Eq51.12 on
+    the cubic embedding, whose other lines vanish there.  Each is the
+    derivative side minus the coefficient side, so a pure-D violation
+    shows up with the sign of the D term."""
+    lines = cubic2_residuals(l.as_cubic())
+    return [(f"Eq55.{k}", -lines[i - 1][1])
+            for k, i in enumerate((1, 4, 12), start=1)]
 
 
 def check_linear2(
@@ -441,11 +420,10 @@ def appendix_residuals(
     return evaluate_conditions("cubic-2 appendix", labelled, config, facts)
 
 
-def _remark_differences(q: Quadratic2, flip: bool = False) -> List[Tuple[str, Expr]]:
-    sign = 1 if flip else -1
+def _remark_differences(q: Quadratic2) -> List[Tuple[str, Expr]]:
     coef = Geodesic2Coefficients(
         a=-q.B2_22, b=-q.B2_23, c=-q.B2_33,
-        d=-q.B3_22, e=sign * q.B3_23, f=-q.B3_33,
+        d=-q.B3_22, e=-q.B3_23, f=-q.B3_33,
     )
     r9 = [res for _, res in geodesic2_flat_residuals(coef, ("y", "z"))]
     r53 = [res for _, res in quadratic2_residuals(q)]
@@ -462,10 +440,10 @@ def remark_mapping(
 ) -> ConditionReport:
     """Identify the quadratic conditions with the plane-flatness ones.
 
-    Renaming the six coefficients with a sign flip turns each quadratic
-    residual into a fixed linear combination of the plane residuals in
-    coordinates (y, z); the report scores the four differences, which
-    must vanish identically.
+    Negating the six coefficients turns each quadratic condition, a line
+    of the fifteen on the cubic embedding, into a fixed linear
+    combination of the plane residuals in coordinates (y, z); the report
+    scores the four differences, which must vanish identically.
     """
     return evaluate_conditions(
         "quadratic-2 remark", _remark_differences(q), config)

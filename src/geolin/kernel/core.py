@@ -450,11 +450,13 @@ def _p_normalized(g, ca, cb):
 # polynomials held as dicts from exponent tuples to ints.  Evaluating the
 # first variable at an integer xi turns a gcd in n variables into one in
 # n - 1, down to an integer gcd; balanced xi-adic expansion lifts the
-# image gcd back.  The first point is the bound of Char, Geddes and
-# Gonnet's theorem, so a candidate that divides both inputs is their gcd;
-# the growth between tries follows sympy's dmp_zz_heu_gcd.  Kernels enter
-# as free variables, so over them the candidate is a gcd in the free
-# polynomial ring, with cofactors checked there by exact integer division.
+# image gcd back.  Each point yields one candidate, the lifted image gcd;
+# when it does not divide both inputs the next point is tried.  The first
+# point is the bound of Char, Geddes and Gonnet's theorem, so a candidate
+# that divides both inputs is their gcd; the growth between tries follows
+# sympy's dmp_zz_heu_gcd.  Kernels enter as free variables, so over them
+# the candidate is a gcd in the free polynomial ring, with cofactors
+# checked there by exact integer division.
 
 
 def _heu_gcd(a, b, gens):
@@ -525,24 +527,13 @@ def _zz_heu_gcd(f, g, n):
             found = _zz_heu_gcd(ff, gg, n - 1)
             if found is None:
                 return None
-            h, cff, cfg = found
-            h = _zz_primitive(_zz_interpolate(h, x))
+            h = _zz_primitive(_zz_interpolate(found[0], x))
             if len(h) == 1 and h.get((0,) * n) == 1:
                 # a unit divides both, and past the bound it is their gcd
                 return _zz_scale(h, k), f, g
             cf = _zz_exact_div(f, h)
             cg = _zz_exact_div(g, h) if cf is not None else None
             if cg is not None:
-                return _zz_scale(h, k), cf, cg
-            cf = _zz_interpolate(cff, x)
-            h = _zz_exact_div(f, cf)
-            cg = _zz_exact_div(g, h) if h is not None else None
-            if cg is not None:
-                return _zz_scale(h, k), cf, cg
-            cg = _zz_interpolate(cfg, x)
-            h = _zz_exact_div(g, cg)
-            cf = _zz_exact_div(f, h) if h is not None else None
-            if cf is not None:
                 return _zz_scale(h, k), cf, cg
         x = 73794 * x * _isqrt(_isqrt(x)) // 27011
     return None
@@ -653,7 +644,7 @@ class Expr:
     # _plain: False once a kernel is seen or a gcd building the pair stopped
     # early, True once the pair is known to be reduced and free of kernels,
     # None until _is_plain first looks
-    __slots__ = ("num", "den", "_key", "_hash", "_str", "_plain")
+    __slots__ = ("num", "den", "_key", "_plain")
 
     def __init__(self, num, den, _internal=False):
         if not _internal:
@@ -661,8 +652,6 @@ class Expr:
         self.num = num
         self.den = den
         self._key = None
-        self._hash = None
-        self._str = None
         self._plain = None
 
     # -- construction helpers ------------------------------------------------
@@ -676,11 +665,7 @@ class Expr:
         return k
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self.key())
-            self._hash = h
-        return h
+        return hash(self.key())
 
     def __eq__(self, other):
         if self is other:
@@ -834,11 +819,7 @@ class Expr:
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
-        s = self._str
-        if s is None:
-            s = _print_expr(self)
-            self._str = s
-        return s
+        return _print_expr(self)
 
     def __repr__(self):
         return f"Expr({self})"
