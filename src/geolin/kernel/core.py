@@ -21,6 +21,13 @@ canonical expressions.  Construction keeps every value normalized:
 A product of two monomials free of kernels needs none of these rewrites
 and is merged without scanning for them.
 
+Every expression whose denominator is 1 holds the shared P_ONE object, so
+an identity test tells a polynomial apart.  Sums, differences and
+products of two polynomials, a polynomial times or divided by an int or
+Fraction, and the partial derivative of a kernel-free polynomial act on
+the numerator dicts directly: with a constant denominator the general
+path would only wrap the numerator, so the result is the same pair.
+
 Common factors are found by one polynomial gcd that returns its
 cofactors: the heuristic gcd GCDHEU (Char, Geddes and Gonnet, 1989),
 which takes each kernel for a free variable.  A candidate counts only once
@@ -150,9 +157,11 @@ def _kernel_gen(fname: str, arg: "Expr") -> Gen:
 # where it is observed: printing and the structural key (_terms), the
 # leading term of sign normalization (_lead), and the summation order of
 # numeric evaluation, which fixes its rounding.
-# Differentiation and substitution also sum their terms in graded order:
-# over kernels, or past a gcd that stops early, the form a sum reduces to
-# can depend on that order, and equal polynomials must give equal results.
+# Substitution, and differentiation of a polynomial that holds a kernel,
+# also sum their terms in graded order: over kernels, or past a gcd that
+# stops early, the form a sum reduces to can depend on that order, and
+# equal polynomials must give equal results.  A kernel-free partial
+# derivative gives each monomial its own term, so nothing merges.
 # ---------------------------------------------------------------------------
 
 P_ZERO: dict = {}
@@ -207,6 +216,24 @@ def _p_add(p1, p2) -> dict:
             acc[m] = c
         else:
             v = v + c
+            if v == 0:
+                del acc[m]
+            else:
+                acc[m] = v if v.__class__ is int else _qnorm(v)
+    return acc
+
+
+def _p_sub(p1, p2) -> dict:
+    """p1 - p2, merged without building -p2 first."""
+    if not p2:
+        return p1
+    acc = dict(p1)
+    for m, c in p2.items():
+        v = acc.get(m)
+        if v is None:
+            acc[m] = -c
+        else:
+            v = v - c
             if v == 0:
                 del acc[m]
             else:
@@ -290,10 +317,11 @@ def _mono_combine(m1, m2):
 def _p_mul(p1, p2) -> dict:
     if not p1 or not p2:
         return P_ZERO
-    if p1 is P_ONE:
-        return p2
-    if p2 is P_ONE:
-        return p1
+    # a constant side fires no rewrite, so it only scales the other
+    if len(p1) == 1 and () in p1:
+        return _p_scale(p2, p1[()])
+    if len(p2) == 1 and () in p2:
+        return _p_scale(p1, p2[()])
     acc: dict = {}
     items2 = p2.items()
     for m1, c1 in p1.items():
@@ -704,13 +732,16 @@ class Expr:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = as_expr(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Expr:
+            other = as_expr(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not self.num:
             return other
         if not other.num:
             return self
+        if self.den is P_ONE and other.den is P_ONE:
+            return _poly_expr(_p_add(self.num, other.num))
         if self.den == other.den:
             return _mk(_p_add(self.num, other.num), self.den)
         # over the least common denominator: b*d / gcd(b, d)
@@ -737,23 +768,32 @@ class Expr:
         return e
 
     def __sub__(self, other):
-        other = as_expr(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Expr:
+            other = as_expr(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.den is P_ONE and other.den is P_ONE:
+            return _poly_expr(_p_sub(self.num, other.num))
         return self + (-other)
 
     def __rsub__(self, other):
         other = as_expr(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
-        other = as_expr(other)
-        if other is NotImplemented:
-            return NotImplemented
+        cls = other.__class__
+        if cls is not Expr:
+            if (cls is int or cls is Fraction) and self.den is P_ONE:
+                return _poly_expr(_p_scale(self.num, other))
+            other = as_expr(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not self.num or not other.num:
             return ZERO
+        if self.den is P_ONE and other.den is P_ONE:
+            return _poly_expr(_p_mul(self.num, other.num))
         # cross reduction keeps intermediate products small
         a, d2, whole = _cancel(self.num, other.den)
         b, d1, whole2 = _cancel(other.num, self.den)
@@ -762,9 +802,13 @@ class Expr:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_expr(other)
-        if other is NotImplemented:
-            return NotImplemented
+        cls = other.__class__
+        if cls is not Expr:
+            if (cls is int or cls is Fraction) and other and self.den is P_ONE:
+                return _poly_expr(_p_quo(self.num, other))
+            other = as_expr(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not other.num:
             raise ZeroDivisionError("exact division by zero expression")
         if not self.num:
@@ -825,6 +869,11 @@ class Expr:
         return f"Expr({self})"
 
 
+def _poly_expr(p) -> Expr:
+    """The polynomial p over the shared denominator P_ONE."""
+    return Expr(p, P_ONE, _internal=True) if p else ZERO
+
+
 def _mk(num, den) -> Expr:
     """Normalize a raw polynomial pair into a canonical expression."""
     if not den:
@@ -878,6 +927,9 @@ def _mk_coprime(num, den, whole=True) -> Expr:
     if c != 1:
         den = _p_quo(den, c)
         num = _p_quo(num, c)
+    if len(den) == 1 and () in den:
+        # the polynomial fast lane recognizes a denominator 1 by identity
+        den = P_ONE
     e = Expr(num, den, _internal=True)
     if not whole:
         e._plain = False
@@ -1075,6 +1127,17 @@ def _gen_diff(g: Gen, name: str) -> Expr:
 
 
 def _poly_diff(p, name: str) -> Expr:
+    if all(g.kind == VAR for m in p for g, _ in m):
+        # a monomial has one partial term, and distinct monomials give
+        # distinct ones, so nothing merges
+        d = {}
+        for m, c in p.items():
+            for i, (g, e) in enumerate(m):
+                if g.name == name:
+                    rest = m[:i] + ((g, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
+                    d[rest] = _qnorm(c * e)
+                    break
+        return _poly_expr(d)
     total = ZERO
     for m, c in _terms(p):
         for i, (g, e) in enumerate(m):

@@ -6,9 +6,11 @@ That peak is what a relative smallness test must compare against: a tiny
 result produced from huge intermediates is evidence of cancellation, not
 of a tiny function.
 
-mpmath is imported on first use, not with this module: most runs decide
-every residual structurally and never evaluate, so they do not pay for
-the import.
+mpmath is imported on first use, not with this module: by eval_expr, and
+by rational_str, which prints the witness value of every exact NONZERO.
+A run pays for the import once it evaluates a kernel residual or finds
+any residual nonzero; a run whose residuals are all the canonical zero
+never does.
 """
 
 from __future__ import annotations
