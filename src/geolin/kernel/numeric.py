@@ -7,10 +7,10 @@ result produced from huge intermediates is evidence of cancellation, not
 of a tiny function.
 
 mpmath is imported on first use, not with this module: by eval_expr, and
-by rational_str, which prints the witness value of every exact NONZERO.
-A run pays for the import once it evaluates a kernel residual or finds
-any residual nonzero; a run whose residuals are all the canonical zero
-never does.
+by rational_str, which prints the witness value of every exact NONZERO
+verdict.  A run that decides every residual structurally never loads it;
+one that evaluates a kernel residual, or finds a nonconstant kernel-free
+residual nonzero, does.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ through _cancel, _mk_product and _mk.  Both must give the same canonical
 pair, with every integral coefficient held as an int.
 """
 
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +22,7 @@ from geolin.transform import coefficients_from_transformation, normal_form
 from helpers import random_invertible_map, random_polynomial
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-x, y, z = var("x"), var("y"), var("z")
+x, y = var("x"), var("y")
 # each factor fires a rewrite inside _p_mul when it meets itself or its
 # partner: exp(x)*exp(-x) = 1, sin^2 = 1 - cos^2, sqrt(x)^2 = x, sqrt(2)^2 = 2
 KERNEL_FACTORS = (x, y, exp(x), exp(-x), exp(y), sin(x), cos(x), sqrt(x), sqrt(integer(2)))
@@ -65,11 +66,7 @@ def _assert_same(lane, general):
         assert c.denominator != 1 or c.__class__ is int, (str(lane), c)
 
 
-OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-}
+OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
 @pytest.mark.parametrize("op", sorted(OPS))
