@@ -12,16 +12,20 @@ names the exact condition that broke.
 
 from __future__ import annotations
 
+import functools
+import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .geometry import (
     CoefficientTable,
     Geodesic2Coefficients,
+    coordinates,
     geodesic2_flat_conditions,
     geodesic2_flat_residuals,
 )
-from .kernel import DEFAULT_CONFIG, Expr, ZeroTestConfig, rational
+from .kernel import DEFAULT_CONFIG, ZERO, Expr, ZeroTestConfig, parse, rational, var
 from .projection import (
     ScalarCubic,
     ScalarGauge,
@@ -30,13 +34,9 @@ from .projection import (
     ZERO_SCALAR_GAUGE,
     ZERO_SYSTEM_GAUGE,
     lift_scalar,
+    lift_system,
 )
 from .report import ConditionReport, evaluate_conditions
-
-_half = rational(1, 2)
-_quarter = rational(1, 4)
-_third = rational(1, 3)
-_sixth = rational(1, 6)
 
 
 class CoefficientDomainError(ValueError):
@@ -111,7 +111,11 @@ class Linear2(CoefficientTable):
 
 def tresse_residuals(cubic: ScalarCubic) -> List[Tuple[str, Expr]]:
     """The two classical relative invariants whose vanishing decides
-    linearizability of a scalar cubically semi-linear equation."""
+    linearizability of a scalar cubically semi-linear equation.
+
+    They stay transcribed: they eliminate the two gauge functions of the
+    2D lift by differentiation, so they are not a fixed linear
+    combination of its curvature, unlike the pair tables below."""
     E0, E1, E2, E3 = cubic.E0, cubic.E1, cubic.E2, cubic.E3
     t1 = (
         3 * _dx(E1 * E3) - _dy(_dy(E1)) + 2 * _dy(_dx(E2)) - 3 * _dy(E0 * E3)
@@ -145,74 +149,140 @@ def lie_gauge_residuals(
     return geodesic2_flat_conditions(lift_scalar(cubic, gauge), config)
 
 
+# The pair conditions are the flatness of the lifted 3D connection: each
+# line is a fixed rational combination of the curvature components of
+# lift_system(s, gauge), labelled as by Riemann.labelled().  Eq51.1-15:
+_EQ51 = (
+    "R3_112",
+    "R3_212",
+    "R3_312 - 1/3*R1_112 - 1/3*R2_212",
+    "R2_113",
+    "R2_313",
+    "R1_223",
+    "R1_323",
+    "R1_213 - 2/3*R2_223 + 1/3*R3_323",
+    "R1_313 - R2_323",
+    "R3_213 + 1/3*R1_112 - 2/3*R2_212",
+    "R1_212 + R3_223",
+    "R3_113 - R2_112",
+    "2*R1_312 - 2/3*R2_223 + 4/3*R3_323",
+    "2*R2_213 - R1_113 - R2_312",
+    "R2_213 - R1_113 - 2*R2_312 + R3_313",
+)
+
+# the 24 appendix lines in printed order: seven are lines of the fifteen,
+# and seventeen define a partial derivative of the gauge, each scored as
+# (that derivative of the gauge) minus (its right side)
+_APPENDIX = {
+    "A1.1": _EQ51[0],
+    "A1.2": _EQ51[1],
+    "A1.3": "-R1_212",
+    "A1.4": "R2_112",
+    "A1.5": "1/3*R2_212 - 2/3*R1_112",
+    "A1.6": "2/3*R2_212 - 1/3*R1_112",
+    "A1.7": _EQ51[2],
+    "A1.8": "-2*R1_312",
+    "A1.9": "2*R2_312",
+    "A2.1": "R3_213",
+    "A2.2": "-R1_213",
+    "A2.3": "R3_113",
+    "A2.4": "R2_213 - R1_113",
+    "A2.5": _EQ51[3],
+    "A2.6": _EQ51[4],
+    "A2.7": "4*R2_213 - 2*R1_113",
+    "A2.8": "R2_213 - R1_113 + R3_313",
+    "A2.9": "-2*R1_313",
+    "A3.1": "R3_223",
+    "A3.2": "1/3*R3_323 - 2/3*R2_223",
+    "A3.3": "4/3*R3_323 - 2/3*R2_223",
+    "A3.4": "-2*R2_323",
+    "A3.5": _EQ51[5],
+    "A3.6": _EQ51[6],
+}
+
+
+@functools.cache
+def _slot_forms():
+    """Each connection slot G{i}_{jk} of the lift as {name: rational}
+    over the coefficient and gauge names, read off one lift of variables."""
+    probe = lift_system(SystemCubic2(*map(var, SystemCubic2.keys())),
+                        SystemGauge(*map(var, SystemGauge.keys())))
+    forms = {}
+    for i, j, k in itertools.product((1, 2, 3), repeat=3):
+        entry = probe.gamma(i, j, k)
+        forms[i, j, k] = {name: entry.diff(name).as_rational()
+                          for name in entry.variables()}
+    return forms
+
+
+@functools.cache
+def _line_terms(combination: str):
+    """One combination of curvature components expanded, by index algebra
+    over the slot forms, into derivative terms ((name, coord, c), ...)
+    and product terms grouped by a shared factor ((a, ((b, c), ...)), ...),
+    from R{i}_{jkl} = T(k, l) - T(l, k) with
+    T(p, q) = d_p G{i}_{jq} + sum_m G{i}_{mp} G{m}_{jq}."""
+    line = parse(combination)
+    forms = _slot_forms()
+    derivs, products = defaultdict(int), defaultdict(int)
+    for label in line.variables():
+        weight = line.diff(label).as_rational()
+        i, j, k, l = (int(ch) for ch in label[1] + label[3:])
+        for p, q, w in ((k, l, weight), (l, k, -weight)):
+            for name, u in forms[i, j, q].items():
+                derivs[name, coordinates(3)[p - 1]] += w * u
+            for m in (1, 2, 3):
+                for a, u in forms[i, m, p].items():
+                    for b, v in forms[m, j, q].items():
+                        products[min(a, b), max(a, b)] += w * u * v
+
+    def exact(c):
+        # an int where integral, so that scaling stays in int arithmetic
+        return c.numerator if c.denominator == 1 else c
+
+    left = {pair: exact(c) for pair, c in products.items() if c}
+    grouped = []
+    while left:
+        # factor out the name shared by the most products left
+        shared = Counter(name for pair in left for name in set(pair))
+        first = min(shared, key=lambda name: (-shared[name], name))
+        rest = sorted((b if a == first else a, c) for (a, b), c in left.items()
+                      if first in (a, b))
+        grouped.append((first, tuple(rest)))
+        left = {pair: c for pair, c in left.items() if first not in pair}
+    return (
+        tuple((name, coord, exact(c)) for (name, coord), c in sorted(derivs.items()) if c),
+        tuple(grouped),
+    )
+
+
+def _curvature_lines(combinations, values: Dict[str, Expr]) -> List[Expr]:
+    """Each combination evaluated on the coefficient and gauge values by
+    name; each partial derivative is taken once for all of them."""
+    partials: Dict[Tuple[str, str], Expr] = {}
+    lines = []
+    for combination in combinations:
+        derivs, products = _line_terms(combination)
+        total = ZERO
+        for name, coord, c in derivs:
+            d = partials.get((name, coord))
+            if d is None:
+                d = partials[name, coord] = values[name].diff(coord)
+            total = total + d * c
+        for first, rest in products:
+            a = values[first]
+            if not a.is_zero_literal():
+                total = total + a * sum((values[b] * c for b, c in rest), ZERO)
+        lines.append(total)
+    return lines
+
+
 def cubic2_residuals(s: SystemCubic2) -> List[Tuple[str, Expr]]:
-    """The fifteen integrability residuals for the cubic pair,
-    transcribed in printed order."""
-    A22, A23, A33 = s.A22, s.A23, s.A33
-    B222, B223, B233 = s.B2_22, s.B2_23, s.B2_33
-    B322, B323, B333 = s.B3_22, s.B3_23, s.B3_33
-    C22, C23, C32, C33 = s.C2_2, s.C2_3, s.C3_2, s.C3_3
-    D2, D3 = s.D2, s.D3
-    conditions = [
-        _half * _dx(C32) - _dy(D3) + _quarter * C33 * C32
-        + _quarter * C22 * C32 - D2 * B322 - D3 * B323,
-
-        _dx(B322) - _half * _dy(C32) - A22 * D3 + _half * C32 * B222
-        + _half * C33 * B322 - _half * C22 * B322 - _half * B323 * C32,
-
-        _dx(B323) - _third * _dx(B222) + _sixth * _dy(C22)
-        - rational(4, 3) * D3 * A23 - rational(2, 3) * B322 * C23
-        + rational(2, 3) * B223 * C32 - _half * _dy(C33),
-
-        _half * _dx(C23) - _dz(D2) + _quarter * C23 * C33
-        + _quarter * C23 * C22 - B223 * D2 - B233 * D3,
-
-        _dx(B233) - _half * _dz(C23) - D2 * A33 + _half * C23 * B333
-        - _half * B223 * C23 - _half * B233 * C33 + _half * B233 * C22,
-
-        -_dy(A23) + _dz(A22) - A22 * B223 - A23 * B323
-        + A23 * B222 + A33 * B322,
-
-        -_dy(A33) + _dz(A23) - A22 * B233 - A23 * B333
-        + A23 * B223 + A33 * B323,
-
-        -_dx(A23) + rational(5, 6) * A23 * C22 + _third * A33 * C32
-        - _third * _dz(B323) + B233 * B322 + _sixth * C33 * A23
-        - B223 * B323 - rational(2, 3) * _dy(B223) + _third * _dy(B333)
-        + rational(2, 3) * _dz(B222) - _third * C23 * A22,
-
-        -_dx(A33) + _half * C22 * A33 + _half * A33 * C33 - _dy(B233)
-        + _dz(B223) - B222 * B233 + B223 * B223 - B223 * B333
-        + B233 * B323,
-
-        -rational(2, 3) * _dx(B222) + _third * _dy(C22)
-        - _half * C32 * B333 + D2 * A22 - rational(2, 3) * D3 * A23
-        - _third * C23 * B322 + rational(5, 6) * B223 * C32 + _dx(B323)
-        - _half * _dz(C32) + _half * C33 * B323 - _half * C22 * B323,
-
-        -_dx(A22) + _half * C22 * A22 - B322 * B333 + _dy(B323)
-        - _dz(B322) + B322 * B223 + B323 * B323 + _half * C33 * A22
-        - B323 * B222,
-
-        _dy(D2) + B222 * D2 + D3 * B223 - D3 * B333 + _half * _dx(C33)
-        - _half * _dx(C22) - _dz(D3) + _quarter * C33 * C33
-        - _quarter * C22 * C22 - B323 * D2,
-
-        -2 * _dx(A23) + rational(4, 3) * _dy(B333) + _third * A23 * C22
-        + rational(5, 3) * A23 * C33 + rational(2, 3) * C23 * A22
-        - rational(4, 3) * _dz(B323) - rational(2, 3) * C32 * A33
-        + 2 * B322 * B233 - 2 * B323 * B223
-        - rational(2, 3) * _dy(B223) + rational(2, 3) * _dz(B222),
-
-        _dx(B223) + _half * _dy(C23) - 2 * D2 * A23 + _half * C23 * B323
-        + _half * C23 * B222 + _half * C33 * B223 - _half * B223 * C22
-        - B233 * C32 - _dz(C22) - D3 * A33,
-
-        -_dx(B223) + _dx(B333) + _dy(C23) - C23 * B323 + C23 * B222
-        + B223 * C33 - B223 * C22 - _half * _dz(C33) - _half * _dz(C22)
-        - 2 * D3 * A33,
-    ]
-    return [(f"Eq51.{k}", res) for k, res in enumerate(conditions, start=1)]
+    """The fifteen integrability residuals for the cubic pair, in printed
+    order: the combinations `_EQ51` of the curvature of `lift_system(s)`.
+    The gauge cancels from each of them, so none is read."""
+    lines = _curvature_lines(_EQ51, s.entries())
+    return [(f"Eq51.{k}", res) for k, res in enumerate(lines, start=1)]
 
 
 def check_cubic2(
@@ -253,113 +323,6 @@ def check_linear2(
     return evaluate_conditions("linear-2", linear2_residuals(l), config)
 
 
-def _appendix_rhs(s: SystemCubic2, g1: Expr, g2: Expr, g3: Expr):
-    """Right-hand sides of the seventeen gauge-derivative equations,
-    keyed by catalog label.  Transcribed verbatim; known transcription
-    defects in the source tables are preserved and surfaced by the
-    pairwise-consistency records, never patched here."""
-    A22, A23, A33 = s.A22, s.A23, s.A33
-    B222, B223, B233 = s.B2_22, s.B2_23, s.B2_33
-    B322, B323, B333 = s.B3_22, s.B3_23, s.B3_33
-    C22, C23, C32, C33 = s.C2_2, s.C2_3, s.C3_2, s.C3_3
-    D2, D3 = s.D2, s.D3
-    return {
-        "A1.3": -_dx(A22) - A22 * g2 + C22 * A22 + g1 * B222 + g1 * g1
-        + _half * B322 * g3 - _half * B322 * B333 + _half * C32 * A23,
-
-        "A1.4": _dy(D2) + D2 * g1 + g2 * g2 - _quarter * C23 * C32
-        - g2 * C22 + B222 * D2 + D3 * B223 - _half * D3 * B333
-        + _half * D3 * g3,
-
-        "A1.5": -_third * _dx(B222) + rational(2, 3) * _dy(C22) + g1 * g2
-        + _quarter * C32 * g3 - _quarter * C32 * B333 + D2 * A22
-        + rational(2, 3) * D3 * A23 - _sixth * C23 * B322
-        + _sixth * B223 * C32,
-
-        "A1.6": -rational(2, 3) * _dx(B222) + _third * _dy(C22) + g1 * g2
-        + _quarter * C32 * g3 - _quarter * C32 * B333 + D2 * A22
-        + _third * D3 * A23 - _third * C23 * B322 + _third * B223 * C32,
-
-        "A1.8": -2 * _dx(A23) + _dy(B333) - 2 * g2 * A23 + A23 * C22
-        + 2 * g1 * B223 + g1 * g3 - g1 * B333 + g3 * B323
-        - B333 * B323 + A22 * C23 + A23 * C33,
-
-        "A1.9": -2 * _dx(B223) + _dx(B333) + _dy(C23) + 2 * D2 * A23
-        - C23 * B323 + C23 * g1 - g2 * B333 + C23 * B222 + B223 * C33
-        - B223 * C22 - _half * C33 * B333 + _half * B333 * C22
-        + _half * C33 * g3 - _half * C22 * g3 + g3 * g2,
-
-        "A2.1": -_dx(B323) + _half * _dz(C32) + D3 * A23
-        - _half * C32 * B223 + _quarter * C32 * B333
-        + _quarter * C32 * g3 - _half * C33 * B323
-        + _half * C22 * B323 + g2 * g1,
-
-        "A2.2": -_dx(A23) - A23 * g2 + A23 * C22 + g1 * B223
-        + _half * g3 * B323 + _half * g3 * g1 - _half * B333 * B323
-        - _half * B333 * g1 + _half * A33 * C32,
-
-        "A2.3": -_half * _dx(C33) + _half * _dx(C22) + _dz(D3)
-        + _half * g3 * D3 + _half * D3 * B333 - _quarter * C32 * C23
-        - _quarter * C33 * C33 + _quarter * C22 * C22 + g2 * g2
-        - C22 * g2 + B223 * D2 + g1 * D2,
-
-        "A2.4": -_dx(B223) + 2 * A23 * D2 - _half * C23 * B323
-        + _half * B233 * C32 + _dz(C22) + _half * C23 * g1
-        + _quarter * C33 * g3 - _quarter * C22 * g3 + _half * g3 * g2
-        - _quarter * B333 * C33 + _quarter * C22 * B333
-        - _half * B333 * g2 + A33 * D3,
-
-        "A2.7": _dx(B333) - 4 * _dx(B223) + 6 * A23 * D2
-        - 2 * C23 * B323 + 2 * B233 * C32 + 2 * _dz(C22) + C23 * g1
-        + _half * C33 * g3 - _half * C22 * g3 + g3 * g2
-        - _half * B333 * C33 + _half * C22 * B333 - B333 * g2
-        + 2 * A33 * D3,
-
-        "A2.8": _half * _dz(C33) + _half * _dz(C22) - _dx(B223)
-        + 2 * A23 * D2 + C23 * g1 + _half * C33 * g3
-        - _half * C22 * g3 + g2 * g3 - _half * C33 * B333
-        + _half * C22 * B333 - B333 * g2 + 2 * A33 * D3,
-
-        "A2.9": -2 * _dx(A33) + _dz(B333) - 2 * A33 * g2 + C22 * A33
-        + 2 * g1 * B233 + _half * g3 * g3 - _half * B333 * B333
-        + A23 * C23 + A33 * C33,
-
-        "A3.1": -_dy(B323) + _dz(B322) + _half * C32 * A23
-        - B322 * B223 + _half * B322 * B333 + _half * B322 * g3
-        - B323 * B323 + g1 * g1 - _half * C33 * A22
-        + _half * C22 * A22 - A22 * g2 + B323 * B222 + B222 * g1,
-
-        "A3.2": _third * _dz(B323) + _sixth * C32 * A33 - B233 * B322
-        - _sixth * C33 * A23 + _sixth * C22 * A23 - A23 * g2
-        + B223 * B323 - _half * B323 * B333 + _half * B323 * g3
-        + B223 * g1 - _half * B333 * g1 + _half * g1 * g3
-        + rational(2, 3) * _dy(B223) - _third * _dy(B333)
-        - rational(2, 3) * _dz(B222) + _third * C23 * A22,
-
-        "A3.3": rational(4, 3) * _dz(B323) + rational(2, 3) * C32 * A33
-        - 2 * B233 * B322 - rational(2, 3) * C33 * A23
-        + rational(2, 3) * C22 * A23 - 2 * A23 * g2 + 2 * B323 * B223
-        - B323 * B333 + B323 * g3 + 2 * B223 * g1 - B333 * g1
-        + g1 * g3 + rational(2, 3) * _dy(B223) - _third * _dy(B333)
-        - rational(2, 3) * _dz(B222) + _third * C23 * A22,
-
-        "A3.4": 2 * _dy(B233) - 2 * _dz(B223) + _dz(B333) - 2 * A33 * g2
-        + 2 * B222 * B233 + 2 * B233 * g1 + _half * g3 * g3
-        + C23 * A23 - 2 * B223 * B223 + 2 * B223 * B333
-        - _half * B333 * B333 - 2 * B233 * B323,
-    }
-
-
-# which gauge entry each defining equation differentiates, and along
-# which coordinate
-_APPENDIX_SLOTS = {
-    "A1.3": (0, "y"), "A1.4": (1, "x"), "A1.5": (1, "y"), "A1.6": (0, "x"),
-    "A1.8": (2, "y"), "A1.9": (2, "x"),
-    "A2.1": (0, "x"), "A2.2": (0, "z"), "A2.3": (1, "x"), "A2.4": (1, "z"),
-    "A2.7": (2, "x"), "A2.8": (2, "x"), "A2.9": (2, "z"),
-    "A3.1": (0, "y"), "A3.2": (0, "z"), "A3.3": (2, "y"), "A3.4": (2, "z"),
-}
-
 # equations defining the same gauge derivative, in printed order
 _APPENDIX_PAIRS = [
     ("A1.6", "A2.1"),
@@ -373,19 +336,6 @@ _APPENDIX_PAIRS = [
     ("A2.9", "A3.4"),
 ]
 
-# printed order of the full 24-line table, gauge-free lines marked
-_APPENDIX_ORDER = [
-    ("A1.1", 0), ("A1.2", 1), ("A1.3", None), ("A1.4", None),
-    ("A1.5", None), ("A1.6", None), ("A1.7", 2), ("A1.8", None),
-    ("A1.9", None),
-    ("A2.1", None), ("A2.2", None), ("A2.3", None), ("A2.4", None),
-    ("A2.5", 3), ("A2.6", 4), ("A2.7", None), ("A2.8", None),
-    ("A2.9", None),
-    ("A3.1", None), ("A3.2", None), ("A3.3", None), ("A3.4", None),
-    ("A3.5", 5), ("A3.6", 6),
-]
-
-
 def appendix_residuals(
     s: SystemCubic2,
     gauge: SystemGauge = ZERO_SYSTEM_GAUGE,
@@ -393,31 +343,19 @@ def appendix_residuals(
 ) -> ConditionReport:
     """Evaluate the full 24-line integrability table on an explicit gauge.
 
-    Seven lines constrain the coefficient table alone; seventeen define
-    partial derivatives of the three gauge functions and are scored as
-    (derivative of the supplied gauge) minus (printed right side).
-    Slots defined by more than one line additionally get pairwise
-    consistency records; those differences are independent of the gauge.
-    PASS certifies the supplied gauge as a flat-lift witness.
+    Each line is its combination `_APPENDIX` of the curvature of
+    `lift_system(s, gauge)`: seven are lines of the fifteen, and seventeen
+    define partial derivatives of the gauge.  Slots defined by two lines
+    also get a pairwise consistency record, the difference of the two
+    scores, which is independent of the gauge.  PASS certifies the
+    supplied gauge as a flat-lift witness.
     """
-    gs = (gauge.G1_12, gauge.G2_12, gauge.G3_33)
-    rhs = _appendix_rhs(s, *gs)
-    residuals = cubic2_residuals(s)
-    labelled = []
-    for label, free_index in _APPENDIX_ORDER:
-        if free_index is not None:
-            labelled.append((f"Eq{label}", residuals[free_index][1]))
-        else:
-            slot, coord = _APPENDIX_SLOTS[label]
-            labelled.append((f"Eq{label}", gs[slot].diff(coord) - rhs[label]))
+    lines = _curvature_lines(_APPENDIX.values(), {**s.entries(), **gauge.entries()})
+    scored = dict(zip(_APPENDIX, lines))
+    labelled = [(f"Eq{label}", line) for label, line in scored.items()]
     for first, second in _APPENDIX_PAIRS:
-        labelled.append((f"Eq{first}-{second}", rhs[first] - rhs[second]))
-
-    # the printed table and the fifteen-condition list disagree on one
-    # combination; record the instance value of that mismatch openly
-    gap = (rhs["A1.4"] - rhs["A2.3"]) - residuals[11][1]
-    facts = (("gap Eq51.12 vs EqA1.4-A2.3", str(gap)),)
-    return evaluate_conditions("cubic-2 appendix", labelled, config, facts)
+        labelled.append((f"Eq{first}-{second}", scored[second] - scored[first]))
+    return evaluate_conditions("cubic-2 appendix", labelled, config)
 
 
 def _remark_differences(q: Quadratic2) -> List[Tuple[str, Expr]]:
@@ -430,7 +368,7 @@ def _remark_differences(q: Quadratic2) -> List[Tuple[str, Expr]]:
     return [
         ("Eq53.1-Eq9.3", r53[0] - r9[2]),
         ("Eq53.2-Eq9.(1,4)", r53[1] + 2 * r9[0] + rational(4, 3) * r9[3]),
-        ("Eq53.3-Eq9.(1,4)", r53[2] + r9[0] + _third * r9[3]),
+        ("Eq53.3-Eq9.(1,4)", r53[2] + r9[0] + rational(1, 3) * r9[3]),
         ("Eq53.4-Eq9.2", r53[3] + r9[1]),
     ]
 

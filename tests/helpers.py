@@ -20,10 +20,12 @@ from geolin.kernel import (
     exp,
     integer,
     ln,
+    rational,
     sin,
     sqrt,
     var,
 )
+from geolin import criteria
 from geolin.transform import Transformation
 
 FD_H = Fraction(1, 10**8)
@@ -158,3 +160,236 @@ def poly_quotient(p, d):
     if q is None:
         return None
     return core._p_scale(core._poly_from_zz(q, gens), core._qdiv(kp, kd))
+
+
+# The pair and appendix tables as transcribed from the source by hand,
+# kept as the oracle of the tables that geolin.criteria derives from the
+# curvature of the lift.  The transcription carries one index slip: the
+# right side of EqA2.3 has B223 * D2 where the curvature gives B323 * D2.
+
+_half = rational(1, 2)
+_quarter = rational(1, 4)
+_third = rational(1, 3)
+_sixth = rational(1, 6)
+
+
+def _dx(f):
+    return f.diff("x")
+
+
+def _dy(f):
+    return f.diff("y")
+
+
+def _dz(f):
+    return f.diff("z")
+
+
+def transcribed_cubic2_residuals(s):
+    """The fifteen integrability residuals for the cubic pair,
+    transcribed in printed order."""
+    A22, A23, A33 = s.A22, s.A23, s.A33
+    B222, B223, B233 = s.B2_22, s.B2_23, s.B2_33
+    B322, B323, B333 = s.B3_22, s.B3_23, s.B3_33
+    C22, C23, C32, C33 = s.C2_2, s.C2_3, s.C3_2, s.C3_3
+    D2, D3 = s.D2, s.D3
+    conditions = [
+        _half * _dx(C32) - _dy(D3) + _quarter * C33 * C32
+        + _quarter * C22 * C32 - D2 * B322 - D3 * B323,
+
+        _dx(B322) - _half * _dy(C32) - A22 * D3 + _half * C32 * B222
+        + _half * C33 * B322 - _half * C22 * B322 - _half * B323 * C32,
+
+        _dx(B323) - _third * _dx(B222) + _sixth * _dy(C22)
+        - rational(4, 3) * D3 * A23 - rational(2, 3) * B322 * C23
+        + rational(2, 3) * B223 * C32 - _half * _dy(C33),
+
+        _half * _dx(C23) - _dz(D2) + _quarter * C23 * C33
+        + _quarter * C23 * C22 - B223 * D2 - B233 * D3,
+
+        _dx(B233) - _half * _dz(C23) - D2 * A33 + _half * C23 * B333
+        - _half * B223 * C23 - _half * B233 * C33 + _half * B233 * C22,
+
+        -_dy(A23) + _dz(A22) - A22 * B223 - A23 * B323
+        + A23 * B222 + A33 * B322,
+
+        -_dy(A33) + _dz(A23) - A22 * B233 - A23 * B333
+        + A23 * B223 + A33 * B323,
+
+        -_dx(A23) + rational(5, 6) * A23 * C22 + _third * A33 * C32
+        - _third * _dz(B323) + B233 * B322 + _sixth * C33 * A23
+        - B223 * B323 - rational(2, 3) * _dy(B223) + _third * _dy(B333)
+        + rational(2, 3) * _dz(B222) - _third * C23 * A22,
+
+        -_dx(A33) + _half * C22 * A33 + _half * A33 * C33 - _dy(B233)
+        + _dz(B223) - B222 * B233 + B223 * B223 - B223 * B333
+        + B233 * B323,
+
+        -rational(2, 3) * _dx(B222) + _third * _dy(C22)
+        - _half * C32 * B333 + D2 * A22 - rational(2, 3) * D3 * A23
+        - _third * C23 * B322 + rational(5, 6) * B223 * C32 + _dx(B323)
+        - _half * _dz(C32) + _half * C33 * B323 - _half * C22 * B323,
+
+        -_dx(A22) + _half * C22 * A22 - B322 * B333 + _dy(B323)
+        - _dz(B322) + B322 * B223 + B323 * B323 + _half * C33 * A22
+        - B323 * B222,
+
+        _dy(D2) + B222 * D2 + D3 * B223 - D3 * B333 + _half * _dx(C33)
+        - _half * _dx(C22) - _dz(D3) + _quarter * C33 * C33
+        - _quarter * C22 * C22 - B323 * D2,
+
+        -2 * _dx(A23) + rational(4, 3) * _dy(B333) + _third * A23 * C22
+        + rational(5, 3) * A23 * C33 + rational(2, 3) * C23 * A22
+        - rational(4, 3) * _dz(B323) - rational(2, 3) * C32 * A33
+        + 2 * B322 * B233 - 2 * B323 * B223
+        - rational(2, 3) * _dy(B223) + rational(2, 3) * _dz(B222),
+
+        _dx(B223) + _half * _dy(C23) - 2 * D2 * A23 + _half * C23 * B323
+        + _half * C23 * B222 + _half * C33 * B223 - _half * B223 * C22
+        - B233 * C32 - _dz(C22) - D3 * A33,
+
+        -_dx(B223) + _dx(B333) + _dy(C23) - C23 * B323 + C23 * B222
+        + B223 * C33 - B223 * C22 - _half * _dz(C33) - _half * _dz(C22)
+        - 2 * D3 * A33,
+    ]
+    return [(f"Eq51.{k}", res) for k, res in enumerate(conditions, start=1)]
+
+
+def transcribed_appendix_rhs(s, g1, g2, g3):
+    """Right-hand sides of the seventeen gauge-derivative equations,
+    keyed by catalog label.  Transcribed verbatim; known transcription
+    defects in the source tables are preserved and surfaced by the
+    pairwise-consistency records, never patched here."""
+    A22, A23, A33 = s.A22, s.A23, s.A33
+    B222, B223, B233 = s.B2_22, s.B2_23, s.B2_33
+    B322, B323, B333 = s.B3_22, s.B3_23, s.B3_33
+    C22, C23, C32, C33 = s.C2_2, s.C2_3, s.C3_2, s.C3_3
+    D2, D3 = s.D2, s.D3
+    return {
+        "A1.3": -_dx(A22) - A22 * g2 + C22 * A22 + g1 * B222 + g1 * g1
+        + _half * B322 * g3 - _half * B322 * B333 + _half * C32 * A23,
+
+        "A1.4": _dy(D2) + D2 * g1 + g2 * g2 - _quarter * C23 * C32
+        - g2 * C22 + B222 * D2 + D3 * B223 - _half * D3 * B333
+        + _half * D3 * g3,
+
+        "A1.5": -_third * _dx(B222) + rational(2, 3) * _dy(C22) + g1 * g2
+        + _quarter * C32 * g3 - _quarter * C32 * B333 + D2 * A22
+        + rational(2, 3) * D3 * A23 - _sixth * C23 * B322
+        + _sixth * B223 * C32,
+
+        "A1.6": -rational(2, 3) * _dx(B222) + _third * _dy(C22) + g1 * g2
+        + _quarter * C32 * g3 - _quarter * C32 * B333 + D2 * A22
+        + _third * D3 * A23 - _third * C23 * B322 + _third * B223 * C32,
+
+        "A1.8": -2 * _dx(A23) + _dy(B333) - 2 * g2 * A23 + A23 * C22
+        + 2 * g1 * B223 + g1 * g3 - g1 * B333 + g3 * B323
+        - B333 * B323 + A22 * C23 + A23 * C33,
+
+        "A1.9": -2 * _dx(B223) + _dx(B333) + _dy(C23) + 2 * D2 * A23
+        - C23 * B323 + C23 * g1 - g2 * B333 + C23 * B222 + B223 * C33
+        - B223 * C22 - _half * C33 * B333 + _half * B333 * C22
+        + _half * C33 * g3 - _half * C22 * g3 + g3 * g2,
+
+        "A2.1": -_dx(B323) + _half * _dz(C32) + D3 * A23
+        - _half * C32 * B223 + _quarter * C32 * B333
+        + _quarter * C32 * g3 - _half * C33 * B323
+        + _half * C22 * B323 + g2 * g1,
+
+        "A2.2": -_dx(A23) - A23 * g2 + A23 * C22 + g1 * B223
+        + _half * g3 * B323 + _half * g3 * g1 - _half * B333 * B323
+        - _half * B333 * g1 + _half * A33 * C32,
+
+        "A2.3": -_half * _dx(C33) + _half * _dx(C22) + _dz(D3)
+        + _half * g3 * D3 + _half * D3 * B333 - _quarter * C32 * C23
+        - _quarter * C33 * C33 + _quarter * C22 * C22 + g2 * g2
+        - C22 * g2 + B223 * D2 + g1 * D2,
+
+        "A2.4": -_dx(B223) + 2 * A23 * D2 - _half * C23 * B323
+        + _half * B233 * C32 + _dz(C22) + _half * C23 * g1
+        + _quarter * C33 * g3 - _quarter * C22 * g3 + _half * g3 * g2
+        - _quarter * B333 * C33 + _quarter * C22 * B333
+        - _half * B333 * g2 + A33 * D3,
+
+        "A2.7": _dx(B333) - 4 * _dx(B223) + 6 * A23 * D2
+        - 2 * C23 * B323 + 2 * B233 * C32 + 2 * _dz(C22) + C23 * g1
+        + _half * C33 * g3 - _half * C22 * g3 + g3 * g2
+        - _half * B333 * C33 + _half * C22 * B333 - B333 * g2
+        + 2 * A33 * D3,
+
+        "A2.8": _half * _dz(C33) + _half * _dz(C22) - _dx(B223)
+        + 2 * A23 * D2 + C23 * g1 + _half * C33 * g3
+        - _half * C22 * g3 + g2 * g3 - _half * C33 * B333
+        + _half * C22 * B333 - B333 * g2 + 2 * A33 * D3,
+
+        "A2.9": -2 * _dx(A33) + _dz(B333) - 2 * A33 * g2 + C22 * A33
+        + 2 * g1 * B233 + _half * g3 * g3 - _half * B333 * B333
+        + A23 * C23 + A33 * C33,
+
+        "A3.1": -_dy(B323) + _dz(B322) + _half * C32 * A23
+        - B322 * B223 + _half * B322 * B333 + _half * B322 * g3
+        - B323 * B323 + g1 * g1 - _half * C33 * A22
+        + _half * C22 * A22 - A22 * g2 + B323 * B222 + B222 * g1,
+
+        "A3.2": _third * _dz(B323) + _sixth * C32 * A33 - B233 * B322
+        - _sixth * C33 * A23 + _sixth * C22 * A23 - A23 * g2
+        + B223 * B323 - _half * B323 * B333 + _half * B323 * g3
+        + B223 * g1 - _half * B333 * g1 + _half * g1 * g3
+        + rational(2, 3) * _dy(B223) - _third * _dy(B333)
+        - rational(2, 3) * _dz(B222) + _third * C23 * A22,
+
+        "A3.3": rational(4, 3) * _dz(B323) + rational(2, 3) * C32 * A33
+        - 2 * B233 * B322 - rational(2, 3) * C33 * A23
+        + rational(2, 3) * C22 * A23 - 2 * A23 * g2 + 2 * B323 * B223
+        - B323 * B333 + B323 * g3 + 2 * B223 * g1 - B333 * g1
+        + g1 * g3 + rational(2, 3) * _dy(B223) - _third * _dy(B333)
+        - rational(2, 3) * _dz(B222) + _third * C23 * A22,
+
+        "A3.4": 2 * _dy(B233) - 2 * _dz(B223) + _dz(B333) - 2 * A33 * g2
+        + 2 * B222 * B233 + 2 * B233 * g1 + _half * g3 * g3
+        + C23 * A23 - 2 * B223 * B223 + 2 * B223 * B333
+        - _half * B333 * B333 - 2 * B233 * B323,
+    }
+
+
+# which gauge entry each defining equation differentiates, and along
+# which coordinate
+TRANSCRIBED_APPENDIX_SLOTS = {
+    "A1.3": (0, "y"), "A1.4": (1, "x"), "A1.5": (1, "y"), "A1.6": (0, "x"),
+    "A1.8": (2, "y"), "A1.9": (2, "x"),
+    "A2.1": (0, "x"), "A2.2": (0, "z"), "A2.3": (1, "x"), "A2.4": (1, "z"),
+    "A2.7": (2, "x"), "A2.8": (2, "x"), "A2.9": (2, "z"),
+    "A3.1": (0, "y"), "A3.2": (0, "z"), "A3.3": (2, "y"), "A3.4": (2, "z"),
+}
+
+# printed order of the full 24-line table, gauge-free lines marked
+TRANSCRIBED_APPENDIX_ORDER = [
+    ("A1.1", 0), ("A1.2", 1), ("A1.3", None), ("A1.4", None),
+    ("A1.5", None), ("A1.6", None), ("A1.7", 2), ("A1.8", None),
+    ("A1.9", None),
+    ("A2.1", None), ("A2.2", None), ("A2.3", None), ("A2.4", None),
+    ("A2.5", 3), ("A2.6", 4), ("A2.7", None), ("A2.8", None),
+    ("A2.9", None),
+    ("A3.1", None), ("A3.2", None), ("A3.3", None), ("A3.4", None),
+    ("A3.5", 5), ("A3.6", 6),
+]
+
+
+def transcribed_appendix_residuals(s, gauge):
+    """The 33 (label, residual) records of `appendix_residuals`, built
+    from the transcribed tables: each gauge-derivative line is scored as
+    the derivative of the gauge minus its transcribed right side, and
+    each pair record as the difference of the two right sides."""
+    gs = (gauge.G1_12, gauge.G2_12, gauge.G3_33)
+    rhs = transcribed_appendix_rhs(s, *gs)
+    free = transcribed_cubic2_residuals(s)
+    labelled = []
+    for label, free_index in TRANSCRIBED_APPENDIX_ORDER:
+        if free_index is not None:
+            labelled.append((f"Eq{label}", free[free_index][1]))
+        else:
+            slot, coord = TRANSCRIBED_APPENDIX_SLOTS[label]
+            labelled.append((f"Eq{label}", gs[slot].diff(coord) - rhs[label]))
+    for first, second in criteria._APPENDIX_PAIRS:
+        labelled.append((f"Eq{first}-{second}", rhs[first] - rhs[second]))
+    return labelled
