@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .geometry import (
+    Christoffel,
     CoefficientTable,
-    Geodesic2Coefficients,
     coordinates,
     geodesic2_flat_conditions,
     geodesic2_flat_residuals,
+    riemann,
 )
 from .kernel import DEFAULT_CONFIG, ZERO, Expr, ZeroTestConfig, parse, rational, var
 from .projection import (
@@ -49,10 +50,6 @@ def _dx(f: Expr) -> Expr:
 
 def _dy(f: Expr) -> Expr:
     return f.diff("y")
-
-
-def _dz(f: Expr) -> Expr:
-    return f.diff("z")
 
 
 @dataclass(frozen=True)
@@ -131,8 +128,7 @@ def tresse_residuals(cubic: ScalarCubic) -> List[Tuple[str, Expr]]:
 def tresse_scalar(
     cubic: ScalarCubic, config: ZeroTestConfig = DEFAULT_CONFIG
 ) -> ConditionReport:
-    return evaluate_conditions(
-        "scalar-cubic", tresse_residuals(cubic), config)
+    return evaluate_conditions(tresse_residuals(cubic), config)
 
 
 def lie_gauge_residuals(
@@ -290,7 +286,7 @@ def check_cubic2(
 ) -> ConditionReport:
     """Decide whether the cubic pair is linearizable; PASS is a proof,
     condition by condition, FAIL names a broken condition."""
-    return evaluate_conditions("cubic-2", cubic2_residuals(s), config)
+    return evaluate_conditions(cubic2_residuals(s), config)
 
 
 def quadratic2_residuals(q: Quadratic2) -> List[Tuple[str, Expr]]:
@@ -304,7 +300,7 @@ def quadratic2_residuals(q: Quadratic2) -> List[Tuple[str, Expr]]:
 def check_quadratic2(
     q: Quadratic2, config: ZeroTestConfig = DEFAULT_CONFIG
 ) -> ConditionReport:
-    return evaluate_conditions("quadratic-2", quadratic2_residuals(q), config)
+    return evaluate_conditions(quadratic2_residuals(q), config)
 
 
 def linear2_residuals(l: Linear2) -> List[Tuple[str, Expr]]:
@@ -320,7 +316,7 @@ def linear2_residuals(l: Linear2) -> List[Tuple[str, Expr]]:
 def check_linear2(
     l: Linear2, config: ZeroTestConfig = DEFAULT_CONFIG
 ) -> ConditionReport:
-    return evaluate_conditions("linear-2", linear2_residuals(l), config)
+    return evaluate_conditions(linear2_residuals(l), config)
 
 
 # equations defining the same gauge derivative, in printed order
@@ -355,15 +351,13 @@ def appendix_residuals(
     labelled = [(f"Eq{label}", line) for label, line in scored.items()]
     for first, second in _APPENDIX_PAIRS:
         labelled.append((f"Eq{first}-{second}", scored[second] - scored[first]))
-    return evaluate_conditions("cubic-2 appendix", labelled, config)
+    return evaluate_conditions(labelled, config)
 
 
 def _remark_differences(q: Quadratic2) -> List[Tuple[str, Expr]]:
-    coef = Geodesic2Coefficients(
-        a=-q.B2_22, b=-q.B2_23, c=-q.B2_33,
-        d=-q.B3_22, e=-q.B3_23, f=-q.B3_33,
-    )
-    r9 = [res for _, res in geodesic2_flat_residuals(coef, ("y", "z"))]
+    # the six B's in field order are the (y, z) plane connection in storage order
+    plane = Christoffel(2, tuple(q.entries().values()))
+    r9 = [res for _, res in geodesic2_flat_residuals(riemann(plane, ("y", "z")))]
     r53 = [res for _, res in quadratic2_residuals(q)]
     return [
         ("Eq53.1-Eq9.3", r53[0] - r9[2]),
@@ -378,10 +372,10 @@ def remark_mapping(
 ) -> ConditionReport:
     """Identify the quadratic conditions with the plane-flatness ones.
 
-    Negating the six coefficients turns each quadratic condition, a line
-    of the fifteen on the cubic embedding, into a fixed linear
-    combination of the plane residuals in coordinates (y, z); the report
-    scores the four differences, which must vanish identically.
+    The six coefficients are a plane connection in coordinates (y, z),
+    and each quadratic condition, a line of the fifteen on the cubic
+    embedding, is a fixed linear combination of that plane's flatness
+    residuals; the report scores the four differences, which must vanish
+    identically.
     """
-    return evaluate_conditions(
-        "quadratic-2 remark", _remark_differences(q), config)
+    return evaluate_conditions(_remark_differences(q), config)

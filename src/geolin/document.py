@@ -291,10 +291,8 @@ def _split_sections(text: str, label: str):
         if any(k == key for k, _, _ in sections[current]):
             raise DocumentError(f"{label}:{lineno}: duplicate key {key!r}")
         sections[current].append((key, value, lineno))
-    head = sections.get("system")
-    if head is not None:
-        sections["system"] = [(k, _unquote(v), n) for k, v, n in head]
-        sections["system"] = {k: v for k, v, _ in sections["system"]}
+    if "system" in sections:
+        sections["system"] = {k: _unquote(v) for k, v, _ in sections["system"]}
     return sections
 
 

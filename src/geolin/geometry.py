@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .kernel import (
     DEFAULT_CONFIG,
@@ -133,8 +133,10 @@ def coordinates(dim: int) -> Tuple[str, ...]:
 
 
 def determinant(m: Sequence[Sequence[Expr]]) -> Expr:
-    """Determinant of a 2x2 or 3x3 matrix given by rows: a*d - b*c in 2D,
-    cofactor expansion along the first row in 3D."""
+    """Determinant of a 1x1, 2x2 or 3x3 matrix given by rows: a*d - b*c
+    in 2D, cofactor expansion along the first row in 3D."""
+    if len(m) == 1:
+        return m[0][0]
     if len(m) == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     return (
@@ -149,7 +151,7 @@ class Metric:
     """Symmetric metric tensor with exact entries.
 
     Entries follow SYM_PAIRS[dim]; g(i, j) resolves either index order.
-    The 2D aliases p, q, r name g11, g12, g22.
+    Metric.plane(p, q, r) builds the 2D metric with g11, g12, g22 = p, q, r.
     """
 
     dim: int
@@ -178,37 +180,20 @@ class Metric:
     def g(self, i: int, j: int) -> Expr:
         return self.entries[_SYM_SLOT[self.dim][i, j]]
 
-    @property
-    def p(self) -> Expr:
-        return self.g(1, 1)
-
-    @property
-    def q(self) -> Expr:
-        return self.g(1, 2)
-
-    @property
-    def r(self) -> Expr:
-        return self.g(2, 2)
-
     def determinant(self) -> Expr:
         index = range(1, self.dim + 1)
         return determinant([[self.g(i, j) for j in index] for i in index])
 
     def inverse_times_det(self) -> Tuple[Tuple[Expr, ...], ...]:
         """Adjugate matrix, i.e. det(g) times the inverse metric."""
-        g = self.g
-        if self.dim == 2:
-            return (
-                (g(2, 2), -g(1, 2)),
-                (-g(1, 2), g(1, 1)),
-            )
+        index = range(1, self.dim + 1)
+
         def cof(i, j):
-            rows = [r for r in (1, 2, 3) if r != i]
-            cols = [c for c in (1, 2, 3) if c != j]
-            minor = determinant([[g(r, c) for c in cols] for r in rows])
+            minor = determinant([[self.g(r, c) for c in index if c != j]
+                                 for r in index if r != i])
             return minor if (i + j) % 2 == 0 else -minor
         # adjugate = transposed cofactors; symmetric here
-        return tuple(tuple(cof(j, i) for j in (1, 2, 3)) for i in (1, 2, 3))
+        return tuple(tuple(cof(j, i) for j in index) for i in index)
 
 
 @dataclass(frozen=True)
@@ -326,13 +311,14 @@ def christoffel_from_metric(
     return Christoffel.from_components(g.dim, components)
 
 
-def riemann(gamma: Christoffel) -> Riemann:
-    """Curvature of a symmetric connection.
+def riemann(gamma: Christoffel, coords: Optional[Sequence[str]] = None) -> Riemann:
+    """Curvature of a symmetric connection written in the coordinates
+    `coords`, by default coordinates(gamma.dim).
 
     R{i}_{jkl} = d_k G{i}_{jl} - d_l G{i}_{jk}
                + sum_m (G{i}_{mk} G{m}_{jl} - G{i}_{ml} G{m}_{jk)}.
     """
-    names = coordinates(gamma.dim)
+    names = coords or coordinates(gamma.dim)
     entries = []
     for i in range(1, gamma.dim + 1):
         for j in range(1, gamma.dim + 1):
@@ -368,21 +354,19 @@ def is_flat(
     Eq6.R{i}_{jkl} in storage order; PASS certifies a flat connection."""
     labelled = [(f"Eq6.{label}", component)
                 for label, component in riemann(gamma).labelled()]
-    return evaluate_conditions("flatness", labelled, config)
+    return evaluate_conditions(labelled, config)
 
 
-def geodesic2_flat_residuals(
-    coef: Geodesic2Coefficients, coords: Tuple[str, str]
-) -> List[Tuple[str, Expr]]:
-    """The four plane flatness residuals on a..f, written in the given
-    pair of coordinates."""
-    u, v = coords
-    a, b, c, d, e, f = coef.a, coef.b, coef.c, coef.d, coef.e, coef.f
+def geodesic2_flat_residuals(curv: Riemann) -> List[Tuple[str, Expr]]:
+    """The four plane flatness residuals of a 2D curvature: R1_112,
+    R1_212, R2_112 and -(R1_112 + R2_212).  On the connection -(a..f)
+    they are the printed conditions on a..f."""
+    r = curv.component
     return [
-        ("Eq9.1", a.diff(v) - b.diff(u) + b * e - c * d),
-        ("Eq9.2", b.diff(v) - c.diff(u) + (a * c - b * b) + (b * f - c * e)),
-        ("Eq9.3", d.diff(v) - e.diff(u) - (a * e - b * d) - (d * f - e * e)),
-        ("Eq9.4", (b + f).diff(u) - (a + e).diff(v)),
+        ("Eq9.1", r(1, 1, 1, 2)),
+        ("Eq9.2", r(1, 2, 1, 2)),
+        ("Eq9.3", r(2, 1, 1, 2)),
+        ("Eq9.4", -r(1, 1, 1, 2) - r(2, 2, 1, 2)),
     ]
 
 
@@ -391,8 +375,7 @@ def geodesic2_flat_conditions(
 ) -> ConditionReport:
     """The four flatness conditions on the coefficients a..f."""
     return evaluate_conditions(
-        "geodesic-2 flatness",
-        geodesic2_flat_residuals(coef, coordinates(2)), config)
+        geodesic2_flat_residuals(riemann(coef.as_christoffel())), config)
 
 
 def metric_pde_residuals(
@@ -400,29 +383,31 @@ def metric_pde_residuals(
     g: Metric,
     config: ZeroTestConfig = DEFAULT_CONFIG,
 ) -> ConditionReport:
-    """Residuals of the six first-order metric equations in 2D.
+    """The six first-order metric equations in 2D: the covariant
+    derivative of g under the connection G = -(a..f),
 
-    A candidate (p, q, r) solves the system when all six residuals
-    vanish.  The determinant and its degeneracy verdict ride along as
-    facts; degeneracy does not by itself fail the report.
+        nabla_k g_ij = d_k g_ij - sum_m (G{m}_{ki} g_mj + G{m}_{kj} g_im),
+
+    labelled Eq11.1-6 for k = x, y in turn and ij = 11, 12, 22 within.
+    A candidate metric solves the system when all six vanish.  The
+    determinant and its degeneracy verdict ride along as facts;
+    degeneracy does not by itself fail the report.
     """
     if g.dim != 2:
         raise GeometryError("the metric equations are a 2D check")
-    a, b, c, d, e, f = coef.a, coef.b, coef.c, coef.d, coef.e, coef.f
-    p, q, r = g.p, g.q, g.r
-    two = integer(2)
-    labelled = [
-        ("Eq11.1", p.diff("x") + two * (a * p + d * q)),
-        ("Eq11.2", q.diff("x") + b * p + (a + e) * q + d * r),
-        ("Eq11.3", r.diff("x") + two * (b * q + e * r)),
-        ("Eq11.4", p.diff("y") + two * (b * p + e * q)),
-        ("Eq11.5", q.diff("y") + c * p + (b + f) * q + e * r),
-        ("Eq11.6", r.diff("y") + two * (c * q + f * r)),
-    ]
+    gamma = coef.as_christoffel()
+    labelled = []
+    for k, name in enumerate(coordinates(2), start=1):
+        for i, j in SYM_PAIRS[2]:
+            term = g.g(i, j).diff(name)
+            for m in (1, 2):
+                term = (term - gamma.gamma(m, k, i) * g.g(m, j)
+                        - gamma.gamma(m, k, j) * g.g(i, m))
+            labelled.append((f"Eq11.{len(labelled) + 1}", term))
     det = g.determinant()
     degeneracy = is_zero(det, config)
     facts = (
         ("determinant", str(det)),
         ("degenerate", {"zero": "yes", "nonzero": "no", "undecided": "undecided"}[degeneracy.verdict.value]),
     )
-    return evaluate_conditions("metric equations", labelled, config, facts=facts)
+    return evaluate_conditions(labelled, config, facts=facts)

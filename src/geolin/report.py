@@ -42,13 +42,12 @@ class ConditionRecord:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Ordered condition records for one system kind.
+    """Ordered condition records of one check.
 
     facts carries side information that does not influence the verdict,
     e.g. a metric determinant and whether it degenerates.
     """
 
-    kind: str
     records: Tuple[ConditionRecord, ...]
     facts: Tuple[Tuple[str, str], ...] = field(default=())
 
@@ -75,7 +74,6 @@ class ConditionReport:
 
 
 def evaluate_conditions(
-    kind: str,
     labelled: list,
     config: ZeroTestConfig = DEFAULT_CONFIG,
     facts: Tuple[Tuple[str, str], ...] = (),
@@ -85,5 +83,5 @@ def evaluate_conditions(
         ConditionRecord(cid, residual, is_zero(residual, config))
         for cid, residual in labelled
     )
-    return ConditionReport(kind=kind, records=records, facts=facts)
+    return ConditionReport(records=records, facts=facts)
 

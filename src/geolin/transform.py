@@ -147,11 +147,6 @@ class GeneralSystem2(CoefficientTable):
     def E(self, i: int) -> Expr:
         return getattr(self, f"E{i}")
 
-    def residual(self, i: int, yp: Expr, zp: Expr, ypp: Expr, zpp: Expr) -> Expr:
-        """Left side of equation i on explicit jet values."""
-        return (self._lower(i, yp, zp) + self.J(i, 2) * ypp + self.J(i, 3) * zpp
-                + self.G(i, 2, 3) * (yp * zpp - zp * ypp))
-
     def _lower(self, i: int, yp: Expr, zp: Expr) -> Expr:
         """The terms of equation i free of second derivatives."""
         first = {2: yp, 3: zp}
@@ -348,9 +343,7 @@ def normal_form(
         res = g.E(i) - _dot(jac[i], d)
         labelled.append((f"Eqr55.E{i}", res))
 
-    report = evaluate_conditions(
-        "general-2 reduction", labelled, config,
-        facts=(("det J", str(det)),))
+    report = evaluate_conditions(labelled, config, facts=(("det J", str(det)),))
     return cubic, report
 
 
@@ -461,8 +454,7 @@ def verify_linearizing_transformation(
     `linearization_residuals`.  PASS certifies the map sends solutions
     to straight lines.
     """
-    return evaluate_conditions(
-        "verify-transform", linearization_residuals(system, t), config)
+    return evaluate_conditions(linearization_residuals(system, t), config)
 
 
 def pullback_metric(t: Transformation, target: Metric) -> Metric:

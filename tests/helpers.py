@@ -144,6 +144,21 @@ def fraction_chain_residuals(g, t: Transformation):
     return [(f"Eqr4.{i + 1}", along(d1[i] / d1[0]) / d1[0]) for i in (1, 2)]
 
 
+def general_pair_residual(g, i, yp, zp, ypp, zpp):
+    """Left side of equation i of a general pair `g` on explicit jet
+    values, contracted from its named coefficient families."""
+    first = {2: yp, 3: zp}
+    total = (g.E(i) + g.J(i, 2) * ypp + g.J(i, 3) * zpp
+             + g.G(i, 2, 3) * (yp * zpp - zp * ypp))
+    for k in (2, 3):
+        total = total + g.Om(i, k) * first[k]
+        for l in (2, 3):
+            total = total + g.Lam(i, k, l) * first[k] * first[l]
+            for m in (2, 3):
+                total = total + g.Delta(i, k, l, m) * first[k] * first[l] * first[m]
+    return total
+
+
 def poly_quotient(p, d):
     """The exact quotient p / d of two kernel polynomials, or None.
 
@@ -393,3 +408,37 @@ def transcribed_appendix_residuals(s, gauge):
     for first, second in criteria._APPENDIX_PAIRS:
         labelled.append((f"Eq{first}-{second}", rhs[first] - rhs[second]))
     return labelled
+
+
+# The plane tables as transcribed from the source by hand, kept as the
+# oracle of the tables that geolin.geometry reads from the 2D connection
+# G = -(a..f): Eq9 from its curvature, Eq11 from the covariant
+# derivative of the metric.
+
+def transcribed_geodesic2_flat_residuals(coef, coords):
+    """The four plane flatness residuals on a..f, written in the given
+    pair of coordinates."""
+    u, v = coords
+    a, b, c, d, e, f = coef.a, coef.b, coef.c, coef.d, coef.e, coef.f
+    return [
+        ("Eq9.1", a.diff(v) - b.diff(u) + b * e - c * d),
+        ("Eq9.2", b.diff(v) - c.diff(u) + (a * c - b * b) + (b * f - c * e)),
+        ("Eq9.3", d.diff(v) - e.diff(u) - (a * e - b * d) - (d * f - e * e)),
+        ("Eq9.4", (b + f).diff(u) - (a + e).diff(v)),
+    ]
+
+
+def transcribed_metric_pde_residuals(coef, g):
+    """The six first-order metric equations in 2D on a..f and
+    (p, q, r) = (g11, g12, g22)."""
+    a, b, c, d, e, f = coef.a, coef.b, coef.c, coef.d, coef.e, coef.f
+    p, q, r = g.g(1, 1), g.g(1, 2), g.g(2, 2)
+    two = integer(2)
+    return [
+        ("Eq11.1", p.diff("x") + two * (a * p + d * q)),
+        ("Eq11.2", q.diff("x") + b * p + (a + e) * q + d * r),
+        ("Eq11.3", r.diff("x") + two * (b * q + e * r)),
+        ("Eq11.4", p.diff("y") + two * (b * p + e * q)),
+        ("Eq11.5", q.diff("y") + c * p + (b + f) * q + e * r),
+        ("Eq11.6", r.diff("y") + two * (c * q + f * r)),
+    ]

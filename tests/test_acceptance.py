@@ -284,7 +284,7 @@ def _corpus_reports():
         candidate = doc.transformation()
         if candidate is not None:
             reports.append(evaluate_conditions(
-                "verify", linearization_residuals(system, candidate)))
+                linearization_residuals(system, candidate)))
         metric = doc.metric()
         if metric is not None:
             coef = lift_scalar(system, doc.gauge())

@@ -49,14 +49,19 @@ class TestParsing:
         t = doc.transformation()
         assert t.components[0] == parse("x + y")
         metric = doc.metric()
-        assert metric.p == integer(1)
-        assert metric.q.is_zero_literal()
+        assert metric.g(1, 1) == integer(1)
+        assert metric.g(1, 2).is_zero_literal()
 
     def test_omitted_coefficients_are_zero(self):
         doc = parse_document('[system]\nname = a\nkind = cubic-2\n')
         system = doc.system()
         for name in KINDS["cubic-2"].keys:
             assert getattr(system, name).is_zero_literal()
+
+    def test_quoted_header_values_are_unquoted(self):
+        doc = parse_document('[system]\nname = "cubic drift"\nkind = "cubic-2"\n')
+        assert doc.name == "cubic drift"
+        assert doc.kind == "cubic-2"
 
     def test_comment_hash_inside_quotes_survives(self):
         # the expression grammar has no '#', but a '#' after the closing

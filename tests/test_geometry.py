@@ -16,16 +16,24 @@ from geolin.geometry import (
     Geodesic2Coefficients,
     GeometryError,
     Metric,
+    UndecidedMetricError,
     christoffel_from_metric,
     first_bianchi_residuals,
     geodesic2_flat_conditions,
+    geodesic2_flat_residuals,
     is_flat,
     metric_pde_residuals,
     riemann,
 )
-from geolin.kernel import Verdict, cos, exp, integer, parse, sin, var
+from geolin.criteria import Quadratic2, quadratic2_residuals, remark_mapping
+from geolin.kernel import Verdict, cos, exp, integer, is_zero, parse, sin, sqrt, var
 from geolin.report import FAIL, PASS
-from helpers import random_polynomial
+from helpers import (
+    random_expr,
+    random_polynomial,
+    transcribed_geodesic2_flat_residuals,
+    transcribed_metric_pde_residuals,
+)
 
 
 def ex2_metric() -> Metric:
@@ -81,6 +89,12 @@ class TestMetric:
     def test_degenerate_metric_refused(self):
         with pytest.raises(DegenerateMetricError):
             christoffel_from_metric(ex1_metric())
+
+    def test_undecided_determinant_refused(self):
+        # sqrt(2)*sqrt(3) - sqrt(6) is zero, but not canonically
+        g = Metric.plane(1, 0, sqrt(2) * sqrt(3) - sqrt(6))
+        with pytest.raises(UndecidedMetricError):
+            christoffel_from_metric(g)
 
 
 class TestIndexValidation:
@@ -216,3 +230,46 @@ class TestMetricEquations:
         g = Metric.plane(integer(1), integer(0), var("y"))
         report = metric_pde_residuals(ex2_coefficients(), g)
         assert report.overall == "FAIL"
+
+    def test_metric_equations_are_2d_only(self):
+        with pytest.raises(GeometryError):
+            metric_pde_residuals(ex2_coefficients(), Metric.identity(3))
+
+
+class TestTranscriptionOracle:
+    """Eq9 is read from the curvature of the connection -(a..f) and Eq11
+    from the covariant derivative of the metric under it; the hand
+    transcription in helpers is their oracle."""
+
+    @staticmethod
+    def random_entry(rng, kernels, names):
+        if kernels:
+            return random_expr(rng, depth=2, names=names)
+        return random_polynomial(rng, names=names)
+
+    @pytest.mark.parametrize("kernels, shapes", [(False, 6), (True, 4)],
+                             ids=["polynomial", "kernel"])
+    def test_derived_tables_agree_with_transcription(self, kernels, shapes):
+        rng = random.Random(81)
+        for _ in range(shapes):
+            for coords in (("x", "y"), ("y", "z")):
+                coef = Geodesic2Coefficients.make(
+                    *(self.random_entry(rng, kernels, coords) for _ in range(6)))
+                derived = geodesic2_flat_residuals(riemann(coef.as_christoffel(), coords))
+                transcribed = transcribed_geodesic2_flat_residuals(coef, coords)
+                if coords == ("x", "y"):
+                    g = Metric.plane(*(self.random_entry(rng, kernels, coords) for _ in range(3)))
+                    derived += [(r.condition_id, r.residual)
+                                for r in metric_pde_residuals(coef, g).records]
+                    transcribed += transcribed_metric_pde_residuals(coef, g)
+                assert [cid for cid, _ in derived] == [cid for cid, _ in transcribed]
+                for (cid, new), (_, old) in zip(derived, transcribed):
+                    assert is_zero(new - old).verdict is Verdict.ZERO, cid
+                    if not kernels:
+                        assert new == old, cid
+
+    def test_remark_passes_on_a_kernel_shape(self):
+        rng = random.Random(82)
+        q = Quadratic2.make(*(random_expr(rng, depth=2, names=("y", "z")) for _ in range(6)))
+        assert all(not res.is_zero_literal() for _, res in quadratic2_residuals(q))
+        assert remark_mapping(q).overall == PASS

@@ -70,6 +70,15 @@ def test_error_offsets():
     with pytest.raises(ParseError) as e:
         parse("x^1.5")
     assert e.value.offset == 3
+    for text, offset in (("0^-1", 1), ("x^2^-1", 3), (".", 0)):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert e.value.offset == offset, text
+
+
+def test_non_string_input_is_type_error():
+    with pytest.raises(TypeError):
+        parse(5)
 
 
 def test_exponent_tower_refused_before_it_is_computed():

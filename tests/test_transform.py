@@ -23,7 +23,12 @@ from geolin.transform import (
     verify_linearizing_transformation,
 )
 
-from helpers import fraction_chain_residuals, random_invertible_map, random_polynomial
+from helpers import (
+    fraction_chain_residuals,
+    general_pair_residual,
+    random_invertible_map,
+    random_polynomial,
+)
 
 X, Y, Z = var("x"), var("y"), var("z")
 
@@ -167,7 +172,7 @@ class TestGeneralFamilies:
         yp, zp = var("yp"), var("zp")
         ypp, zpp = var("ypp"), var("zpp")
         want = parse("exp(x + y)") * (ypp + yp ** 2 - yp)
-        assert g.residual(2, yp, zp, ypp, zpp) == want
+        assert general_pair_residual(g, 2, yp, zp, ypp, zpp) == want
 
     def test_expansion_identity_for_tangled_map(self):
         # substituting the map into u'' = w'' = 0 and clearing u' must
@@ -189,7 +194,7 @@ class TestGeneralFamilies:
         second = [total_derivative(f, yp, zp, ypp, zpp) for f in first]
         for i in (2, 3):
             direct = second[i - 1] * first[0] - first[i - 1] * second[0]
-            assert (direct - g.residual(i, yp, zp, ypp, zpp)).is_zero_literal()
+            assert (direct - general_pair_residual(g, i, yp, zp, ypp, zpp)).is_zero_literal()
 
     def test_leading_determinant_factors(self):
         g = coefficients_from_transformation(TANGLED_MAP)
@@ -330,6 +335,10 @@ class TestVerifyTransformation:
         with pytest.raises(TransformError):
             verify_linearizing_transformation(
                 SIMPLE_PAIR, Transformation.identity(2))
+
+    def test_metric_is_not_a_system(self):
+        with pytest.raises(TransformError):
+            verify_linearizing_transformation(Metric.identity(2), Transformation.identity(2))
 
     def test_reserved_slope_names_rejected(self):
         bad = ScalarCubic.make(E0="yp")
