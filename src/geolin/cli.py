@@ -22,7 +22,7 @@ from .geometry import GeometryError, is_flat, metric_pde_residuals
 from .kernel import KernelDomainError, ParseError, ZeroTestConfig, parse
 from .projection import project
 from .report import FAIL, PASS, UNDECIDED, ConditionReport
-from .transform import normal_form, verify_linearizing_transformation
+from .transform import verify_linearizing_transformation
 
 _EXIT_BY_OVERALL = {PASS: 0, FAIL: 1, UNDECIDED: 2}
 _INPUT_ERROR = 3
@@ -209,9 +209,9 @@ def _cmd_riemann(doc, config, gauge):
 
 
 def _cmd_normal_form(doc, config, gauge):
-    if doc.kind != "general-2":
+    if doc.spec.normal_form is None:
         raise DocumentError("normal-form applies to general-2 documents")
-    cubic, report = normal_form(doc.system(), config)
+    cubic, report = doc.spec.normal_form(doc.system(), config)
     return _report_payload(doc, "normal-form", report,
                            coefficients=KINDS["cubic-2"].table(cubic))
 

@@ -22,6 +22,7 @@ from .geometry import (
     Christoffel,
     CoefficientTable,
     coordinates,
+    covariant_derivative,
     geodesic2_flat_conditions,
     geodesic2_flat_residuals,
     riemann,
@@ -42,14 +43,6 @@ from .report import ConditionReport, evaluate_conditions
 
 class CoefficientDomainError(ValueError):
     """A coefficient depends on a coordinate its equation kind forbids."""
-
-
-def _dx(f: Expr) -> Expr:
-    return f.diff("x")
-
-
-def _dy(f: Expr) -> Expr:
-    return f.diff("y")
 
 
 @dataclass(frozen=True)
@@ -108,21 +101,22 @@ class Linear2(CoefficientTable):
 
 def tresse_residuals(cubic: ScalarCubic) -> List[Tuple[str, Expr]]:
     """The two classical relative invariants whose vanishing decides
-    linearizability of a scalar cubically semi-linear equation.
+    linearizability of a scalar cubically semi-linear equation: three
+    times the projective Cotton tensor of its plane lift G,
 
-    They stay transcribed: they eliminate the two gauge functions of the
-    2D lift by differentiation, so they are not a fixed linear
-    combination of its curvature, unlike the pair tables below."""
-    E0, E1, E2, E3 = cubic.E0, cubic.E1, cubic.E2, cubic.E3
-    t1 = (
-        3 * _dx(E1 * E3) - _dy(_dy(E1)) + 2 * _dy(_dx(E2)) - 3 * _dy(E0 * E3)
-        + E2 * _dy(E1) - 2 * E2 * _dx(E2) - 3 * _dx(_dx(E3)) - 3 * E3 * _dy(E0)
-    )
-    t2 = (
-        3 * _dx(E0 * E3) + 2 * _dy(_dx(E1)) - 3 * _dy(_dy(E0)) - _dx(_dx(E2))
-        - E1 * _dx(E2) + 2 * E1 * _dy(E1) - 3 * _dy(E0 * E2) + 3 * E0 * _dx(E3)
-    )
-    return [("Eq3.1", t1), ("Eq3.2", t2)]
+        Eq3.1 = nabla_x T_22 - nabla_y T_21,  Eq3.2 = nabla_x T_12 - nabla_y T_11,
+
+    with T_jl = 2 Ric_jl + Ric_lj (three times the projective Schouten
+    tensor) and Ric_jl = R{1}_{j1l} + R{2}_{j2l}.  The gauge of the lift
+    cancels from both, so the zero gauge is used."""
+    gamma = lift_scalar(cubic).as_christoffel()
+    r = riemann(gamma).component
+    ric = {(j, l): r(1, j, 1, l) + r(2, j, 2, l) for j in (1, 2) for l in (1, 2)}
+    schouten = {(j, l): 2 * ric[j, l] + ric[l, j] for j, l in ric}
+    nabla = functools.partial(covariant_derivative, gamma,
+                              lambda i, j: schouten[i, j])
+    return [("Eq3.1", nabla(1, 2, 2) - nabla(2, 2, 1)),
+            ("Eq3.2", nabla(1, 1, 2) - nabla(2, 1, 1))]
 
 
 def tresse_scalar(

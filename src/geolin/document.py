@@ -42,7 +42,7 @@ from .projection import (
     lift_scalar,
     lift_system,
 )
-from .transform import GeneralSystem2, Transformation
+from .transform import GeneralSystem2, Transformation, normal_form
 
 
 class DocumentError(ValueError):
@@ -59,8 +59,9 @@ class Kind:
     equation kind converts its system to the cubic shape with
     `equations`, lifts that with a `gauge` through `lift`, and scores a
     gauge with `appendix`; a connection kind converts its system to a
-    connection with `connection`.  `counterpart` names the kind that
-    lifting or projecting produces.
+    connection with `connection`; a general kind reduces its system to
+    the cubic shape with `normal_form`.  `counterpart` names the kind
+    that lifting or projecting produces.
     """
 
     dim: int
@@ -74,6 +75,7 @@ class Kind:
     lift: Optional[Callable] = None
     appendix: Optional[Callable] = None
     connection: Optional[Callable] = None
+    normal_form: Optional[Callable] = None
 
     @property
     def gauge_keys(self) -> Optional[Tuple[str, ...]]:
@@ -132,7 +134,7 @@ KINDS: Dict[str, Kind] = {
         entry=lambda gamma, key: gamma.gamma(*_GEODESIC3[key]),
         check=is_flat, counterpart="cubic-2", connection=_itself),
     "general-2": Kind(
-        dim=3, **_table(GeneralSystem2)),
+        dim=3, **_table(GeneralSystem2), normal_form=normal_form),
 }
 
 _MAP_KEYS = {2: ("u", "v"), 3: ("u", "v", "w")}

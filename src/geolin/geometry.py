@@ -14,8 +14,9 @@ related to the connection by a plain sign flip per component.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .kernel import (
     DEFAULT_CONFIG,
@@ -331,6 +332,21 @@ def riemann(gamma: Christoffel, coords: Optional[Sequence[str]] = None) -> Riema
     return Riemann(gamma.dim, tuple(entries))
 
 
+def covariant_derivative(
+    gamma: Christoffel, t: Callable[[int, int], Expr], k: int, i: int, j: int
+) -> Expr:
+    """Component nabla_k t_ij of the covariant derivative of a two-index
+    tensor t(i, j) under gamma, in coordinates(gamma.dim):
+
+        nabla_k t_ij = d_k t_ij - sum_m (G{m}_{ki} t_mj + G{m}_{kj} t_im).
+    """
+    term = t(i, j).diff(coordinates(gamma.dim)[k - 1])
+    for m in range(1, gamma.dim + 1):
+        term = (term - gamma.gamma(m, k, i) * t(m, j)
+                - gamma.gamma(m, k, j) * t(i, m))
+    return term
+
+
 def first_bianchi_residuals(curv: Riemann) -> Tuple[Expr, ...]:
     """Cyclic sums R{i}_{jkl} + R{i}_{klj} + R{i}_{ljk}, all index tuples."""
     n = curv.dim
@@ -384,10 +400,7 @@ def metric_pde_residuals(
     config: ZeroTestConfig = DEFAULT_CONFIG,
 ) -> ConditionReport:
     """The six first-order metric equations in 2D: the covariant
-    derivative of g under the connection G = -(a..f),
-
-        nabla_k g_ij = d_k g_ij - sum_m (G{m}_{ki} g_mj + G{m}_{kj} g_im),
-
+    derivative nabla_k g_ij of g under the connection G = -(a..f),
     labelled Eq11.1-6 for k = x, y in turn and ij = 11, 12, 22 within.
     A candidate metric solves the system when all six vanish.  The
     determinant and its degeneracy verdict ride along as facts;
@@ -396,14 +409,9 @@ def metric_pde_residuals(
     if g.dim != 2:
         raise GeometryError("the metric equations are a 2D check")
     gamma = coef.as_christoffel()
-    labelled = []
-    for k, name in enumerate(coordinates(2), start=1):
-        for i, j in SYM_PAIRS[2]:
-            term = g.g(i, j).diff(name)
-            for m in (1, 2):
-                term = (term - gamma.gamma(m, k, i) * g.g(m, j)
-                        - gamma.gamma(m, k, j) * g.g(i, m))
-            labelled.append((f"Eq11.{len(labelled) + 1}", term))
+    labelled = [(f"Eq11.{n}", covariant_derivative(gamma, g.g, k, i, j))
+                for n, (k, (i, j)) in enumerate(
+                    itertools.product((1, 2), SYM_PAIRS[2]), start=1)]
     det = g.determinant()
     degeneracy = is_zero(det, config)
     facts = (

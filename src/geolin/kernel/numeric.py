@@ -121,8 +121,6 @@ def eval_expr(expr: Expr, point: Mapping[str, object], precision_bits: int = 256
         mp_point = {name: _to_mpf(v) for name, v in point.items()}
         ev = _Evaluator(mp_point)
         value = ev.expr(expr)
-        if ev.peak < abs(value):
-            ev.peak = abs(value)
         return value, ev.peak
 
 

@@ -19,7 +19,6 @@ from .geometry import (
     Christoffel,
     CoefficientTable,
     Geodesic2Coefficients,
-    GeometryError,
 )
 from .kernel import Expr, integer, rational
 
@@ -97,25 +96,23 @@ def project(gamma: Christoffel) -> Union[ScalarCubic, SystemCubic2]:
             E2=g(2, 2, 2) - _TWO * g(1, 1, 2),
             E3=-g(1, 2, 2),
         )
-    if gamma.dim == 3:
-        return SystemCubic2(
-            A22=-g(1, 2, 2),
-            A23=-g(1, 2, 3),
-            A33=-g(1, 3, 3),
-            B2_22=g(2, 2, 2) - _TWO * g(1, 1, 2),
-            B2_23=g(2, 2, 3) - g(1, 1, 3),
-            B2_33=g(2, 3, 3),
-            B3_22=g(3, 2, 2),
-            B3_23=g(3, 2, 3) - g(1, 1, 2),
-            B3_33=g(3, 3, 3) - _TWO * g(1, 1, 3),
-            C2_2=_TWO * g(2, 1, 2) - g(1, 1, 1),
-            C2_3=_TWO * g(2, 1, 3),
-            C3_2=_TWO * g(3, 1, 2),
-            C3_3=_TWO * g(3, 1, 3) - g(1, 1, 1),
-            D2=g(2, 1, 1),
-            D3=g(3, 1, 1),
-        )
-    raise GeometryError(f"unsupported dimension {gamma.dim}")
+    return SystemCubic2(
+        A22=-g(1, 2, 2),
+        A23=-g(1, 2, 3),
+        A33=-g(1, 3, 3),
+        B2_22=g(2, 2, 2) - _TWO * g(1, 1, 2),
+        B2_23=g(2, 2, 3) - g(1, 1, 3),
+        B2_33=g(2, 3, 3),
+        B3_22=g(3, 2, 2),
+        B3_23=g(3, 2, 3) - g(1, 1, 2),
+        B3_33=g(3, 3, 3) - _TWO * g(1, 1, 3),
+        C2_2=_TWO * g(2, 1, 2) - g(1, 1, 1),
+        C2_3=_TWO * g(2, 1, 3),
+        C3_2=_TWO * g(3, 1, 2),
+        C3_3=_TWO * g(3, 1, 3) - g(1, 1, 1),
+        D2=g(2, 1, 1),
+        D3=g(3, 1, 1),
+    )
 
 
 def lift_scalar(

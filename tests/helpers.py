@@ -410,6 +410,24 @@ def transcribed_appendix_residuals(s, gauge):
     return labelled
 
 
+# The scalar table as transcribed from the source by hand, kept as the
+# oracle of the Eq3 lines that geolin.criteria reads from the projective
+# Cotton tensor of the plane lift.
+
+def transcribed_tresse_residuals(cubic):
+    """The two relative invariants of a scalar cubic, transcribed."""
+    E0, E1, E2, E3 = cubic.E0, cubic.E1, cubic.E2, cubic.E3
+    t1 = (
+        3 * _dx(E1 * E3) - _dy(_dy(E1)) + 2 * _dy(_dx(E2)) - 3 * _dy(E0 * E3)
+        + E2 * _dy(E1) - 2 * E2 * _dx(E2) - 3 * _dx(_dx(E3)) - 3 * E3 * _dy(E0)
+    )
+    t2 = (
+        3 * _dx(E0 * E3) + 2 * _dy(_dx(E1)) - 3 * _dy(_dy(E0)) - _dx(_dx(E2))
+        - E1 * _dx(E2) + 2 * E1 * _dy(E1) - 3 * _dy(E0 * E2) + 3 * E0 * _dx(E3)
+    )
+    return [("Eq3.1", t1), ("Eq3.2", t2)]
+
+
 # The plane tables as transcribed from the source by hand, kept as the
 # oracle of the tables that geolin.geometry reads from the 2D connection
 # G = -(a..f): Eq9 from its curvature, Eq11 from the covariant

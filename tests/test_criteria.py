@@ -19,19 +19,20 @@ from geolin.criteria import (
     tresse_residuals,
     tresse_scalar,
 )
-from geolin.geometry import Metric, christoffel_from_metric, riemann
-from geolin.kernel import ZERO, Verdict, integer, is_zero, parse, rational, var
+from geolin.geometry import Metric, christoffel_from_metric, covariant_derivative, riemann
+from geolin.kernel import ZERO, Verdict, exp, integer, is_zero, parse, rational, sqrt, var
 from geolin.projection import (
     ScalarCubic,
     ScalarGauge,
     SystemCubic2,
     SystemGauge,
+    lift_scalar,
     lift_system,
     project,
     swap_scalar_axes,
 )
 from geolin.report import FAIL, PASS
-from geolin.transform import pullback_metric
+from geolin.transform import Transformation, coefficients_from_transformation, pullback_metric
 
 from helpers import (
     random_expr,
@@ -39,6 +40,7 @@ from helpers import (
     random_polynomial,
     transcribed_appendix_residuals,
     transcribed_cubic2_residuals,
+    transcribed_tresse_residuals,
 )
 
 
@@ -94,6 +96,63 @@ class TestTresse:
         s1, s2 = (res for _, res in tresse_residuals(swap_scalar_axes(cubic)))
         assert (s1 + t2.substitute(rename)).is_zero_literal()
         assert (s2 + t1.substitute(rename)).is_zero_literal()
+
+
+class TestTresseDerivation:
+    """Eq3 is read from the projective Cotton tensor of the plane lift;
+    the hand transcription in helpers is its oracle."""
+
+    @pytest.mark.parametrize("kernels, shapes", [(False, 10), (True, 6)],
+                             ids=["polynomial", "kernel"])
+    def test_derived_lines_agree_with_transcription(self, kernels, shapes):
+        rng = random.Random(19)
+        for _ in range(shapes):
+            entries = (random_expr(rng, depth=2) if kernels else random_polynomial(rng)
+                       for _ in range(4))
+            cubic = ScalarCubic.make(*entries)
+            derived = tresse_residuals(cubic)
+            transcribed = transcribed_tresse_residuals(cubic)
+            assert [cid for cid, _ in derived] == [cid for cid, _ in transcribed]
+            for (cid, new), (_, old) in zip(derived, transcribed):
+                assert is_zero(new - old).verdict is Verdict.ZERO, cid
+                if not kernels:
+                    assert new == old, cid
+
+    def test_gauge_cancels(self):
+        # the same Cotton lines at a random gauge of the lift
+        rng = random.Random(20)
+        for _ in range(4):
+            cubic = ScalarCubic.make(*(random_polynomial(rng) for _ in range(4)))
+            gauge = ScalarGauge.make(random_polynomial(rng), random_polynomial(rng))
+            gamma = lift_scalar(cubic, gauge).as_christoffel()
+            r = riemann(gamma).component
+            ric = {(j, l): r(1, j, 1, l) + r(2, j, 2, l) for j in (1, 2) for l in (1, 2)}
+
+            def t(j, l):
+                return 2 * ric[j, l] + ric[l, j]
+
+            def nabla(k, i, j):
+                return covariant_derivative(gamma, t, k, i, j)
+
+            at_gauge = [nabla(1, 2, 2) - nabla(2, 2, 1), nabla(1, 1, 2) - nabla(2, 1, 1)]
+            assert at_gauge == [res for _, res in tresse_residuals(cubic)]
+
+    def test_kernel_map_passes(self):
+        # the cubic a small kernel map induces; its transcribed lines took
+        # over a minute to build
+        x, y = var("x"), var("y")
+        t = Transformation.make(exp(y) + x, 3 * exp(x) + sqrt(x * x + 1) + y)
+        report = tresse_scalar(coefficients_from_transformation(t))
+        assert report.overall == PASS
+        assert all(r.residual.is_zero_literal() for r in report.records)
+
+
+class TestReport:
+    def test_missing_label(self):
+        report = tresse_scalar(FLAT_CUBIC)
+        with pytest.raises(KeyError):
+            report.record("nope")
+        assert report.fact("nope") is None
 
 
 class TestLieGauge:

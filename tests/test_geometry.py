@@ -16,8 +16,10 @@ from geolin.geometry import (
     Geodesic2Coefficients,
     GeometryError,
     Metric,
+    Riemann,
     UndecidedMetricError,
     christoffel_from_metric,
+    coordinates,
     first_bianchi_residuals,
     geodesic2_flat_conditions,
     geodesic2_flat_residuals,
@@ -123,6 +125,14 @@ class TestIndexValidation:
         for dim in (1, 4):
             with pytest.raises(GeometryError):
                 build(dim, {valid: var("x")})
+
+    def test_refused_shapes(self):
+        with pytest.raises(GeometryError):
+            coordinates(4)
+        with pytest.raises(GeometryError):
+            Riemann(2, ())
+        with pytest.raises(GeometryError):
+            Geodesic2Coefficients.from_christoffel(Christoffel.from_components(3, {}))
 
 
 class TestSphere:

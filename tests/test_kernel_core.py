@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from geolin.kernel import (
     KernelDomainError,
+    KernelError,
     ONE,
     ZERO,
     Verdict,
@@ -17,6 +18,7 @@ from geolin.kernel import (
     exp,
     integer,
     is_zero,
+    kernel_apply,
     ln,
     parse,
     rational,
@@ -67,6 +69,17 @@ def test_rational_constant_folding():
 def test_float_rejected():
     with pytest.raises(TypeError):
         x + 0.5
+    with pytest.raises(TypeError):
+        integer(1.5)
+    with pytest.raises(TypeError):
+        x ** 1.5
+
+
+def test_bad_names_rejected():
+    with pytest.raises(KernelError):
+        var("")
+    with pytest.raises(KernelError):
+        kernel_apply("tan", x)
 
 
 def test_division_by_zero():
