@@ -27,7 +27,15 @@ from .geometry import (
     geodesic2_flat_residuals,
     riemann,
 )
-from .kernel import DEFAULT_CONFIG, ZERO, Expr, ZeroTestConfig, parse, rational, var
+from .kernel import (
+    DEFAULT_CONFIG,
+    Expr,
+    ZeroTestConfig,
+    parse,
+    rational,
+    sum_of_products,
+    var,
+)
 from .projection import (
     ScalarCubic,
     ScalarGauge,
@@ -253,17 +261,17 @@ def _curvature_lines(combinations, values: Dict[str, Expr]) -> List[Expr]:
     lines = []
     for combination in combinations:
         derivs, products = _line_terms(combination)
-        total = ZERO
+        terms = []
         for name, coord, c in derivs:
             d = partials.get((name, coord))
             if d is None:
                 d = partials[name, coord] = values[name].diff(coord)
-            total = total + d * c
+            terms.append((c, d, None))
         for first, rest in products:
             a = values[first]
             if not a.is_zero_literal():
-                total = total + a * sum((values[b] * c for b, c in rest), ZERO)
-        lines.append(total)
+                terms.append((1, a, sum_of_products([(c, values[b], None) for b, c in rest])))
+        lines.append(sum_of_products(terms))
     return lines
 
 

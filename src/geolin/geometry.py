@@ -27,6 +27,7 @@ from .kernel import (
     integer,
     is_zero,
     rational,
+    sum_of_products,
 )
 from .report import ConditionReport, evaluate_conditions
 
@@ -139,12 +140,12 @@ def determinant(m: Sequence[Sequence[Expr]]) -> Expr:
     if len(m) == 1:
         return m[0][0]
     if len(m) == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return (
-        m[0][0] * determinant(((m[1][1], m[1][2]), (m[2][1], m[2][2])))
-        - m[0][1] * determinant(((m[1][0], m[1][2]), (m[2][0], m[2][2])))
-        + m[0][2] * determinant(((m[1][0], m[1][1]), (m[2][0], m[2][1])))
-    )
+        return sum_of_products([(1, m[0][0], m[1][1]), (-1, m[0][1], m[1][0])])
+    return sum_of_products([
+        (1, m[0][0], determinant(((m[1][1], m[1][2]), (m[2][1], m[2][2])))),
+        (-1, m[0][1], determinant(((m[1][0], m[1][2]), (m[2][0], m[2][2])))),
+        (1, m[0][2], determinant(((m[1][0], m[1][1]), (m[2][0], m[2][1])))),
+    ])
 
 
 @dataclass(frozen=True)
@@ -324,11 +325,12 @@ def riemann(gamma: Christoffel, coords: Optional[Sequence[str]] = None) -> Riema
     for i in range(1, gamma.dim + 1):
         for j in range(1, gamma.dim + 1):
             for k, l in SKEW_PAIRS[gamma.dim]:
-                term = gamma.gamma(i, j, l).diff(names[k - 1]) - gamma.gamma(i, j, k).diff(names[l - 1])
+                terms = [(1, gamma.gamma(i, j, l).diff(names[k - 1]), None),
+                         (-1, gamma.gamma(i, j, k).diff(names[l - 1]), None)]
                 for m in range(1, gamma.dim + 1):
-                    term = term + gamma.gamma(i, m, k) * gamma.gamma(m, j, l)
-                    term = term - gamma.gamma(i, m, l) * gamma.gamma(m, j, k)
-                entries.append(term)
+                    terms.append((1, gamma.gamma(i, m, k), gamma.gamma(m, j, l)))
+                    terms.append((-1, gamma.gamma(i, m, l), gamma.gamma(m, j, k)))
+                entries.append(sum_of_products(terms))
     return Riemann(gamma.dim, tuple(entries))
 
 
@@ -340,11 +342,11 @@ def covariant_derivative(
 
         nabla_k t_ij = d_k t_ij - sum_m (G{m}_{ki} t_mj + G{m}_{kj} t_im).
     """
-    term = t(i, j).diff(coordinates(gamma.dim)[k - 1])
+    terms = [(1, t(i, j).diff(coordinates(gamma.dim)[k - 1]), None)]
     for m in range(1, gamma.dim + 1):
-        term = (term - gamma.gamma(m, k, i) * t(m, j)
-                - gamma.gamma(m, k, j) * t(i, m))
-    return term
+        terms.append((-1, gamma.gamma(m, k, i), t(m, j)))
+        terms.append((-1, gamma.gamma(m, k, j), t(i, m)))
+    return sum_of_products(terms)
 
 
 def first_bianchi_residuals(curv: Riemann) -> Tuple[Expr, ...]:
@@ -355,11 +357,11 @@ def first_bianchi_residuals(curv: Riemann) -> Tuple[Expr, ...]:
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 for l in range(1, n + 1):
-                    out.append(
-                        curv.component(i, j, k, l)
-                        + curv.component(i, k, l, j)
-                        + curv.component(i, l, j, k)
-                    )
+                    out.append(sum_of_products([
+                        (1, curv.component(i, j, k, l), None),
+                        (1, curv.component(i, k, l, j), None),
+                        (1, curv.component(i, l, j, k), None),
+                    ]))
     return tuple(out)
 
 

@@ -15,6 +15,7 @@ from .core import (
     rational,
     sin,
     sqrt,
+    sum_of_products,
     var,
 )
 from .parse import ParseError, parse
@@ -38,6 +39,7 @@ __all__ = [
     "rational",
     "sin",
     "sqrt",
+    "sum_of_products",
     "var",
     "EvalDomainError",
     "eval_expr",

@@ -19,7 +19,13 @@ canonical expressions.  Construction keeps every value normalized:
   identity sin^2 = 1 - cos^2.
 
 A product of two monomials free of kernels needs none of these rewrites
-and is merged without scanning for them.
+and is merged without scanning for them.  Every monomial product is
+memoized: _MEMO maps a pair of monomials to their merged monomial, or to
+the monomial and the polynomials a rewrite left to multiply in.  The
+memo holds at most _MEMO_CAP entries and is emptied when full; a product
+with more term pairs than that skips it.  Monomials are tuples of
+interned generators, so the memo only saves work, and equal products
+come back as one shared monomial tuple.
 
 Every expression whose denominator is 1 holds the shared P_ONE object, so
 an identity test tells a polynomial apart.  Sums, differences and
@@ -27,6 +33,9 @@ products of two polynomials, a polynomial times or divided by an int or
 Fraction, and the partial derivative of a kernel-free polynomial act on
 the numerator dicts directly: with a constant denominator the general
 path would only wrap the numerator, so the result is the same pair.
+sum_of_products builds a sum of weighted products of polynomials in one
+accumulator dict, which _p_mul runs on an empty dict for one product;
+off polynomials it runs the chained operations in order.
 
 Common factors are found by one polynomial gcd that returns its
 cofactors: the heuristic gcd GCDHEU (Char, Geddes and Gonnet, 1989),
@@ -162,6 +171,10 @@ def _kernel_gen(fname: str, arg: "Expr") -> Gen:
 # stops early, the form a sum reduces to can depend on that order, and
 # equal polynomials must give equal results.  A kernel-free partial
 # derivative gives each monomial its own term, so nothing merges.
+# Products have one loop, _p_mul_into, which adds a weighted product into
+# an accumulator dict in place; _p_mul and sum_of_products both run it,
+# and it looks each monomial pair up in the bounded memo _MEMO, whose
+# 2^14 entries hold a few MB.
 # ---------------------------------------------------------------------------
 
 P_ZERO: dict = {}
@@ -272,20 +285,35 @@ def _mono_combine(m1, m2):
     Returns (mono, extras) where extras is a list of polynomials that still
     have to be multiplied in (arguments of collapsed sqrt squares, the
     Pythagorean replacement of sin squares).  Without a kernel no rule can
-    fire, so the merged monomial is returned without the scan.
+    fire, so the two sorted monomials are merged without the scan, and a
+    generator in one of them only keeps its (generator, exponent) pair.
     """
     if not m1:
         return m2, ()
     if not m2:
         return m1, ()
+    if m1[0][0].kind == VAR and m2[0][0].kind == VAR:
+        # kernels sort first, so neither monomial holds one
+        out = []
+        i = j = 0
+        n1, n2 = len(m1), len(m2)
+        while i < n1 and j < n2:
+            a, b = m1[i], m2[j]
+            if a[0] is b[0]:
+                out.append((a[0], a[1] + b[1]))
+                i += 1
+                j += 1
+            elif a[0].name < b[0].name:
+                out.append(a)
+                i += 1
+            else:
+                out.append(b)
+                j += 1
+        out.extend(m1[i:] if i < n1 else m2[j:])
+        return tuple(out), ()
     merged = dict(m1)
     for g, e in m2:
         merged[g] = merged.get(g, 0) + e
-    for g in merged:
-        if g.kind == KERNEL:
-            break
-    else:
-        return tuple([(g, merged[g]) for g in sorted(merged, key=_SKEY)]), ()
     exp_arg = None
     extras = []
     out = []
@@ -314,23 +342,49 @@ def _mono_combine(m1, m2):
     return tuple(out), extras
 
 
-def _p_mul(p1, p2) -> dict:
-    if not p1 or not p2:
-        return P_ZERO
-    # a constant side fires no rewrite, so it only scales the other
+# (m1, m2) -> product monomial, or [mono, extras] when a rewrite fired;
+# emptied when it reaches _MEMO_CAP entries
+_MEMO: dict = {}
+_MEMO_CAP = 1 << 14
+
+
+def _p_mul_into(acc: dict, p1, p2, w=1) -> None:
+    """Add w * p1 * p2 into the accumulator dict acc in place.
+
+    acc may be left holding zero or integral Fraction coefficients, which
+    _poly_from_dict clears.  Each monomial product is looked up in _MEMO
+    first: a product whose kernels fired no rewrite is stored as its
+    monomial, one that fired a rewrite as the list [mono, extras].  A
+    product with more term pairs than the memo holds would only evict
+    its own entries, so it merges every pair afresh.
+    """
     if len(p1) == 1 and () in p1:
-        return _p_scale(p2, p1[()])
+        p1, p2 = p2, p1
     if len(p2) == 1 and () in p2:
-        return _p_scale(p1, p2[()])
-    acc: dict = {}
+        # a constant side fires no rewrite, so it only scales the other
+        w = w * p2[()]
+        for m, c in p1.items():
+            v = acc.get(m)
+            acc[m] = c * w if v is None else v + c * w
+        return
+    memo = _MEMO if len(p1) * len(p2) <= _MEMO_CAP else None
     items2 = p2.items()
     for m1, c1 in p1.items():
+        if w != 1:
+            c1 = c1 * w
         for m2, c2 in items2:
             c = c1 * c2
-            mono, extras = _mono_combine(m1, m2)
-            if extras:
-                piece = {mono: c}
-                for ex in extras:
+            if memo is None or (mono := memo.get((m1, m2))) is None:
+                mono, extras = _mono_combine(m1, m2)
+                if extras:
+                    mono = [mono, extras]
+                if memo is not None:
+                    if len(memo) >= _MEMO_CAP:
+                        memo.clear()
+                    memo[m1, m2] = mono
+            if mono.__class__ is list:
+                piece = {mono[0]: c}
+                for ex in mono[1]:
                     piece = _p_mul(piece, ex)
                 for m, cc in piece.items():
                     v = acc.get(m)
@@ -338,6 +392,18 @@ def _p_mul(p1, p2) -> dict:
             else:
                 v = acc.get(mono)
                 acc[mono] = c if v is None else v + c
+
+
+def _p_mul(p1, p2) -> dict:
+    if not p1 or not p2:
+        return P_ZERO
+    # scaling by a constant side returns the other side itself for 1
+    if len(p1) == 1 and () in p1:
+        return _p_scale(p2, p1[()])
+    if len(p2) == 1 and () in p2:
+        return _p_scale(p1, p2[()])
+    acc: dict = {}
+    _p_mul_into(acc, p1, p2)
     return _poly_from_dict(acc)
 
 
@@ -872,6 +938,44 @@ class Expr:
 def _poly_expr(p) -> Expr:
     """The polynomial p over the shared denominator P_ONE."""
     return Expr(p, P_ONE, _internal=True) if p else ZERO
+
+
+def sum_of_products(terms) -> Expr:
+    """The sum of w * a * b over terms (w, a, b), with w an int or
+    Fraction and b None for a term w * a.
+
+    When every a and b is a polynomial, every product is accumulated into
+    one dict, with the weights scaled to ints by the lcm of their
+    denominators, which is divided out once at the end.  Otherwise the
+    terms are added in order, each as a * |w| * b (a alone for w = 1 or
+    -1), subtracted when w is negative: over kernels and fractions the
+    reduced form can depend on the order of the operations.
+    """
+    scale = 1
+    for w, a, b in terms:
+        if a.den is not P_ONE or (b is not None and b.den is not P_ONE):
+            break
+        if w.__class__ is not int:
+            scale = _ilcm(scale, w.denominator)
+    else:
+        acc: dict = {}
+        for w, a, b in terms:
+            p, q = a.num, P_ONE if b is None else b.num
+            if not p or not q:
+                continue
+            if w.__class__ is not int:
+                w = w.numerator * (scale // w.denominator)
+            elif scale != 1:
+                w *= scale
+            _p_mul_into(acc, p, q, w)
+        return _poly_expr(_p_quo(_poly_from_dict(acc), scale))
+    total = ZERO
+    for w, a, b in terms:
+        t = a if w == 1 or w == -1 else a * abs(w)
+        if b is not None:
+            t = t * b
+        total = total - t if w < 0 else total + t
+    return total
 
 
 def _mk(num, den) -> Expr:

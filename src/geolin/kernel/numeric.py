@@ -6,15 +6,17 @@ That peak is what a relative smallness test must compare against: a tiny
 result produced from huge intermediates is evidence of cancellation, not
 of a tiny function.
 
-mpmath is imported on first use, not with this module: by eval_expr, and
-by rational_str, which prints the witness value of every exact NONZERO
-verdict.  A run that decides every residual structurally never loads it;
-one that evaluates a kernel residual, or finds a nonconstant kernel-free
-residual nonzero, does.
+mpmath is imported on first use, not with this module: by eval_expr.
+rational_str, which prints the witness value of every exact NONZERO
+verdict, rounds and prints in integer arithmetic exactly as mpmath would,
+and loads it only for a value past 2^3500 or below 2^-3500.  A run that
+decides every kernel-free residual exactly never loads it; one that
+evaluates a kernel residual does.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Tuple
 
@@ -124,10 +126,75 @@ def eval_expr(expr: Expr, point: Mapping[str, object], precision_bits: int = 256
         return value, ev.peak
 
 
+# mpmath prints a value with 15 significant digits, from 18 digits that
+# its to_digits_exp truncates out of a fixed-point image of _DIGIT_BITS
+# bits past the leading one
+_STR_DIGITS = 15
+_DIGIT_BITS = int((_STR_DIGITS + 3) * math.log(10, 2)) + 10
+# past this binary exponent mpmath finds the power of ten by logarithms
+_FIXED_EXP_LIMIT = 3500
+
+
 def rational_str(p: int, q: int, precision_bits: int = 256) -> str:
     """str() of the exact rational p / q rounded to the nearest mpf of
-    precision_bits bits, printed as eval_expr's values print."""
-    _load()
-    from mpmath.libmp import from_rational, round_nearest
-    return str(mpmath.mpf(from_rational(p, q, precision_bits, round_nearest),
-                          prec=precision_bits))
+    precision_bits bits, printed as eval_expr's values print.
+
+    The rounding (ties to even) and mpmath's printing at its default 15
+    digits are done in integer arithmetic; only a binary exponent past
+    +-3500 goes through mpmath itself."""
+    if q < 0:
+        p, q = -p, -q
+    if not p:
+        return "0.0"
+    sign = "-" if p < 0 else ""
+    n = abs(p)
+    # man * 2^-shift is |p| / q rounded to precision_bits bits
+    shift = precision_bits - n.bit_length() + q.bit_length()
+    while True:
+        man, rem = divmod(n << shift, q) if shift >= 0 else divmod(n, q << -shift)
+        if man.bit_length() <= precision_bits:
+            break
+        shift -= 1
+    den = q if shift >= 0 else q << -shift
+    if 2 * rem > den or (2 * rem == den and man & 1):
+        man += 1
+        if man.bit_length() > precision_bits:
+            man >>= 1
+            shift -= 1
+    top = man.bit_length() - shift
+    if abs(top) > _FIXED_EXP_LIMIT:
+        _load()
+        from mpmath.libmp import from_rational, round_nearest
+        return str(mpmath.mpf(from_rational(p, q, precision_bits, round_nearest),
+                              prec=precision_bits))
+    # to_digits_exp: the first digits, truncated, and the decimal exponent
+    fixprec = max(_DIGIT_BITS - top, 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    offset = fixprec - shift
+    fixed = man << offset if offset >= 0 else man >> -offset
+    digits = str(fixed * 10 ** fixdps >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    # to_str: round half up at the last printed digit, carrying through nines
+    if len(digits) > _STR_DIGITS and digits[_STR_DIGITS] in "56789":
+        kept = str(int(digits[:_STR_DIGITS]) + 1)
+        if len(kept) > _STR_DIGITS:
+            kept = kept[:_STR_DIGITS]
+            exponent += 1
+        digits = kept
+    else:
+        digits = digits[:_STR_DIGITS]
+    if -5 < exponent < _STR_DIGITS:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+            split = 1
+        else:
+            split = exponent + 1
+        exponent = 0
+    else:
+        split = 1
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits.endswith("."):
+        digits += "0"
+    if not exponent:
+        return sign + digits
+    return f"{sign}{digits}e{'+' if exponent > 0 else ''}{exponent}"

@@ -31,6 +31,7 @@ from .kernel import (
     as_expr,
     integer,
     rational,
+    sum_of_products,
     var,
 )
 from .projection import ScalarCubic, SystemCubic2, project
@@ -218,25 +219,27 @@ def coefficients_from_transformation(
         return v
 
     def delta_raw(i, j, k, l):
-        return d(1, l) * d2(i, j, k) - d2(1, j, k) * d(i, l)
+        return sum_of_products([(1, d(1, l), d2(i, j, k)), (-1, d2(1, j, k), d(i, l))])
 
     def delta_sym(i, j, k, l):
         return rational(1, 3) * (
             delta_raw(i, j, k, l) + delta_raw(i, j, l, k) + delta_raw(i, k, l, j))
 
     def lam_raw(i, j, l):
-        return (2 * d(1, l) * d2(i, 1, j) - 2 * d2(1, 1, j) * d(i, l)
-                + d(1, 1) * d2(i, j, l) - d(i, 1) * d2(1, j, l))
+        return sum_of_products([
+            (2, d(1, l), d2(i, 1, j)), (-2, d2(1, 1, j), d(i, l)),
+            (1, d(1, 1), d2(i, j, l)), (-1, d(i, 1), d2(1, j, l))])
 
     def lam_sym(i, j, l):
         return rational(1, 2) * (lam_raw(i, j, l) + lam_raw(i, l, j))
 
     def omega(i, j):
-        return (2 * d(1, 1) * d2(i, 1, j) - 2 * d2(1, 1, j) * d(i, 1)
-                + d(1, j) * d2(i, 1, 1) - d2(1, 1, 1) * d(i, j))
+        return sum_of_products([
+            (2, d(1, 1), d2(i, 1, j)), (-2, d2(1, 1, j), d(i, 1)),
+            (1, d(1, j), d2(i, 1, 1)), (-1, d2(1, 1, 1), d(i, j))])
 
     def forcing(i):
-        return d(1, 1) * d2(i, 1, 1) - d2(1, 1, 1) * d(i, 1)
+        return sum_of_products([(1, d(1, 1), d2(i, 1, 1)), (-1, d2(1, 1, 1), d(i, 1))])
 
     if t.dim == 2:
         return ScalarCubic(
@@ -249,9 +252,11 @@ def coefficients_from_transformation(
     values = {}
     for i in (2, 3):
         for j in (2, 3):
-            values[f"J{i}_{j}"] = d(1, 1) * d(i, j) - d(1, j) * d(i, 1)
+            values[f"J{i}_{j}"] = sum_of_products(
+                [(1, d(1, 1), d(i, j)), (-1, d(1, j), d(i, 1))])
             values[f"Om{i}_{j}"] = omega(i, j)
-        values[f"G{i}_23"] = d(1, 2) * d(i, 3) - d(1, 3) * d(i, 2)
+        values[f"G{i}_23"] = sum_of_products(
+            [(1, d(1, 2), d(i, 3)), (-1, d(1, 3), d(i, 2))])
         values[f"E{i}"] = forcing(i)
         for j, k, l in combinations_with_replacement((2, 3), 3):
             values[f"Del{i}_{sym_key(j, k, l)}"] = delta_sym(i, j, k, l)
@@ -355,10 +360,8 @@ def _along_solutions(f: Expr, coords, slopes) -> Expr:
     """D0(f): the derivative of f with respect to coords[0] through the
     coordinates, with slopes for the first derivatives of the others;
     f's dependence on slope symbols is left out."""
-    total = f.diff(coords[0])
-    for name, slope in zip(coords[1:], slopes):
-        total = total + slope * f.diff(name)
-    return total
+    return sum_of_products([(1, f.diff(coords[0]), None)] + [
+        (1, slope, f.diff(name)) for name, slope in zip(coords[1:], slopes)])
 
 
 def _cubic2_second_derivatives(s: SystemCubic2, yp: Expr, zp: Expr):
@@ -429,10 +432,8 @@ def linearization_residuals(system, t: Transformation):
             "new independent variable is constant along solutions")
 
     def det_along(f):
-        total = det * _along_solutions(f, coords, slopes)
-        for name, second in zip(slope_names, seconds):
-            total = total + second * f.diff(name)
-        return total
+        return sum_of_products([(1, det, _along_solutions(f, coords, slopes))] + [
+            (1, second, f.diff(name)) for name, second in zip(slope_names, seconds)])
 
     det_d0 = det_along(d1[0])
     denominator = det * d1[0] ** 3

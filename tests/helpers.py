@@ -272,9 +272,10 @@ def transcribed_cubic2_residuals(s):
 
 def transcribed_appendix_rhs(s, g1, g2, g3):
     """Right-hand sides of the seventeen gauge-derivative equations,
-    keyed by catalog label.  Transcribed verbatim; known transcription
-    defects in the source tables are preserved and surfaced by the
-    pairwise-consistency records, never patched here."""
+    keyed by catalog label.  Transcribed verbatim, slips included: the
+    derived appendix in criteria.py corrects the EqA2.3 slip, and
+    test_criteria.py's test_transcription_agrees_except_the_index_slip
+    checks that the two differ by exactly that slip."""
     A22, A23, A33 = s.A22, s.A23, s.A33
     B222, B223, B233 = s.B2_22, s.B2_23, s.B2_33
     B322, B323, B333 = s.B3_22, s.B3_23, s.B3_33

@@ -487,7 +487,7 @@ class TestStartup:
             seen = ['mpmath' in sys.modules]
             sympy = ['sympy' in sys.modules]
             for cmd, doc in [('check', 'sys-ex2'), ('check', 'sys-ex3'),
-                             ('verify-metric', 'lie-ex2')]:
+                             ('verify-metric', 'lie-ex2'), ('normal-form', 'sys-ex5')]:
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = geolin.cli.main([cmd, f'corpus/{doc}.ini', '--format', 'json'])
                 seen += [code, 'mpmath' in sys.modules]
@@ -501,6 +501,9 @@ class TestStartup:
         lines = done.stdout.splitlines()
         # sys-ex2 fails on a constant residual and sys-ex3 passes, both
         # decided without evaluation; verify-metric on lie-ex2 samples
-        assert lines[0].split() == ["False", "1", "False", "0", "False", "0", "True"]
+        # exactly and prints its witness value in integer arithmetic;
+        # normal-form on sys-ex5 evaluates kernel residuals
+        assert lines[0].split() == ["False", "1", "False", "0", "False", "0", "False",
+                                    "1", "True"]
         # sympy is a reference for idiom only: no import of geolin loads it
-        assert lines[1].split() == ["False"] * 4
+        assert lines[1].split() == ["False"] * 5

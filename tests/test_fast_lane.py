@@ -6,6 +6,10 @@ dict directly.  An operand whose denominator is an equal but distinct
 {(): 1} dict misses the identity check and takes the general path
 through _cancel, _mk_product and _mk.  Both must give the same canonical
 pair, with every integral coefficient held as an int.
+
+sum_of_products accumulates a sum of polynomial products into one dict,
+and every product looks its monomial pairs up in the bounded memo
+_MEMO; both must give what the chained Expr operations give.
 """
 
 import operator
@@ -17,7 +21,7 @@ import pytest
 
 from geolin.document import load_document
 from geolin.geometry import Christoffel, riemann
-from geolin.kernel import core, cos, exp, integer, rational, sin, sqrt, var
+from geolin.kernel import core, cos, exp, integer, rational, sin, sqrt, sum_of_products, var
 from geolin.transform import coefficients_from_transformation, normal_form
 from helpers import random_invertible_map, random_polynomial
 
@@ -174,3 +178,90 @@ def test_curvature_shares_the_one_denominator():
     gamma = Christoffel.from_components(3, {
         slot: random_polynomial(rng, names=("x", "y", "z"), terms=2) for slot in slots})
     _assert_one_is_shared(riemann(gamma).entries)
+
+
+WEIGHTS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6))
+
+
+def _chained(terms):
+    """The sum of w * a * b built by chained Expr operations."""
+    total = integer(0)
+    for w, a, b in terms:
+        total = total + (a * b if b is not None else a) * w
+    return total
+
+
+def _sequential(terms):
+    """The operations sum_of_products runs off the polynomial path."""
+    total = integer(0)
+    for w, a, b in terms:
+        t = a if w in (1, -1) else a * abs(w)
+        if b is not None:
+            t = t * b
+        total = total - t if w < 0 else total + t
+    return total
+
+
+def _random_terms(rng, operands):
+    return [(rng.choice(WEIGHTS), rng.choice(operands),
+             rng.choice((None, *operands))) for _ in range(rng.randint(1, 6))]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fused_sum_matches_the_chained_build(seed):
+    rng = random.Random(seed)
+    polynomials = [random_polynomial(rng, names=("x", "y", "z")), _fraction_polynomial(rng),
+                   HALVES, integer(0), integer(5)]
+    # exp(x)*exp(-x) = 1, sin^2 = 1 - cos^2 and sqrt(x)^2 = x fire in the products
+    kernels = [_kernel_polynomial(rng), exp(x) + sin(x), exp(-x) - sin(x),
+               sqrt(x) + cos(x), 2 * sqrt(x) - exp(y)]
+    for operands in (polynomials, kernels, polynomials + kernels):
+        for _ in range(6):
+            terms = _random_terms(rng, operands)
+            _assert_same(sum_of_products(terms), _chained(terms))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fused_sum_over_fractions_runs_the_operations_in_order(seed):
+    rng = random.Random(seed)
+    operands = [random_polynomial(rng) / (x + 1), (x * sin(y) - sin(y)) / (x - 1),
+                sqrt(x) / x, _kernel_polynomial(rng), HALVES]
+    for _ in range(6):
+        terms = _random_terms(rng, operands)
+        _assert_same(sum_of_products(terms), _sequential(terms))
+
+
+def test_a_cold_memo_gives_the_warm_result():
+    rng = random.Random(5)
+    operands = [random_polynomial(rng, names=("x", "y", "z"), terms=6),
+                _kernel_polynomial(rng), _kernel_polynomial(rng), HALVES]
+    terms = [(w, a, b) for w, a, b in zip(WEIGHTS, operands * 2, operands[::-1] * 2)]
+    pairs = [(a, b) for a in operands for b in operands]
+    sum_of_products(terms)
+    warm = [sum_of_products(terms)] + [a * b for a, b in pairs]
+    core._MEMO.clear()
+    cold = [sum_of_products(terms)]
+    for a, b in pairs:
+        core._MEMO.clear()
+        cold.append(a * b)
+    for c, w in zip(cold, warm):
+        _assert_same(c, w)
+
+
+def test_the_memo_stays_within_its_cap(monkeypatch):
+    monkeypatch.setattr(core, "_MEMO", {})
+    monkeypatch.setattr(core, "_MEMO_CAP", 16)
+    rng = random.Random(9)
+    small = [random_polynomial(rng, names=("x", "y", "z"), terms=3) for _ in range(6)]
+    for a in small:
+        for b in small:
+            p = a * b
+            assert len(core._MEMO) <= 16
+            _assert_same(p, a * _general(b))
+    # 5 * 6 term pairs are more than the memo holds: they bypass it
+    a = x + y + 2 * x * y + x**2 + 3 * y**3
+    b = x - 2 * y + x**2 * y + y**2 + x**3 - 1
+    assert len(a.num) * len(b.num) > 16
+    before = dict(core._MEMO)
+    _assert_same(a * b, a * _general(b))
+    assert core._MEMO == before

@@ -208,6 +208,40 @@ def test_huge_rational_constant_prints_its_witness():
     assert den == "3"
 
 
+def _mpmath_str(p, q, precision_bits):
+    """rational_str's reference: p / q rounded by mpmath and printed by it."""
+    from mpmath.libmp import from_rational, round_nearest
+    return str(mpmath.mpf(from_rational(p, q, precision_bits, round_nearest),
+                          prec=precision_bits))
+
+
+def _rational_str_cases(rng):
+    yield 9999999999999995, 10 ** 16, 256  # rounds up through every nine
+    yield -9999999999999995, 10 ** 16, 53
+    for e in (3498, 3499, 3500, 3501, 4000):  # around and past the fallback
+        yield 2 ** e + 1, 1, 256
+        yield -1, 2 ** e + 1, 256
+        yield 2 ** e * 10 ** 40 + 3, 10 ** 40, 128
+    for _ in range(400):
+        prec = rng.choice((53, 64, 128, 256, 512))
+        yield rng.randint(-10 ** 6, 10 ** 6) or 1, rng.randint(1, 10 ** 6), prec
+        yield rng.getrandbits(600) - 2 ** 599 or 1, rng.getrandbits(600) + 1, prec
+        # near ties at the fifteenth digit
+        lead = rng.randint(10 ** 14, 10 ** 15 - 1) * 10 + rng.choice((4, 5, 6))
+        yield lead * 10 ** rng.randint(0, 30), 10 ** rng.randint(0, 40), prec
+        # powers of ten and their neighbours, over shifted denominators
+        yield 10 ** rng.randint(0, 40) + rng.randint(-3, 3) or 1, rng.choice(
+            (1, 3, 7, 10 ** rng.randint(0, 30))) << rng.randint(0, 3000), prec
+
+
+def test_rational_str_prints_as_mpmath_does():
+    checked = 0
+    for p, q, prec in _rational_str_cases(random.Random(83)):
+        assert zerotest.rational_str(p, q, prec) == _mpmath_str(p, q, prec), (p, q, prec)
+        checked += 1
+    assert checked == 1617
+
+
 _coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 _terms = st.lists(st.tuples(_coeff, st.integers(0, 4), st.integers(0, 4)),
                   min_size=1, max_size=6)
