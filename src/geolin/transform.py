@@ -280,49 +280,50 @@ def normal_form(
     families are exactly the ones that shared cubic normal form
     generates, record by record.  A FAIL means the pair is not
     expressible with a single shared cubic coefficient matrix.
+
+    G(i, k, j) is G{i}_23 times the symbol antisymmetric in (k, j), so
+    J^-1 applied to the column (G(i, k, .) . x)_i is +-x_j gamma, with
+    gamma = J^-1 (G2_23, G3_23).  Each level of unknowns is therefore J^-1
+    of an input column, the adjugate times that column over det J, plus a
+    scalar of the level below times gamma: one division per unknown.
     """
     jac = {i: {j: g.J(i, j) for j in (2, 3)} for i in (2, 3)}
-    gee = {(i, k): {j: g.G(i, k, j) for j in (2, 3)} for i, k in product((2, 3), repeat=2)}
     det = determinant(((jac[2][2], jac[2][3]), (jac[3][2], jac[3][3])))
     if det.is_zero_literal():
         raise DegenerateJacobianError("leading Jacobian block is singular")
-    inv = {
-        2: {2: jac[3][3] / det, 3: -jac[2][3] / det},
-        3: {2: -jac[3][2] / det, 3: jac[2][2] / det},
-    }
+    adjugate = {2: ((1, jac[3][3]), (-1, jac[2][3])),
+                3: ((-1, jac[3][2]), (1, jac[2][2]))}
 
-    def solve(rhs):
-        """The column x with J x = rhs, for a column rhs = {i: ...}."""
-        return {j: _dot(inv[j], rhs) for j in (2, 3)}
+    def column(family, *indices):
+        return {i: family(i, *indices) for i in (2, 3)}
 
+    def solve(col, j):
+        """Component j of J^-1 col, for a column col = {i: ...}."""
+        (w2, a2), (w3, a3) = adjugate[j]
+        return sum_of_products([(w2, a2, col[2]), (w3, a3, col[3])]) / det
+
+    gee = column(g.G, 2, 3)
+    gamma = {j: solve(gee, j) for j in (2, 3)}
+
+    def level(col, scalar):
+        """The column J^-1 col + scalar * gamma."""
+        return {j: solve(col, j) + scalar * gamma[j] for j in (2, 3)}
+
+    half = rational(1, 2)
     # each unknown is a column {2: ..., 3: ...} over its upper index,
     # keyed by its remaining lower indices
-    d = solve({i: g.E(i) for i in (2, 3)})
-    c = {k: solve({i: g.Om(i, k) - _dot(gee[i, k], d) for i in (2, 3)})
-         for k in (2, 3)}
-    b = {}
-    for k, l in _DEPENDENT_PAIRS:
-        b[k, l] = b[l, k] = solve({
-            i: g.Lam(i, k, l) - rational(1, 2) * (
-                _dot(gee[i, l], c[k]) + _dot(gee[i, k], c[l]))
-            for i in (2, 3)
-        })
-
-    def p_component(i, k, l, m):
-        sym_gb = rational(1, 3) * (
-            _dot(gee[i, m], b[k, l])
-            + _dot(gee[i, k], b[l, m])
-            + _dot(gee[i, l], b[m, k]))
-        return 3 * g.Delta(i, k, l, m) - 3 * sym_gb
-
-    def solved(j, k, l, m):
-        """Component j of the column x with J x = P_klm: the only one read."""
-        return _dot(inv[j], {i: p_component(i, k, l, m) for i in (2, 3)})
-
+    d = {j: solve(column(g.E), j) for j in (2, 3)}
+    c = {2: level(column(g.Om, 2), -d[3]),
+         3: level(column(g.Om, 3), d[2])}
+    b = {(2, 2): level(column(g.Lam, 2, 2), -c[2][3]),
+         (2, 3): level(column(g.Lam, 2, 3), half * (c[2][2] - c[3][3])),
+         (3, 3): level(column(g.Lam, 3, 3), c[3][2])}
+    b[3, 2] = b[2, 3]
     a = {
-        (2, 2): solved(2, 2, 2, 2) / 3,
-        (2, 3): solved(2, 2, 2, 3) / 2,
-        (3, 3): solved(3, 3, 3, 3) / 3,
+        (2, 2): solve(column(g.Delta, 2, 2, 2), 2) - b[2, 2][3] * gamma[2],
+        (2, 3): half * (3 * solve(column(g.Delta, 2, 2, 3), 2)
+                        - (2 * b[2, 3][3] - b[2, 2][2]) * gamma[2]),
+        (3, 3): solve(column(g.Delta, 3, 3, 3), 3) + b[3, 3][2] * gamma[3],
     }
     a[3, 2] = a[2, 3]
 
@@ -334,15 +335,30 @@ def normal_form(
         D2=d[2], D3=d[3],
     )
 
+    # The records keep their defining formulas.  Several records read one
+    # product J_ik a_lm, G{i}_23 b_kl[j] or J_i . b_kl: each is built once.
+    ja, gb, jb = {}, {}, {}
+    for i, (k, l) in product((2, 3), _DEPENDENT_PAIRS):
+        jb[i, k, l] = jb[i, l, k] = _dot(jac[i], b[k, l])
+        for j in (2, 3):
+            ja[i, j, k, l] = ja[i, j, l, k] = jac[i][j] * a[k, l]
+            gb[i, k, l, j] = gb[i, l, k, j] = gee[i] * b[k, l][j]
+    other = {2: 3, 3: 2}
+
+    def g_term(m, t):
+        """(G(i, m, .) . x) from t = G{i}_23 * x_other(m)."""
+        return t if m == 2 else -t
+
     labelled = []
     for i, k, l, m in product((2, 3), (2, 3), (2, 3), (2, 3)):
-        res = g.Delta(i, k, l, m) - jac[i][k] * a[l, m] - _dot(gee[i, m], b[k, l])
+        res = (g.Delta(i, k, l, m) - ja[i, k, l, m]
+               - g_term(m, gb[i, k, l, other[m]]))
         labelled.append((f"Eqr57.Del{i}_{k}{l}{m}", res))
     for i, k, l in product((2, 3), (2, 3), (2, 3)):
-        res = g.Lam(i, k, l) - _dot(jac[i], b[k, l]) - _dot(gee[i, l], c[k])
+        res = g.Lam(i, k, l) - jb[i, k, l] - g_term(l, gee[i] * c[k][other[l]])
         labelled.append((f"Eqr55.Lam{i}_{k}{l}", res))
     for i, k in product((2, 3), (2, 3)):
-        res = g.Om(i, k) - _dot(jac[i], c[k]) - _dot(gee[i, k], d)
+        res = g.Om(i, k) - _dot(jac[i], c[k]) - g_term(k, gee[i] * d[other[k]])
         labelled.append((f"Eqr55.Om{i}_{k}", res))
     for i in (2, 3):
         res = g.E(i) - _dot(jac[i], d)

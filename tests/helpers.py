@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 
 from geolin.kernel import (
+    DEFAULT_CONFIG,
     Expr,
     core,
     cos,
@@ -26,7 +28,15 @@ from geolin.kernel import (
     var,
 )
 from geolin import criteria
-from geolin.transform import Transformation
+from geolin.geometry import determinant, sym_key
+from geolin.projection import SystemCubic2
+from geolin.report import evaluate_conditions
+from geolin.transform import (
+    DegenerateJacobianError,
+    Transformation,
+    _DEPENDENT_PAIRS,
+    _dot,
+)
 
 FD_H = Fraction(1, 10**8)
 
@@ -142,6 +152,83 @@ def fraction_chain_residuals(g, t: Transformation):
 
     d1 = [along(c) for c in t.components]
     return [(f"Eqr4.{i + 1}", along(d1[i] / d1[0]) / d1[0]) for i in (1, 2)]
+
+
+def fraction_chain_normal_form(g, config=DEFAULT_CONFIG):
+    """The normal form of a general pair solved level by level through
+    reduced fractions: each unknown multiplies the inverse Jacobian
+    entries jac/det into a column that already holds the levels below.
+    This is the definition that `transform.normal_form` rearranges
+    through gamma = J^-1 (G2_23, G3_23), kept here as its oracle."""
+    jac = {i: {j: g.J(i, j) for j in (2, 3)} for i in (2, 3)}
+    gee = {(i, k): {j: g.G(i, k, j) for j in (2, 3)} for i, k in product((2, 3), repeat=2)}
+    det = determinant(((jac[2][2], jac[2][3]), (jac[3][2], jac[3][3])))
+    if det.is_zero_literal():
+        raise DegenerateJacobianError("leading Jacobian block is singular")
+    inv = {
+        2: {2: jac[3][3] / det, 3: -jac[2][3] / det},
+        3: {2: -jac[3][2] / det, 3: jac[2][2] / det},
+    }
+
+    def solve(rhs):
+        """The column x with J x = rhs, for a column rhs = {i: ...}."""
+        return {j: _dot(inv[j], rhs) for j in (2, 3)}
+
+    # each unknown is a column {2: ..., 3: ...} over its upper index,
+    # keyed by its remaining lower indices
+    d = solve({i: g.E(i) for i in (2, 3)})
+    c = {k: solve({i: g.Om(i, k) - _dot(gee[i, k], d) for i in (2, 3)})
+         for k in (2, 3)}
+    b = {}
+    for k, l in _DEPENDENT_PAIRS:
+        b[k, l] = b[l, k] = solve({
+            i: g.Lam(i, k, l) - rational(1, 2) * (
+                _dot(gee[i, l], c[k]) + _dot(gee[i, k], c[l]))
+            for i in (2, 3)
+        })
+
+    def p_component(i, k, l, m):
+        sym_gb = rational(1, 3) * (
+            _dot(gee[i, m], b[k, l])
+            + _dot(gee[i, k], b[l, m])
+            + _dot(gee[i, l], b[m, k]))
+        return 3 * g.Delta(i, k, l, m) - 3 * sym_gb
+
+    def solved(j, k, l, m):
+        """Component j of the column x with J x = P_klm: the only one read."""
+        return _dot(inv[j], {i: p_component(i, k, l, m) for i in (2, 3)})
+
+    a = {
+        (2, 2): solved(2, 2, 2, 2) / 3,
+        (2, 3): solved(2, 2, 2, 3) / 2,
+        (3, 3): solved(3, 3, 3, 3) / 3,
+    }
+    a[3, 2] = a[2, 3]
+
+    cubic = SystemCubic2.make(
+        **{f"A{sym_key(k, l)}": a[k, l] for k, l in _DEPENDENT_PAIRS},
+        **{f"B{j}_{sym_key(k, l)}": b[k, l][j]
+           for j in (2, 3) for k, l in _DEPENDENT_PAIRS},
+        **{f"C{j}_{k}": c[k][j] for j, k in product((2, 3), repeat=2)},
+        D2=d[2], D3=d[3],
+    )
+
+    labelled = []
+    for i, k, l, m in product((2, 3), (2, 3), (2, 3), (2, 3)):
+        res = g.Delta(i, k, l, m) - jac[i][k] * a[l, m] - _dot(gee[i, m], b[k, l])
+        labelled.append((f"Eqr57.Del{i}_{k}{l}{m}", res))
+    for i, k, l in product((2, 3), (2, 3), (2, 3)):
+        res = g.Lam(i, k, l) - _dot(jac[i], b[k, l]) - _dot(gee[i, l], c[k])
+        labelled.append((f"Eqr55.Lam{i}_{k}{l}", res))
+    for i, k in product((2, 3), (2, 3)):
+        res = g.Om(i, k) - _dot(jac[i], c[k]) - _dot(gee[i, k], d)
+        labelled.append((f"Eqr55.Om{i}_{k}", res))
+    for i in (2, 3):
+        res = g.E(i) - _dot(jac[i], d)
+        labelled.append((f"Eqr55.E{i}", res))
+
+    report = evaluate_conditions(labelled, config, facts=(("det J", str(det)),))
+    return cubic, report
 
 
 def general_pair_residual(g, i, yp, zp, ypp, zpp):
