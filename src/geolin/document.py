@@ -201,7 +201,7 @@ class SystemDocument:
 
 
 def load_document(path: str) -> SystemDocument:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_document(handle.read(), label=path)
 
 

@@ -34,8 +34,7 @@ Fraction, and the partial derivative of a kernel-free polynomial act on
 the numerator dicts directly: with a constant denominator the general
 path would only wrap the numerator, so the result is the same pair.
 sum_of_products builds a sum of weighted products of polynomials in one
-accumulator dict, which _p_mul runs on an empty dict for one product;
-off polynomials it runs the chained operations in order.
+accumulator dict, which _p_mul runs on an empty dict for one product.
 
 Common factors are found by one polynomial gcd that returns its
 cofactors: the heuristic gcd GCDHEU (Char, Geddes and Gonnet, 1989),
@@ -58,13 +57,17 @@ sign (_mk_coprime).  A sum over unequal denominators follows Henrici
 (Knuth, TAOCP Vol. 2, 4.5.1): with g = gcd(b, d) and
 N = a*(d/g) + c*(b/g), every common factor of N and the denominator
 divides g, so the last gcd is gcd(N, g), or none when g is constant.
+A whole sum_of_products over such pairs is added over the lcm of their
+denominators and reduced by one gcd, which a numerator that cancels to
+zero skips; by uniqueness of the reduced form this is the chained sum.
 Kernels are excluded, since over them sqrt(x) * (sqrt(x)/x) reduces to
 1 only through the final gcd.  So is every gcd that stops early, which may leave
 a common factor: an operand built by one, and a cross gcd (b with d, a
 with d, N with g) that stops on this operation, send the result through
-the full path.  Each expression records whether its own gcd ran to the
-end, and every gcd returns that flag (whole) beside its cofactors.  The
-operand check runs only when the result's denominator is not constant.
+the full path, and a sum_of_products through the chained operations.
+Each expression records whether its own gcd ran to the end, and every
+gcd returns that flag (whole) beside its cofactors.  The operand check
+runs only when the result's denominator is not constant.
 
 Equality is structural equality of the canonical pair.  Deciding whether a
 canonically nonzero pair represents the zero function is delegated to the
@@ -944,20 +947,27 @@ def sum_of_products(terms) -> Expr:
     """The sum of w * a * b over terms (w, a, b), with w an int or
     Fraction and b None for a term w * a.
 
-    When every a and b is a polynomial, every product is accumulated into
-    one dict, with the weights scaled to ints by the lcm of their
-    denominators, which is divided out once at the end.  Otherwise the
+    The weights are scaled to ints by the lcm of their denominators, which
+    is divided out once at the end.  When every a and b is a polynomial,
+    every product is accumulated into one dict.  When every a and b is
+    plain (_is_plain: reduced and free of kernels), the products are added
+    over the lcm of their denominators and reduced by one gcd: a rational
+    function over Q has one reduced form with a normalized denominator, so
+    this is the pair the chained operations give.  Otherwise, and when a
+    gcd of that path stops early or at most one product is nonzero, the
     terms are added in order, each as a * |w| * b (a alone for w = 1 or
-    -1), subtracted when w is negative: over kernels and fractions the
-    reduced form can depend on the order of the operations.
+    -1), subtracted when w is negative: over kernels, or after a gcd
+    stopped early, the reduced form can depend on the order of the
+    operations.
     """
     scale = 1
+    polynomial = True
     for w, a, b in terms:
         if a.den is not P_ONE or (b is not None and b.den is not P_ONE):
-            break
+            polynomial = False
         if w.__class__ is not int:
             scale = _ilcm(scale, w.denominator)
-    else:
+    if polynomial:
         acc: dict = {}
         for w, a, b in terms:
             p, q = a.num, P_ONE if b is None else b.num
@@ -969,13 +979,66 @@ def sum_of_products(terms) -> Expr:
                 w *= scale
             _p_mul_into(acc, p, q, w)
         return _poly_expr(_p_quo(_poly_from_dict(acc), scale))
+    if all(_is_plain(a) and (b is None or _is_plain(b)) for _, a, b in terms):
+        fused = _plain_sum(terms, scale)
+        if fused is not None:
+            return fused
     total = ZERO
     for w, a, b in terms:
+        if not a.num or (b is not None and not b.num):
+            continue
         t = a if w == 1 or w == -1 else a * abs(w)
         if b is not None:
             t = t * b
         total = total - t if w < 0 else total + t
     return total
+
+
+def _plain_sum(terms, scale):
+    """sum_of_products over plain operands, or None for the chained
+    operations: when at most one product is nonzero, since that chain
+    needs no final gcd, or when a gcd stops early."""
+    live = [(w, a, ONE if b is None else b)
+            for w, a, b in terms if a.num and (b is None or b.num)]
+    if len(live) < 2:
+        return None
+    # [den, accumulated numerators over den], one per distinct denominator
+    groups = []
+    for w, a, b in live:
+        den = b.den if a.den is P_ONE else a.den if b.den is P_ONE else _p_mul(a.den, b.den)
+        for group in groups:
+            if group[0] is den or group[0] == den:
+                break
+        else:
+            group = [den, {}]
+            groups.append(group)
+        w = w * scale if w.__class__ is int else w.numerator * (scale // w.denominator)
+        _p_mul_into(group[1], a.num, b.num, w)
+    # L = lcm of the denominators, with the cofactor L/den of each
+    lcm, cofactors = groups[0][0], [P_ONE]
+    for den, _ in groups[1:]:
+        if den == lcm:
+            q_lcm = q_den = P_ONE
+        else:
+            _, q_lcm, q_den, whole = _p_gcd(lcm, den)
+            if not whole:
+                return None
+        if q_den is not P_ONE:
+            cofactors = [_p_mul(c, q_den) for c in cofactors]
+            lcm = _p_mul(lcm, q_den)
+        cofactors.append(q_lcm)
+    acc: dict = {}
+    for (_, part), cofactor in zip(groups, cofactors):
+        part = _poly_from_dict(part)
+        if part:
+            _p_mul_into(acc, part, cofactor)
+    num = _poly_from_dict(acc)
+    if not num:
+        return ZERO
+    num, den, whole = _cancel(_p_quo(num, scale), lcm)
+    if not whole:
+        return None
+    return _mk_coprime(num, den)
 
 
 def _mk(num, den) -> Expr:

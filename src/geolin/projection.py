@@ -20,7 +20,7 @@ from .geometry import (
     CoefficientTable,
     Geodesic2Coefficients,
 )
-from .kernel import Expr, integer, rational
+from .kernel import Expr, integer, rational, var
 
 _HALF = rational(1, 2)
 _TWO = integer(2)
@@ -168,8 +168,6 @@ def swap_scalar_axes(cubic: ScalarCubic) -> ScalarCubic:
     Writing x as a function of y reverses the coefficient list up to
     sign; applying the swap twice gives back the original table.
     """
-    from .kernel import var
-
     swap = {"x": var("y"), "y": var("x")}
     return ScalarCubic(
         E0=-cubic.E3.substitute(swap),

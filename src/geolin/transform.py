@@ -11,9 +11,11 @@ metrics back along a map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from typing import Tuple, Union
 
+from .criteria import Linear2, Quadratic2
 from .geometry import (
     Christoffel,
     CoefficientTable,
@@ -265,11 +267,6 @@ def coefficients_from_transformation(
     return GeneralSystem2.make(**values)
 
 
-def _dot(row, col) -> Expr:
-    """row[2] * col[2] + row[3] * col[3], for {2: ..., 3: ...} dicts."""
-    return row[2] * col[2] + row[3] * col[3]
-
-
 def normal_form(
     g: GeneralSystem2, config: ZeroTestConfig = DEFAULT_CONFIG
 ) -> Tuple[SystemCubic2, ConditionReport]:
@@ -285,7 +282,7 @@ def normal_form(
     J^-1 applied to the column (G(i, k, .) . x)_i is +-x_j gamma, with
     gamma = J^-1 (G2_23, G3_23).  Each level of unknowns is therefore J^-1
     of an input column, the adjugate times that column over det J, plus a
-    scalar of the level below times gamma: one division per unknown.
+    scalar of the level below times gamma, built and reduced as one sum.
     """
     jac = {i: {j: g.J(i, j) for j in (2, 3)} for i in (2, 3)}
     det = determinant(((jac[2][2], jac[2][3]), (jac[3][2], jac[3][3])))
@@ -293,26 +290,32 @@ def normal_form(
         raise DegenerateJacobianError("leading Jacobian block is singular")
     adjugate = {2: ((1, jac[3][3]), (-1, jac[2][3])),
                 3: ((-1, jac[3][2]), (1, jac[2][2]))}
+    inverse = 1 / det
 
     def column(family, *indices):
         return {i: family(i, *indices) for i in (2, 3)}
 
-    def solve(col, j):
-        """Component j of J^-1 col, for a column col = {i: ...}."""
+    def adjugate_times(col, j):
+        """Component j of adj(J) col = det J * J^-1 col, for a column col = {i: ...}."""
         (w2, a2), (w3, a3) = adjugate[j]
-        return sum_of_products([(w2, a2, col[2]), (w3, a3, col[3])]) / det
+        return sum_of_products([(w2, a2, col[2]), (w3, a3, col[3])])
 
     gee = column(g.G, 2, 3)
-    gamma = {j: solve(gee, j) for j in (2, 3)}
+    gamma = {j: adjugate_times(gee, j) / det for j in (2, 3)}
+
+    def solved(col, j, scalar, w=1, w_scalar=1):
+        """w * (J^-1 col)_j + w_scalar * scalar * gamma_j, as one sum."""
+        return sum_of_products([(w, adjugate_times(col, j), inverse),
+                                (w_scalar, scalar, gamma[j])])
 
     def level(col, scalar):
         """The column J^-1 col + scalar * gamma."""
-        return {j: solve(col, j) + scalar * gamma[j] for j in (2, 3)}
+        return {j: solved(col, j, scalar) for j in (2, 3)}
 
-    half = rational(1, 2)
+    half = Fraction(1, 2)
     # each unknown is a column {2: ..., 3: ...} over its upper index,
     # keyed by its remaining lower indices
-    d = {j: solve(column(g.E), j) for j in (2, 3)}
+    d = {j: adjugate_times(column(g.E), j) / det for j in (2, 3)}
     c = {2: level(column(g.Om, 2), -d[3]),
          3: level(column(g.Om, 3), d[2])}
     b = {(2, 2): level(column(g.Lam, 2, 2), -c[2][3]),
@@ -320,10 +323,10 @@ def normal_form(
          (3, 3): level(column(g.Lam, 3, 3), c[3][2])}
     b[3, 2] = b[2, 3]
     a = {
-        (2, 2): solve(column(g.Delta, 2, 2, 2), 2) - b[2, 2][3] * gamma[2],
-        (2, 3): half * (3 * solve(column(g.Delta, 2, 2, 3), 2)
-                        - (2 * b[2, 3][3] - b[2, 2][2]) * gamma[2]),
-        (3, 3): solve(column(g.Delta, 3, 3, 3), 3) + b[3, 3][2] * gamma[3],
+        (2, 2): solved(column(g.Delta, 2, 2, 2), 2, b[2, 2][3], w_scalar=-1),
+        (2, 3): solved(column(g.Delta, 2, 2, 3), 2, 2 * b[2, 3][3] - b[2, 2][2],
+                       3 * half, -half),
+        (3, 3): solved(column(g.Delta, 3, 3, 3), 3, b[3, 3][2]),
     }
     a[3, 2] = a[2, 3]
 
@@ -335,33 +338,29 @@ def normal_form(
         D2=d[2], D3=d[3],
     )
 
-    # The records keep their defining formulas.  Several records read one
-    # product J_ik a_lm, G{i}_23 b_kl[j] or J_i . b_kl: each is built once.
-    ja, gb, jb = {}, {}, {}
-    for i, (k, l) in product((2, 3), _DEPENDENT_PAIRS):
-        jb[i, k, l] = jb[i, l, k] = _dot(jac[i], b[k, l])
-        for j in (2, 3):
-            ja[i, j, k, l] = ja[i, j, l, k] = jac[i][j] * a[k, l]
-            gb[i, k, l, j] = gb[i, l, k, j] = gee[i] * b[k, l][j]
-    other = {2: 3, 3: 2}
+    # Each record keeps its defining formula as one sum_of_products: the
+    # input entry minus J_i . x minus (G(i, m, .) . y), with
+    # (G(i, m, .) . y) = G{i}_23 y_3 for m = 2 and -G{i}_23 y_2 for m = 3.
+    def minus_j(i, x):
+        return [(-1, jac[i][j], x[j]) for j in (2, 3)]
 
-    def g_term(m, t):
-        """(G(i, m, .) . x) from t = G{i}_23 * x_other(m)."""
-        return t if m == 2 else -t
+    def minus_g(i, m, y):
+        return (-1, gee[i], y[3]) if m == 2 else (1, gee[i], y[2])
 
     labelled = []
     for i, k, l, m in product((2, 3), (2, 3), (2, 3), (2, 3)):
-        res = (g.Delta(i, k, l, m) - ja[i, k, l, m]
-               - g_term(m, gb[i, k, l, other[m]]))
+        res = sum_of_products([(1, g.Delta(i, k, l, m), None),
+                               (-1, jac[i][k], a[l, m]), minus_g(i, m, b[k, l])])
         labelled.append((f"Eqr57.Del{i}_{k}{l}{m}", res))
     for i, k, l in product((2, 3), (2, 3), (2, 3)):
-        res = g.Lam(i, k, l) - jb[i, k, l] - g_term(l, gee[i] * c[k][other[l]])
+        res = sum_of_products([(1, g.Lam(i, k, l), None), *minus_j(i, b[k, l]),
+                               minus_g(i, l, c[k])])
         labelled.append((f"Eqr55.Lam{i}_{k}{l}", res))
     for i, k in product((2, 3), (2, 3)):
-        res = g.Om(i, k) - _dot(jac[i], c[k]) - g_term(k, gee[i] * d[other[k]])
+        res = sum_of_products([(1, g.Om(i, k), None), *minus_j(i, c[k]), minus_g(i, k, d)])
         labelled.append((f"Eqr55.Om{i}_{k}", res))
     for i in (2, 3):
-        res = g.E(i) - _dot(jac[i], d)
+        res = sum_of_products([(1, g.E(i), None), *minus_j(i, d)])
         labelled.append((f"Eqr55.E{i}", res))
 
     report = evaluate_conditions(labelled, config, facts=(("det J", str(det)),))
@@ -418,8 +417,6 @@ def linearization_residuals(system, t: Transformation):
     detD = det*D, which needs no division.  A ZERO record is the
     canonical zero N_i, whose one division is trivial.
     """
-    from .criteria import Linear2, Quadratic2
-
     if isinstance(system, Geodesic2Coefficients):
         system = project(system.as_christoffel())
     elif isinstance(system, Christoffel):

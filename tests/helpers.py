@@ -35,7 +35,6 @@ from geolin.transform import (
     DegenerateJacobianError,
     Transformation,
     _DEPENDENT_PAIRS,
-    _dot,
 )
 
 FD_H = Fraction(1, 10**8)
@@ -152,6 +151,11 @@ def fraction_chain_residuals(g, t: Transformation):
 
     d1 = [along(c) for c in t.components]
     return [(f"Eqr4.{i + 1}", along(d1[i] / d1[0]) / d1[0]) for i in (1, 2)]
+
+
+def _dot(row, col) -> Expr:
+    """row[2] * col[2] + row[3] * col[3], for {2: ..., 3: ...} dicts."""
+    return row[2] * col[2] + row[3] * col[3]
 
 
 def fraction_chain_normal_form(g, config=DEFAULT_CONFIG):

@@ -297,6 +297,13 @@ class TestInputErrors:
         if line is not None:
             assert f"{bad}:{line}: {message}" in err
 
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        marked = tmp_path / "lie-ex2.ini"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(doc_path("lie-ex2")).read_bytes())
+        plain = run(capsys, "check", doc_path("lie-ex2"), "--format", "json")
+        assert run(capsys, "check", marked, "--format", "json") == plain
+        assert plain[0] == 0
+
     def test_bad_gauge_flag(self, capsys):
         code, _, err = run(capsys, "appendix", doc_path("sys-ex3"),
                            "--gauge", "G3_33")

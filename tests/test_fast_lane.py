@@ -8,8 +8,11 @@ through _cancel, _mk_product and _mk.  Both must give the same canonical
 pair, with every integral coefficient held as an int.
 
 sum_of_products accumulates a sum of polynomial products into one dict,
-and every product looks its monomial pairs up in the bounded memo
-_MEMO; both must give what the chained Expr operations give.
+and a sum of kernel-free reduced fractions over one common denominator
+that one gcd reduces; every product looks its monomial pairs up in the
+bounded memo _MEMO.  All must give what the chained Expr operations
+give, and a sum holding a kernel, or an operand whose gcd stopped early,
+must run those operations in order.
 """
 
 import operator
@@ -228,6 +231,120 @@ def test_fused_sum_over_fractions_runs_the_operations_in_order(seed):
                 sqrt(x) / x, _kernel_polynomial(rng), HALVES]
     for _ in range(6):
         terms = _random_terms(rng, operands)
+        _assert_same(sum_of_products(terms), _sequential(terms))
+
+
+# kernel-free denominators: D, E, D^2 (a multiple of D) and D*E
+D = x + 2 * y + 1
+E = x * y - 3
+
+
+def _plain_fractions(rng):
+    """Seeded reduced fractions over D (twice), E, D^2 and D*E."""
+    return [random_polynomial(rng) / den for den in (D, D, E, D * D, D * E)]
+
+
+def _count_fused(monkeypatch):
+    """A list that grows by one each time the common-denominator path
+    returns a sum instead of handing over to the chained operations."""
+    fused, plain_sum = [], core._plain_sum
+
+    def counted(terms, scale):
+        out = plain_sum(terms, scale)
+        if out is not None:
+            fused.append(out)
+        return out
+
+    monkeypatch.setattr(core, "_plain_sum", counted)
+    return fused
+
+
+def _refuse_fused(monkeypatch):
+    def refuse(terms, scale):
+        raise AssertionError("the common-denominator path ran")
+
+    monkeypatch.setattr(core, "_plain_sum", refuse)
+
+
+def _assert_chained(terms):
+    got, want = sum_of_products(terms), _chained(terms)
+    assert got == want
+    _assert_same(got, want)
+    _assert_same(got, _sequential(terms))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fused_sum_over_plain_fractions_matches_the_chained_build(seed, monkeypatch):
+    fused = _count_fused(monkeypatch)
+    rng = random.Random(seed)
+    operands = _plain_fractions(rng) + [random_polynomial(rng), HALVES, integer(0)]
+    for _ in range(12):
+        _assert_chained(_random_terms(rng, operands))
+    assert fused
+
+
+PLAIN_SUMS = {
+    "shared denominator": [(1, (x - y) / D, None), (-2, (x * y) / D, None), (3, y / D, x)],
+    "distinct denominators": [(1, x / D, None), (1, y / E, None), (-1, (x + y) / (D * E), y)],
+    "D and D^2": [(1, x / D, None), (2, y / (D * D), None), (1, x / D, (y + 1) / D)],
+    # the cofactor of the polynomial group grows with L from 1
+    "polynomials before fractions": [(1, x**2 + y, None), (-3, HALVES, x),
+                                     (1, (x - y) / D, None), (1, y / E, x)],
+    # Fraction weights on and after the first fraction term
+    "Fraction weights": [(2, x + y, None), (Fraction(1, 2), x / D, None),
+                         (Fraction(-2, 3), y / E, None), (Fraction(5, 6), (x + 1) / (D * D), y)],
+    "a zero operand": [(1, x / D, integer(0)), (3, integer(0), None),
+                       (1, y / E, x / D), (-1, integer(0), y / E), (1, HALVES, None)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAIN_SUMS))
+def test_fused_sum_cases_match_the_chained_build(case, monkeypatch):
+    fused = _count_fused(monkeypatch)
+    _assert_chained(PLAIN_SUMS[case])
+    assert len(fused) == 1
+
+
+def test_a_fused_sum_that_cancels_is_zero_and_runs_no_final_gcd(monkeypatch):
+    f, g, h = (x - y) / D, (x * y + 1) / D, y / E
+    cancelling = [
+        [(1, f, None), (-1, f, None)],
+        [(1, f, g), (-1, g, f), (Fraction(1, 2), g, f), (Fraction(-1, 2), f, g)],
+        [(1, x, f), (-1, f * x, None), (2, x**2 - y, None), (-2, x**2 - y, None)],
+        [(1, f, None), (1, h, None), (-1, f + h, None)],
+    ]
+    monkeypatch.setattr(core, "_cancel", None)  # a final reduction raises
+    for terms in cancelling:
+        assert sum_of_products(terms) is core.ZERO
+    # over one shared denominator no lcm gcd runs either
+    monkeypatch.setattr(core, "_p_gcd", None)
+    for terms in cancelling[:2]:
+        assert sum_of_products(terms) is core.ZERO
+    monkeypatch.undo()
+    for terms in cancelling:
+        _assert_chained(terms)
+
+
+def test_a_kernel_operand_takes_the_chained_operations(monkeypatch):
+    _refuse_fused(monkeypatch)
+    rng = random.Random(3)
+    fractions = _plain_fractions(rng)
+    for kernel in (exp(x) / D, sqrt(x) + 1, sin(y) / E):
+        terms = [(1, fractions[0], None), (Fraction(1, 2), kernel, fractions[2]),
+                 (-1, fractions[3], x)]
+        _assert_same(sum_of_products(terms), _sequential(terms))
+
+
+def test_an_operand_whose_gcd_stopped_early_takes_the_chained_operations(monkeypatch):
+    monkeypatch.setattr(core, "_HEU_TRIES", 0)
+    partial = (x**2 - 1) / (x - 1)
+    assert partial._plain is False and str(partial) == "(x^2 - 1)/(x - 1)"
+    monkeypatch.undo()
+    _refuse_fused(monkeypatch)
+    rng = random.Random(4)
+    fractions = _plain_fractions(rng)
+    for terms in ([(1, partial, None), (1, fractions[0], None)],
+                  [(2, fractions[1], partial), (-1, fractions[2], y)]):
         _assert_same(sum_of_products(terms), _sequential(terms))
 
 
