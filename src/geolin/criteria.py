@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .geometry import (
@@ -217,9 +219,13 @@ def _slot_forms():
 def _line_terms(combination: str):
     """One combination of curvature components expanded, by index algebra
     over the slot forms, into derivative terms ((name, coord, c), ...)
-    and product terms grouped by a shared factor ((a, ((b, c), ...)), ...),
+    and product terms grouped by a shared factor
+    ((a, w, ((b, c), ...)), ...), each group standing for a * w * sum c*b,
     from R{i}_{jkl} = T(k, l) - T(l, k) with
-    T(p, q) = d_p G{i}_{jq} + sum_m G{i}_{mp} G{m}_{jq}."""
+    T(p, q) = d_p G{i}_{jq} + sum_m G{i}_{mp} G{m}_{jq}.  The inner
+    weights c of a group are ints: they are scaled by the lcm s of their
+    denominators, and the group's outer weight w is 1/s, so an inner sum
+    over integer coefficients stays integral."""
     line = parse(combination)
     forms = _slot_forms()
     derivs, products = defaultdict(int), defaultdict(int)
@@ -246,7 +252,9 @@ def _line_terms(combination: str):
         first = min(shared, key=lambda name: (-shared[name], name))
         rest = sorted((b if a == first else a, c) for (a, b), c in left.items()
                       if first in (a, b))
-        grouped.append((first, tuple(rest)))
+        scale = math.lcm(*(c.denominator for _, c in rest))
+        grouped.append((first, exact(Fraction(1, scale)),
+                        tuple((b, exact(c * scale)) for b, c in rest)))
         left = {pair: c for pair, c in left.items() if first not in pair}
     return (
         tuple((name, coord, exact(c)) for (name, coord), c in sorted(derivs.items()) if c),
@@ -267,10 +275,10 @@ def _curvature_lines(combinations, values: Dict[str, Expr]) -> List[Expr]:
             if d is None:
                 d = partials[name, coord] = values[name].diff(coord)
             terms.append((c, d, None))
-        for first, rest in products:
+        for first, w, rest in products:
             a = values[first]
             if not a.is_zero_literal():
-                terms.append((1, a, sum_of_products([(c, values[b], None) for b, c in rest])))
+                terms.append((w, a, sum_of_products([(c, values[b], None) for b, c in rest])))
         lines.append(sum_of_products(terms))
     return lines
 

@@ -22,6 +22,7 @@ from .kernel import (
     DEFAULT_CONFIG,
     Expr,
     Verdict,
+    ZERO,
     ZeroTestConfig,
     as_expr,
     integer,
@@ -47,7 +48,6 @@ _SKEW_SLOT = {dim: {pair: (n, sign) for n, (k, l) in enumerate(pairs)
                     for pair, sign in (((k, l), 1), ((l, k), -1))}
               for dim, pairs in SKEW_PAIRS.items()}
 
-_ZERO = integer(0)
 _HALF = rational(1, 2)
 
 
@@ -124,7 +124,7 @@ def _symmetric_entries(
         if key in table and table[key] != value:
             raise GeometryError(f"conflicting values for {what} entry {key}")
         table[key] = value
-    return tuple(table.get(head + pair, _ZERO) for head in heads for pair in pairs)
+    return tuple(table.get(head + pair, ZERO) for head in heads for pair in pairs)
 
 
 def coordinates(dim: int) -> Tuple[str, ...]:
@@ -242,7 +242,7 @@ class Riemann:
 
     def component(self, i: int, j: int, k: int, l: int) -> Expr:
         if k == l:
-            return _ZERO
+            return ZERO
         slot, sign = _SKEW_SLOT[self.dim][k, l]
         value = self.entries[((i - 1) * self.dim + (j - 1)) * len(SKEW_PAIRS[self.dim]) + slot]
         return value if sign == 1 else -value
@@ -302,7 +302,7 @@ def christoffel_from_metric(
     components: Dict[Tuple[int, int, int], Expr] = {}
     for i in range(1, g.dim + 1):
         for j, k in SYM_PAIRS[g.dim]:
-            acc = _ZERO
+            acc = ZERO
             for m in range(1, g.dim + 1):
                 acc = acc + adj[i - 1][m - 1] * (
                     g.g(j, m).diff(names[k - 1])
@@ -350,18 +350,35 @@ def covariant_derivative(
 
 
 def first_bianchi_residuals(curv: Riemann) -> Tuple[Expr, ...]:
-    """Cyclic sums R{i}_{jkl} + R{i}_{klj} + R{i}_{ljk}, all index tuples."""
+    """Cyclic sums R{i}_{jkl} + R{i}_{klj} + R{i}_{ljk}, all index tuples
+    in lexicographic order.
+
+    A tuple that repeats a lower index sums one stored entry with its
+    negation and a zero, by the skew storage of Riemann, so it is ZERO
+    with no arithmetic.  The cyclic sum does not change when (j, k, l)
+    rotates, so each rotation class of distinct indices is summed once
+    per i, at its first tuple, and shared by the other two: 6 sums in
+    3D, none in 2D.
+    """
     n = curv.dim
+    r = curv.component
     out = []
     for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    out.append(sum_of_products([
-                        (1, curv.component(i, j, k, l), None),
-                        (1, curv.component(i, k, l, j), None),
-                        (1, curv.component(i, l, j, k), None),
-                    ]))
+        sums: Dict[Tuple[int, int, int], Expr] = {}
+        for j, k, l in itertools.product(range(1, n + 1), repeat=3):
+            if j == k or k == l or l == j:
+                out.append(ZERO)
+                continue
+            # lexicographic order meets a class first at its least rotation
+            rotation = min((j, k, l), (k, l, j), (l, j, k))
+            total = sums.get(rotation)
+            if total is None:
+                total = sums[rotation] = sum_of_products([
+                    (1, r(i, j, k, l), None),
+                    (1, r(i, k, l, j), None),
+                    (1, r(i, l, j, k), None),
+                ])
+            out.append(total)
     return tuple(out)
 
 

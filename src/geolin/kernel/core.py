@@ -200,8 +200,23 @@ def _terms(p) -> list:
 
 
 def _lead(p):
-    """The leading monomial of a nonzero polynomial in graded order."""
-    return min(p, key=_term_sort_key)
+    """The leading monomial of a nonzero polynomial in graded order.
+
+    Only the monomials of top total degree can lead, so the full sort key
+    is built for those alone.
+    """
+    top, candidates = -1, None
+    for mono in p:
+        deg = 0
+        for _, e in mono:
+            deg += e
+        if deg > top:
+            top, candidates = deg, [mono]
+        elif deg == top:
+            candidates.append(mono)
+    if len(candidates) == 1:
+        return candidates[0]
+    return min(candidates, key=_term_sort_key)
 
 
 def _poly_from_dict(d: dict) -> dict:

@@ -25,6 +25,7 @@ from geolin.kernel import (
     rational,
     sin,
     sqrt,
+    sum_of_products,
     var,
 )
 from geolin import criteria
@@ -552,3 +553,18 @@ def transcribed_metric_pde_residuals(coef, g):
         ("Eq11.5", q.diff("y") + c * p + (b + f) * q + e * r),
         ("Eq11.6", r.diff("y") + two * (c * q + f * r)),
     ]
+
+
+def naive_first_bianchi_residuals(curv):
+    """Every cyclic sum R{i}_{jkl} + R{i}_{klj} + R{i}_{ljk} summed afresh,
+    n^4 sums in lexicographic order: the oracle of the sums that
+    geometry.first_bianchi_residuals skips or shares."""
+    n = curv.dim
+    out = []
+    for i, j, k, l in product(range(1, n + 1), repeat=4):
+        out.append(sum_of_products([
+            (1, curv.component(i, j, k, l), None),
+            (1, curv.component(i, k, l, j), None),
+            (1, curv.component(i, l, j, k), None),
+        ]))
+    return tuple(out)

@@ -5,6 +5,7 @@ import pytest
 from geolin.criteria import (
     _APPENDIX,
     _EQ51,
+    _line_terms,
     CoefficientDomainError,
     Linear2,
     Quadratic2,
@@ -400,6 +401,28 @@ class TestDerivedTables:
             for (cid, new), (_, old) in zip(derived, transcribed):
                 expected = -slip if cid in ("EqA2.3", "EqA1.4-A2.3") else ZERO
                 assert is_zero(new - old - expected).verdict is Verdict.ZERO, cid
+
+    def test_inner_weights_are_ints(self):
+        # a product group stands for a * w * sum c*b: every c is an int,
+        # so an inner sum over integer coefficients multiplies ints only
+        scaled = 0
+        for combination in (*_EQ51, *_APPENDIX.values()):
+            _, products = _line_terms(combination)
+            for _, w, rest in products:
+                assert all(c.__class__ is int and c for _, c in rest), combination
+                scaled += w != 1
+        assert scaled > 0
+
+    def test_fraction_coefficients_agree_with_the_transcription(self):
+        # a pair with Fraction coefficients makes the inner sums rational
+        rng = random.Random(73)
+        for _ in range(4):
+            s = SystemCubic2.make(**{
+                key: rational(rng.randint(-5, 5), rng.choice((2, 3, 6, 7)))
+                * random_polynomial(rng, names=XYZ, terms=3)
+                for key in SystemCubic2.keys()})
+            for (cid, new), (_, old) in zip(cubic2_residuals(s), transcribed_cubic2_residuals(s)):
+                assert is_zero(new - old).verdict is Verdict.ZERO, cid
 
     def test_each_line_is_its_combination_of_riemann(self):
         rng = random.Random(72)

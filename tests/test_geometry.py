@@ -31,6 +31,7 @@ from geolin.criteria import Quadratic2, quadratic2_residuals, remark_mapping
 from geolin.kernel import Verdict, cos, exp, integer, is_zero, parse, sin, sqrt, var
 from geolin.report import FAIL, PASS
 from helpers import (
+    naive_first_bianchi_residuals,
     random_expr,
     random_polynomial,
     transcribed_geodesic2_flat_residuals,
@@ -203,6 +204,35 @@ class TestRiemann:
                             mapping[(i, j, k)] = random_polynomial(rng, names)
                 curv = riemann(Christoffel.from_components(dim, mapping))
                 assert all(r.is_zero_literal() for r in first_bianchi_residuals(curv))
+
+    def test_first_bianchi_matches_every_sum_taken_afresh(self):
+        # the skipped sums (a repeated index) and the shared ones (a
+        # rotation) must come out as the oracle's, on curvatures and on
+        # stored entries that are none, whose distinct-index sums are not 0
+        rng = random.Random(29)
+        for dim, names in ((2, ("x", "y")), (3, ("x", "y", "z"))):
+            stored = dim * dim * (dim * (dim - 1) // 2)
+            for shape in range(6):
+                mapping = {(i, j, k): random_polynomial(rng, names)
+                           for i in range(1, dim + 1) for j in range(1, dim + 1)
+                           for k in range(j, dim + 1)}
+                curv = riemann(Christoffel.from_components(dim, mapping))
+                assert first_bianchi_residuals(curv) == naive_first_bianchi_residuals(curv)
+                entries = [random_polynomial(rng, names) for _ in range(stored)]
+                if shape % 2:
+                    # kernel-free fractions over a few denominators
+                    dens = [random_polynomial(rng, names, degree=1, terms=2) + 3
+                            for _ in range(2)]
+                    entries = [e / rng.choice(dens) for e in entries]
+                arbitrary = Riemann(dim, tuple(entries))
+                fast = first_bianchi_residuals(arbitrary)
+                naive = naive_first_bianchi_residuals(arbitrary)
+                assert len(fast) == dim ** 4
+                assert fast == naive
+                # every tuple of distinct indices, and no other, is nonzero
+                distinct = [len({j, k, l}) == 3 for _, j, k, l in
+                            itertools.product(range(1, dim + 1), repeat=4)]
+                assert [not r.is_zero_literal() for r in fast] == distinct
 
 
 class TestCoefficients:

@@ -6,6 +6,7 @@ builds the same polynomial from its terms in two shuffled insertion
 orders and checks that nothing downstream can tell them apart.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from geolin.kernel import core, eval_expr, is_zero, var
 X, Y = core._var_gen("x"), core._var_gen("y")
 EXP_X = core._kernel_gen("exp", var("x"))
 SQRT_Y = core._kernel_gen("sqrt", var("y") + 1)
+SIN_X = core._kernel_gen("sin", var("x"))
 
 _terms = st.lists(
     st.tuples(
@@ -82,3 +84,23 @@ def test_numeric_values_do_not_depend_on_insertion_order(terms, rnd):
     assert r1.verdict is r2.verdict
     assert r1.witness == r2.witness
     assert r1.witness_value == r2.witness_value
+
+
+def test_lead_is_the_least_graded_key_over_every_term():
+    # _lead builds the graded key only at the top total degree; it must
+    # pick what min over every term by that key picks, kernels and ties
+    # in the top degree included
+    rnd = random.Random(53)
+    gens = (X, Y, EXP_X, SQRT_Y, SIN_X)
+    ties = kernels = 0
+    for _ in range(400):
+        p = {}
+        for _ in range(rnd.randint(1, 8)):
+            exps = [rnd.randint(0, 3), rnd.randint(0, 3)] + [rnd.randint(0, 1) for _ in gens[2:]]
+            p[_monomial(exps, gens)] = rnd.choice((-3, -1, 1, 2, Fraction(-1, 2)))
+        lead = core._lead(p)
+        assert lead == min(p, key=core._term_sort_key)
+        top = [m for m in p if sum(e for _, e in m) == sum(e for _, e in lead)]
+        ties += len(top) > 1
+        kernels += any(g.kind == core.KERNEL for g, _ in lead)
+    assert ties >= 50 and kernels >= 50
