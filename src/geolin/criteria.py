@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .geometry import (
@@ -219,13 +217,10 @@ def _slot_forms():
 def _line_terms(combination: str):
     """One combination of curvature components expanded, by index algebra
     over the slot forms, into derivative terms ((name, coord, c), ...)
-    and product terms grouped by a shared factor
-    ((a, w, ((b, c), ...)), ...), each group standing for a * w * sum c*b,
-    from R{i}_{jkl} = T(k, l) - T(l, k) with
-    T(p, q) = d_p G{i}_{jq} + sum_m G{i}_{mp} G{m}_{jq}.  The inner
-    weights c of a group are ints: they are scaled by the lcm s of their
-    denominators, and the group's outer weight w is 1/s, so an inner sum
-    over integer coefficients stays integral."""
+    and product terms ((a, b, c), ...), each standing for c * a * b, from
+    R{i}_{jkl} = T(k, l) - T(l, k) with
+    T(p, q) = d_p G{i}_{jq} + sum_m G{i}_{mp} G{m}_{jq}.  Each weight c is
+    an int where it is integral and a Fraction otherwise."""
     line = parse(combination)
     forms = _slot_forms()
     derivs, products = defaultdict(int), defaultdict(int)
@@ -244,27 +239,17 @@ def _line_terms(combination: str):
         # an int where integral, so that scaling stays in int arithmetic
         return c.numerator if c.denominator == 1 else c
 
-    left = {pair: exact(c) for pair, c in products.items() if c}
-    grouped = []
-    while left:
-        # factor out the name shared by the most products left
-        shared = Counter(name for pair in left for name in set(pair))
-        first = min(shared, key=lambda name: (-shared[name], name))
-        rest = sorted((b if a == first else a, c) for (a, b), c in left.items()
-                      if first in (a, b))
-        scale = math.lcm(*(c.denominator for _, c in rest))
-        grouped.append((first, exact(Fraction(1, scale)),
-                        tuple((b, exact(c * scale)) for b, c in rest)))
-        left = {pair: c for pair, c in left.items() if first not in pair}
     return (
         tuple((name, coord, exact(c)) for (name, coord), c in sorted(derivs.items()) if c),
-        tuple(grouped),
+        tuple((a, b, exact(c)) for (a, b), c in sorted(products.items()) if c),
     )
 
 
 def _curvature_lines(combinations, values: Dict[str, Expr]) -> List[Expr]:
     """Each combination evaluated on the coefficient and gauge values by
-    name; each partial derivative is taken once for all of them."""
+    name, as one sum_of_products over its derivative and product terms,
+    which scales their weights to ints; each partial derivative is taken
+    once for all of them."""
     partials: Dict[Tuple[str, str], Expr] = {}
     lines = []
     for combination in combinations:
@@ -275,10 +260,7 @@ def _curvature_lines(combinations, values: Dict[str, Expr]) -> List[Expr]:
             if d is None:
                 d = partials[name, coord] = values[name].diff(coord)
             terms.append((c, d, None))
-        for first, w, rest in products:
-            a = values[first]
-            if not a.is_zero_literal():
-                terms.append((w, a, sum_of_products([(c, values[b], None) for b, c in rest])))
+        terms.extend((c, values[a], values[b]) for a, b, c in products)
         lines.append(sum_of_products(terms))
     return lines
 

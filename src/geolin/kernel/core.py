@@ -18,14 +18,15 @@ canonical expressions.  Construction keeps every value normalized:
 * squares of sin kernels always rewrite through the Pythagorean
   identity sin^2 = 1 - cos^2.
 
-A product of two monomials free of kernels needs none of these rewrites
-and is merged without scanning for them.  Every monomial product is
-memoized: _MEMO maps a pair of monomials to their merged monomial, or to
-the monomial and the polynomials a rewrite left to multiply in.  The
-memo holds at most _MEMO_CAP entries and is emptied when full; a product
-with more term pairs than that skips it.  Monomials are tuples of
-interned generators, so the memo only saves work, and equal products
-come back as one shared monomial tuple.
+Two monomials are merged by one dict merge, which applies these
+rewrites; a generator found in one monomial only keeps its (generator,
+exponent) pair object.  Every monomial product is memoized: _MEMO maps a
+pair of monomials to their merged monomial, or to the monomial and the
+polynomials a rewrite left to multiply in.  The memo holds at most
+_MEMO_CAP entries and is emptied when full; a product with more term
+pairs than that skips it.  Monomials are tuples of interned generators,
+so the memo only saves work, and equal products come back as one shared
+monomial tuple whose pairs are shared with its factors.
 
 Every expression whose denominator is 1 holds the shared P_ONE object, so
 an identity test tells a polynomial apart.  Sums, differences and
@@ -302,61 +303,47 @@ def _mono_combine(m1, m2):
 
     Returns (mono, extras) where extras is a list of polynomials that still
     have to be multiplied in (arguments of collapsed sqrt squares, the
-    Pythagorean replacement of sin squares).  Without a kernel no rule can
-    fire, so the two sorted monomials are merged without the scan, and a
-    generator in one of them only keeps its (generator, exponent) pair.
+    Pythagorean replacement of sin squares).  A generator found in one
+    monomial only keeps that monomial's (generator, exponent) pair object,
+    so the products in _MEMO share those pairs.
     """
     if not m1:
         return m2, ()
     if not m2:
         return m1, ()
-    if m1[0][0].kind == VAR and m2[0][0].kind == VAR:
-        # kernels sort first, so neither monomial holds one
-        out = []
-        i = j = 0
-        n1, n2 = len(m1), len(m2)
-        while i < n1 and j < n2:
-            a, b = m1[i], m2[j]
-            if a[0] is b[0]:
-                out.append((a[0], a[1] + b[1]))
-                i += 1
-                j += 1
-            elif a[0].name < b[0].name:
-                out.append(a)
-                i += 1
-            else:
-                out.append(b)
-                j += 1
-        out.extend(m1[i:] if i < n1 else m2[j:])
-        return tuple(out), ()
-    merged = dict(m1)
-    for g, e in m2:
-        merged[g] = merged.get(g, 0) + e
+    merged = {pair[0]: pair for pair in m1}
+    for pair in m2:
+        g = pair[0]
+        first = merged.get(g)
+        merged[g] = pair if first is None else (g, first[1] + pair[1])
     exp_arg = None
     extras = []
     out = []
     for g in sorted(merged, key=_SKEY):
-        e = merged[g]
+        pair = merged[g]
         if g.kind == KERNEL:
+            e = pair[1]
             if g.name == "exp":
                 contrib = g.arg if e == 1 else g.arg * e
                 exp_arg = contrib if exp_arg is None else exp_arg + contrib
                 continue
             if g.name == "sqrt" and e >= 2 and _p_is_const(g.arg.den):
                 extras.extend([g.arg.num] * (e // 2))
-                e %= 2
-                if not e:
+                if not e % 2:
                     continue
+                pair = (g, 1)
             elif g.name == "sin" and e >= 2:
                 extras.extend([_pyth_poly(g.arg)] * (e // 2))
-                e %= 2
-                if not e:
+                if not e % 2:
                     continue
-        out.append((g, e))
+                pair = (g, 1)
+        out.append(pair)
     if exp_arg is not None and exp_arg.num:
-        out.append((_kernel_gen("exp", exp_arg), 1))
+        g = _kernel_gen("exp", exp_arg)
+        pair = merged.get(g)
+        # a lone exp of one factor keeps its pair
+        out.append(pair if pair == (g, 1) else (g, 1))
         out.sort(key=lambda t: t[0].skey)
-        return tuple(out), extras
     return tuple(out), extras
 
 
@@ -700,7 +687,7 @@ def _zz_exact_div(f, d):
 
     Lexicographic division; every quotient exponent must stay within the
     degree gap of f and d, which stops a failing division early.  A
-    single-term divisor (most often the constant 1) divides term by term.
+    single-term divisor divides term by term.
     """
     if len(d) == 1:
         ((lead, lc),) = d.items()

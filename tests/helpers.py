@@ -568,3 +568,25 @@ def naive_first_bianchi_residuals(curv):
             (1, curv.component(i, l, j, k), None),
         ]))
     return tuple(out)
+
+
+def kernel_free_mono_merge(m1, m2):
+    """The product of two kernel-free monomials by a two-pointer merge of
+    their name-sorted (generator, exponent) pairs, a pair of one side kept
+    as it is: the oracle of core._mono_combine without kernels."""
+    out = []
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        a, b = m1[i], m2[j]
+        if a[0] is b[0]:
+            out.append((a[0], a[1] + b[1]))
+            i += 1
+            j += 1
+        elif a[0].name < b[0].name:
+            out.append(a)
+            i += 1
+        else:
+            out.append(b)
+            j += 1
+    out.extend(m1[i:] if i < len(m1) else m2[j:])
+    return tuple(out)

@@ -176,6 +176,21 @@ def test_sum_whose_denominator_gcd_stops_early_keeps_the_final_gcd():
     )
 
 
+def test_sum_whose_henrici_gcd_stops_early_takes_the_full_path(monkeypatch):
+    # gcd(b, d) = x + 1 runs on denominators of 2 and 4 terms; the
+    # numerator N = a*(d/g) + c*(b/g) = (x + 1)*(y^3 + y^2 + x - 1) has
+    # 6 terms, so past a limit of 4 gcd(N, g) stops and the sum takes _mk
+    a, b = 2 * y**2, x**2 - 1
+    c, d = y**3 + y**2 + x + 1, (x + 1) * (y + 1)
+    monkeypatch.setattr(core, "_GCD_TERM_LIMIT", 4)
+    got = a / b + c / d
+    monkeypatch.undo()
+    want = a / b + c / d
+    assert str(want) == "(y^3 + y^2 + x - 1)/(x*y + x - y - 1)"
+    assert got._plain is False and got != want
+    assert (got - want) is core.ZERO
+
+
 def test_product_whose_cross_gcd_stops_early_keeps_the_final_gcd():
     # s has 152 terms and the factor x + 1; the cross gcd of s with
     # (x + 1) w stops at the term guard, and only the final gcd of

@@ -5,7 +5,6 @@ import pytest
 from geolin.criteria import (
     _APPENDIX,
     _EQ51,
-    _line_terms,
     CoefficientDomainError,
     Linear2,
     Quadratic2,
@@ -20,8 +19,8 @@ from geolin.criteria import (
     tresse_residuals,
     tresse_scalar,
 )
-from geolin.geometry import Metric, christoffel_from_metric, covariant_derivative, riemann
-from geolin.kernel import ZERO, Verdict, exp, integer, is_zero, parse, rational, sqrt, var
+from geolin.geometry import Metric, christoffel_from_metric, covariant_derivative, is_flat, riemann
+from geolin.kernel import ZERO, Verdict, core, exp, integer, is_zero, parse, rational, sqrt, var
 from geolin.projection import (
     ScalarCubic,
     ScalarGauge,
@@ -402,16 +401,27 @@ class TestDerivedTables:
                 expected = -slip if cid in ("EqA2.3", "EqA1.4-A2.3") else ZERO
                 assert is_zero(new - old - expected).verdict is Verdict.ZERO, cid
 
-    def test_inner_weights_are_ints(self):
-        # a product group stands for a * w * sum c*b: every c is an int,
-        # so an inner sum over integer coefficients multiplies ints only
-        scaled = 0
-        for combination in (*_EQ51, *_APPENDIX.values()):
-            _, products = _line_terms(combination)
-            for _, w, rest in products:
-                assert all(c.__class__ is int and c for _, c in rest), combination
-                scaled += w != 1
-        assert scaled > 0
+    def test_integer_pairs_multiply_ints_only(self, monkeypatch):
+        # each curvature line is one sum_of_products that scales its
+        # weights to ints, so over integer pairs and gauges no product
+        # multiplies a Fraction coefficient
+        calls = []
+        mul_into = core._p_mul_into
+
+        def recording(acc, p1, p2, w=1):
+            calls.append((w, p1, p2))
+            mul_into(acc, p1, p2, w)
+
+        monkeypatch.setattr(core, "_p_mul_into", recording)
+        rng = random.Random(74)
+        for _ in range(4):
+            s, gauge = random_pair_and_gauge(rng, kernels=False)
+            assert check_cubic2(s).records
+            assert appendix_residuals(s, gauge).records
+        assert calls
+        for w, p1, p2 in calls:
+            assert w.__class__ is int
+            assert all(c.__class__ is int for c in (*p1.values(), *p2.values()))
 
     def test_fraction_coefficients_agree_with_the_transcription(self):
         # a pair with Fraction coefficients makes the inner sums rational
@@ -453,6 +463,8 @@ class TestDerivedTables:
             s = project(gamma)
             gauge = SystemGauge(gamma.gamma(1, 1, 2), gamma.gamma(2, 1, 2), gamma.gamma(3, 3, 3))
             assert lift_system(s, gauge) == gamma
+            # every stored entry, also those no Bianchi sum involves
+            assert is_flat(gamma).overall == PASS
             assert appendix_residuals(s, gauge).overall == PASS
             slips += not (s.D2 * (s.B3_23 - s.B2_23)).is_zero_literal()
         assert slips >= 2

@@ -10,9 +10,11 @@ pair, with every integral coefficient held as an int.
 sum_of_products accumulates a sum of polynomial products into one dict,
 and a sum of kernel-free reduced fractions over one common denominator
 that one gcd reduces; every product looks its monomial pairs up in the
-bounded memo _MEMO.  All must give what the chained Expr operations
-give, and a sum holding a kernel, or an operand whose gcd stopped early,
-must run those operations in order.
+bounded memo _MEMO, and a miss merges the two monomials, keeping the
+pair object of a generator only one of them holds.  All must give what
+the chained Expr operations give, and a sum holding a kernel, an operand
+whose gcd stopped early, or a gcd of the sum's own that stops early must
+run those operations in order.
 """
 
 import operator
@@ -24,9 +26,9 @@ import pytest
 
 from geolin.document import load_document
 from geolin.geometry import Christoffel, riemann
-from geolin.kernel import core, cos, exp, integer, rational, sin, sqrt, sum_of_products, var
+from geolin.kernel import core, cos, exp, integer, ln, rational, sin, sqrt, sum_of_products, var
 from geolin.transform import coefficients_from_transformation, normal_form
-from helpers import random_invertible_map, random_polynomial
+from helpers import kernel_free_mono_merge, random_invertible_map, random_polynomial
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 x, y = var("x"), var("y")
@@ -348,6 +350,33 @@ def test_an_operand_whose_gcd_stopped_early_takes_the_chained_operations(monkeyp
         _assert_same(sum_of_products(terms), _sequential(terms))
 
 
+def _plain_sum_outputs(monkeypatch):
+    """A list of what each call of the common-denominator path returned."""
+    outputs, plain_sum = [], core._plain_sum
+
+    def recorded(terms, scale):
+        outputs.append(plain_sum(terms, scale))
+        return outputs[-1]
+
+    monkeypatch.setattr(core, "_plain_sum", recorded)
+    return outputs
+
+
+# past a limit of 2 terms: in "distinct denominators" the lcm gcd of
+# D (3 terms) and E stops; "shared denominator" runs no lcm gcd, and the
+# final cancel of its numerator x*y + x - y against D stops
+@pytest.mark.parametrize("case", ["distinct denominators", "shared denominator"])
+def test_a_fused_sum_whose_gcd_stops_takes_the_chained_operations(case, monkeypatch):
+    terms = PLAIN_SUMS[case]
+    want = sum_of_products(terms)
+    outputs = _plain_sum_outputs(monkeypatch)
+    monkeypatch.setattr(core, "_GCD_TERM_LIMIT", 2)
+    got = sum_of_products(terms)
+    _assert_same(got, _sequential(terms))
+    assert outputs == [None]
+    monkeypatch.undo()
+    assert (got - want) is core.ZERO
+
 def test_a_cold_memo_gives_the_warm_result():
     rng = random.Random(5)
     operands = [random_polynomial(rng, names=("x", "y", "z"), terms=6),
@@ -382,3 +411,50 @@ def test_the_memo_stays_within_its_cap(monkeypatch):
     before = dict(core._MEMO)
     _assert_same(a * b, a * _general(b))
     assert core._MEMO == before
+
+
+def _random_monomial(rng, names):
+    """A kernel-free monomial over a random subset of names, possibly empty."""
+    chosen = sorted(rng.sample(names, rng.randint(0, len(names))))
+    return tuple((core._var_gen(name), rng.randint(1, 3)) for name in chosen)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_free_monomials_merge_as_the_oracle(seed):
+    rng = random.Random(seed)
+    names = ["u", "v", "w", "x", "y", "z"]
+    for _ in range(200):
+        m1, m2 = _random_monomial(rng, names), _random_monomial(rng, names)
+        mono, extras = core._mono_combine(m1, m2)
+        assert mono == kernel_free_mono_merge(m1, m2)
+        assert not extras
+
+
+# kernel-free factors and exp, sqrt, sin and ln generators; exp(x)*exp(y)
+# merges into exp(x + y), sqrt(x)^2 and sin(x)^2 fire rewrites
+MONOMIAL_FACTORS = (x, y, x**2, exp(x), exp(y), sqrt(x), sqrt(y + 1), sin(x), ln(x + 2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_generator_of_one_factor_keeps_its_pair(seed):
+    rng = random.Random(seed)
+    monomials = set()
+    for _ in range(30):
+        term = integer(1)
+        for _ in range(rng.randint(0, 3)):
+            term = term * rng.choice(MONOMIAL_FACTORS)
+        monomials.update(term.num)
+    monomials = sorted(monomials, key=core._term_sort_key)
+    shared = 0
+    for m1 in monomials:
+        for m2 in monomials:
+            mono, _ = core._mono_combine(m1, m2)
+            keys = [g.skey for g, _ in mono]
+            assert keys == sorted(set(keys))
+            for pair in mono:
+                sides = [m for m in (m1, m2) if pair[0] in dict(m)]
+                if len(sides) == 1:
+                    assert any(pair is p for p in sides[0]), (m1, m2, pair)
+                    shared += 1
+    assert shared
+
