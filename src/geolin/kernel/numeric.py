@@ -12,11 +12,18 @@ verdict, rounds and prints in integer arithmetic exactly as mpmath would,
 and loads it only for a value past 2^3500 or below 2^-3500.  A run that
 decides every kernel-free residual exactly never loads it; one that
 evaluates a kernel residual does.
+
+Each thread evaluates and prints in a context of its own, the main
+thread in mpmath.mp: workprec sets the precision of the context it is
+called on, and str() of a value reads the digits of its context, so
+threads sharing mpmath.mp would compute and print at each other's
+precision.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from typing import Mapping, Tuple
 
@@ -41,16 +48,32 @@ def _load():
         import mpmath
 
 
-def _to_mpf(value):
+_THREAD = threading.local()
+
+
+def _context():
+    """This thread's mpmath context: mpmath.mp in the main thread, whose
+    making is paid at import, and a new one made on first use in any
+    other."""
+    ctx = getattr(_THREAD, "ctx", None)
+    if ctx is None:
+        _load()
+        main = threading.current_thread() is threading.main_thread()
+        ctx = _THREAD.ctx = mpmath.mp if main else mpmath.MPContext()
+    return ctx
+
+
+def _to_mpf(ctx, value):
     if isinstance(value, Fraction):
-        return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
-    return mpmath.mpf(value)
+        return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
+    return ctx.mpf(value)
 
 
 class _Evaluator:
-    def __init__(self, point):
+    def __init__(self, ctx, point):
+        self.ctx = ctx
         self.point = point
-        self.peak = mpmath.mpf(0)
+        self.peak = ctx.mpf(0)
 
     def note(self, v):
         a = abs(v)
@@ -66,23 +89,24 @@ class _Evaluator:
                 raise EvalDomainError(f"no value supplied for variable {g.name!r}")
         else:
             arg = self.expr(g.arg)
-            if g.name in ("exp", "sin", "cos") and mpmath.mag(arg) > _ARG_MAG:
+            ctx = self.ctx
+            if g.name in ("exp", "sin", "cos") and ctx.mag(arg) > _ARG_MAG:
                 raise EvalDomainError(
                     f"{g.name} evaluated at an argument past 2^{_ARG_MAG}")
             if g.name == "exp":
-                base = mpmath.exp(arg)
+                base = ctx.exp(arg)
             elif g.name == "ln":
                 if arg <= 0:
                     raise EvalDomainError("ln evaluated at a nonpositive point")
-                base = mpmath.log(arg)
+                base = ctx.log(arg)
             elif g.name == "sqrt":
                 if arg < 0:
                     raise EvalDomainError("sqrt evaluated at a negative point")
-                base = mpmath.sqrt(arg)
+                base = ctx.sqrt(arg)
             elif g.name == "sin":
-                base = mpmath.sin(arg)
+                base = ctx.sin(arg)
             elif g.name == "cos":
-                base = mpmath.cos(arg)
+                base = ctx.cos(arg)
             else:
                 raise KernelError(f"unknown kernel {g.name!r}")
         self.note(base)
@@ -92,9 +116,9 @@ class _Evaluator:
 
     def poly(self, p):
         # in graded order, which fixes how the sum rounds
-        total = mpmath.mpf(0)
+        total = self.ctx.mpf(0)
         for m, c in _terms(p):
-            term = _to_mpf(c)
+            term = _to_mpf(self.ctx, c)
             for g, e in m:
                 term = self.note(term * self.gen(g, e))
             total = self.note(total + term)
@@ -118,10 +142,10 @@ def eval_expr(expr: Expr, point: Mapping[str, object], precision_bits: int = 256
     for ln or sqrt outside their real domain, for exp, sin or cos past
     their argument bound, and for missing variables.
     """
-    _load()
-    with mpmath.workprec(precision_bits):
-        mp_point = {name: _to_mpf(v) for name, v in point.items()}
-        ev = _Evaluator(mp_point)
+    ctx = _context()
+    with ctx.workprec(precision_bits):
+        mp_point = {name: _to_mpf(ctx, v) for name, v in point.items()}
+        ev = _Evaluator(ctx, mp_point)
         value = ev.expr(expr)
         return value, ev.peak
 
@@ -163,10 +187,10 @@ def rational_str(p: int, q: int, precision_bits: int = 256) -> str:
             shift -= 1
     top = man.bit_length() - shift
     if abs(top) > _FIXED_EXP_LIMIT:
-        _load()
+        ctx = _context()
         from mpmath.libmp import from_rational, round_nearest
-        return str(mpmath.mpf(from_rational(p, q, precision_bits, round_nearest),
-                              prec=precision_bits))
+        return str(ctx.mpf(from_rational(p, q, precision_bits, round_nearest),
+                           prec=precision_bits))
     # to_digits_exp: the first digits, truncated, and the decimal exponent
     fixprec = max(_DIGIT_BITS - top, 0)
     fixdps = int(fixprec / math.log(10, 2) + 0.5)

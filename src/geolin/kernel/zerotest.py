@@ -5,6 +5,15 @@ canonical zero expression.  A nonzero rational constant is NONZERO by
 exact inspection.  Everything else is sampled at deterministic
 pseudorandom rational points.
 
+The points a residual gets depend only on the seed and on its sorted
+variable names, so each point is drawn once per process: _STREAMS maps
+(seed, names) to the points drawn so far, each with its printed witness
+and a table of its coordinate powers.  A point missing from the memo is
+drawn by replaying the stream from a fresh generator, so the points, and
+every verdict, witness and value, do not depend on the order of the
+calls or on threads.  The memo holds at most _STREAM_CAP keys and is
+emptied whole when full, and no power past _POWER_CAP is kept.
+
 A residual free of kernels, of degree at most _EXACT_DEGREE, is
 evaluated exactly, over plain ints: a sample where its denominator
 vanishes is a pole and is drawn again, and a nonzero numerator proves
@@ -29,7 +38,7 @@ from fractions import Fraction
 from math import isfinite, lcm as _ilcm, log2
 from typing import Optional
 
-from .core import VAR, Expr, int_str
+from .core import P_ONE, VAR, Expr, int_str
 from .numeric import EvalDomainError, eval_expr, rational_str
 
 
@@ -98,21 +107,79 @@ def _sample_point(rng: random.Random, names) -> dict:
     return {name: rng.randint(0, _SCALE) + _SCALE // 2 for name in names}
 
 
-def _exact(expr: Expr) -> bool:
-    """True when expr holds no kernel and has degree at most _EXACT_DEGREE."""
+# powers of a sample component up to this exponent are kept in its table
+_POWER_CAP = 64
+
+
+class _Point(dict):
+    """A sample point, as the table of its coordinate powers.
+
+    Keys are the (generator, exponent) pairs that monomials hold, values
+    the power a^e of the point's component a; a missing pair is computed
+    on lookup and kept when its exponent is at most _POWER_CAP.  coords
+    is the point as {name: a}, witness its components printed as
+    fractions, and values its components as Fractions for the numeric
+    evaluator, built on first use.
+    """
+
+    __slots__ = ("coords", "witness", "values")
+
+    def __init__(self, coords: dict):
+        super().__init__()
+        self.coords = coords
+        self.witness = {name: str(Fraction(a, _SCALE)) for name, a in coords.items()}
+        self.values = None
+
+    def __missing__(self, pair):
+        g, e = pair
+        v = self.coords[g.name] ** e
+        if e <= _POWER_CAP:
+            self[pair] = v
+        return v
+
+
+# (seed, sorted names) -> tuple of the _Points drawn so far from that
+# stream; emptied whole when it reaches _STREAM_CAP keys
+_STREAMS: dict = {}
+_STREAM_CAP = 1 << 8
+
+
+def _resume(seed: int, names: tuple, count: int) -> random.Random:
+    """A fresh random.Random(seed) past the first count points of the
+    stream over names, so that no generator outlives the call using it."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        _sample_point(rng, names)
+    return rng
+
+
+def _remember(key, points: tuple) -> None:
+    # a longer tuple replaces the old one, so a thread reading the old
+    # tuple still reads a prefix of the same stream; a race between
+    # threads here can only drop points from the memo, never change one
+    if key not in _STREAMS and len(_STREAMS) >= _STREAM_CAP:
+        _STREAMS.clear()
+    _STREAMS[key] = points
+
+
+def _plain_names(expr: Expr):
+    """The set of expr's variable names when it holds no kernel and has
+    degree at most _EXACT_DEGREE, else None."""
+    gens = set()
     for p in (expr.num, expr.den):
         for m in p:
             d = 0
             for g, e in m:
                 if g.kind != VAR:
-                    return False
+                    return None
+                gens.add(g)
                 d += e
             if d > _EXACT_DEGREE:
-                return False
-    return True
+                return None
+    return {g.name for g in gens}
 
 
-def _poly_at(p, point) -> tuple:
+def _poly_at(p, point: _Point) -> tuple:
     """Exact value of a nonzero kernel-free polynomial at a sample point.
 
     Returns ints (v, w) with v / w the value: w is the lcm of the
@@ -133,9 +200,9 @@ def _poly_at(p, point) -> tuple:
         else:
             v = c.numerator * (lcm // c.denominator)
         d = 0
-        for g, e in m:
-            v *= point[g.name] ** e
-            d += e
+        for pair in m:
+            v *= point[pair]
+            d += pair[1]
         if d > degree:
             total <<= _SCALE_BITS * (d - degree)
             degree = d
@@ -145,10 +212,17 @@ def _poly_at(p, point) -> tuple:
 
 def _exact_at(expr: Expr, point) -> tuple:
     """Ints (p, q) with p / q the value of a kernel-free expr at a sample
-    point, as in _poly_at; q is 0 at a pole."""
+    point, a _Point or {name: a}, as in _poly_at; q is 0 at a pole."""
+    if point.__class__ is not _Point:
+        point = _Point(point)
     num, num_scale = _poly_at(expr.num, point)
+    if expr.den is P_ONE:
+        return num, num_scale
     den, den_scale = _poly_at(expr.den, point)
     return num * den_scale, den * num_scale
+
+
+_CANONICAL_ZERO = ZeroTestResult(Verdict.ZERO, detail="canonical zero")
 
 
 def is_zero(expr: Expr, config: ZeroTestConfig = DEFAULT_CONFIG) -> ZeroTestResult:
@@ -157,8 +231,8 @@ def is_zero(expr: Expr, config: ZeroTestConfig = DEFAULT_CONFIG) -> ZeroTestResu
     ZERO is structural: only the canonical zero earns it.  NONZERO comes
     with a witness point and the value observed there.
     """
-    if expr.is_zero_literal():
-        return ZeroTestResult(Verdict.ZERO, detail="canonical zero")
+    if not expr.num:
+        return _CANONICAL_ZERO
     if expr.is_rational():
         q = expr.as_rational()
         return ZeroTestResult(
@@ -167,8 +241,10 @@ def is_zero(expr: Expr, config: ZeroTestConfig = DEFAULT_CONFIG) -> ZeroTestResu
             witness_value=f"{int_str(q.numerator)}/{int_str(q.denominator)}",
             detail="nonzero rational constant",
         )
-    names = sorted(expr.variables())
-    rng = random.Random(config.seed)
+    names = _plain_names(expr)
+    exact = names is not None
+    if not exact:
+        names = expr.variables()
     if not names:
         # constant built from kernels, e.g. exp(1) - 1; one evaluation decides
         try:
@@ -181,17 +257,26 @@ def is_zero(expr: Expr, config: ZeroTestConfig = DEFAULT_CONFIG) -> ZeroTestResu
                 detail="nonzero kernel constant",
             )
         return ZeroTestResult(Verdict.UNDECIDED, detail="constant numerically small")
-    exact = _exact(expr)
+    names = tuple(sorted(names))
+    key = (config.seed, names)
+    points = _STREAMS.get(key, ())
+    rng = None
     budget = 8 * config.points
     accepted = 0
+    drawn = 0
     while accepted < config.points:
-        if budget <= 0:
+        if drawn >= budget:
             return ZeroTestResult(
                 Verdict.UNDECIDED,
                 detail="sampling budget exhausted by singular points",
             )
-        point = _sample_point(rng, names)
-        budget -= 1
+        if drawn == len(points):
+            if rng is None:
+                rng = _resume(config.seed, names, drawn)
+            points = (*points, _Point(_sample_point(rng, names)))
+            _remember(key, points)
+        point = points[drawn]
+        drawn += 1
         if exact:
             p, q = _exact_at(expr, point)
             if not q:
@@ -201,10 +286,12 @@ def is_zero(expr: Expr, config: ZeroTestConfig = DEFAULT_CONFIG) -> ZeroTestResu
                 continue
             value = rational_str(p, q, config.precision_bits)
         else:
+            values = point.values
+            if values is None:
+                values = point.values = {name: Fraction(a, _SCALE)
+                                         for name, a in point.coords.items()}
             try:
-                value, peak = eval_expr(
-                    expr, {name: Fraction(a, _SCALE) for name, a in point.items()},
-                    config.precision_bits)
+                value, peak = eval_expr(expr, values, config.precision_bits)
             except EvalDomainError:
                 continue
             accepted += 1
@@ -213,7 +300,7 @@ def is_zero(expr: Expr, config: ZeroTestConfig = DEFAULT_CONFIG) -> ZeroTestResu
             value = str(value)
         return ZeroTestResult(
             Verdict.NONZERO,
-            witness={name: str(Fraction(a, _SCALE)) for name, a in point.items()},
+            witness=dict(point.witness),
             witness_value=value,
             detail=f"nonzero at sample {accepted}",
         )

@@ -415,7 +415,8 @@ def linearization_residuals(system, t: Transformation):
     derivatives, residual i is D(d1_i/d1_0)/d1_0.  It is built as
     N_i/(det*d1_0^3) with N_i = detD(d1_i)*d1_0 - d1_i*detD(d1_0) and
     detD = det*D, which needs no division.  A ZERO record is the
-    canonical zero N_i, whose one division is trivial.
+    canonical zero N_i; the denominator is built only when some N_i is
+    nonzero.
     """
     if isinstance(system, Geodesic2Coefficients):
         system = project(system.as_christoffel())
@@ -449,12 +450,12 @@ def linearization_residuals(system, t: Transformation):
             (1, second, f.diff(name)) for name, second in zip(slope_names, seconds)])
 
     det_d0 = det_along(d1[0])
-    denominator = det * d1[0] ** 3
-    return [
-        (f"Eqr4.{i + 1}",
-         (det_along(d1[i]) * d1[0] - d1[i] * det_d0) / denominator)
-        for i in range(1, dim)
-    ]
+    numerators = [sum_of_products([(1, det_along(d1[i]), d1[0]), (-1, d1[i], det_d0)])
+                  for i in range(1, dim)]
+    if any(n.num for n in numerators):
+        denominator = det * d1[0] ** 3
+        numerators = [n / denominator for n in numerators]
+    return [(f"Eqr4.{i}", n) for i, n in enumerate(numerators, 2)]
 
 
 def verify_linearizing_transformation(

@@ -7,6 +7,7 @@ bug in the symbolic chain rule cannot hide inside it.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -15,7 +16,10 @@ import mpmath
 
 from geolin.kernel import (
     DEFAULT_CONFIG,
+    EvalDomainError,
     Expr,
+    Verdict,
+    ZeroTestResult,
     core,
     cos,
     eval_expr,
@@ -27,7 +31,10 @@ from geolin.kernel import (
     sqrt,
     sum_of_products,
     var,
+    zerotest,
 )
+from geolin.kernel.core import VAR, int_str
+from geolin.kernel.numeric import rational_str
 from geolin import criteria
 from geolin.geometry import determinant, sym_key
 from geolin.projection import SystemCubic2
@@ -590,3 +597,89 @@ def kernel_free_mono_merge(m1, m2):
             j += 1
     out.extend(m1[i:] if i < len(m1) else m2[j:])
     return tuple(out)
+
+
+def _fresh_exact(expr: Expr) -> bool:
+    """True when expr holds no kernel and has degree at most _EXACT_DEGREE."""
+    for p in (expr.num, expr.den):
+        for m in p:
+            if any(g.kind != VAR for g, _ in m) or sum(e for _, e in m) > zerotest._EXACT_DEGREE:
+                return False
+    return True
+
+
+def _fresh_poly_at(p, point) -> tuple:
+    """Ints (v, w) with v / w the value of p at the point {name: a}, every
+    term scaled to p's top degree."""
+    lcm = 1
+    for c in p.values():
+        lcm = math.lcm(lcm, Fraction(c).denominator)
+    degree = max(sum(e for _, e in m) for m in p)
+    total = 0
+    for m, c in p.items():
+        v = int(c * lcm)
+        d = 0
+        for g, e in m:
+            v *= point[g.name] ** e
+            d += e
+        total += v << (zerotest._SCALE_BITS * (degree - d))
+    return total, lcm << (zerotest._SCALE_BITS * degree)
+
+
+def fresh_stream_is_zero(expr: Expr, config=DEFAULT_CONFIG) -> ZeroTestResult:
+    """The zero test drawing its points from a fresh random.Random(seed)
+    on every call, with no memo: the oracle of zerotest.is_zero, whose
+    points are drawn once per process."""
+    if expr.is_zero_literal():
+        return ZeroTestResult(Verdict.ZERO, detail="canonical zero")
+    if expr.is_rational():
+        q = expr.as_rational()
+        return ZeroTestResult(
+            Verdict.NONZERO, witness={},
+            witness_value=f"{int_str(q.numerator)}/{int_str(q.denominator)}",
+            detail="nonzero rational constant")
+    names = sorted(expr.variables())
+    rng = random.Random(config.seed)
+    if not names:
+        try:
+            value, peak = eval_expr(expr, {}, config.precision_bits)
+        except EvalDomainError as err:
+            return ZeroTestResult(Verdict.UNDECIDED, detail=f"evaluation failed: {err}")
+        if abs(value) > config.tolerance * peak:
+            return ZeroTestResult(Verdict.NONZERO, witness={}, witness_value=str(value),
+                                  detail="nonzero kernel constant")
+        return ZeroTestResult(Verdict.UNDECIDED, detail="constant numerically small")
+    exact = _fresh_exact(expr)
+    scale = zerotest._SCALE
+    accepted = drawn = 0
+    while accepted < config.points:
+        if drawn == 8 * config.points:
+            return ZeroTestResult(Verdict.UNDECIDED,
+                                  detail="sampling budget exhausted by singular points")
+        drawn += 1
+        point = {name: rng.randint(0, scale) + scale // 2 for name in names}
+        if exact:
+            num, num_scale = _fresh_poly_at(expr.num, point)
+            den, den_scale = _fresh_poly_at(expr.den, point)
+            if not den:
+                continue
+            accepted += 1
+            if not num:
+                continue
+            value = rational_str(num * den_scale, den * num_scale, config.precision_bits)
+        else:
+            try:
+                value, peak = eval_expr(
+                    expr, {name: Fraction(a, scale) for name, a in point.items()},
+                    config.precision_bits)
+            except EvalDomainError:
+                continue
+            accepted += 1
+            if not abs(value) > config.tolerance * peak:
+                continue
+            value = str(value)
+        return ZeroTestResult(
+            Verdict.NONZERO,
+            witness={name: str(Fraction(a, scale)) for name, a in point.items()},
+            witness_value=value, detail=f"nonzero at sample {accepted}")
+    return ZeroTestResult(Verdict.UNDECIDED, detail=f"small at all {config.points} samples")

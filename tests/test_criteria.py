@@ -424,7 +424,8 @@ class TestDerivedTables:
             assert all(c.__class__ is int for c in (*p1.values(), *p2.values()))
 
     def test_fraction_coefficients_agree_with_the_transcription(self):
-        # a pair with Fraction coefficients makes the inner sums rational
+        # a pair with Fraction coefficients gives Fraction operands to the
+        # flat sum_of_products terms, whose weights are Fractions here too
         rng = random.Random(73)
         for _ in range(4):
             s = SystemCubic2.make(**{

@@ -2,6 +2,8 @@
 
 import json
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -27,7 +29,7 @@ from geolin.kernel import (
 )
 from geolin.kernel import zerotest
 from geolin.kernel.core import KERNEL_NAMES
-from helpers import from_digits
+from helpers import fresh_stream_is_zero, from_digits, random_polynomial
 from test_golden import CASES, run_case
 
 x = var("x")
@@ -146,6 +148,117 @@ def _draws(seed, count):
     """The first count components the zero test draws for one variable."""
     rng = random.Random(seed)
     return [Fraction(rng.randint(0, 2 ** 16) + 2 ** 15, 2 ** 16) for _ in range(count)]
+
+
+def _first_point(seed, names):
+    """The first sample point the zero test draws over the sorted names."""
+    rng = random.Random(seed)
+    return {name: rational(rng.randint(0, 2 ** 16) + 2 ** 15, 2 ** 16) for name in names}
+
+
+_NAME_SETS = (("x",), ("x", "y"), ("x", "y", "z"), ("y", "z"))
+_CONFIGS = (ZeroTestConfig(), ZeroTestConfig(seed=1, points=3), ZeroTestConfig(seed=7, points=1))
+
+
+def _zero_test_batch(seed):
+    """Seeded (residual, config) pairs over interleaved name sets, seeds and
+    point counts: polynomials, planted roots and poles, kernel residuals,
+    kernel and rational constants, and the zero."""
+    rng = random.Random(seed)
+    batch = []
+    for i in range(72):
+        names = _NAME_SETS[i // 18]
+        config = _CONFIGS[i // 6 % 3]
+        first = _first_point(config.seed, names)
+        head = var(names[0])
+        poly = random_polynomial(rng, names=names, degree=3)
+        kind = i % 6
+        if kind == 0:
+            e = poly
+        elif kind == 1:
+            # a pole at the first draw
+            e = poly / (head - first[names[0]]) + head
+        elif kind == 2:
+            # a root at the first draw
+            e = (head - first[names[0]]) * (poly + head)
+        elif kind == 3:
+            e = rng.choice((exp, sin, ln))(poly * poly + head) - var(names[-1])
+        elif kind == 4:
+            e = rng.choice((exp(integer(1)) - 3, sqrt(integer(2)) * sqrt(integer(3))
+                            - sqrt(integer(6)), ln(exp(head)) - head))
+        else:
+            e = rng.choice((rational(rng.randint(-9, 9), rng.randint(1, 9)), head - head,
+                            head ** 4097 - var(names[-1])))
+        batch.append((e, config))
+    return batch
+
+
+def _fields(r):
+    return r.verdict, r.witness, r.witness_value, r.detail
+
+
+def test_sample_memo_agrees_with_fresh_streams(monkeypatch):
+    batch = _zero_test_batch(26)
+    expected = [_fields(fresh_stream_is_zero(e, config)) for e, config in batch]
+    assert {v for v, *_ in expected} == set(Verdict)
+    streams = {}
+    monkeypatch.setattr(zerotest, "_STREAMS", streams)
+    cold = []
+    for e, config in batch:
+        streams.clear()
+        cold.append(_fields(is_zero(e, config)))
+    warm = [_fields(is_zero(e, config)) for e, config in reversed(batch)][::-1]
+    assert cold == expected
+    assert warm == expected
+    # each result owns its witness dict
+    r = is_zero(*batch[0])
+    r.witness.clear()
+    assert _fields(is_zero(*batch[0])) == expected[0]
+
+
+def test_sample_memo_is_thread_safe(monkeypatch):
+    # more threads than most machines have cores, all starting from an
+    # empty memo and switching often, so that they interleave in each call
+    batch = _zero_test_batch(27)
+    serial = [_fields(is_zero(e, config)) for e, config in batch]
+    monkeypatch.setattr(zerotest, "_STREAMS", {})
+    results = [None] * 4
+
+    def run(slot):
+        results[slot] = [_fields(is_zero(e, config)) for e, config in batch]
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * len(results)
+
+
+def test_sample_memo_is_emptied_when_full(monkeypatch):
+    monkeypatch.setattr(zerotest, "_STREAMS", {})
+    cap = zerotest._STREAM_CAP
+    e = x ** 2 - y
+    for seed in range(cap + 2):
+        config = ZeroTestConfig(seed=seed)
+        assert _fields(is_zero(e, config)) == _fields(fresh_stream_is_zero(e, config))
+        assert len(zerotest._STREAMS) == (seed + 1 if seed < cap else seed + 1 - cap)
+
+
+def test_high_powers_stay_out_of_the_power_table(monkeypatch):
+    monkeypatch.setattr(zerotest, "_STREAMS", {})
+    e = x ** 4000 - y
+    r = is_zero(e)
+    assert _fields(r) == _fields(fresh_stream_is_zero(e))
+    assert r.witness == {name: str(a) for name, a in _first_point(0, ("x", "y")).items()}
+    (point,) = zerotest._STREAMS[0, ("x", "y")]
+    assert point and all(exponent <= zerotest._POWER_CAP for _, exponent in point)
 
 
 def test_kernel_free_nonzero_is_exact_whatever_the_tolerance():
@@ -299,11 +412,15 @@ def test_root_and_pole_at_sample_points_are_redrawn(monkeypatch):
     scale = zerotest._SCALE
     draws = iter([{"x": scale}, {"x": scale * 5 // 4}, {"x": scale * 3 // 2}])
     monkeypatch.setattr(zerotest, "_sample_point", lambda rng, names: next(draws))
+    # an empty memo, so that the three planted draws are the ones used
+    monkeypatch.setattr(zerotest, "_STREAMS", {})
     r = is_zero((x - 1) / (x - rational(5, 4)))
     assert r.verdict is Verdict.NONZERO
     assert r.witness == {"x": "3/2"}
     assert r.detail == "nonzero at sample 2"
     assert float(r.witness_value) == 2
+    assert [p.coords["x"] for p in zerotest._STREAMS[0, ("x",)]] == [
+        scale, scale * 5 // 4, scale * 3 // 2]
 
 
 @pytest.mark.parametrize("expr, detail", [
