@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .geometry import (
@@ -53,7 +52,6 @@ class CoefficientDomainError(ValueError):
     """A coefficient depends on a coordinate its equation kind forbids."""
 
 
-@dataclass(frozen=True)
 class Quadratic2(CoefficientTable):
     """Quadratically semi-linear pair; coefficients functions of (y, z).
 
@@ -79,7 +77,6 @@ class Quadratic2(CoefficientTable):
         return SystemCubic2.make(**self.entries())
 
 
-@dataclass(frozen=True)
 class Linear2(CoefficientTable):
     """Pair linear in first derivatives; the C's are functions of x only.
 

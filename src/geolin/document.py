@@ -11,7 +11,6 @@ never silently weaken a check.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from .criteria import (
@@ -34,6 +33,7 @@ from .geometry import (
     is_flat,
 )
 from .kernel import Expr, KernelDomainError, ParseError, parse
+from .kernel.frozen import Frozen
 from .projection import (
     ScalarCubic,
     ScalarGauge,
@@ -49,8 +49,7 @@ class DocumentError(ValueError):
     """Malformed or inconsistent system description."""
 
 
-@dataclass(frozen=True)
-class Kind:
+class Kind(Frozen):
     """What the package knows about one document kind.
 
     `build` turns the coefficient table (keyed by `keys`) into the typed
@@ -144,8 +143,7 @@ _SECTIONS = ("system", "coefficients", "transformation", "metric", "gauge")
 _KEY_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class SystemDocument:
+class SystemDocument(Frozen):
     """Parsed description: name, kind, and the raw expression tables."""
 
     name: str

@@ -13,9 +13,7 @@ related to the connection by a plain sign flip per component.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .kernel import (
@@ -30,6 +28,7 @@ from .kernel import (
     rational,
     sum_of_products,
 )
+from .kernel.frozen import Frozen
 from .report import ConditionReport, evaluate_conditions
 
 # ordered symmetric index pairs (1-based), the storage layout everywhere
@@ -63,13 +62,13 @@ class UndecidedMetricError(GeometryError):
     """The determinant could not be certified nonzero."""
 
 
-class CoefficientTable:
-    """Base of the frozen dataclasses that hold one named coefficient
-    table; the field order is the table's key order."""
+class CoefficientTable(Frozen):
+    """Base of the value classes that hold one named coefficient table;
+    the field order is the table's key order."""
 
     @classmethod
     def keys(cls) -> Tuple[str, ...]:
-        return tuple(f.name for f in dataclasses.fields(cls))
+        return cls._field_names
 
     @classmethod
     def make(cls, *args, **kwargs):
@@ -148,8 +147,7 @@ def determinant(m: Sequence[Sequence[Expr]]) -> Expr:
     ])
 
 
-@dataclass(frozen=True)
-class Metric:
+class Metric(Frozen):
     """Symmetric metric tensor with exact entries.
 
     Entries follow SYM_PAIRS[dim]; g(i, j) resolves either index order.
@@ -198,8 +196,7 @@ class Metric:
         return tuple(tuple(cof(j, i) for j in index) for i in index)
 
 
-@dataclass(frozen=True)
-class Christoffel:
+class Christoffel(Frozen):
     """Connection components G{i}_{jk}, symmetric in the lower pair.
 
     Storage is one entry per upper index and ordered lower pair: 6
@@ -226,8 +223,7 @@ class Christoffel:
         return self.entries[(i - 1) * len(SYM_PAIRS[self.dim]) + slots[j, k]]
 
 
-@dataclass(frozen=True)
-class Riemann:
+class Riemann(Frozen):
     """Curvature components R{i}_{jkl}, skew in the last index pair."""
 
     dim: int
@@ -255,7 +251,6 @@ class Riemann:
         return tuple(zip(labels, self.entries))
 
 
-@dataclass(frozen=True)
 class Geodesic2Coefficients(CoefficientTable):
     """The six named functions a..f of a 2D quadratic geodesic system."""
 

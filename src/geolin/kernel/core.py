@@ -470,8 +470,8 @@ def _mono_common(monos):
     return tuple(sorted(common.items(), key=lambda t: t[0].skey))
 
 
-def _poly_rat_content(p):
-    """Signed c with p / c primitive integer, positive leading; an int if integral."""
+def _poly_abs_content(p):
+    """Positive c with p / c primitive integer; an int if integral."""
     num_gcd = 0
     den_lcm = 1
     for c in p.values():
@@ -480,10 +480,13 @@ def _poly_rat_content(p):
         else:
             num_gcd = _igcd(num_gcd, c.numerator)
             den_lcm = _ilcm(den_lcm, c.denominator)
-    content = num_gcd if den_lcm == 1 else Fraction(num_gcd, den_lcm)
-    if p[_lead(p)] < 0:
-        content = -content
-    return content
+    return num_gcd if den_lcm == 1 else Fraction(num_gcd, den_lcm)
+
+
+def _poly_rat_content(p):
+    """Signed c with p / c primitive integer, positive leading; an int if integral."""
+    content = _poly_abs_content(p)
+    return -content if p[_lead(p)] < 0 else content
 
 
 _GCD_TERM_LIMIT = 150
@@ -584,15 +587,20 @@ def _heu_gcd(a, b, gens):
 
 
 def _zz_from_poly(p, gens):
-    """(k, f) with p = k * f and f a primitive integer polynomial."""
-    k = _poly_rat_content(p)
+    """(k, f) with p = k * f, k > 0 and f a primitive integer polynomial.
+
+    The heuristic gcd ignores the sign of its inputs and _p_normalized
+    signs g, so k is the content's magnitude and f's leading term may be
+    negative.
+    """
+    k = _poly_abs_content(p)
     index = {g: i for i, g in enumerate(gens)}
     f = {}
     for m, c in p.items():
         exps = [0] * len(gens)
         for g, e in m:
             exps[index[g]] = e
-        f[tuple(exps)] = _qdiv(c, k)
+        f[tuple(exps)] = c // k if k.__class__ is int else _qdiv(c, k)
     return k, f
 
 

@@ -32,13 +32,13 @@ the answer is UNDECIDED, never ZERO.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import isfinite, lcm as _ilcm, log2
 from typing import Optional
 
 from .core import P_ONE, VAR, Expr, int_str
+from .frozen import Frozen
 from .numeric import EvalDomainError, eval_expr, rational_str
 
 
@@ -48,8 +48,7 @@ class Verdict(Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class ZeroTestConfig:
+class ZeroTestConfig(Frozen):
     """Knobs for the probabilistic zero test.
 
     points: number of sample points per decision.
@@ -81,8 +80,10 @@ class ZeroTestConfig:
 DEFAULT_CONFIG = ZeroTestConfig()
 
 
-@dataclass(frozen=True)
-class ZeroTestResult:
+class ZeroTestResult(Frozen):
+    """Verdict of one zero test; a NONZERO one holds the witness point
+    and the value printed there."""
+
     verdict: Verdict
     witness: Optional[dict] = None
     witness_value: Optional[str] = None

@@ -12,7 +12,6 @@ the gauge again, which is the round-trip identity tested here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .geometry import (
@@ -26,7 +25,6 @@ _HALF = rational(1, 2)
 _TWO = integer(2)
 
 
-@dataclass(frozen=True)
 class ScalarCubic(CoefficientTable):
     """Coefficients of y'' + E3 y'^3 + E2 y'^2 + E1 y' + E0 = 0."""
 
@@ -36,7 +34,6 @@ class ScalarCubic(CoefficientTable):
     E3: Expr
 
 
-@dataclass(frozen=True)
 class SystemCubic2(CoefficientTable):
     """Cubically semi-linear pair in normal form; 15 coefficient slots.
 
@@ -65,7 +62,6 @@ class SystemCubic2(CoefficientTable):
     D3: Expr
 
 
-@dataclass(frozen=True)
 class ScalarGauge(CoefficientTable):
     """Free connection entries b, e left open by a 2D lift."""
 
@@ -73,7 +69,6 @@ class ScalarGauge(CoefficientTable):
     e: Expr
 
 
-@dataclass(frozen=True)
 class SystemGauge(CoefficientTable):
     """Free connection entries G1_12, G2_12, G3_33 left open by a 3D lift."""
 

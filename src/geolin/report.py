@@ -10,7 +10,6 @@ report UNDECIDED; an inconclusive zero test never upgrades to PASS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .kernel import (
@@ -21,14 +20,14 @@ from .kernel import (
     ZeroTestResult,
     is_zero,
 )
+from .kernel.frozen import Frozen
 
 PASS = "PASS"
 FAIL = "FAIL"
 UNDECIDED = "UNDECIDED"
 
 
-@dataclass(frozen=True)
-class ConditionRecord:
+class ConditionRecord(Frozen):
     """One labelled residual together with its zero-test outcome."""
 
     condition_id: str
@@ -40,8 +39,7 @@ class ConditionRecord:
         return self.result.verdict
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Frozen):
     """Ordered condition records of one check.
 
     facts carries side information that does not influence the verdict,
@@ -49,7 +47,7 @@ class ConditionReport:
     """
 
     records: Tuple[ConditionRecord, ...]
-    facts: Tuple[Tuple[str, str], ...] = field(default=())
+    facts: Tuple[Tuple[str, str], ...] = ()
 
     @property
     def overall(self) -> str:

@@ -10,7 +10,6 @@ metrics back along a map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from typing import Tuple, Union
@@ -36,6 +35,7 @@ from .kernel import (
     sum_of_products,
     var,
 )
+from .kernel.frozen import Frozen
 from .projection import ScalarCubic, SystemCubic2, project
 from .report import ConditionReport, evaluate_conditions
 
@@ -56,8 +56,7 @@ class SingularSystemError(TransformError):
     """The system cannot be solved for its second derivatives."""
 
 
-@dataclass(frozen=True)
-class Transformation:
+class Transformation(Frozen):
     """An invertible change of all coordinates; the first component is
     the new independent variable."""
 
@@ -90,7 +89,6 @@ class Transformation:
         return determinant(self.jacobian())
 
 
-@dataclass(frozen=True)
 class GeneralSystem2(CoefficientTable):
     """General linearizable pair; 26 independent coefficient slots.
 

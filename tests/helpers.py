@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Optional, Tuple
 
 import mpmath
 
@@ -36,7 +38,7 @@ from geolin.kernel import (
 from geolin.kernel.core import VAR, int_str
 from geolin.kernel.numeric import rational_str
 from geolin import criteria
-from geolin.geometry import determinant, sym_key
+from geolin.geometry import Christoffel, determinant, sym_key
 from geolin.projection import SystemCubic2
 from geolin.report import evaluate_conditions
 from geolin.transform import (
@@ -683,3 +685,76 @@ def fresh_stream_is_zero(expr: Expr, config=DEFAULT_CONFIG) -> ZeroTestResult:
             witness={name: str(Fraction(a, scale)) for name, a in point.items()},
             witness_value=value, detail=f"nonzero at sample {accepted}")
     return ZeroTestResult(Verdict.UNDECIDED, detail=f"small at all {config.points} samples")
+
+
+def signed_zz_from_poly(p, gens):
+    """core._zz_from_poly as it was with the signed content: (k, f) with
+    p = k * f and f primitive with a positive leading term."""
+    k = core._poly_rat_content(p)
+    index = {g: i for i, g in enumerate(gens)}
+    f = {}
+    for m, c in p.items():
+        exps = [0] * len(gens)
+        for g, e in m:
+            exps[index[g]] = e
+        f[tuple(exps)] = core._qdiv(c, k)
+    return k, f
+
+
+# Twins of three value classes as the frozen dataclasses they were, the
+# oracle of geolin.kernel.frozen.Frozen: same fields, defaults and
+# __post_init__, printed under the same name, with each __init__,
+# __repr__, __eq__, __hash__, __setattr__ and __delattr__ generated by
+# dataclasses.
+
+
+@dataclass(frozen=True)
+class ZeroTestResultTwin:
+    __qualname__ = "ZeroTestResult"
+
+    verdict: Verdict
+    witness: Optional[dict] = None
+    witness_value: Optional[str] = None
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class ChristoffelTwin:
+    __qualname__ = "Christoffel"
+
+    dim: int
+    entries: Tuple[Expr, ...]
+
+    __post_init__ = Christoffel.__post_init__
+
+
+@dataclass(frozen=True)
+class GeneralSystem2Twin:
+    __qualname__ = "GeneralSystem2"
+
+    J2_2: Expr
+    J2_3: Expr
+    J3_2: Expr
+    J3_3: Expr
+    G2_23: Expr
+    G3_23: Expr
+    Del2_222: Expr
+    Del2_223: Expr
+    Del2_233: Expr
+    Del2_333: Expr
+    Del3_222: Expr
+    Del3_223: Expr
+    Del3_233: Expr
+    Del3_333: Expr
+    Lam2_22: Expr
+    Lam2_23: Expr
+    Lam2_33: Expr
+    Lam3_22: Expr
+    Lam3_23: Expr
+    Lam3_33: Expr
+    Om2_2: Expr
+    Om2_3: Expr
+    Om3_2: Expr
+    Om3_3: Expr
+    E2: Expr
+    E3: Expr

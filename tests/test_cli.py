@@ -514,3 +514,35 @@ class TestStartup:
                                     "1", "True"]
         # sympy is a reference for idiom only: no import of geolin loads it
         assert lines[1].split() == ["False"] * 5
+
+    def test_value_classes_generate_no_methods(self):
+        # a frozen dataclass compiles six methods per class at import; the
+        # value classes share Frozen's and are dataclasses only by fields
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        code = textwrap.dedent("""
+            import dataclasses, json, sys
+            import geolin.cli
+            found = {}
+            for name, module in sorted(sys.modules.items()):
+                if name != 'geolin' and not name.startswith('geolin.'):
+                    continue
+                for cls in vars(module).values():
+                    if (isinstance(cls, type) and cls.__module__ == name
+                            and dataclasses.is_dataclass(cls)):
+                        found[cls.__name__] = sorted(
+                            {'__init__', '__repr__', '__eq__', '__hash__', '__setattr__',
+                             '__delattr__'} & set(vars(cls)))
+            print(json.dumps(found))
+        """)
+        done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        found = json.loads(done.stdout)
+        assert {name: own for name, own in found.items() if own} == {}
+        assert set(found) >= {
+            "ZeroTestConfig", "ZeroTestResult", "ConditionRecord", "ConditionReport",
+            "Metric", "Christoffel", "Riemann", "Geodesic2Coefficients", "ScalarCubic",
+            "SystemCubic2", "ScalarGauge", "SystemGauge", "Quadratic2", "Linear2",
+            "Transformation", "GeneralSystem2", "Kind", "SystemDocument"}

@@ -19,7 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 from geolin.kernel import core, exp, integer, parse, sin, sqrt, var
 from geolin.transform import coefficients_from_transformation
-from helpers import fraction_chain_residuals, poly_quotient, random_invertible_map
+from helpers import (
+    fraction_chain_residuals,
+    poly_quotient,
+    random_invertible_map,
+    signed_zz_from_poly,
+)
 
 X, Y, Z = (core._var_gen(n) for n in ("x", "y", "z"))
 LN_Z = core._kernel_gen("ln", var("z"))
@@ -193,6 +198,46 @@ def test_free_ring_cofactors_hold_in_the_kernel_ring(f, u, v):
     g, qa, qb, _ = core._p_gcd(a, b)
     assert core._p_mul(g, qa) == a
     assert core._p_mul(g, qb) == b
+
+
+def _seeded_gcd_pairs():
+    """Planted-factor pairs, kernel-free with rational coefficients and
+    over the kernel atoms, each with the four sign choices."""
+    rng = random.Random(27)
+
+    def terms():
+        return [(rng.randint(-6, 6) or 1, *(rng.randint(0, 2) for _ in range(3)))
+                for _ in range(rng.randint(1, 4))]
+
+    def atom_terms():
+        return [(rng.randint(-3, 3) or 1, [rng.randrange(len(_ATOMS)) for _ in range(3)])
+                for _ in range(rng.randint(1, 3))]
+
+    pairs = []
+    for _ in range(30):
+        scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        f, u, v = (core._p_scale(_poly(terms()), scale) for _ in range(3))
+        pairs.append((core._p_mul(f, u), core._p_mul(f, v)))
+        f, u, v = _atom_poly(atom_terms()), _atom_poly(atom_terms()), _atom_poly(atom_terms())
+        pairs.append(((f * u).num, (f * v).num))
+    return [(sa, sb) for a, b in pairs if a and b
+            for sa in (a, core._p_neg(a)) for sb in (b, core._p_neg(b))]
+
+
+def test_unsigned_content_gives_the_gcd_of_the_signed_one(monkeypatch):
+    # the heuristic gcd ignores the sign of its inputs and _p_normalized
+    # signs g, so _zz_from_poly takes the content's magnitude
+    pairs = _seeded_gcd_pairs()
+    calls = []
+    unsigned = core._zz_from_poly
+    monkeypatch.setattr(core, "_zz_from_poly",
+                        lambda p, gens: calls.append(p) or unsigned(p, gens))
+    now = [core._p_gcd(a, b) for a, b in pairs]
+    # the heuristic ran, also on inputs whose leading term is negative
+    negative = sum(p[core._lead(p)] < 0 for p in calls)
+    assert negative > 50 and len(calls) - negative > 50
+    monkeypatch.setattr(core, "_zz_from_poly", signed_zz_from_poly)
+    assert now == [core._p_gcd(a, b) for a, b in pairs]
 
 
 def test_prs_give_up_propagates_on_pool_31_draw_19(monkeypatch):
