@@ -109,7 +109,10 @@ def _parse_gauge_overrides(pairs) -> Dict[str, object]:
         key, sep, text = item.partition("=")
         if not sep or not key:
             raise DocumentError(f"--gauge expects KEY=EXPR, got {item!r}")
-        overrides[key.strip()] = parse(text.strip())
+        key = key.strip()
+        if key in overrides:
+            raise DocumentError(f"--gauge sets {key!r} twice")
+        overrides[key] = parse(text.strip())
     return overrides
 
 

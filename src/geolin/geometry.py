@@ -134,16 +134,13 @@ def coordinates(dim: int) -> Tuple[str, ...]:
 
 
 def determinant(m: Sequence[Sequence[Expr]]) -> Expr:
-    """Determinant of a 1x1, 2x2 or 3x3 matrix given by rows: a*d - b*c
-    in 2D, cofactor expansion along the first row in 3D."""
+    """Determinant of a square matrix given by rows, by cofactor expansion
+    along the first row."""
     if len(m) == 1:
         return m[0][0]
-    if len(m) == 2:
-        return sum_of_products([(1, m[0][0], m[1][1]), (-1, m[0][1], m[1][0])])
     return sum_of_products([
-        (1, m[0][0], determinant(((m[1][1], m[1][2]), (m[2][1], m[2][2])))),
-        (-1, m[0][1], determinant(((m[1][0], m[1][2]), (m[2][0], m[2][2])))),
-        (1, m[0][2], determinant(((m[1][0], m[1][1]), (m[2][0], m[2][1])))),
+        ((-1) ** c, m[0][c], determinant([row[:c] + row[c + 1:] for row in m[1:]]))
+        for c in range(len(m))
     ])
 
 

@@ -54,21 +54,20 @@ reduced pairs live in Q[vars], a unique factorization domain, so for
 operands a/b and c/d the products a*c and b*d are coprime once gcd(a, d)
 and gcd(c, b) are cancelled; the same holds for quotients and for
 num^n / den^n, and such a pair only moves its denominator's content and
-sign (_mk_coprime).  A sum over unequal denominators follows Henrici
-(Knuth, TAOCP Vol. 2, 4.5.1): with g = gcd(b, d) and
-N = a*(d/g) + c*(b/g), every common factor of N and the denominator
-divides g, so the last gcd is gcd(N, g), or none when g is constant.
-A whole sum_of_products over such pairs is added over the lcm of their
-denominators and reduced by one gcd, which a numerator that cancels to
-zero skips; by uniqueness of the reduced form this is the chained sum.
-Kernels are excluded, since over them sqrt(x) * (sqrt(x)/x) reduces to
-1 only through the final gcd.  So is every gcd that stops early, which may leave
-a common factor: an operand built by one, and a cross gcd (b with d, a
-with d, N with g) that stops on this operation, send the result through
-the full path, and a sum_of_products through the chained operations.
-Each expression records whether its own gcd ran to the end, and every
-gcd returns that flag (whole) beside its cofactors.  The operand check
-runs only when the result's denominator is not constant.
+sign (_mk_coprime).  A whole sum_of_products over such pairs is added
+over the lcm of their denominators and reduced by one gcd, which a
+numerator that cancels to zero skips; by uniqueness of the reduced form
+this is the chained sum.  Kernels are excluded, since over them
+sqrt(x) * (sqrt(x)/x) reduces to 1 only through the final gcd.  So is
+every gcd that stops early, which may leave a common factor: an operand
+built by one, and a cross or lcm gcd that stops on this operation, send
+the result through the full path, and a sum_of_products through the
+chained operations.  Each expression records whether its own gcd ran to
+the end, and every gcd returns that flag (whole) beside its cofactors.
+The operand check runs only when the result's denominator is not
+constant.  A single sum a/b + c/d over unequal denominators skips no
+gcd: it takes g = gcd(b, d) and the final gcd of a*(d/g) + c*(b/g) over
+the lcm b*(d/g).
 
 Equality is structural equality of the canonical pair.  Deciding whether a
 canonically nonzero pair represents the zero function is delegated to the
@@ -824,20 +823,9 @@ class Expr:
         if self.den == other.den:
             return _mk(_p_add(self.num, other.num), self.den)
         # over the least common denominator: b*d / gcd(b, d)
-        g, qb, qd, whole = _p_gcd(self.den, other.den)
+        _, qb, qd, _ = _p_gcd(self.den, other.den)
         num = _p_add(_p_mul(self.num, qd), _p_mul(other.num, qb))
-        den = _p_mul(self.den, qd)
-        if not (whole and _is_plain(self) and _is_plain(other)):
-            return _mk(num, den)
-        if not num:
-            return ZERO
-        # Henrici: a common factor of num and b*d/g divides g
-        if _p_is_const(g):
-            return _mk_coprime(num, den)
-        _, qn, qg, whole = _p_gcd(num, g)
-        if not whole:
-            return _mk(num, den)
-        return _mk_coprime(qn, _p_mul(_p_mul(qb, qd), qg))
+        return _mk(num, _p_mul(self.den, qd))
 
     __radd__ = __add__
 

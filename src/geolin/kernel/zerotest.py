@@ -237,10 +237,8 @@ def is_zero(expr: Expr, config: ZeroTestConfig = DEFAULT_CONFIG) -> ZeroTestResu
     if expr.is_rational():
         q = expr.as_rational()
         return ZeroTestResult(
-            Verdict.NONZERO,
-            witness={},
-            witness_value=f"{int_str(q.numerator)}/{int_str(q.denominator)}",
-            detail="nonzero rational constant",
+            Verdict.NONZERO, {}, f"{int_str(q.numerator)}/{int_str(q.denominator)}",
+            "nonzero rational constant",
         )
     names = _plain_names(expr)
     exact = names is not None
@@ -251,13 +249,10 @@ def is_zero(expr: Expr, config: ZeroTestConfig = DEFAULT_CONFIG) -> ZeroTestResu
         try:
             value, peak = eval_expr(expr, {}, config.precision_bits)
         except EvalDomainError as err:
-            return ZeroTestResult(Verdict.UNDECIDED, detail=f"evaluation failed: {err}")
+            return ZeroTestResult(Verdict.UNDECIDED, None, None, f"evaluation failed: {err}")
         if abs(value) > config.tolerance * peak:
-            return ZeroTestResult(
-                Verdict.NONZERO, witness={}, witness_value=str(value),
-                detail="nonzero kernel constant",
-            )
-        return ZeroTestResult(Verdict.UNDECIDED, detail="constant numerically small")
+            return ZeroTestResult(Verdict.NONZERO, {}, str(value), "nonzero kernel constant")
+        return ZeroTestResult(Verdict.UNDECIDED, None, None, "constant numerically small")
     names = tuple(sorted(names))
     key = (config.seed, names)
     points = _STREAMS.get(key, ())
@@ -267,10 +262,8 @@ def is_zero(expr: Expr, config: ZeroTestConfig = DEFAULT_CONFIG) -> ZeroTestResu
     drawn = 0
     while accepted < config.points:
         if drawn >= budget:
-            return ZeroTestResult(
-                Verdict.UNDECIDED,
-                detail="sampling budget exhausted by singular points",
-            )
+            return ZeroTestResult(Verdict.UNDECIDED, None, None,
+                                  "sampling budget exhausted by singular points")
         if drawn == len(points):
             if rng is None:
                 rng = _resume(config.seed, names, drawn)
@@ -299,13 +292,7 @@ def is_zero(expr: Expr, config: ZeroTestConfig = DEFAULT_CONFIG) -> ZeroTestResu
             if not abs(value) > config.tolerance * peak:
                 continue
             value = str(value)
-        return ZeroTestResult(
-            Verdict.NONZERO,
-            witness=dict(point.witness),
-            witness_value=value,
-            detail=f"nonzero at sample {accepted}",
-        )
-    return ZeroTestResult(
-        Verdict.UNDECIDED,
-        detail=f"small at all {config.points} samples",
-    )
+        return ZeroTestResult(Verdict.NONZERO, dict(point.witness), value,
+                              f"nonzero at sample {accepted}")
+    return ZeroTestResult(Verdict.UNDECIDED, None, None,
+                          f"small at all {config.points} samples")

@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import Optional, Tuple
 
 import mpmath
@@ -577,6 +577,21 @@ def naive_first_bianchi_residuals(curv):
             (1, curv.component(i, l, j, k), None),
         ]))
     return tuple(out)
+
+
+def leibniz_determinant(m) -> Expr:
+    """The determinant as the signed sum over all permutations of one
+    entry per row and column, each product built by chained `*`: the
+    oracle of geometry.determinant's cofactor expansion."""
+    n = len(m)
+    total = integer(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = integer(-1 if inversions % 2 else 1)
+        for row, col in enumerate(perm):
+            term = term * m[row][col]
+        total = total + term
+    return total
 
 
 def kernel_free_mono_merge(m1, m2):

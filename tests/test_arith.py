@@ -1,12 +1,12 @@
 """Arithmetic that skips the gcds canonical form already decides.
 
 Two reduced kernel-free pairs multiply, divide and raise to powers into
-coprime pairs once their cross-cancellations are done, and their sum
-can only share a factor with its denominator through gcd(b, d)
-(Henrici).  The kernel skips the final gcd there; these tests compare
-each result with the full normalization of the raw, unskipped pair, and
-check that kernels, operands whose own gcd stopped at the size guard,
-and cross gcds that stop there still take the full path.
+coprime pairs once their cross-cancellations are done, so the kernel
+skips the final gcd there.  A sum over unequal denominators skips none:
+it runs gcd(b, d) for the lcm and then the final gcd.  These tests
+compare each result with the full normalization of the raw, unskipped
+pair, and check that kernels, operands whose own gcd stopped at the
+size guard, and cross gcds that stop there still take the full path.
 """
 
 import random
@@ -162,7 +162,7 @@ def test_operand_past_the_size_guard_keeps_the_final_gcd():
 def test_sum_whose_denominator_gcd_stops_early_keeps_the_final_gcd():
     # the denominators share seven generators, so gcd(b, d) stops at the
     # guard and finds 1 although x + 1 divides both; the final gcd of the
-    # full pair still sees x + 1, which Henrici's rule would have skipped
+    # full pair still sees x + 1
     b = (x + 1) * (S + y)
     d = (x + 1) * (S + z)
     *_, whole = core._p_gcd(b.num, d.num)
@@ -176,10 +176,10 @@ def test_sum_whose_denominator_gcd_stops_early_keeps_the_final_gcd():
     )
 
 
-def test_sum_whose_henrici_gcd_stops_early_takes_the_full_path(monkeypatch):
+def test_sum_whose_final_gcd_stops_early_is_not_plain(monkeypatch):
     # gcd(b, d) = x + 1 runs on denominators of 2 and 4 terms; the
     # numerator N = a*(d/g) + c*(b/g) = (x + 1)*(y^3 + y^2 + x - 1) has
-    # 6 terms, so past a limit of 4 gcd(N, g) stops and the sum takes _mk
+    # 6 terms, so past a limit of 4 the final gcd stops and leaves x + 1
     a, b = 2 * y**2, x**2 - 1
     c, d = y**3 + y**2 + x + 1, (x + 1) * (y + 1)
     monkeypatch.setattr(core, "_GCD_TERM_LIMIT", 4)
@@ -234,16 +234,19 @@ def test_coprime_product_runs_only_its_cross_cancellations(top_level_gcds):
     assert str(product) == "(x*y + 3*x + y + 3)/(x*y + 2*x + 2*y + 4)"
 
 
-def test_sum_over_coprime_denominators_runs_one_gcd(top_level_gcds):
+def test_sum_over_coprime_denominators_runs_the_lcm_and_final_gcds(top_level_gcds):
     a = 1 / (x + 1)
     b = 1 / (y + 1)
     top_level_gcds.clear()
     total = a + b
-    assert top_level_gcds == [((x + 1).num, (y + 1).num)]
+    assert top_level_gcds == [
+        ((x + 1).num, (y + 1).num),
+        ((x + y + 2).num, ((x + 1) * (y + 1)).num),
+    ]
     assert str(total) == "(x + y + 2)/(x*y + x + y + 1)"
 
 
-def test_henrici_sum_cancels_through_the_denominator_gcd():
+def test_sum_over_unequal_denominators_cancels_a_factor_of_their_gcd():
     # 1/(x(x+1)) + 1/(x(x-1)) = 2x/(x(x+1)(x-1)): the new numerator
     # shares the factor x of gcd(b, d)
     assert 1 / (x * (x + 1)) + 1 / (x * (x - 1)) == 2 / (x * x - 1)

@@ -316,6 +316,15 @@ class TestInputErrors:
         assert code == 3
         assert "unknown gauge key" in err
 
+    @pytest.mark.parametrize("second", ["G1_12=0", " G1_12 =0"])
+    def test_repeated_gauge_key(self, capsys, second):
+        # a later value must not silently replace an earlier one
+        code, out, err = run(capsys, "appendix", doc_path("sys-ex4"),
+                             "--gauge", "G1_12=x", "--gauge", second)
+        assert code == 3
+        assert not out
+        assert err == "error: --gauge sets 'G1_12' twice\n"
+
     def test_domain_violation_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text(

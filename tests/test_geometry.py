@@ -20,6 +20,7 @@ from geolin.geometry import (
     UndecidedMetricError,
     christoffel_from_metric,
     coordinates,
+    determinant,
     first_bianchi_residuals,
     geodesic2_flat_conditions,
     geodesic2_flat_residuals,
@@ -31,6 +32,7 @@ from geolin.criteria import Quadratic2, quadratic2_residuals, remark_mapping
 from geolin.kernel import Verdict, cos, exp, integer, is_zero, parse, sin, sqrt, var
 from geolin.report import FAIL, PASS
 from helpers import (
+    leibniz_determinant,
     naive_first_bianchi_residuals,
     random_expr,
     random_polynomial,
@@ -98,6 +100,13 @@ class TestMetric:
         g = Metric.plane(1, 0, sqrt(2) * sqrt(3) - sqrt(6))
         with pytest.raises(UndecidedMetricError):
             christoffel_from_metric(g)
+
+    def test_determinant_of_4x4_matches_leibniz(self):
+        rng = random.Random(4)
+        m = [tuple(integer(rng.randint(-9, 9)) for _ in range(4)) for _ in range(4)]
+        det = determinant(m)
+        assert det.is_rational() and det.as_rational() != 0
+        assert det == leibniz_determinant(m)
 
 
 class TestIndexValidation:
