@@ -1257,6 +1257,13 @@ def sqrt(arg) -> Expr:
 
 
 _KERNEL_BUILDERS = {"exp": exp, "ln": ln, "sin": sin, "cos": cos, "sqrt": sqrt}
+_KERNEL_DERIVATIVES = {
+    "exp": lambda g, da: _gen_expr(g) * da,
+    "ln": lambda g, da: da / g.arg,
+    "sqrt": lambda g, da: da / (integer(2) * _gen_expr(g)),
+    "sin": lambda g, da: cos(g.arg) * da,
+    "cos": lambda g, da: -(sin(g.arg) * da),
+}
 
 
 def kernel_apply(fname: str, arg) -> Expr:
@@ -1278,17 +1285,7 @@ def _gen_diff(g: Gen, name: str) -> Expr:
     da = g.arg.diff(name)
     if not da.num:
         return ZERO
-    if g.name == "exp":
-        return _gen_expr(g) * da
-    if g.name == "ln":
-        return da / g.arg
-    if g.name == "sqrt":
-        return da / (integer(2) * _gen_expr(g))
-    if g.name == "sin":
-        return cos(g.arg) * da
-    if g.name == "cos":
-        return -(sin(g.arg) * da)
-    raise KernelError(f"cannot differentiate kernel {g.name!r}")
+    return _KERNEL_DERIVATIVES[g.name](g, da)
 
 
 def _poly_diff(p, name: str) -> Expr:

@@ -37,6 +37,8 @@ mpmath = None  # bound by _load on first use
 # 2^(10^15) on the sampled box, which would run out of memory
 _ARG_MAG = 1 << 16
 
+_MPMATH_NAMES = {"exp": "exp", "ln": "log", "sqrt": "sqrt", "sin": "sin", "cos": "cos"}
+
 
 class EvalDomainError(KernelError):
     """Evaluation hit a pole or left the real domain of a kernel."""
@@ -93,22 +95,11 @@ class _Evaluator:
             if g.name in ("exp", "sin", "cos") and ctx.mag(arg) > _ARG_MAG:
                 raise EvalDomainError(
                     f"{g.name} evaluated at an argument past 2^{_ARG_MAG}")
-            if g.name == "exp":
-                base = ctx.exp(arg)
-            elif g.name == "ln":
-                if arg <= 0:
-                    raise EvalDomainError("ln evaluated at a nonpositive point")
-                base = ctx.log(arg)
-            elif g.name == "sqrt":
-                if arg < 0:
-                    raise EvalDomainError("sqrt evaluated at a negative point")
-                base = ctx.sqrt(arg)
-            elif g.name == "sin":
-                base = ctx.sin(arg)
-            elif g.name == "cos":
-                base = ctx.cos(arg)
-            else:
-                raise KernelError(f"unknown kernel {g.name!r}")
+            if g.name == "ln" and arg <= 0:
+                raise EvalDomainError("ln evaluated at a nonpositive point")
+            if g.name == "sqrt" and arg < 0:
+                raise EvalDomainError("sqrt evaluated at a negative point")
+            base = getattr(ctx, _MPMATH_NAMES[g.name])(arg)
         self.note(base)
         if e == 1:
             return base

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import Tuple, Union
+from math import comb
+from typing import Dict, Tuple, Union
 
 from .criteria import Linear2, Quadratic2
 from .geometry import (
@@ -36,7 +37,7 @@ from .kernel import (
     var,
 )
 from .kernel.frozen import Frozen
-from .projection import ScalarCubic, SystemCubic2, project
+from .projection import ScalarCubic, SystemCubic2, lift_scalar, lift_system
 from .report import ConditionReport, evaluate_conditions
 
 
@@ -148,17 +149,18 @@ class GeneralSystem2(CoefficientTable):
     def E(self, i: int) -> Expr:
         return getattr(self, f"E{i}")
 
-    def _lower(self, i: int, yp: Expr, zp: Expr) -> Expr:
-        """The terms of equation i free of second derivatives."""
+    def _lower(self, yp: Expr, zp: Expr) -> Dict[int, Expr]:
+        """The terms free of second derivatives of equations 2 and 3: one sum
+        each over the 10 slope monomials, weighted by index orderings."""
         first = {2: yp, 3: zp}
-        total = self.E(i)
-        for j in (2, 3):
-            total = total + self.Om(i, j) * first[j]
-        for k, l in product((2, 3), repeat=2):
-            total = total + self.Lam(i, k, l) * first[k] * first[l]
-        for k, l, m in product((2, 3), repeat=3):
-            total = total + self.Delta(i, k, l, m) * first[k] * first[l] * first[m]
-        return total
+        monomials = {(): None, (2,): yp, (3,): zp}
+        for degree in (2, 3):
+            for indices in combinations_with_replacement((2, 3), degree):
+                monomials[indices] = monomials[indices[:-1]] * first[indices[-1]]
+        families = (self.E, self.Om, self.Lam, self.Delta)
+        return {i: sum_of_products([
+            (comb(len(indices), indices.count(3)), families[len(indices)](i, *indices), monomial)
+            for indices, monomial in monomials.items()]) for i in (2, 3)}
 
     def _leading_matrix(self, yp: Expr, zp: Expr) -> Tuple[Tuple[Expr, Expr], ...]:
         """Rows i = 2, 3; columns multiply y'' and z''."""
@@ -176,7 +178,7 @@ class GeneralSystem2(CoefficientTable):
         if det.is_zero_literal():
             raise SingularSystemError(
                 "leading matrix determinant is canonically zero")
-        lower = {i: self._lower(i, yp, zp) for i in (2, 3)}
+        lower = self._lower(yp, zp)
         sy = -lower[2] * m[1][1] + lower[3] * m[0][1]
         sz = -lower[3] * m[0][0] + lower[2] * m[1][0]
         return det, sy, sz
@@ -377,28 +379,21 @@ def _along_solutions(f: Expr, coords, slopes) -> Expr:
         (1, slope, f.diff(name)) for name, slope in zip(coords[1:], slopes)])
 
 
-def _cubic2_second_derivatives(s: SystemCubic2, yp: Expr, zp: Expr):
-    shared = s.A22 * yp ** 2 + 2 * s.A23 * yp * zp + s.A33 * zp ** 2
-    ypp = -(shared * yp
-            + s.B2_22 * yp ** 2 + 2 * s.B2_23 * yp * zp + s.B2_33 * zp ** 2
-            + s.C2_2 * yp + s.C2_3 * zp + s.D2)
-    zpp = -(shared * zp
-            + s.B3_22 * yp ** 2 + 2 * s.B3_23 * yp * zp + s.B3_33 * zp ** 2
-            + s.C3_2 * yp + s.C3_3 * zp + s.D3)
-    return ypp, zpp
+def _geodesic_second_derivatives(gamma: Christoffel, slopes) -> Tuple[Expr, ...]:
+    """The explicit second derivatives of the connection's projected
+    geodesic system in any dimension, y_i'' = sum over j <= k of
+    w_jk (y_i' G{1}_jk - G{i}_jk) u_j u_k, with u = (1, slopes) and w_jk
+    1 for j = k, 2 otherwise; the shared sum over G{1} is built once."""
+    u = (integer(1),) + tuple(slopes)
+    monomials = [(j, k, 1 if j == k else 2, u[j - 1] * u[k - 1])
+                 for j, k in SYM_PAIRS[gamma.dim]]
 
+    def contraction(i, sign):
+        return [(sign * w, gamma.gamma(i, j, k), uu) for j, k, w, uu in monomials]
 
-def _cleared_second_derivatives(system, slopes) -> Tuple[Expr, Tuple[Expr, ...]]:
-    """(det, S) with the system's explicit second derivatives S_k / det;
-    det is 1 for the cubic shapes, which are already solved."""
-    if isinstance(system, ScalarCubic):
-        (yp,) = slopes
-        return integer(1), (-(system.E3 * yp ** 3 + system.E2 * yp ** 2
-                              + system.E1 * yp + system.E0),)
-    if isinstance(system, SystemCubic2):
-        return integer(1), _cubic2_second_derivatives(system, *slopes)
-    det, sy, sz = system.second_derivative_numerators(*slopes)
-    return det, (sy, sz)
+    shared = sum_of_products(contraction(1, 1))
+    return tuple(sum_of_products([(1, slope, shared)] + contraction(i, -1))
+                 for i, slope in enumerate(slopes, 2))
 
 
 def linearization_residuals(system, t: Transformation):
@@ -408,27 +403,35 @@ def linearization_residuals(system, t: Transformation):
     derivatives substituted in.  All identically zero exactly when the
     map sends solutions to straight lines.
 
-    With d1 the first derivatives of the components along solutions and
-    D the derivative along solutions that also eliminates the second
-    derivatives, residual i is D(d1_i/d1_0)/d1_0.  It is built as
+    A cubic kind is read as its zero-gauge lift, whose gauge the
+    projection does not see, so det = 1 for it and for a connection; a
+    general pair is solved by Cramer's rule.  With d1 the first
+    derivatives of the components along solutions and D the derivative
+    along solutions that also eliminates the second derivatives,
+    residual i is D(d1_i/d1_0)/d1_0.  It is built as
     N_i/(det*d1_0^3) with N_i = detD(d1_i)*d1_0 - d1_i*detD(d1_0) and
     detD = det*D, which needs no division.  A ZERO record is the
     canonical zero N_i; the denominator is built only when some N_i is
     nonzero.
     """
-    if isinstance(system, Geodesic2Coefficients):
-        system = project(system.as_christoffel())
-    elif isinstance(system, Christoffel):
-        system = project(system)
     if isinstance(system, (Quadratic2, Linear2)):
         system = system.as_cubic()
-    if not isinstance(system, (ScalarCubic, SystemCubic2, GeneralSystem2)):
+    if isinstance(system, ScalarCubic):
+        system = lift_scalar(system).as_christoffel()
+    elif isinstance(system, SystemCubic2):
+        system = lift_system(system)
+    elif isinstance(system, Geodesic2Coefficients):
+        system = system.as_christoffel()
+    if isinstance(system, Christoffel):
+        dim, values = system.dim, system.entries
+    elif isinstance(system, GeneralSystem2):
+        dim, values = 3, tuple(system.entries().values())
+    else:
         raise TransformError(f"unsupported system type {type(system).__name__}")
-    dim = 2 if isinstance(system, ScalarCubic) else 3
     if t.dim != dim:
         shape = "a scalar equation" if dim == 2 else "a pair of equations"
         raise TransformError(f"{shape} needs a {dim}-component map")
-    for e in t.components + tuple(system.entries().values()):
+    for e in t.components + values:
         clash = set(_SLOPES) & e.variables()
         if clash:
             raise TransformError(
@@ -437,7 +440,10 @@ def linearization_residuals(system, t: Transformation):
     coords = coordinates(dim)
     slope_names = _SLOPES[:dim - 1]
     slopes = tuple(var(name) for name in slope_names)
-    det, seconds = _cleared_second_derivatives(system, slopes)
+    if isinstance(system, Christoffel):
+        det, seconds = integer(1), _geodesic_second_derivatives(system, slopes)
+    else:
+        det, *seconds = system.second_derivative_numerators(*slopes)
     d1 = [_along_solutions(c, coords, slopes) for c in t.components]
     if d1[0].is_zero_literal():
         raise TransversalityError(
@@ -465,9 +471,13 @@ def verify_linearizing_transformation(
     differentiates once more along solutions (eliminating second
     derivatives through the system), and zero-tests each residual of
     `linearization_residuals`.  PASS certifies the map sends solutions
-    to straight lines.
+    to straight lines.  A map whose Jacobian determinant is canonically
+    zero is no point transformation and raises DegenerateJacobianError.
     """
-    return evaluate_conditions(linearization_residuals(system, t), config)
+    residuals = linearization_residuals(system, t)
+    if t.jacobian_determinant().is_zero_literal():
+        raise DegenerateJacobianError("Jacobian determinant is canonically zero")
+    return evaluate_conditions(residuals, config)
 
 
 def pullback_metric(t: Transformation, target: Metric) -> Metric:

@@ -39,7 +39,7 @@ from geolin.kernel.core import VAR, int_str
 from geolin.kernel.numeric import rational_str
 from geolin import criteria
 from geolin.geometry import Christoffel, determinant, sym_key
-from geolin.projection import SystemCubic2
+from geolin.projection import ScalarCubic, SystemCubic2
 from geolin.report import evaluate_conditions
 from geolin.transform import (
     DegenerateJacobianError,
@@ -243,6 +243,27 @@ def fraction_chain_normal_form(g, config=DEFAULT_CONFIG):
 
     report = evaluate_conditions(labelled, config, facts=(("det J", str(det)),))
     return cubic, report
+
+
+def transcribed_second_derivatives(system, slopes):
+    """The explicit second derivatives of a ScalarCubic or SystemCubic2,
+    typed from the equations each table's docstring writes out; the
+    oracle of the geodesic formula that `linearization_residuals` reads
+    from the lifted connection."""
+    if isinstance(system, ScalarCubic):
+        (yp,) = slopes
+        return (-(system.E3 * yp ** 3 + system.E2 * yp ** 2
+                  + system.E1 * yp + system.E0),)
+    s = system
+    yp, zp = slopes
+    shared = s.A22 * yp ** 2 + 2 * s.A23 * yp * zp + s.A33 * zp ** 2
+    ypp = -(shared * yp
+            + s.B2_22 * yp ** 2 + 2 * s.B2_23 * yp * zp + s.B2_33 * zp ** 2
+            + s.C2_2 * yp + s.C2_3 * zp + s.D2)
+    zpp = -(shared * zp
+            + s.B3_22 * yp ** 2 + 2 * s.B3_23 * yp * zp + s.B3_33 * zp ** 2
+            + s.C3_2 * yp + s.C3_3 * zp + s.D3)
+    return ypp, zpp
 
 
 def general_pair_residual(g, i, yp, zp, ypp, zpp):

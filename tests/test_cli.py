@@ -325,6 +325,19 @@ class TestInputErrors:
         assert not out
         assert err == "error: --gauge sets 'G1_12' twice\n"
 
+    def test_non_invertible_map_is_input_error(self, capsys, tmp_path):
+        # both components are x: the residual vanishes, yet no point
+        # transformation straightens anything
+        bad = tmp_path / "degenerate.ini"
+        bad.write_text(
+            '[system]\nname = degenerate-map\nkind = scalar-cubic\n'
+            '[coefficients]\nE0 = "x*y^2 + sin(y)"\n'
+            '[transformation]\nu = "x"\nv = "x"\n')
+        code, out, err = run(capsys, "verify-transform", bad)
+        assert code == 3
+        assert not out
+        assert err == "error: Jacobian determinant is canonically zero\n"
+
     def test_domain_violation_is_input_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text(

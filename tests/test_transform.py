@@ -9,7 +9,8 @@ from geolin.geometry import Geodesic2Coefficients, Metric
 from geolin.kernel import (
     Verdict, as_expr, exp, integer, is_zero, ln, parse, rational, sqrt, var)
 from geolin.report import FAIL, PASS
-from geolin.projection import ScalarCubic, SystemCubic2, SystemGauge, lift_system
+from geolin.projection import (
+    ScalarCubic, ScalarGauge, SystemCubic2, SystemGauge, lift_scalar, lift_system)
 from geolin.transform import (
     DegenerateJacobianError,
     GeneralSystem2,
@@ -17,6 +18,7 @@ from geolin.transform import (
     Transformation,
     TransformError,
     TransversalityError,
+    _geodesic_second_derivatives,
     coefficients_from_transformation,
     normal_form,
     pullback_metric,
@@ -26,11 +28,15 @@ from geolin.transform import (
 from helpers import (
     fraction_chain_residuals,
     general_pair_residual,
+    random_expr,
     random_invertible_map,
     random_polynomial,
+    transcribed_second_derivatives,
 )
 
 X, Y, Z = var("x"), var("y"), var("z")
+XYZ = ("x", "y", "z")
+SLOPES = (var("yp"), var("zp"))
 
 # u = e^x, v = e^y, w = e^z straightens y'' - y' + y'^2 = z'' - z' + z'^2 = 0
 EXP_MAP = Transformation.make(exp(X), exp(Y), exp(Z))
@@ -353,6 +359,16 @@ class TestVerifyTransformation:
             verify_linearizing_transformation(
                 SIMPLE_PAIR, Transformation.make(2, Y, Z))
 
+    def test_non_invertible_map_rejected(self):
+        # the residuals of a map with a canonically zero Jacobian
+        # determinant can vanish, but it is no point transformation
+        scalar = ScalarCubic.make(E0="x*y^2 + sin(y)")
+        with pytest.raises(DegenerateJacobianError):
+            verify_linearizing_transformation(scalar, Transformation.make(X, X))
+        with pytest.raises(DegenerateJacobianError):
+            verify_linearizing_transformation(
+                SIMPLE_PAIR, Transformation.make(X, exp(Y), exp(Y)))
+
     def test_singular_general_pair_rejected(self):
         with pytest.raises(SingularSystemError):
             verify_linearizing_transformation(
@@ -410,6 +426,67 @@ class TestVerifyTransformation:
             if report.overall == PASS:
                 assert check_cubic2(cubic).overall == PASS
         assert verdicts == [FAIL, PASS, PASS]
+
+
+def random_cubic(rng, draw, dim):
+    """A ScalarCubic (dim 2) or SystemCubic2 (dim 3) of draw(rng, names)
+    coefficients."""
+    cls = ScalarCubic if dim == 2 else SystemCubic2
+    return cls.make(**{key: draw(rng, XYZ[:dim]) for key in cls.keys()})
+
+
+def lifted(cubic, gauge):
+    """The connection of a cubic's lift in the given gauge."""
+    if isinstance(cubic, ScalarCubic):
+        return lift_scalar(cubic, gauge).as_christoffel()
+    return lift_system(cubic, gauge)
+
+
+GAUGES = {2: ScalarGauge, 3: SystemGauge}
+
+
+class TestGeodesicSecondDerivatives:
+    """The one formula for the cubic shapes against their transcriptions."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_polynomial_cubics_match_the_transcription(self, dim):
+        rng = random.Random(40 + dim)
+        for _ in range(8):
+            cubic = random_cubic(rng, random_polynomial, dim)
+            slopes = SLOPES[:dim - 1]
+            assert _geodesic_second_derivatives(lifted(cubic, GAUGES[dim].make()), slopes) == (
+                transcribed_second_derivatives(cubic, slopes))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_kernel_cubics_match_the_transcription(self, dim):
+        rng = random.Random(50 + dim)
+        for _ in range(6):
+            cubic = random_cubic(rng, lambda r, names: random_expr(r, 2, names), dim)
+            slopes = SLOPES[:dim - 1]
+            got = _geodesic_second_derivatives(lifted(cubic, GAUGES[dim].make()), slopes)
+            want = transcribed_second_derivatives(cubic, slopes)
+            for g, w in zip(got, want):
+                assert g == w or (g - w).is_zero_literal()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_the_gauge_drops_out(self, dim):
+        rng = random.Random(60 + dim)
+        for _ in range(6):
+            cubic = random_cubic(rng, random_polynomial, dim)
+            gauge = GAUGES[dim].make(*(random_polynomial(rng, XYZ[:dim])
+                                       for _ in GAUGES[dim].keys()))
+            slopes = SLOPES[:dim - 1]
+            assert _geodesic_second_derivatives(lifted(cubic, gauge), slopes) == (
+                transcribed_second_derivatives(cubic, slopes))
+
+    def test_lower_terms_match_the_contraction_on_pool_31(self):
+        rng = random.Random(31)
+        zero = integer(0)
+        for _ in range(50):
+            g = coefficients_from_transformation(random_invertible_map(rng))
+            lower = g._lower(*SLOPES)
+            for i in (2, 3):
+                assert lower[i] == general_pair_residual(g, i, *SLOPES, zero, zero)
 
 
 class TestPullbackMetric:

@@ -329,8 +329,12 @@ def _mpmath_str(p, q, precision_bits):
 
 
 def _rational_str_cases(rng):
-    yield 9999999999999995, 10 ** 16, 256  # rounds up through every nine
+    # just under the tie in binary, so the nines are kept
+    yield 9999999999999995, 10 ** 16, 256
     yield -9999999999999995, 10 ** 16, 53
+    # rounds up through every nine and carries into a new leading digit
+    yield 9999999999999996, 10 ** 16, 256
+    yield 9999999999999996, 10 ** 16, 53
     for e in (3498, 3499, 3500, 3501, 4000):  # around and past the fallback
         yield 2 ** e + 1, 1, 256
         yield -1, 2 ** e + 1, 256
@@ -352,7 +356,7 @@ def test_rational_str_prints_as_mpmath_does():
     for p, q, prec in _rational_str_cases(random.Random(83)):
         assert zerotest.rational_str(p, q, prec) == _mpmath_str(p, q, prec), (p, q, prec)
         checked += 1
-    assert checked == 1617
+    assert checked == 1619
 
 
 _coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
