@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Dict, Optional, Tuple
@@ -55,11 +56,14 @@ def main(argv=None) -> int:
         "tolerance": config.tolerance,
         "seed": config.seed,
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        elapsed = time.perf_counter() - started
-        print(_render_text(payload, elapsed))
+    text = (json.dumps(payload, indent=2) if args.format == "json"
+            else _render_text(payload, time.perf_counter() - started))
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader closed stdout: drop the rest, keep the code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -5,13 +5,17 @@ which candidate equations should become the free particle system.  This
 module extracts the coefficient families such a map induces, reduces
 the general linearizable form to its cubic normal form, verifies
 candidate maps by exact substitution of the chain rule, and transports
-metrics back along a map.
+metrics back along a map.  The induced families are the coefficients of
+one cubic in the slopes: sums of the tensor
+D(i; a, b, c) = T_1,c T_i,ab - T_1,ab T_i,c of the map's partials, each
+over its ordering weight comb(|K|, K.count(3)).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 from math import comb
 from typing import Dict, Tuple, Union
 
@@ -32,7 +36,6 @@ from .kernel import (
     ZeroTestConfig,
     as_expr,
     integer,
-    rational,
     sum_of_products,
     var,
 )
@@ -88,6 +91,30 @@ class Transformation(Frozen):
 
     def jacobian_determinant(self) -> Expr:
         return determinant(self.jacobian())
+
+
+def _induced_families():
+    """(slot, weight, terms) of each family of the induced cubic, keyed by
+    its dependent indices K in the order of the 10 slope monomials; slot
+    is the field name with {} for the upper index.  The weight
+    comb(|K|, K.count(3)) counts the monomial's index orderings; a term
+    (w, a, b, c) has a <= b and w the number of orderings (a, b, c) of K
+    padded with 1s to three indices, divided by the weight."""
+    table = {}
+    for degree, name in enumerate(("E", "Om", "Lam", "Del")):
+        for indices in combinations_with_replacement((2, 3), degree):
+            weight = comb(degree, indices.count(3))
+            counts = Counter((*sorted(p[:2]), p[2]) for p in
+                             dict.fromkeys(permutations((1,) * (3 - degree) + indices)))
+            slot = f"{name}{{}}_{sym_key(*indices)}" if indices else name + "{}"
+            # integral weights stay ints, which sum_of_products need not rescale
+            table[indices] = (slot, weight, tuple(
+                (Fraction(n, weight) if n % weight else n // weight, *abc)
+                for abc, n in counts.items()))
+    return table
+
+
+_FAMILIES = _induced_families()
 
 
 class GeneralSystem2(CoefficientTable):
@@ -152,15 +179,12 @@ class GeneralSystem2(CoefficientTable):
     def _lower(self, yp: Expr, zp: Expr) -> Dict[int, Expr]:
         """The terms free of second derivatives of equations 2 and 3: one sum
         each over the 10 slope monomials, weighted by index orderings."""
-        first = {2: yp, 3: zp}
         monomials = {(): None, (2,): yp, (3,): zp}
-        for degree in (2, 3):
-            for indices in combinations_with_replacement((2, 3), degree):
-                monomials[indices] = monomials[indices[:-1]] * first[indices[-1]]
-        families = (self.E, self.Om, self.Lam, self.Delta)
+        for indices in list(_FAMILIES)[3:]:  # degrees 2 and 3
+            monomials[indices] = monomials[indices[:-1]] * monomials[indices[-1:]]
         return {i: sum_of_products([
-            (comb(len(indices), indices.count(3)), families[len(indices)](i, *indices), monomial)
-            for indices, monomial in monomials.items()]) for i in (2, 3)}
+            (weight, getattr(self, slot.format(i)), monomials[indices])
+            for indices, (slot, weight, _) in _FAMILIES.items()]) for i in (2, 3)}
 
     def _leading_matrix(self, yp: Expr, zp: Expr) -> Tuple[Tuple[Expr, Expr], ...]:
         """Rows i = 2, 3; columns multiply y'' and z''."""
@@ -199,72 +223,44 @@ def coefficients_from_transformation(
     """Coefficient families induced by substituting the map into the
     free particle system; the result is linearizable by construction.
 
-    A two-component map induces J times Lie's cubic, with J the Jacobian
-    determinant, so its cubic comes back divided by J.  Only a
-    canonically zero Jacobian determinant is rejected."""
+    With T_i,a and T_i,ab the partials of component i (index 1 for x),
+    the entry with dependent indices K sums the tensor
+    D(i; a, b, c) = T_1,c T_i,ab - T_1,ab T_i,c over the orderings of K
+    padded with 1s to three indices, divided by the ordering weight
+    comb(|K|, K.count(3)).  J{i}_j = M(i; 1, j) and G{i}_23 = M(i; 2, 3)
+    for the minor M(i; a, b) = T_1,a T_i,b - T_1,b T_i,a.  A two-component
+    map induces J times Lie's cubic, J the Jacobian determinant, so its
+    cubic is the families at i = 2 over J.  Only a canonically zero
+    Jacobian determinant is rejected."""
     jac = t.jacobian()
     det = determinant(jac)
     if det.is_zero_literal():
         raise DegenerateJacobianError("Jacobian determinant is canonically zero")
     coords = coordinates(t.dim)
+    index = range(1, t.dim + 1)
+    first = {(i, a): jac[i - 1][a - 1] for i in index for a in index}
+    # each mixed second partial once, in index order
+    second = {(i, a, b): first[i, a].diff(coords[b - 1])
+              for i in index for a, b in SYM_PAIRS[t.dim]}
 
-    def d(i, a):
-        return jac[i - 1][a - 1]
-
-    # every second partial is asked for many times below; each is derived once
-    seconds = {}
-
-    def d2(i, a, b):
-        v = seconds.get((i, a, b))
-        if v is None:
-            v = seconds[i, a, b] = d(i, a).diff(coords[b - 1])
-        return v
-
-    def delta_raw(i, j, k, l):
-        return sum_of_products([(1, d(1, l), d2(i, j, k)), (-1, d2(1, j, k), d(i, l))])
-
-    def delta_sym(i, j, k, l):
-        return rational(1, 3) * (
-            delta_raw(i, j, k, l) + delta_raw(i, j, l, k) + delta_raw(i, k, l, j))
-
-    def lam_raw(i, j, l):
+    def family(i, indices):
         return sum_of_products([
-            (2, d(1, l), d2(i, 1, j)), (-2, d2(1, 1, j), d(i, l)),
-            (1, d(1, 1), d2(i, j, l)), (-1, d(i, 1), d2(1, j, l))])
+            term for w, a, b, c in _FAMILIES[indices][2]
+            for term in ((w, first[1, c], second[i, a, b]),
+                         (-w, second[1, a, b], first[i, c]))])
 
-    def lam_sym(i, j, l):
-        return rational(1, 2) * (lam_raw(i, j, l) + lam_raw(i, l, j))
-
-    def omega(i, j):
-        return sum_of_products([
-            (2, d(1, 1), d2(i, 1, j)), (-2, d2(1, 1, j), d(i, 1)),
-            (1, d(1, j), d2(i, 1, 1)), (-1, d2(1, 1, 1), d(i, j))])
-
-    def forcing(i):
-        return sum_of_products([(1, d(1, 1), d2(i, 1, 1)), (-1, d2(1, 1, 1), d(i, 1))])
+    def minor(i, a, b):
+        return sum_of_products([(1, first[1, a], first[i, b]),
+                                (-1, first[1, b], first[i, a])])
 
     if t.dim == 2:
-        return ScalarCubic(
-            E0=forcing(2) / det,
-            E1=omega(2, 2) / det,
-            E2=lam_raw(2, 2, 2) / det,
-            E3=delta_raw(2, 2, 2, 2) / det,
-        )
-
-    values = {}
-    for i in (2, 3):
-        for j in (2, 3):
-            values[f"J{i}_{j}"] = sum_of_products(
-                [(1, d(1, 1), d(i, j)), (-1, d(1, j), d(i, 1))])
-            values[f"Om{i}_{j}"] = omega(i, j)
-        values[f"G{i}_23"] = sum_of_products(
-            [(1, d(1, 2), d(i, 3)), (-1, d(1, 3), d(i, 2))])
-        values[f"E{i}"] = forcing(i)
-        for j, k, l in combinations_with_replacement((2, 3), 3):
-            values[f"Del{i}_{sym_key(j, k, l)}"] = delta_sym(i, j, k, l)
-        for j, l in _DEPENDENT_PAIRS:
-            values[f"Lam{i}_{sym_key(j, l)}"] = lam_sym(i, j, l)
-    return GeneralSystem2.make(**values)
+        return ScalarCubic(**{f"E{len(indices)}": family(2, indices) / det
+                              for indices in _FAMILIES if 3 not in indices})
+    return GeneralSystem2.make(
+        **{f"J{i}_{j}": minor(i, 1, j) for i, j in product((2, 3), repeat=2)},
+        **{f"G{i}_23": minor(i, 2, 3) for i in (2, 3)},
+        **{slot.format(i): family(i, indices)
+           for i in (2, 3) for indices, (slot, _, _) in _FAMILIES.items()})
 
 
 def normal_form(
@@ -484,16 +480,14 @@ def pullback_metric(t: Transformation, target: Metric) -> Metric:
     """Transport a metric on the image coordinates back along the map."""
     if target.dim != t.dim:
         raise TransformError("map and metric dimensions differ")
-    coords = coordinates(t.dim)
-    compose = {name: comp for name, comp in zip(coords, t.components)}
+    compose = dict(zip(coordinates(t.dim), t.components))
     jac = t.jacobian()
     n = t.dim
+    pulled = Metric(n, tuple(e.substitute(compose) for e in target.entries))
     entries = {}
     for a, b in SYM_PAIRS[n]:
         total = integer(0)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                gij = target.g(i, j).substitute(compose)
-                total = total + jac[i - 1][a - 1] * jac[j - 1][b - 1] * gij
+        for i, j in product(range(1, n + 1), repeat=2):
+            total = total + jac[i - 1][a - 1] * jac[j - 1][b - 1] * pulled.g(i, j)
         entries[(a, b)] = total
     return Metric.from_components(n, entries)

@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from typing import Optional, Tuple
 
 import mpmath
@@ -38,11 +38,12 @@ from geolin.kernel import (
 from geolin.kernel.core import VAR, int_str
 from geolin.kernel.numeric import rational_str
 from geolin import criteria
-from geolin.geometry import Christoffel, determinant, sym_key
+from geolin.geometry import Christoffel, coordinates, determinant, sym_key
 from geolin.projection import ScalarCubic, SystemCubic2
 from geolin.report import evaluate_conditions
 from geolin.transform import (
     DegenerateJacobianError,
+    GeneralSystem2,
     Transformation,
     _DEPENDENT_PAIRS,
 )
@@ -143,6 +144,106 @@ def random_invertible_map(rng: random.Random) -> Transformation:
         t = Transformation.make(*comps)
         if not t.jacobian_determinant().is_zero_literal():
             return t
+
+
+XYZ = ("x", "y", "z")
+KERNELS = (exp, lambda a: sqrt(a * a + 1), sin, lambda a: ln(a * a + 1))
+
+
+def kernel_maps(count=24):
+    """ROADMAP item 3's seeded kernel maps, with the choices it leaves open
+    written down: from random.Random(7), map n draws the three components
+    var + random_polynomial(rng, XYZ, terms=2) in x, y, z order, then the
+    component index rng.randrange(3), then the kernel argument
+    random_polynomial(rng, XYZ, degree=1, terms=2), redrawn while it is a
+    constant, and adds KERNELS[n % 4] of it to that component; the whole
+    draw is repeated while the Jacobian determinant is the canonical zero."""
+    rng = random.Random(7)
+    maps = []
+    for n in range(count):
+        while True:
+            comps = [var(name) + random_polynomial(rng, names=XYZ, terms=2) for name in XYZ]
+            k = rng.randrange(3)
+            arg = random_polynomial(rng, names=XYZ, degree=1, terms=2)
+            while arg.is_rational():
+                arg = random_polynomial(rng, names=XYZ, degree=1, terms=2)
+            comps[k] = comps[k] + KERNELS[n % 4](arg)
+            t = Transformation.make(*comps)
+            if not t.jacobian_determinant().is_zero_literal():
+                break
+        maps.append(t)
+    return maps
+
+
+def hand_typed_coefficients(t: Transformation):
+    """The families of `coefficients_from_transformation` as they were
+    typed formula by formula, one closure per family shape, the oracle of
+    its one induced cubic: delta_raw, lam_raw, omega and forcing are the
+    cubic, quadratic, linear and free coefficients of equation i before
+    symmetrization, with d(i, a) and d2(i, a, b) the first and second
+    partials of component i."""
+    jac = t.jacobian()
+    det = determinant(jac)
+    if det.is_zero_literal():
+        raise DegenerateJacobianError("Jacobian determinant is canonically zero")
+    coords = coordinates(t.dim)
+
+    def d(i, a):
+        return jac[i - 1][a - 1]
+
+    seconds = {}
+
+    def d2(i, a, b):
+        v = seconds.get((i, a, b))
+        if v is None:
+            v = seconds[i, a, b] = d(i, a).diff(coords[b - 1])
+        return v
+
+    def delta_raw(i, j, k, l):
+        return sum_of_products([(1, d(1, l), d2(i, j, k)), (-1, d2(1, j, k), d(i, l))])
+
+    def delta_sym(i, j, k, l):
+        return rational(1, 3) * (
+            delta_raw(i, j, k, l) + delta_raw(i, j, l, k) + delta_raw(i, k, l, j))
+
+    def lam_raw(i, j, l):
+        return sum_of_products([
+            (2, d(1, l), d2(i, 1, j)), (-2, d2(1, 1, j), d(i, l)),
+            (1, d(1, 1), d2(i, j, l)), (-1, d(i, 1), d2(1, j, l))])
+
+    def lam_sym(i, j, l):
+        return rational(1, 2) * (lam_raw(i, j, l) + lam_raw(i, l, j))
+
+    def omega(i, j):
+        return sum_of_products([
+            (2, d(1, 1), d2(i, 1, j)), (-2, d2(1, 1, j), d(i, 1)),
+            (1, d(1, j), d2(i, 1, 1)), (-1, d2(1, 1, 1), d(i, j))])
+
+    def forcing(i):
+        return sum_of_products([(1, d(1, 1), d2(i, 1, 1)), (-1, d2(1, 1, 1), d(i, 1))])
+
+    if t.dim == 2:
+        return ScalarCubic(
+            E0=forcing(2) / det,
+            E1=omega(2, 2) / det,
+            E2=lam_raw(2, 2, 2) / det,
+            E3=delta_raw(2, 2, 2, 2) / det,
+        )
+
+    values = {}
+    for i in (2, 3):
+        for j in (2, 3):
+            values[f"J{i}_{j}"] = sum_of_products(
+                [(1, d(1, 1), d(i, j)), (-1, d(1, j), d(i, 1))])
+            values[f"Om{i}_{j}"] = omega(i, j)
+        values[f"G{i}_23"] = sum_of_products(
+            [(1, d(1, 2), d(i, 3)), (-1, d(1, 3), d(i, 2))])
+        values[f"E{i}"] = forcing(i)
+        for j, k, l in combinations_with_replacement((2, 3), 3):
+            values[f"Del{i}_{sym_key(j, k, l)}"] = delta_sym(i, j, k, l)
+        for j, l in _DEPENDENT_PAIRS:
+            values[f"Lam{i}_{sym_key(j, l)}"] = lam_sym(i, j, l)
+    return GeneralSystem2.make(**values)
 
 
 def fraction_chain_residuals(g, t: Transformation):

@@ -505,6 +505,24 @@ class TestInputErrors:
         assert "overall: UNDECIDED" in out
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name, want", [("lie-ex2", 0), ("lie-counter", 1)])
+    def test_reader_closing_early_keeps_the_exit_code(self, name, want, fmt):
+        # the reader closes its end before any output is written
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "geolin.cli", "check", doc_path(name), "--format", fmt],
+            cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == want
+        assert err == b""
+
+
 class TestStartup:
     def test_mpmath_is_imported_only_by_evaluation(self):
         env = dict(os.environ)

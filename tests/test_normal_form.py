@@ -13,18 +13,15 @@ import random
 import pytest
 
 from geolin.criteria import check_cubic2
-from geolin.kernel import exp, ln, rational, sin, sqrt, var
+from geolin.kernel import rational
 from geolin.report import PASS
 from geolin.transform import (
     DegenerateJacobianError,
-    Transformation,
     coefficients_from_transformation,
     normal_form,
 )
 
-from helpers import fraction_chain_normal_form, random_invertible_map, random_polynomial
-
-XYZ = ("x", "y", "z")
+from helpers import fraction_chain_normal_form, kernel_maps, random_invertible_map
 
 
 @pytest.fixture(scope="module")
@@ -69,34 +66,6 @@ def test_closure_pools_lam_mismatch_is_the_g_term_of_the_trace(closure_pools):
             label = record.condition_id
             if label.startswith("Eqr55.") and label not in mixed_labels:
                 assert record.residual.is_zero_literal(), label
-
-
-KERNELS = (exp, lambda a: sqrt(a * a + 1), sin, lambda a: ln(a * a + 1))
-
-
-def kernel_maps(count=24):
-    """ROADMAP item 3's seeded kernel maps, with the choices it leaves open
-    written down: from random.Random(7), map n draws the three components
-    var + random_polynomial(rng, XYZ, terms=2) in x, y, z order, then the
-    component index rng.randrange(3), then the kernel argument
-    random_polynomial(rng, XYZ, degree=1, terms=2), redrawn while it is a
-    constant, and adds KERNELS[n % 4] of it to that component; the whole
-    draw is repeated while the Jacobian determinant is the canonical zero."""
-    rng = random.Random(7)
-    maps = []
-    for n in range(count):
-        while True:
-            comps = [var(name) + random_polynomial(rng, names=XYZ, terms=2) for name in XYZ]
-            k = rng.randrange(3)
-            arg = random_polynomial(rng, names=XYZ, degree=1, terms=2)
-            while arg.is_rational():
-                arg = random_polynomial(rng, names=XYZ, degree=1, terms=2)
-            comps[k] = comps[k] + KERNELS[n % 4](arg)
-            t = Transformation.make(*comps)
-            if not t.jacobian_determinant().is_zero_literal():
-                break
-        maps.append(t)
-    return maps
 
 
 def test_kernel_maps_differ_from_the_fraction_chain_by_zero():

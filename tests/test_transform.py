@@ -28,6 +28,8 @@ from geolin.transform import (
 from helpers import (
     fraction_chain_residuals,
     general_pair_residual,
+    hand_typed_coefficients,
+    kernel_maps,
     random_expr,
     random_invertible_map,
     random_polynomial,
@@ -223,6 +225,22 @@ class TestGeneralFamilies:
         g = GeneralSystem2.make(Om2_2=1, Om3_3=1)
         with pytest.raises(SingularSystemError):
             g.solve_second_derivatives(var("yp"), var("zp"))
+
+
+class TestInducedCubic:
+    def test_every_entry_prints_as_the_hand_typed_families(self):
+        # closure pools 31, 1 and 2, the seeded kernel maps and the named maps
+        maps = []
+        for pool in (31, 1, 2):
+            rng = random.Random(pool)
+            maps += [random_invertible_map(rng) for _ in range(50)]
+        maps += kernel_maps()
+        maps += [EXP_MAP, TANGLED_MAP, LOG_MAP, SCALAR_DAMPED_MAP, SCALAR_FLAT_MAP]
+        for t in maps:
+            got, want = coefficients_from_transformation(t), hand_typed_coefficients(t)
+            assert type(got) is type(want)
+            assert ({key: str(v) for key, v in got.entries().items()}
+                    == {key: str(v) for key, v in want.entries().items()})
 
 
 class TestGeneralScalar:
