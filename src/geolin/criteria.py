@@ -280,10 +280,10 @@ def check_cubic2(
 
 def quadratic2_residuals(q: Quadratic2) -> List[Tuple[str, Expr]]:
     """The four quadratic pair conditions: Eq51.11, .13, .8 and .9 on the
-    cubic embedding, whose other lines vanish there."""
-    lines = cubic2_residuals(q.as_cubic())
-    return [(f"Eq53.{k}", lines[i - 1][1])
-            for k, i in enumerate((11, 13, 8, 9), start=1)]
+    cubic embedding, whose other lines vanish there; only those four are
+    built."""
+    lines = _curvature_lines([_EQ51[i - 1] for i in (11, 13, 8, 9)], q.as_cubic().entries())
+    return [(f"Eq53.{k}", line) for k, line in enumerate(lines, start=1)]
 
 
 def check_quadratic2(
@@ -296,10 +296,9 @@ def linear2_residuals(l: Linear2) -> List[Tuple[str, Expr]]:
     """The three linear pair conditions: -Eq51.1, -Eq51.4 and -Eq51.12 on
     the cubic embedding, whose other lines vanish there.  Each is the
     derivative side minus the coefficient side, so a pure-D violation
-    shows up with the sign of the D term."""
-    lines = cubic2_residuals(l.as_cubic())
-    return [(f"Eq55.{k}", -lines[i - 1][1])
-            for k, i in enumerate((1, 4, 12), start=1)]
+    shows up with the sign of the D term.  Only those three are built."""
+    lines = _curvature_lines([_EQ51[i - 1] for i in (1, 4, 12)], l.as_cubic().entries())
+    return [(f"Eq55.{k}", -line) for k, line in enumerate(lines, start=1)]
 
 
 def check_linear2(

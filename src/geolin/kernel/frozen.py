@@ -3,18 +3,45 @@
 `@dataclass(frozen=True)` compiles an __init__, __repr__, __eq__,
 __hash__, __setattr__ and __delattr__ for every class, each through its
 own exec, and that was most of what defining the package's value classes
-cost at import.  A subclass of Frozen is still registered as a dataclass,
-so dataclasses.fields and is_dataclass see the same fields in the same
-order, but it shares Frozen's six methods, which read the field names
-and defaults cached on the class and behave as the generated methods do.
+cost at import.  A subclass of Frozen shares Frozen's six methods, which
+read the field names and defaults cached on the class and behave as the
+generated methods do.  It is still a dataclass to whoever asks:
+dataclasses.fields, is_dataclass, replace and asdict see the same fields
+in the same order.  The class is registered with dataclasses when one of
+them first reads its __dataclass_fields__, so a process that never asks,
+such as every CLI command, does not import dataclasses and the inspect,
+ast, dis and tokenize modules that it loads.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import MISSING, FrozenInstanceError
+import threading
 
 _set_field = object.__setattr__
+_MISSING = object()
+
+
+class _Register:
+    """The __dataclass_fields__ of a value class until it is first read.
+
+    The first read, from the class or an instance, registers the class
+    with dataclasses, which replaces this descriptor in the class's
+    __dict__ with the real fields and registers the bases first; the lock
+    makes two threads that read at once register the class once.
+    """
+
+    _lock = threading.RLock()
+
+    def __get__(self, instance, owner):
+        from dataclasses import dataclass
+
+        with self._lock:
+            if vars(owner).get("__dataclass_fields__") is self:
+                dataclass(init=False, repr=False, eq=False)(owner)
+        return vars(owner)["__dataclass_fields__"]
+
+
+_REGISTER = _Register()
 
 
 class Frozen:
@@ -36,12 +63,23 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = dataclasses.fields(
-            dataclasses.dataclass(init=False, repr=False, eq=False)(cls))
-        names = cls._field_names = tuple(f.name for f in fields)
+        # dataclass field order: the fields of the bases, furthest first,
+        # a field keeping its first place, then the class's own annotations
+        fields = {}
+        for base in reversed(cls.__mro__[1:]):
+            if "_spec" in vars(base):
+                defaults = base._spec[2]
+                fields.update((name, defaults.get(name, _MISSING))
+                              for name in base._field_names)
+        for name in vars(cls).get("__annotations__", {}):
+            fields[name] = getattr(cls, name, _MISSING)
+        names = cls._field_names = tuple(fields)
         cls._spec = (names, tuple(frozenset(names[k:]) for k in range(len(names) + 1)),
-                     {f.name: f.default for f in fields if f.default is not MISSING},
+                     {name: d for name, d in fields.items() if d is not _MISSING},
                      getattr(cls, "__post_init__", None))
+        if "__match_args__" not in vars(cls):
+            cls.__match_args__ = names
+        cls.__dataclass_fields__ = _REGISTER
 
     def __init__(self, *args, **kwargs):
         names, open_, defaults, post_init = self._spec
@@ -80,10 +118,21 @@ class Frozen:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._field_names)
         return f"{self.__class__.__qualname__}({shown})"
 
+    def __replace__(self, /, **changes):
+        # copy.replace (Python 3.13) calls the __replace__ that dataclass
+        # adds, which a class not yet registered lacks
+        from dataclasses import replace
+
+        return replace(self, **changes)
+
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 

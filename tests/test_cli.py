@@ -557,7 +557,8 @@ class TestStartup:
 
     def test_value_classes_generate_no_methods(self):
         # a frozen dataclass compiles six methods per class at import; the
-        # value classes share Frozen's and are dataclasses only by fields
+        # value classes share Frozen's and are dataclasses only by fields,
+        # registered when is_dataclass first reads them
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -586,3 +587,68 @@ class TestStartup:
             "Metric", "Christoffel", "Riemann", "Geodesic2Coefficients", "ScalarCubic",
             "SystemCubic2", "ScalarGauge", "SystemGauge", "Quadratic2", "Linear2",
             "Transformation", "GeneralSystem2", "Kind", "SystemDocument"}
+
+    def test_dataclasses_load_on_first_introspection(self):
+        # import geolin.cli loads no dataclasses (nor the inspect, ast, dis
+        # and tokenize it imports); a value class registers with it when
+        # first read, and then fields, replace, asdict and match work
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        code = textwrap.dedent("""
+            import sys, threading
+            import geolin.cli
+            from geolin.kernel.frozen import Frozen
+            print(*sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')
+                          if m in sys.modules) or ['none'])
+            from geolin.geometry import Christoffel
+            from geolin.kernel import Verdict, ZeroTestResult, var
+            from geolin.report import ConditionRecord
+            from geolin.transform import Transformation
+            result = ZeroTestResult(Verdict.NONZERO, witness_value='1')
+            try:
+                result.detail = 'd'
+            except Exception as err:
+                print(type(err).__module__, type(err).__name__)
+            import dataclasses
+            # two threads reading one cold class, and its cold base, at once
+            start, seen = threading.Barrier(2), []
+            def read():
+                start.wait(timeout=30)
+                seen.append(dataclasses.fields(Christoffel))
+            threads = [threading.Thread(target=read) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            print(len(seen), seen[0] == seen[1], [f.name for f in seen[0]])
+            changed = ZeroTestResult(Verdict.NONZERO, witness_value='1', detail='d')
+            print(dataclasses.replace(result, detail='d') == changed,
+                  result.__replace__(detail='d') == changed)
+            record = dataclasses.asdict(ConditionRecord('Eq1', var('x'), result))
+            print(str(record.pop('residual')) == 'x', record == {'condition_id': 'Eq1', 'result': {
+                'verdict': Verdict.NONZERO, 'witness': None, 'witness_value': '1', 'detail': ''}})
+            match Transformation((var('u'), var('v'))):
+                case Transformation(components):
+                    print(len(components))
+            def walk(cls):
+                for sub in cls.__subclasses__():
+                    yield sub
+                    yield from walk(sub)
+            print(dataclasses.is_dataclass(Frozen),
+                  all(tuple(f.name for f in dataclasses.fields(cls)) == cls._field_names
+                      and dataclasses.is_dataclass(cls) for cls in walk(Frozen)),
+                  len(list(walk(Frozen))))
+        """)
+        done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "none",
+            "dataclasses FrozenInstanceError",
+            "2 True ['dim', 'entries']",
+            "True True",
+            "True True",
+            "2",
+            "False True 19",
+        ]

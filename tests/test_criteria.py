@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from geolin.criteria import (
     check_quadratic2,
     cubic2_residuals,
     lie_gauge_residuals,
+    linear2_residuals,
     quadratic2_residuals,
     remark_mapping,
     tresse_residuals,
@@ -338,7 +343,8 @@ class TestEmbeddings:
     @pytest.mark.parametrize("kernels", [False, True], ids=["polynomial", "kernel"])
     def test_restricted_shapes_leave_only_their_own_lines(self, kernels):
         # the quadratic and linear conditions are lines of the fifteen on
-        # the cubic embedding; every other line vanishes canonically there
+        # the cubic embedding; every other line vanishes canonically there,
+        # and each check's records print as its lines, built alone
         rng = random.Random(53)
 
         def coefficient(names):
@@ -355,6 +361,27 @@ class TestEmbeddings:
                 for cid, res in cubic2_residuals(shape.as_cubic()):
                     if int(cid.split(".")[1]) not in kept:
                         assert res.is_zero_literal(), (cid, str(res))
+            lines = [res for _, res in cubic2_residuals(q.as_cubic())]
+            assert [(cid, str(res)) for cid, res in quadratic2_residuals(q)] == [
+                (f"Eq53.{k}", str(lines[i - 1])) for k, i in enumerate((11, 13, 8, 9), start=1)]
+            lines = [res for _, res in cubic2_residuals(l.as_cubic())]
+            assert [(cid, str(res)) for cid, res in linear2_residuals(l)] == [
+                (f"Eq55.{k}", str(-lines[i - 1])) for k, i in enumerate((1, 4, 12), start=1)]
+
+    @pytest.mark.parametrize("doc, built", [("sys-ex1", 3), ("sys-ex3-quad", 4)])
+    def test_one_restricted_check_expands_only_its_lines(self, doc, built):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        code = ("import contextlib, io, geolin.cli, geolin.criteria as c\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    geolin.cli.main(['check', 'corpus/{doc}.ini'])\n"
+                "print(c._line_terms.cache_info().currsize)")
+        done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) == built
 
     def test_linear_embedding_check(self):
         l = Linear2.make(D2="z", D3="z")
