@@ -39,15 +39,17 @@ accumulator dict, which _p_mul runs on an empty dict for one product.
 
 Common factors are found by one polynomial gcd that returns its
 cofactors: the heuristic gcd GCDHEU (Char, Geddes and Gonnet, 1989),
-which takes each kernel for a free variable.  A candidate counts only once
-it divides both inputs exactly over the integers, so soundness never
-rests on the heuristic, and since every polynomial here is rewrite-normal
-a divisor in the free ring divides in the kernel ring with the same
+which takes each kernel for a free variable and packs each monomial into
+one int, a bit field per generator.  A candidate counts only once it
+divides both inputs exactly over the integers, so soundness never rests
+on the heuristic, and since every polynomial here is rewrite-normal a
+divisor in the free ring divides in the kernel ring with the same
 cofactors.  Over kernels the quotient ring is not a unique factorization
 domain, and the gcd is a verified common divisor rather than the greatest
-one.  Past a size guard, or when the heuristic gives up, only the common
-monomial factor cancels, which bounds the work at the price of a form
-that may not be fully reduced; the gcd then reports that it stopped early.
+one.  Past a size guard (terms, shared generators, or an exponent too
+large to raise an integer to), or when the heuristic gives up, only the
+common monomial factor cancels, which bounds the work at the price of a
+form that may not be fully reduced; the gcd then reports that it stopped early.
 
 No gcd runs whose answer the canonical form already fixes.  Kernel-free
 reduced pairs live in Q[vars], a unique factorization domain, so for
@@ -119,7 +121,8 @@ class Gen:
     """An interned generator: a named variable or a kernel application.
 
     Interning makes equality identity, so Gen keeps object's own __eq__
-    and __hash__, which a monomial lookup calls once per generator.
+    and __hash__, which a monomial lookup calls once per generator, and
+    copy and pickle rebuild a generator through the intern table.
     """
 
     __slots__ = ("kind", "name", "arg", "skey")
@@ -132,6 +135,11 @@ class Gen:
 
     def __lt__(self, other: "Gen") -> bool:
         return self.skey < other.skey
+
+    def __reduce__(self):
+        if self.kind == VAR:
+            return _var_gen, (self.name,)
+        return _kernel_gen, (self.name, self.arg)
 
     def __repr__(self) -> str:
         if self.kind == VAR:
@@ -490,6 +498,8 @@ def _poly_rat_content(p):
 
 _GCD_TERM_LIMIT = 150
 _GCD_GEN_LIMIT = 6
+# largest exponent the heuristic gcd raises an integer to: the zero test's
+_GCD_DEGREE_LIMIT = 1 << 12
 # evaluation points tried by the heuristic gcd before it gives up
 _HEU_TRIES = 6
 
@@ -503,9 +513,9 @@ def _p_gcd(a, b):
     gcd, which takes each kernel for a free variable and divides both
     inputs by its candidate exactly over the integers.  whole is False when
     the search stopped early: past the size guard (_GCD_TERM_LIMIT terms,
-    _GCD_GEN_LIMIT shared generators) or when the heuristic gives up.  g is
-    then only the common monomial factor, or 1, and may leave a common
-    factor behind.
+    _GCD_GEN_LIMIT shared generators, an exponent past _GCD_DEGREE_LIMIT)
+    or when the heuristic gives up.  g is then only the common monomial
+    factor, or 1, and may leave a common factor behind.
     """
     if not a or not b:
         c = _poly_rat_content(a or b)
@@ -527,50 +537,45 @@ def _p_gcd(a, b):
         # its product with a monomial
         g, ca, cb, whole = _p_gcd(_p_mono_quo(a, mono), _p_mono_quo(b, mono))
         return _p_mul({mono: 1}, g), ca, cb, whole
-    if (
-        len(a) > _GCD_TERM_LIMIT
-        or len(b) > _GCD_TERM_LIMIT
-        or len(common) > _GCD_GEN_LIMIT
-    ):
-        return P_ONE, a, b, False
-    found = _heu_gcd(a, b, sorted(gens_a | gens_b))
-    if found is None:
-        return P_ONE, a, b, False
-    return (*found, True)
-
-
-def _p_normalized(g, ca, cb):
-    """Move the rational content of g into its cofactors."""
-    c = _poly_rat_content(g)
-    if c == 1:
-        return g, ca, cb
-    return _p_quo(g, c), _p_scale(ca, c), _p_scale(cb, c)
+    found = None
+    if len(a) <= _GCD_TERM_LIMIT and len(b) <= _GCD_TERM_LIMIT and len(common) <= _GCD_GEN_LIMIT:
+        found = _heu_gcd(a, b, sorted(gens_a | gens_b))
+    return (P_ONE, a, b, False) if found is None else (*found, True)
 
 
 # Heuristic gcd (GCDHEU; Char, Geddes and Gonnet, 1989) on integer
-# polynomials held as dicts from exponent tuples to ints.  Evaluating the
-# first variable at an integer xi turns a gcd in n variables into one in
-# n - 1, down to an integer gcd; balanced xi-adic expansion lifts the
-# image gcd back.  Each point yields one candidate, the lifted image gcd;
-# when it does not divide both inputs the next point is tried.  The first
-# point is the bound of Char, Geddes and Gonnet's theorem, so a candidate
-# that divides both inputs is their gcd; the growth between tries follows
-# sympy's dmp_zz_heu_gcd.  Kernels enter as free variables, so over them
-# the candidate is a gcd in the free polynomial ring, with cofactors
-# checked there by exact integer division.
+# polynomials held as dicts from packed keys to ints (Monagan and Pearce,
+# 2007): one bit field per generator, the first of the sorted generators
+# most significant, each as wide as the operands' largest exponent plus a
+# guard bit, so keys order as their exponent tuples do lexicographically,
+# and with G the guard bits ((m | G) - d) & G == G says that no exponent
+# of m is below d's.  Evaluating the first variable at an integer xi turns
+# a gcd in n variables into one in n - 1, down to an integer gcd; balanced
+# xi-adic expansion lifts the image gcd back into a candidate, and the next
+# point is tried while it does not divide both inputs.  The first point is
+# the bound of Char, Geddes and Gonnet's theorem, so a candidate dividing
+# both is their gcd; the growth between tries follows sympy's
+# dmp_zz_heu_gcd.  Kernels enter as free variables: the candidate is a gcd
+# in the free ring, with cofactors checked there by exact division.
 
 
 def _heu_gcd(a, b, gens):
-    """(g, a/g, b/g) for polynomials in the generators gens, or None."""
-    ka, fa = _zz_from_poly(a, gens)
-    kb, fb = _zz_from_poly(b, gens)
-    found = _zz_heu_gcd(fa, fb, len(gens))
+    """(g, a/g, b/g) over the sorted generators gens, or None, also past _GCD_DEGREE_LIMIT."""
+    top = max([e for p in (a, b) for m in p for _, e in m])
+    if top > _GCD_DEGREE_LIMIT:
+        return None
+    w = top.bit_length() + 1
+    n = len(gens)
+    shifts = {g: w * (n - 1 - i) for i, g in enumerate(gens)}
+    guard = ((1 << w * n) - 1) // ((1 << w) - 1) << (w - 1)  # each field's top bit
+    ka, fa = _pk_from_poly(a, shifts)
+    kb, fb = _pk_from_poly(b, shifts)
+    found = _pk_heu_gcd(fa, fb, n, w, guard)
     if found is None:
         return None
     h, cfa, cfb = found
-    if len(h) == 1 and not any(next(iter(h))):
+    if len(h) == 1 and 0 in h:
         return P_ONE, a, b
-    g = _poly_from_zz(h, gens)
     # A free-ring divisor divides in the kernel ring with the same
     # cofactors.  Every polynomial built here is rewrite-normal: sin and
     # constant-argument sqrt generators have exponent at most 1, and a
@@ -578,100 +583,103 @@ def _heu_gcd(a, b, gens):
     # add under free multiplication, per generator and over all exp
     # generators together, so the factors of a normal polynomial are
     # normal and multiplying them back fires no rewrite.
-    return _p_normalized(
-        g,
-        _p_scale(_poly_from_zz(cfa, gens), ka),
-        _p_scale(_poly_from_zz(cfb, gens), kb),
-    )
+    g = _pk_to_poly(h, shifts, w)
+    if g[_lead(g)] < 0:
+        # h is primitive, so only its sign moves into the cofactors
+        g, ka, kb = _p_neg(g), -ka, -kb
+    return g, _pk_to_poly(cfa, shifts, w, ka), _pk_to_poly(cfb, shifts, w, kb)
 
 
-def _zz_from_poly(p, gens):
-    """(k, f) with p = k * f, k > 0 and f a primitive integer polynomial.
-
-    The heuristic gcd ignores the sign of its inputs and _p_normalized
-    signs g, so k is the content's magnitude and f's leading term may be
-    negative.
-    """
+def _pk_from_poly(p, shifts):
+    """(k, f) with p = k * f, k > 0 and f a primitive integer polynomial on
+    packed keys, each generator's field at shifts[generator].  The heuristic
+    ignores signs and _heu_gcd signs g, so f's leading term may be negative."""
     k = _poly_abs_content(p)
-    index = {g: i for i, g in enumerate(gens)}
     f = {}
     for m, c in p.items():
-        exps = [0] * len(gens)
+        key = 0
         for g, e in m:
-            exps[index[g]] = e
-        f[tuple(exps)] = c // k if k.__class__ is int else _qdiv(c, k)
+            key |= e << shifts[g]
+        f[key] = c if k == 1 else c // k if k.__class__ is int else _qdiv(c, k)
     return k, f
 
 
-def _poly_from_zz(f, gens) -> dict:
-    return _poly_from_dict({
-        tuple((g, e) for g, e in zip(gens, exps) if e): c
-        for exps, c in f.items()
-    })
+def _pk_to_poly(f, shifts, w, k=1) -> dict:
+    """The polynomial k * f, f on packed keys with fields w bits wide."""
+    mask = (1 << w) - 1
+    return {tuple([(g, e) for g, s in shifts.items() if (e := m >> s & mask)]):
+            c if k == 1 else _qnorm(c * k) for m, c in f.items()}
 
 
-def _zz_heu_gcd(f, g, n):
-    """(h, f/h, g/h) for nonzero integer polynomials in n variables, or None."""
-    if not n:
-        a = f[()]
-        b = g[()]
-        h = _igcd(a, b)
-        return {(): h}, {(): a // h}, {(): b // h}
+def _pk_heu_gcd(f, g, n, w, guard):
+    """(h, f/h, g/h) for nonzero packed integer polynomials in n > 0 variables, or None."""
     k = _igcd(*f.values(), *g.values())
     if k != 1:
         f = {m: c // k for m, c in f.items()}
         g = {m: c // k for m, c in g.items()}
-    f_norm = max(abs(c) for c in f.values())
-    g_norm = max(abs(c) for c in g.values())
     # below 2 min(|f|, |g|) + 2 a candidate can divide both inputs and still
     # not be their greatest common divisor
-    x = 2 * min(f_norm, g_norm) + 2
+    x = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
+    s = w * (n - 1)
     for _ in range(_HEU_TRIES):
-        ff = _zz_eval_first(f, x)
-        gg = _zz_eval_first(g, x)
+        powers = {}
+        ff = _pk_eval_first(f, x, s, powers)
+        gg = _pk_eval_first(g, x, s, powers)
         if ff and gg:
-            found = _zz_heu_gcd(ff, gg, n - 1)
-            if found is None:
-                return None
-            h = _zz_primitive(_zz_interpolate(found[0], x))
-            if len(h) == 1 and h.get((0,) * n) == 1:
-                # a unit divides both, and past the bound it is their gcd
-                return _zz_scale(h, k), f, g
-            cf = _zz_exact_div(f, h)
-            cg = _zz_exact_div(g, h) if cf is not None else None
-            if cg is not None:
-                return _zz_scale(h, k), cf, cg
+            if n == 1:
+                found = ({0: _igcd(ff[0], gg[0])},)
+            else:
+                found = _pk_heu_gcd(ff, gg, n - 1, w, guard)
+                if found is None:
+                    return None
+            # every exponent of f and g fits below the guard bit, so a
+            # candidate whose first exponent does not divides neither
+            h = _pk_interpolate(found[0], x, s, 1 << (w - 1))
+            if h is not None:
+                c = _igcd(*h.values())
+                h = {m: v // c for m, v in h.items()}
+                if len(h) == 1 and h.get(0) == 1:
+                    # a unit divides both, and past the bound it is their gcd
+                    cf, cg = f, g
+                else:
+                    cf = _pk_exact_div(f, h, w, guard)
+                    cg = _pk_exact_div(g, h, w, guard) if cf is not None else None
+                if cg is not None:
+                    return {m: v * k for m, v in h.items()}, cf, cg
         x = 73794 * x * _isqrt(_isqrt(x)) // 27011
     return None
 
 
-def _zz_eval_first(f, x) -> dict:
-    """f with its first variable set to x, as a polynomial in the rest."""
-    powers = {}
+def _pk_eval_first(f, x, s, powers) -> dict:
+    """f at x in its first variable, the field at shift s; powers caches x ** e."""
+    rest_mask = (1 << s) - 1
     out: dict = {}
     for m, c in f.items():
-        e = m[0]
+        e = m >> s
         p = powers.get(e)
         if p is None:
             p = powers[e] = x ** e
-        rest = m[1:]
+        rest = m & rest_mask
         out[rest] = out.get(rest, 0) + c * p
     return {m: c for m, c in out.items() if c}
 
 
-def _zz_interpolate(h, x) -> dict:
-    """Balanced x-adic expansion of h's coefficients as a new first variable."""
+def _pk_interpolate(h, x, s, limit):
+    """Balanced x-adic expansion of h's coefficients as a new first
+    variable at shift s, or None at an exponent of limit."""
     out = {}
     half = x // 2
     i = 0
     while h:
+        if i == limit:
+            return None
         rest = {}
         for m, c in h.items():
             r = c % x
             if r > half:
                 r -= x
             if r:
-                out[(i,) + m] = r
+                out[i << s | m] = r
             c = (c - r) // x
             if c:
                 rest[m] = c
@@ -680,50 +688,42 @@ def _zz_interpolate(h, x) -> dict:
     return out
 
 
-def _zz_primitive(f) -> dict:
-    k = _igcd(*f.values())
-    return f if k == 1 else {m: c // k for m, c in f.items()}
+def _pk_degrees(f, w, guard) -> int:
+    """The key of f's degree in each variable: the fieldwise maximum."""
+    top = 0
+    for m in f:
+        # guard bits of the fields where top >= m, then their value bits
+        ge = ((top | guard) - m) & guard
+        top = m ^ ((top ^ m) & (ge - (ge >> (w - 1))))
+    return top
 
 
-def _zz_scale(f, k) -> dict:
-    return f if k == 1 else {m: c * k for m, c in f.items()}
-
-
-def _zz_exact_div(f, d):
-    """Exact quotient f / d over the integers, or None.
+def _pk_exact_div(f, d, w, guard):
+    """Exact quotient f / d over the integers on packed keys, or None.
 
     Lexicographic division; every quotient exponent must stay within the
-    degree gap of f and d, which stops a failing division early.  A
-    single-term divisor divides term by term.
+    degree gap of f and d, which stops a failing division early.
     """
-    if len(d) == 1:
-        ((lead, lc),) = d.items()
-        quo = {}
-        for m, c in f.items():
-            t = tuple(e - l for e, l in zip(m, lead))
-            q, r = divmod(c, lc)
-            if r or min(t, default=0) < 0:
-                return None
-            quo[t] = q
-        return quo
-    lead = max(d)
-    gap = [max(m[i] for m in f) - max(m[i] for m in d) for i in range(len(lead))]
-    if min(gap, default=0) < 0:
+    gap = (_pk_degrees(f, w, guard) | guard) - _pk_degrees(d, w, guard)
+    if gap & guard != guard:
         return None
+    lead = max(d)
     lc = d[lead]
     rem = dict(f)
     quo = {}
     while rem:
         m = max(rem)
-        t = tuple(e - l for e, l in zip(m, lead))
-        if any(e < 0 or e > gap_i for e, gap_i in zip(t, gap)):
+        # a borrow clears a guard bit: an exponent of t below 0 or past gap
+        t = (m | guard) - lead
+        if t & guard != guard or (gap - (t ^ guard)) & guard != guard:
             return None
+        t ^= guard
         c, r = divmod(rem[m], lc)
         if r:
             return None
         quo[t] = c
         for dm, dc in d.items():
-            mm = tuple(e + de for e, de in zip(t, dm))
+            mm = t + dm
             v = rem.get(mm, 0) - c * dc
             if v:
                 rem[mm] = v

@@ -382,22 +382,34 @@ def general_pair_residual(g, i, yp, zp, ypp, zpp):
     return total
 
 
+def packed_layout(gens, *polys):
+    """(shifts, w, guard) of the heuristic gcd's packed keys for polys over
+    the sorted generators gens: each generator's field shift, the field
+    width (the largest exponent's bit length plus a guard bit) and the
+    guard bits, the top bit of every field."""
+    top = max((e for p in polys for m in p for _, e in m), default=0)
+    w = top.bit_length() + 1
+    shifts = {g: w * (len(gens) - 1 - i) for i, g in enumerate(gens)}
+    return shifts, w, sum(1 << (s + w - 1) for s in shifts.values())
+
+
 def poly_quotient(p, d):
     """The exact quotient p / d of two kernel polynomials, or None.
 
     Every generator counts as a free variable and the division runs over
-    the integers, on the exponent tuples of the heuristic gcd.  For
+    the integers, on the packed keys of the heuristic gcd.  For
     rewrite-normal p and d this is also their quotient in the kernel ring.
     """
     if not p:
         return core.P_ZERO
     gens = sorted(core._p_gens(p) | core._p_gens(d))
-    kp, fp = core._zz_from_poly(p, gens)
-    kd, fd = core._zz_from_poly(d, gens)
-    q = core._zz_exact_div(fp, fd)
+    shifts, w, guard = packed_layout(gens, p, d)
+    kp, fp = core._pk_from_poly(p, shifts)
+    kd, fd = core._pk_from_poly(d, shifts)
+    q = core._pk_exact_div(fp, fd, w, guard)
     if q is None:
         return None
-    return core._p_scale(core._poly_from_zz(q, gens), core._qdiv(kp, kd))
+    return core._pk_to_poly(q, shifts, w, core._qdiv(kp, kd))
 
 
 # The pair and appendix tables as transcribed from the source by hand,
@@ -824,18 +836,182 @@ def fresh_stream_is_zero(expr: Expr, config=DEFAULT_CONFIG) -> ZeroTestResult:
     return ZeroTestResult(Verdict.UNDECIDED, detail=f"small at all {config.points} samples")
 
 
-def signed_zz_from_poly(p, gens):
-    """core._zz_from_poly as it was with the signed content: (k, f) with
-    p = k * f and f primitive with a positive leading term."""
+def signed_pk_from_poly(p, shifts):
+    """core._pk_from_poly with the signed content: (k, f) with p = k * f
+    and f primitive with a positive leading term."""
     k = core._poly_rat_content(p)
+    f = {}
+    for m, c in p.items():
+        key = 0
+        for g, e in m:
+            key |= e << shifts[g]
+        f[key] = core._qdiv(c, k)
+    return k, f
+
+
+# The heuristic gcd on exponent tuples, as geolin.kernel.core ran it before
+# its monomials became packed integer keys: the oracle that the packed gcd
+# must match result for result.  tuple_heu_gcd stands in for core._heu_gcd
+# and has no degree limit.
+
+
+def tuple_heu_gcd(a, b, gens):
+    """(g, a/g, b/g) for polynomials in the generators gens, or None."""
+    ka, fa = zz_from_poly(a, gens)
+    kb, fb = zz_from_poly(b, gens)
+    found = zz_heu_gcd(fa, fb, len(gens))
+    if found is None:
+        return None
+    h, cfa, cfb = found
+    if len(h) == 1 and not any(next(iter(h))):
+        return core.P_ONE, a, b
+    g = poly_from_zz(h, gens)
+    ca = core._p_scale(poly_from_zz(cfa, gens), ka)
+    cb = core._p_scale(poly_from_zz(cfb, gens), kb)
+    # move the rational content of g into its cofactors
+    c = core._poly_rat_content(g)
+    if c == 1:
+        return g, ca, cb
+    return core._p_quo(g, c), core._p_scale(ca, c), core._p_scale(cb, c)
+
+
+def zz_from_poly(p, gens):
+    """(k, f) with p = k * f, k > 0 and f a primitive integer polynomial
+    on exponent tuples; f's leading term may be negative."""
+    k = core._poly_abs_content(p)
     index = {g: i for i, g in enumerate(gens)}
     f = {}
     for m, c in p.items():
         exps = [0] * len(gens)
         for g, e in m:
             exps[index[g]] = e
-        f[tuple(exps)] = core._qdiv(c, k)
+        f[tuple(exps)] = c // k if k.__class__ is int else core._qdiv(c, k)
     return k, f
+
+
+def poly_from_zz(f, gens) -> dict:
+    return core._poly_from_dict({
+        tuple((g, e) for g, e in zip(gens, exps) if e): c
+        for exps, c in f.items()
+    })
+
+
+def zz_heu_gcd(f, g, n):
+    """(h, f/h, g/h) for nonzero integer polynomials in n variables, or None."""
+    if not n:
+        a = f[()]
+        b = g[()]
+        h = math.gcd(a, b)
+        return {(): h}, {(): a // h}, {(): b // h}
+    k = math.gcd(*f.values(), *g.values())
+    if k != 1:
+        f = {m: c // k for m, c in f.items()}
+        g = {m: c // k for m, c in g.items()}
+    f_norm = max(abs(c) for c in f.values())
+    g_norm = max(abs(c) for c in g.values())
+    x = 2 * min(f_norm, g_norm) + 2
+    for _ in range(core._HEU_TRIES):
+        ff = zz_eval_first(f, x)
+        gg = zz_eval_first(g, x)
+        if ff and gg:
+            found = zz_heu_gcd(ff, gg, n - 1)
+            if found is None:
+                return None
+            h = zz_primitive(zz_interpolate(found[0], x))
+            if len(h) == 1 and h.get((0,) * n) == 1:
+                return zz_scale(h, k), f, g
+            cf = zz_exact_div(f, h)
+            cg = zz_exact_div(g, h) if cf is not None else None
+            if cg is not None:
+                return zz_scale(h, k), cf, cg
+        x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
+    return None
+
+
+def zz_eval_first(f, x) -> dict:
+    """f with its first variable set to x, as a polynomial in the rest."""
+    powers = {}
+    out: dict = {}
+    for m, c in f.items():
+        e = m[0]
+        p = powers.get(e)
+        if p is None:
+            p = powers[e] = x ** e
+        rest = m[1:]
+        out[rest] = out.get(rest, 0) + c * p
+    return {m: c for m, c in out.items() if c}
+
+
+def zz_interpolate(h, x) -> dict:
+    """Balanced x-adic expansion of h's coefficients as a new first variable."""
+    out = {}
+    half = x // 2
+    i = 0
+    while h:
+        rest = {}
+        for m, c in h.items():
+            r = c % x
+            if r > half:
+                r -= x
+            if r:
+                out[(i,) + m] = r
+            c = (c - r) // x
+            if c:
+                rest[m] = c
+        h = rest
+        i += 1
+    return out
+
+
+def zz_primitive(f) -> dict:
+    k = math.gcd(*f.values())
+    return f if k == 1 else {m: c // k for m, c in f.items()}
+
+
+def zz_scale(f, k) -> dict:
+    return f if k == 1 else {m: c * k for m, c in f.items()}
+
+
+def zz_exact_div(f, d):
+    """Exact quotient f / d over the integers on exponent tuples, or None.
+
+    Lexicographic division; every quotient exponent must stay within the
+    degree gap of f and d.  A single-term divisor divides term by term.
+    """
+    if len(d) == 1:
+        ((lead, lc),) = d.items()
+        quo = {}
+        for m, c in f.items():
+            t = tuple(e - l for e, l in zip(m, lead))
+            q, r = divmod(c, lc)
+            if r or min(t, default=0) < 0:
+                return None
+            quo[t] = q
+        return quo
+    lead = max(d)
+    gap = [max(m[i] for m in f) - max(m[i] for m in d) for i in range(len(lead))]
+    if min(gap, default=0) < 0:
+        return None
+    lc = d[lead]
+    rem = dict(f)
+    quo = {}
+    while rem:
+        m = max(rem)
+        t = tuple(e - l for e, l in zip(m, lead))
+        if any(e < 0 or e > gap_i for e, gap_i in zip(t, gap)):
+            return None
+        c, r = divmod(rem[m], lc)
+        if r:
+            return None
+        quo[t] = c
+        for dm, dc in d.items():
+            mm = tuple(e + de for e, de in zip(t, dm))
+            v = rem.get(mm, 0) - c * dc
+            if v:
+                rem[mm] = v
+            else:
+                del rem[mm]
+    return quo
 
 
 # Twins of three value classes as the frozen dataclasses they were, the

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geolin.kernel import core, exp, integer, sqrt, var
-from helpers import random_polynomial
+from helpers import random_polynomial, zz_heu_gcd
 
 x, y, z, w = (var(n) for n in "xyzw")
 # six more generators: two factors S + p share seven generators, past the
@@ -271,11 +271,22 @@ def test_unit_heuristic_gcd_matches_trial_division(a, b, da, db, kf, kg):
     f = {m: v for m, v in f.items() if v}
     g = {m: v for m, v in g.items() if v}
     k = core._igcd(kf, kg)
-    unit = {(0, 0): 1}
+    # the same on packed keys: exponents of at most 1 take 2-bit fields,
+    # x in the high one, with guard bits 0b1010
+    w, guard = 2, 0b1010
+
+    def packed(p):
+        return {ex << w | ey: v for (ex, ey), v in p.items()}
+
+    pf, pg, unit = packed(f), packed(g), {0: 1}
     # what trial division by the unit candidate gives, content included
     expected = (
-        {(0, 0): k},
-        core._zz_exact_div(core._zz_exact_div(f, {(0, 0): k}), unit),
-        core._zz_exact_div(core._zz_exact_div(g, {(0, 0): k}), unit),
+        {0: k},
+        core._pk_exact_div(core._pk_exact_div(pf, {0: k}, w, guard), unit, w, guard),
+        core._pk_exact_div(core._pk_exact_div(pg, {0: k}, w, guard), unit, w, guard),
     )
-    assert core._zz_heu_gcd(f, g, 2) == expected
+    assert expected[1] == packed({m: v // k for m, v in f.items()})
+    assert core._pk_heu_gcd(pf, pg, 2, w, guard) == expected
+    # and the tuple oracle gives the same triple on exponent tuples
+    h, cf, cg = zz_heu_gcd(f, g, 2)
+    assert (packed(h), packed(cf), packed(cg)) == expected

@@ -8,10 +8,13 @@ kernel builds is rewrite-normal, so a divisor in that free ring divides
 in the kernel ring with the same cofactors, and a property below checks
 this over sqrt, sin and exp atoms.  These tests build raw polynomials
 with a planted common factor and check the result against its
-definition, without any outside computer algebra system.
+definition, without any outside computer algebra system, and check the
+gcd on packed integer keys result for result against the gcd on
+exponent tuples that it replaced (helpers.tuple_heu_gcd).
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,9 +24,13 @@ from geolin.kernel import core, exp, integer, parse, sin, sqrt, var
 from geolin.transform import coefficients_from_transformation
 from helpers import (
     fraction_chain_residuals,
+    packed_layout,
     poly_quotient,
     random_invertible_map,
-    signed_zz_from_poly,
+    signed_pk_from_poly,
+    tuple_heu_gcd,
+    zz_exact_div,
+    zz_from_poly,
 )
 
 X, Y, Z = (core._var_gen(n) for n in ("x", "y", "z"))
@@ -225,19 +232,22 @@ def _seeded_gcd_pairs():
 
 
 def test_unsigned_content_gives_the_gcd_of_the_signed_one(monkeypatch):
-    # the heuristic gcd ignores the sign of its inputs and _p_normalized
-    # signs g, so _zz_from_poly takes the content's magnitude
+    # the heuristic gcd ignores the sign of its inputs and _heu_gcd signs
+    # g, so _pk_from_poly takes the content's magnitude
     pairs = _seeded_gcd_pairs()
     calls = []
-    unsigned = core._zz_from_poly
-    monkeypatch.setattr(core, "_zz_from_poly",
-                        lambda p, gens: calls.append(p) or unsigned(p, gens))
+    unsigned = core._pk_from_poly
+    monkeypatch.setattr(core, "_pk_from_poly",
+                        lambda p, shifts: calls.append(p) or unsigned(p, shifts))
     now = [core._p_gcd(a, b) for a, b in pairs]
     # the heuristic ran, also on inputs whose leading term is negative
     negative = sum(p[core._lead(p)] < 0 for p in calls)
     assert negative > 50 and len(calls) - negative > 50
-    monkeypatch.setattr(core, "_zz_from_poly", signed_zz_from_poly)
+    signed = []
+    monkeypatch.setattr(core, "_pk_from_poly",
+                        lambda p, shifts: signed.append(p) or signed_pk_from_poly(p, shifts))
     assert now == [core._p_gcd(a, b) for a, b in pairs]
+    assert signed == calls
 
 
 def test_prs_give_up_propagates_on_pool_31_draw_19(monkeypatch):
@@ -296,3 +306,129 @@ def test_heuristic_giving_up_leaves_the_fraction_unreduced(monkeypatch):
     assert core._p_gcd(e.num, e.den)[3] is False
     assert str(e) == "(x^2 - 1)/(x - 1)"
     assert (e - (x + 1)).is_zero_literal()
+
+
+def _gcd_with(heu, a, b):
+    """core._p_gcd(a, b) with heu in place of the heuristic gcd."""
+    packed = core._heu_gcd
+    core._heu_gcd = heu
+    try:
+        return core._p_gcd(a, b)
+    finally:
+        core._heu_gcd = packed
+
+
+# One of x, y and ln(z) takes exponents up to 300 (up to 600 in a
+# product), so fields are up to 11 bits wide; the other generators stay
+# at 2 or less.  The heuristic's integers grow with the product of the
+# degrees in every variable, which keeps these pairs small.
+_SMALL_GENS = (X, Y, LN_Z, core._kernel_gen("exp", var("y")),
+               core._kernel_gen("sqrt", var("x") ** 2 + 1))
+_wide_terms = st.lists(
+    st.tuples(
+        st.integers(-9, 9).filter(bool),
+        st.integers(0, 300),
+        st.lists(st.tuples(st.sampled_from(_SMALL_GENS), st.integers(1, 2)), max_size=2),
+    ),
+    min_size=1, max_size=3,
+)
+_scales = st.fractions(min_value=-20, max_value=20, max_denominator=9).filter(bool)
+
+
+def _wide_poly(terms, wide, scale) -> dict:
+    acc: dict = {}
+    for c, e, picks in terms:
+        mono = {wide: e} if e else {}
+        for g, k in picks:
+            if g is not wide:
+                mono[g] = min(mono.get(g, 0) + k, 2)
+        key = tuple(sorted(mono.items(), key=lambda t: t[0].skey))
+        acc[key] = acc.get(key, 0) + Fraction(c) * scale
+    return core._poly_from_dict(acc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((X, Y, LN_Z)), _wide_terms, _wide_terms, _wide_terms, _scales, _scales)
+def test_packed_gcd_matches_the_tuple_oracle(wide, f, u, v, su, sv):
+    f = _wide_poly(f, wide, 1)
+    a = core._p_mul(f, _wide_poly(u, wide, su))
+    b = core._p_mul(f, _wide_poly(v, wide, sv))
+    if not (a and b):
+        return
+    assert core._p_gcd(a, b) == _gcd_with(tuple_heu_gcd, a, b)
+
+
+def test_packed_gcd_matches_the_tuple_oracle_on_wide_fields():
+    # the property above on seeded pairs, each of which reaches the
+    # heuristic with fields at least 8 bits wide
+    rng = random.Random(32)
+    reached = 0
+    for _ in range(40):
+        wide = rng.choice((X, Y, LN_Z))
+
+        def poly(n):
+            # a constant term keeps out a common monomial factor
+            return _wide_poly([(rng.choice([-3, -1, 2, 5]), 0, [])] + [
+                (rng.choice([-3, -1, 2, 5]), rng.randint(0, 300),
+                 [(rng.choice(_SMALL_GENS), rng.randint(1, 2))]) for _ in range(n)], wide, 1)
+
+        f, u, v = poly(2), poly(rng.randint(1, 3)), poly(rng.randint(1, 3))
+        a, b = core._p_mul(f, u), core._p_mul(core._p_scale(f, Fraction(-2, 3)), v)
+        gens = sorted(core._p_gens(a) | core._p_gens(b))
+        if packed_layout(gens, a, b)[1] < 8:
+            continue
+        reached += 1
+        assert core._p_gcd(a, b) == _gcd_with(tuple_heu_gcd, a, b)
+        assert core._heu_gcd(a, b, gens) == tuple_heu_gcd(a, b, gens)
+    assert reached >= 20
+
+
+def test_a_field_that_borrows_does_not_divide():
+    # over (x, y) with 3-bit fields x^2 packs to 16 and x*y^2 to 10: their
+    # difference 6 is positive, but its y field borrowed (0 - 2); read as
+    # a key, 6 is y^6, so x^2 + x^2*y^2 would pass for x*y^2 * (y^6 + x)
+    x, y = var("x"), var("y")
+    f, d = (x**2 + y**2).num, (x * y**2).num
+    shifts, w, guard = packed_layout([X, Y], f, d)
+    assert (w, core._pk_from_poly(f, shifts)[1], core._pk_from_poly(d, shifts)[1]) == (
+        3, {16: 1, 2: 1}, {10: 1})
+    for p in ({16: 1, 2: 1}, {16: 1}, {16: 1, 18: 1}):
+        assert core._pk_exact_div(p, {10: 1}, w, guard) is None
+    assert poly_quotient(f, d) is None
+    assert poly_quotient((x**2 + x**2 * y**2).num, d) is None
+    assert zz_exact_div(zz_from_poly(f, [X, Y])[1], zz_from_poly(d, [X, Y])[1]) is None
+    # and a divisor with more terms behind the same leading key
+    assert poly_quotient(f, (x * y**2 + 1).num) is None
+    assert poly_quotient((x * y**2 * (x + y)).num, d) == (x + y).num
+
+
+def test_a_digit_past_its_field_rejects_the_candidate():
+    # a field w bits wide holds exponents below 2^(w - 1), its guard bit:
+    # with w = 2 the balanced 10-adic expansion of 23 = 2*10 + 3 fits, and
+    # that of 123 needs exponent 2, so no such candidate divides an input
+    assert core._pk_interpolate({0: 23}, 10, 0, 2) == {1: 2, 0: 3}
+    assert core._pk_interpolate({0: 123}, 10, 0, 2) is None
+    # the digits go into the field above the key's own, at shift 2
+    assert core._pk_interpolate({1: 23}, 10, 2, 2) == {0b101: 2, 0b001: 3}
+
+
+def test_exponent_past_the_degree_limit_stops_the_gcd(monkeypatch):
+    # the heuristic's first point is raised to every exponent, here 2^64;
+    # past _GCD_DEGREE_LIMIT the gcd stops early and evaluates nothing
+    evaluate = core._pk_eval_first
+
+    def bounded(f, x, s, powers):
+        assert max(f) >> s <= core._GCD_DEGREE_LIMIT
+        return evaluate(f, x, s, powers)
+
+    monkeypatch.setattr(core, "_pk_eval_first", bounded)
+    start = time.perf_counter()
+    total = parse("1/(x^(2^64) - y) + 1/(x^(2^64) + y)")
+    assert time.perf_counter() - start < 1
+    assert (total - parse("2*x^(2^64)/((x^(2^64) - y)*(x^(2^64) + y))")).is_zero_literal()
+    assert core._p_gcd(parse("x^(2^64) - y").num, parse("x^(2^64) + y").num)[3] is False
+    # the limit itself is still evaluated; one past it is not
+    for e, whole in ((core._GCD_DEGREE_LIMIT, True), (core._GCD_DEGREE_LIMIT + 1, False)):
+        f = parse(f"x^{e} - y")
+        g, _, _, found = core._p_gcd((f * (var("y") + 1)).num, (f * (var("y") + 2)).num)
+        assert (g == f.num, found) == (whole, whole)

@@ -1,5 +1,8 @@
 """Exact kernel: canonical form, rewrites, arithmetic, differentiation."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -26,6 +29,8 @@ from geolin.kernel import (
     sqrt,
     var,
 )
+from geolin.kernel import core
+from geolin.report import evaluate_conditions
 from helpers import fd_derivative, random_expr, relative_close, sample_point
 
 x = var("x")
@@ -58,6 +63,19 @@ def test_zero_and_one_identities():
     assert x * 0 == ZERO
     assert x**0 == ONE
     assert (x + y) - (y + x) == ZERO
+
+
+def test_generators_survive_copy_and_pickle():
+    # generators are interned, so equality is identity; a copy or an
+    # unpickled expression must hold the interned generators
+    assert (copy.deepcopy(x) - x).is_zero_literal()
+    e = exp(x * y) + sqrt(x)
+    for back in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+        assert back == e
+        assert (back - e).is_zero_literal()
+        assert all(g in core._p_gens(e.num) for g in core._p_gens(back.num))
+    (record,) = evaluate_conditions([("c", e - 1)]).records
+    assert dataclasses.asdict(record)["residual"] == record.residual
 
 
 def test_rational_constant_folding():
