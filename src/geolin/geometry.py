@@ -138,10 +138,23 @@ def determinant(m: Sequence[Sequence[Expr]]) -> Expr:
     along the first row."""
     if len(m) == 1:
         return m[0][0]
+    if len(m) == 2:
+        return sum_of_products([(1, m[0][0], m[1][1]), (-1, m[0][1], m[1][0])])
     return sum_of_products([
         ((-1) ** c, m[0][c], determinant([row[:c] + row[c + 1:] for row in m[1:]]))
         for c in range(len(m))
     ])
+
+
+def adjugate(m: Sequence[Sequence[Expr]]) -> Tuple[Tuple[Expr, ...], ...]:
+    """The transposed cofactors of a square matrix given by rows: det(m)
+    times its inverse."""
+    index = range(len(m))
+
+    def cofactor(r, c):
+        minor = determinant([row[:c] + row[c + 1:] for j, row in enumerate(m) if j != r])
+        return minor if (r + c) % 2 == 0 else -minor
+    return tuple(tuple(cofactor(c, r) for c in index) for r in index)
 
 
 class Metric(Frozen):
@@ -180,17 +193,6 @@ class Metric(Frozen):
     def determinant(self) -> Expr:
         index = range(1, self.dim + 1)
         return determinant([[self.g(i, j) for j in index] for i in index])
-
-    def inverse_times_det(self) -> Tuple[Tuple[Expr, ...], ...]:
-        """Adjugate matrix, i.e. det(g) times the inverse metric."""
-        index = range(1, self.dim + 1)
-
-        def cof(i, j):
-            minor = determinant([[self.g(r, c) for c in index if c != j]
-                                 for r in index if r != i])
-            return minor if (i + j) % 2 == 0 else -minor
-        # adjugate = transposed cofactors; symmetric here
-        return tuple(tuple(cof(j, i) for j in index) for i in index)
 
 
 class Christoffel(Frozen):
@@ -289,7 +291,8 @@ def christoffel_from_metric(
             f"cannot certify det(g) nonzero: {verdict.detail}"
         )
     names = coordinates(g.dim)
-    adj = g.inverse_times_det()
+    index = range(1, g.dim + 1)
+    adj = adjugate([[g.g(i, j) for j in index] for i in index])
     half_over_det = _HALF / det
     components: Dict[Tuple[int, int, int], Expr] = {}
     for i in range(1, g.dim + 1):

@@ -500,6 +500,9 @@ _GCD_TERM_LIMIT = 150
 _GCD_GEN_LIMIT = 6
 # largest exponent the heuristic gcd raises an integer to: the zero test's
 _GCD_DEGREE_LIMIT = 1 << 12
+# largest bit size of an evaluation point raised to a degree; each level's
+# point exceeds the last level's values, which grow with all the degrees
+_GCD_BIT_LIMIT = 1 << 20
 # evaluation points tried by the heuristic gcd before it gives up
 _HEU_TRIES = 6
 
@@ -513,9 +516,10 @@ def _p_gcd(a, b):
     gcd, which takes each kernel for a free variable and divides both
     inputs by its candidate exactly over the integers.  whole is False when
     the search stopped early: past the size guard (_GCD_TERM_LIMIT terms,
-    _GCD_GEN_LIMIT shared generators, an exponent past _GCD_DEGREE_LIMIT)
-    or when the heuristic gives up.  g is then only the common monomial
-    factor, or 1, and may leave a common factor behind.
+    _GCD_GEN_LIMIT shared generators, an exponent past _GCD_DEGREE_LIMIT,
+    a power of an evaluation point past _GCD_BIT_LIMIT bits) or when the
+    heuristic gives up.  g is then only the common monomial factor, or 1,
+    and may leave a common factor behind.
     """
     if not a or not b:
         c = _poly_rat_content(a or b)
@@ -621,7 +625,10 @@ def _pk_heu_gcd(f, g, n, w, guard):
     # not be their greatest common divisor
     x = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
     s = w * (n - 1)
+    top = max(max(f), max(g)) >> s  # the degree in the first variable
     for _ in range(_HEU_TRIES):
+        if x.bit_length() * top > _GCD_BIT_LIMIT:
+            return None
         powers = {}
         ff = _pk_eval_first(f, x, s, powers)
         gg = _pk_eval_first(g, x, s, powers)
@@ -934,6 +941,10 @@ class Expr:
 
     def __repr__(self):
         return f"Expr({self})"
+
+    def __reduce__(self):
+        # a copy goes over the shared P_ONE again and keeps a stopped gcd
+        return _mk_coprime, (self.num, self.den, self._plain is not False)
 
 
 def _poly_expr(p) -> Expr:

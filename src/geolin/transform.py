@@ -4,9 +4,9 @@ A point transformation sends source coordinates to new coordinates in
 which candidate equations should become the free particle system.  This
 module extracts the coefficient families such a map induces, reduces
 the general linearizable form to its cubic normal form, verifies
-candidate maps by exact substitution of the chain rule, and transports
-metrics back along a map.  The induced families are the coefficients of
-one cubic in the slopes: sums of the tensor
+candidate maps against the flat connection pulled back through them,
+and transports metrics back along a map.  The induced families are the
+coefficients of one cubic in the slopes: sums of the tensor
 D(i; a, b, c) = T_1,c T_i,ab - T_1,ab T_i,c of the map's partials, each
 over its ordering weight comb(|K|, K.count(3)).
 """
@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
-from typing import Dict, Tuple, Union
+from typing import Tuple, Union
 
 from .criteria import Linear2, Quadratic2
 from .geometry import (
@@ -26,12 +27,15 @@ from .geometry import (
     Geodesic2Coefficients,
     Metric,
     SYM_PAIRS,
+    adjugate,
     coordinates,
     determinant,
     sym_key,
 )
 from .kernel import (
     DEFAULT_CONFIG,
+    ONE,
+    ZERO,
     Expr,
     ZeroTestConfig,
     as_expr,
@@ -40,7 +44,7 @@ from .kernel import (
     var,
 )
 from .kernel.frozen import Frozen
-from .projection import ScalarCubic, SystemCubic2, lift_scalar, lift_system
+from .projection import ScalarCubic, SystemCubic2, project
 from .report import ConditionReport, evaluate_conditions
 
 
@@ -50,10 +54,6 @@ class TransformError(ValueError):
 
 class DegenerateJacobianError(TransformError):
     """The map's Jacobian determinant is canonically zero."""
-
-
-class TransversalityError(TransformError):
-    """The new independent variable is constant along solution curves."""
 
 
 class SingularSystemError(TransformError):
@@ -176,45 +176,86 @@ class GeneralSystem2(CoefficientTable):
     def E(self, i: int) -> Expr:
         return getattr(self, f"E{i}")
 
-    def _lower(self, yp: Expr, zp: Expr) -> Dict[int, Expr]:
-        """The terms free of second derivatives of equations 2 and 3: one sum
-        each over the 10 slope monomials, weighted by index orderings."""
-        monomials = {(): None, (2,): yp, (3,): zp}
-        for indices in list(_FAMILIES)[3:]:  # degrees 2 and 3
-            monomials[indices] = monomials[indices[:-1]] * monomials[indices[-1:]]
-        return {i: sum_of_products([
-            (weight, getattr(self, slot.format(i)), monomials[indices])
-            for indices, (slot, weight, _) in _FAMILIES.items()]) for i in (2, 3)}
-
-    def _leading_matrix(self, yp: Expr, zp: Expr) -> Tuple[Tuple[Expr, Expr], ...]:
-        """Rows i = 2, 3; columns multiply y'' and z''."""
-        return tuple(
-            (self.J(i, 2) - self.G(i, 2, 3) * zp,
-             self.J(i, 3) + self.G(i, 2, 3) * yp)
-            for i in (2, 3)
-        )
-
-    def second_derivative_numerators(self, yp: Expr, zp: Expr) -> Tuple[Expr, Expr, Expr]:
-        """(det, Sy, Sz) with y'' = Sy/det and z'' = Sz/det: Cramer's rule
-        on the leading matrix, before any division."""
-        m = self._leading_matrix(yp, zp)
-        det = determinant(m)
-        if det.is_zero_literal():
-            raise SingularSystemError(
-                "leading matrix determinant is canonically zero")
-        lower = self._lower(yp, zp)
-        sy = -lower[2] * m[1][1] + lower[3] * m[0][1]
-        sz = -lower[3] * m[0][0] + lower[2] * m[1][0]
-        return det, sy, sz
-
-    def solve_second_derivatives(self, yp: Expr, zp: Expr) -> Tuple[Expr, Expr]:
-        """Explicit (y'', z'') as functions of position and slope."""
-        det, sy, sz = self.second_derivative_numerators(yp, zp)
-        return sy / det, sz / det
-
 
 # the ordered symmetric pairs of the dependent indices 2, 3
 _DEPENDENT_PAIRS = tuple(combinations_with_replacement((2, 3), 2))
+
+
+def _induced_terms():
+    """{slot name: (i, K, weight, terms)}: `induced_pair` sums w * factor *
+    cubic.key over terms (w, factor, key), factor (i, j) for J{i}_j and i
+    for G{i}_23.  cubic[j, K] = (w, key) holds a SystemCubic2's slope
+    coefficient; K is sorted, so K[1:] drops a 2 and K[:-1] a 3."""
+    cubic = {}
+    for indices, (_, weight, _) in _FAMILIES.items():
+        for j in (2, 3):
+            if len(indices) < 3:
+                cubic[j, indices] = (weight, ("D{}", "C{}_", "B{}_")[len(indices)].format(j)
+                                     + sym_key(*indices))
+            elif j in indices:
+                rest = indices[1:] if j == 2 else indices[:-1]
+                cubic[j, indices] = (_FAMILIES[rest][1], "A" + sym_key(*rest))
+    table = {}
+    for indices, (slot, weight, _) in _FAMILIES.items():
+        for i in (2, 3):
+            # (sign, factor, (equation, K) of the cubic's coefficient)
+            parts = [(1, (i, j), (j, indices)) for j in (2, 3)]
+            if indices[:1] == (2,):
+                parts.append((1, i, (3, indices[1:])))
+            if indices[-1:] == (3,):
+                parts.append((-1, i, (2, indices[:-1])))
+            table[slot.format(i)] = (i, indices, weight, tuple(
+                (sign * cubic[at][0], factor, cubic[at][1])
+                for sign, factor, at in parts if at in cubic))
+    return table
+
+
+_INDUCED = _induced_terms()
+
+
+@lru_cache(maxsize=1)
+def _partials(t: Transformation):
+    """(jac, second, adj, det): the Jacobian rows, the second partials T_i,ab
+    keyed (i, a, b) with a <= b, the adjugate and det T, rejected when
+    canonically zero.  Kept for the last map, as the coefficients and the
+    pullback of one map both read them; callers never mutate them."""
+    jac = t.jacobian()
+    adj = adjugate(jac)
+    # expanded along the first row, whose cofactors adj already holds
+    det = sum_of_products([(1, jac[0][c], adj[c][0]) for c in range(t.dim)])
+    if det.is_zero_literal():
+        raise DegenerateJacobianError("Jacobian determinant is canonically zero")
+    coords = coordinates(t.dim)
+    return jac, {(i, a, b): jac[i - 1][a - 1].diff(coords[b - 1])
+                 for i in range(1, t.dim + 1) for a, b in SYM_PAIRS[t.dim]}, adj, det
+
+
+def flat_pullback(t: Transformation) -> Tuple[Expr, Union[ScalarCubic, SystemCubic2]]:
+    """(det T, P): the projected geodesic equations of the flat connection
+    pulled back through the map, G{k}_ij = sum over a of (T^-1)_ka T_a,ij,
+    as numerators P over det T: P = project(N), as project is linear, for
+    N{k}_ij the same sum over the adjugate, which needs no fraction."""
+    _, second, adj, det = _partials(t)
+    index = range(1, t.dim + 1)
+    live = {key: value for key, value in second.items() if value.num}
+    return det, project(Christoffel(t.dim, tuple(
+        sum_of_products([(1, adj[k - 1][a - 1], live[a, i, j])
+                         for a in index if (a, i, j) in live])
+        for k in index for i, j in SYM_PAIRS[t.dim])))
+
+
+def induced_pair(J, G, cubic: SystemCubic2):
+    """The 20 family slots, each times its ordering weight, that J(i, j),
+    G(i, k, j) and a cubic pair induce, as sum_of_products terms without
+    zero products: the slope coefficients of J{i}_2 Q2 + J{i}_3 Q3 +
+    G{i}_23 (y'Q3 - z'Q2), with -Q2 and -Q3 the cubic's y'' and z''."""
+    factors = {(i, j): J(i, j) for i in (2, 3) for j in (2, 3)}
+    factors.update({i: G(i, 2, 3) for i in (2, 3)})
+    factors = {key: value for key, value in factors.items() if value.num}
+    entries = {key: value for key, value in cubic.entries().items() if value.num}
+    return {name: [(w, factors[factor], entries[key]) for w, factor, key in terms
+                   if factor in factors and key in entries]
+            for name, (_, _, _, terms) in _INDUCED.items()}
 
 
 def coefficients_from_transformation(
@@ -232,26 +273,20 @@ def coefficients_from_transformation(
     map induces J times Lie's cubic, J the Jacobian determinant, so its
     cubic is the families at i = 2 over J.  Only a canonically zero
     Jacobian determinant is rejected."""
-    jac = t.jacobian()
-    det = determinant(jac)
-    if det.is_zero_literal():
-        raise DegenerateJacobianError("Jacobian determinant is canonically zero")
-    coords = coordinates(t.dim)
+    jac, second, adj, det = _partials(t)
     index = range(1, t.dim + 1)
     first = {(i, a): jac[i - 1][a - 1] for i in index for a in index}
-    # each mixed second partial once, in index order
-    second = {(i, a, b): first[i, a].diff(coords[b - 1])
-              for i in index for a, b in SYM_PAIRS[t.dim]}
 
     def family(i, indices):
         return sum_of_products([
             term for w, a, b, c in _FAMILIES[indices][2]
             for term in ((w, first[1, c], second[i, a, b]),
-                         (-w, second[1, a, b], first[i, c]))])
+                         (-w, second[1, a, b], first[i, c])) if term[1].num and term[2].num])
 
     def minor(i, a, b):
-        return sum_of_products([(1, first[1, a], first[i, b]),
-                                (-1, first[1, b], first[i, a])])
+        # rows 1, i and columns a < b: the cofactor of the other row r and column c
+        r, c = 5 - i, 6 - a - b
+        return adj[c - 1][r - 1] if (r + c) % 2 == 0 else -adj[c - 1][r - 1]
 
     if t.dim == 2:
         return ScalarCubic(**{f"E{len(indices)}": family(2, indices) / det
@@ -367,113 +402,68 @@ def normal_form(
 _SLOPES = ("yp", "zp")
 
 
-def _along_solutions(f: Expr, coords, slopes) -> Expr:
-    """D0(f): the derivative of f with respect to coords[0] through the
-    coordinates, with slopes for the first derivatives of the others;
-    f's dependence on slope symbols is left out."""
-    return sum_of_products([(1, f.diff(coords[0]), None)] + [
-        (1, slope, f.diff(name)) for name, slope in zip(coords[1:], slopes)])
-
-
-def _geodesic_second_derivatives(gamma: Christoffel, slopes) -> Tuple[Expr, ...]:
-    """The explicit second derivatives of the connection's projected
-    geodesic system in any dimension, y_i'' = sum over j <= k of
-    w_jk (y_i' G{1}_jk - G{i}_jk) u_j u_k, with u = (1, slopes) and w_jk
-    1 for j = k, 2 otherwise; the shared sum over G{1} is built once."""
-    u = (integer(1),) + tuple(slopes)
-    monomials = [(j, k, 1 if j == k else 2, u[j - 1] * u[k - 1])
-                 for j, k in SYM_PAIRS[gamma.dim]]
-
-    def contraction(i, sign):
-        return [(sign * w, gamma.gamma(i, j, k), uu) for j, k, w, uu in monomials]
-
-    shared = sum_of_products(contraction(1, 1))
-    return tuple(sum_of_products([(1, slope, shared)] + contraction(i, -1))
-                 for i, slope in enumerate(slopes, 2))
-
-
 def linearization_residuals(system, t: Transformation):
-    """Labelled residuals of the straightening test, one per dependent
-    variable: the second derivative of each transformed coordinate with
-    respect to the new independent variable, with the system's second
-    derivatives substituted in.  All identically zero exactly when the
-    map sends solutions to straight lines.
-
-    A cubic kind is read as its zero-gauge lift, whose gauge the
-    projection does not see, so det = 1 for it and for a connection; a
-    general pair is solved by Cramer's rule.  With d1 the first
-    derivatives of the components along solutions and D the derivative
-    along solutions that also eliminates the second derivatives,
-    residual i is D(d1_i/d1_0)/d1_0.  It is built as
-    N_i/(det*d1_0^3) with N_i = detD(d1_i)*d1_0 - d1_i*detD(d1_0) and
-    detD = det*D, which needs no division.  A ZERO record is the
-    canonical zero N_i; the denominator is built only when some N_i is
-    nonzero.
-    """
+    """Eqr4.i, one per dependent variable: the map straightens the system
+    exactly when its second derivatives are those of flat_pullback(t) =
+    (det T, P).  Each slope coefficient of equation i is one sum_of_products,
+    det T times the system's minus P's (through `induced_pair` for a pair);
+    Eqr4.i is the canonical zero when all are, else their sum times the
+    slope monomials over det T.  A singular pair raises SingularSystemError."""
     if isinstance(system, (Quadratic2, Linear2)):
         system = system.as_cubic()
-    if isinstance(system, ScalarCubic):
-        system = lift_scalar(system).as_christoffel()
-    elif isinstance(system, SystemCubic2):
-        system = lift_system(system)
     elif isinstance(system, Geodesic2Coefficients):
-        system = system.as_christoffel()
-    if isinstance(system, Christoffel):
-        dim, values = system.dim, system.entries
-    elif isinstance(system, GeneralSystem2):
-        dim, values = 3, tuple(system.entries().values())
-    else:
+        system = project(system.as_christoffel())
+    elif isinstance(system, Christoffel):
+        system = project(system)
+    if not isinstance(system, (ScalarCubic, SystemCubic2, GeneralSystem2)):
         raise TransformError(f"unsupported system type {type(system).__name__}")
+    dim = 2 if isinstance(system, ScalarCubic) else 3
     if t.dim != dim:
         shape = "a scalar equation" if dim == 2 else "a pair of equations"
         raise TransformError(f"{shape} needs a {dim}-component map")
-    for e in t.components + values:
+    for e in t.components + tuple(system.entries().values()):
         clash = set(_SLOPES) & e.variables()
         if clash:
-            raise TransformError(
-                f"names {sorted(clash)} are reserved for derivative symbols")
+            raise TransformError(f"names {sorted(clash)} are reserved for derivative symbols")
 
-    coords = coordinates(dim)
-    slope_names = _SLOPES[:dim - 1]
-    slopes = tuple(var(name) for name in slope_names)
-    if isinstance(system, Christoffel):
-        det, seconds = integer(1), _geodesic_second_derivatives(system, slopes)
+    det, pulled = flat_pullback(t)
+    if dim == 2:
+        differences = {(2, (2,) * n): [(1, det, getattr(system, f"E{n}")),
+                                       (-1, getattr(pulled, f"E{n}"), None)] for n in range(4)}
     else:
-        det, *seconds = system.second_derivative_numerators(*slopes)
-    d1 = [_along_solutions(c, coords, slopes) for c in t.components]
-    if d1[0].is_zero_literal():
-        raise TransversalityError(
-            "new independent variable is constant along solutions")
+        if isinstance(system, SystemCubic2):
+            # a cubic pair is the general pair with J the identity and G zero
+            own = induced_pair(lambda i, j: det if i == j else ZERO, lambda *_: ZERO, system)
+            induced = induced_pair(lambda i, j: ONE if i == j else ZERO, lambda *_: ZERO, pulled)
+        else:
+            # the leading matrix has det J + y' M_13 + z' M_23, M the minors of [J | G]
+            rows = [(system.J(i, 2), system.J(i, 3), system.G(i, 2, 3)) for i in (2, 3)]
+            if all(determinant([(row[a], row[b]) for row in rows]).is_zero_literal()
+                   for a, b in combinations(range(3), 2)):
+                raise SingularSystemError("leading matrix determinant is canonically zero")
+            own = {name: [(weight, det, slot)] if (slot := getattr(system, name)).num else []
+                   for name, (_, _, weight, _) in _INDUCED.items()}
+            induced = induced_pair(system.J, system.G, pulled)
+        differences = {(i, indices): own[name] + [(-w, a, b) for w, a, b in induced[name]]
+                       for name, (i, indices, _, _) in _INDUCED.items()}
 
-    def det_along(f):
-        return sum_of_products([(1, det, _along_solutions(f, coords, slopes))] + [
-            (1, second, f.diff(name)) for name, second in zip(slope_names, seconds)])
-
-    det_d0 = det_along(d1[0])
-    numerators = [sum_of_products([(1, det_along(d1[i]), d1[0]), (-1, d1[i], det_d0)])
-                  for i in range(1, dim)]
-    if any(n.num for n in numerators):
-        denominator = det * d1[0] ** 3
-        numerators = [n / denominator for n in numerators]
-    return [(f"Eqr4.{i}", n) for i, n in enumerate(numerators, 2)]
+    residuals = []
+    yp, zp = (var(name) for name in _SLOPES)
+    for i in range(2, dim + 1):
+        sums = {indices: sum_of_products(terms)
+                for (j, indices), terms in differences.items() if j == i and terms}
+        terms = [(1, d, yp ** indices.count(2) * zp ** indices.count(3))
+                 for indices, d in sums.items() if d.num]
+        residuals.append((f"Eqr4.{i}", sum_of_products(terms) / det if terms else ZERO))
+    return residuals
 
 
 def verify_linearizing_transformation(
     system, t: Transformation, config: ZeroTestConfig = DEFAULT_CONFIG
 ) -> ConditionReport:
-    """Check by substitution that the map straightens every solution.
-
-    Builds the transformed first derivatives with fresh slope symbols,
-    differentiates once more along solutions (eliminating second
-    derivatives through the system), and zero-tests each residual of
-    `linearization_residuals`.  PASS certifies the map sends solutions
-    to straight lines.  A map whose Jacobian determinant is canonically
-    zero is no point transformation and raises DegenerateJacobianError.
-    """
-    residuals = linearization_residuals(system, t)
-    if t.jacobian_determinant().is_zero_literal():
-        raise DegenerateJacobianError("Jacobian determinant is canonically zero")
-    return evaluate_conditions(residuals, config)
+    """Zero-test each residual of `linearization_residuals`: PASS certifies
+    that the map sends solutions to straight lines."""
+    return evaluate_conditions(linearization_residuals(system, t), config)
 
 
 def pullback_metric(t: Transformation, target: Metric) -> Metric:
@@ -481,13 +471,8 @@ def pullback_metric(t: Transformation, target: Metric) -> Metric:
     if target.dim != t.dim:
         raise TransformError("map and metric dimensions differ")
     compose = dict(zip(coordinates(t.dim), t.components))
-    jac = t.jacobian()
-    n = t.dim
+    jac, n = t.jacobian(), t.dim
     pulled = Metric(n, tuple(e.substitute(compose) for e in target.entries))
-    entries = {}
-    for a, b in SYM_PAIRS[n]:
-        total = integer(0)
-        for i, j in product(range(1, n + 1), repeat=2):
-            total = total + jac[i - 1][a - 1] * jac[j - 1][b - 1] * pulled.g(i, j)
-        entries[(a, b)] = total
-    return Metric.from_components(n, entries)
+    return Metric.from_components(n, {(a, b): sum(
+        (jac[i - 1][a - 1] * jac[j - 1][b - 1] * pulled.g(i, j)
+         for i, j in product(range(1, n + 1), repeat=2)), integer(0)) for a, b in SYM_PAIRS[n]})

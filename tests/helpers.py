@@ -38,14 +38,18 @@ from geolin.kernel import (
 from geolin.kernel.core import VAR, int_str
 from geolin.kernel.numeric import rational_str
 from geolin import criteria
-from geolin.geometry import Christoffel, coordinates, determinant, sym_key
-from geolin.projection import ScalarCubic, SystemCubic2
+from geolin.criteria import Linear2, Quadratic2
+from geolin.geometry import (
+    SYM_PAIRS, Christoffel, Geodesic2Coefficients, coordinates, determinant, sym_key)
+from geolin.projection import ScalarCubic, SystemCubic2, lift_scalar, lift_system
 from geolin.report import evaluate_conditions
 from geolin.transform import (
     DegenerateJacobianError,
     GeneralSystem2,
+    SingularSystemError,
     Transformation,
     _DEPENDENT_PAIRS,
+    _FAMILIES,
 )
 
 FD_H = Fraction(1, 10**8)
@@ -246,15 +250,115 @@ def hand_typed_coefficients(t: Transformation):
     return GeneralSystem2.make(**values)
 
 
+def pair_lower_terms(g, yp, zp):
+    """The terms free of second derivatives of equations 2 and 3 of a
+    general pair: one sum each over the 10 slope monomials, weighted by
+    index orderings."""
+    monomials = {(): None, (2,): yp, (3,): zp}
+    for indices in list(_FAMILIES)[3:]:  # degrees 2 and 3
+        monomials[indices] = monomials[indices[:-1]] * monomials[indices[-1:]]
+    return {i: sum_of_products([
+        (weight, getattr(g, slot.format(i)), monomials[indices])
+        for indices, (slot, weight, _) in _FAMILIES.items()]) for i in (2, 3)}
+
+
+def second_derivative_numerators(g, yp, zp):
+    """(det, Sy, Sz) with y'' = Sy/det and z'' = Sz/det for a general pair:
+    Cramer's rule on its leading matrix (rows i = 2, 3; columns multiply
+    y'' and z''), before any division."""
+    m = tuple((g.J(i, 2) - g.G(i, 2, 3) * zp, g.J(i, 3) + g.G(i, 2, 3) * yp)
+              for i in (2, 3))
+    det = determinant(m)
+    if det.is_zero_literal():
+        raise SingularSystemError("leading matrix determinant is canonically zero")
+    lower = pair_lower_terms(g, yp, zp)
+    sy = -lower[2] * m[1][1] + lower[3] * m[0][1]
+    sz = -lower[3] * m[0][0] + lower[2] * m[1][0]
+    return det, sy, sz
+
+
+def solve_second_derivatives(g, yp, zp):
+    """Explicit (y'', z'') of a general pair as functions of position and
+    slope."""
+    det, sy, sz = second_derivative_numerators(g, yp, zp)
+    return sy / det, sz / det
+
+
+def geodesic_second_derivatives(gamma: Christoffel, slopes):
+    """The explicit second derivatives of a connection's projected
+    geodesic system in any dimension, y_i'' = sum over j <= k of
+    w_jk (y_i' G{1}_jk - G{i}_jk) u_j u_k, with u = (1, slopes) and w_jk
+    1 for j = k, 2 otherwise."""
+    u = (integer(1),) + tuple(slopes)
+    monomials = [(j, k, 1 if j == k else 2, u[j - 1] * u[k - 1])
+                 for j, k in SYM_PAIRS[gamma.dim]]
+
+    def contraction(i, sign):
+        return [(sign * w, gamma.gamma(i, j, k), uu) for j, k, w, uu in monomials]
+
+    shared = sum_of_products(contraction(1, 1))
+    return tuple(sum_of_products([(1, slope, shared)] + contraction(i, -1))
+                 for i, slope in enumerate(slopes, 2))
+
+
+def chain_rule_residuals(system, t: Transformation):
+    """The Eqr4 residuals of the chain rule, the oracle of the comparison
+    with the flat pullback: the second derivative of each transformed
+    coordinate with respect to the new independent variable, with the
+    system's second derivatives substituted in.  A cubic kind is read as
+    its zero-gauge lift, a connection as it is, and a general pair is
+    solved by Cramer's rule.  With d1 the components' first derivatives
+    along solutions and D the derivative along solutions that also
+    eliminates the second derivatives, residual i is D(d1_i/d1_0)/d1_0,
+    built as N_i/(det*d1_0^3) with N_i = detD(d1_i)*d1_0 - d1_i*detD(d1_0)
+    and detD = det*D; a zero N_i is returned as it is."""
+    if isinstance(system, (Quadratic2, Linear2)):
+        system = system.as_cubic()
+    if isinstance(system, ScalarCubic):
+        system = lift_scalar(system).as_christoffel()
+    elif isinstance(system, SystemCubic2):
+        system = lift_system(system)
+    elif isinstance(system, Geodesic2Coefficients):
+        system = system.as_christoffel()
+    dim = system.dim if isinstance(system, Christoffel) else 3
+    coords = coordinates(dim)
+    slope_names = ("yp", "zp")[:dim - 1]
+    slopes = tuple(var(name) for name in slope_names)
+    if isinstance(system, Christoffel):
+        det, seconds = integer(1), geodesic_second_derivatives(system, slopes)
+    else:
+        det, *seconds = second_derivative_numerators(system, *slopes)
+
+    def along(f):
+        return sum_of_products([(1, f.diff(coords[0]), None)] + [
+            (1, slope, f.diff(name)) for name, slope in zip(coords[1:], slopes)])
+
+    d1 = [along(c) for c in t.components]
+    if d1[0].is_zero_literal():
+        raise ValueError("new independent variable is constant along solutions")
+
+    def det_along(f):
+        return sum_of_products([(1, det, along(f))] + [
+            (1, second, f.diff(name)) for name, second in zip(slope_names, seconds)])
+
+    det_d0 = det_along(d1[0])
+    numerators = [sum_of_products([(1, det_along(d1[i]), d1[0]), (-1, d1[i], det_d0)])
+                  for i in range(1, dim)]
+    if any(n.num for n in numerators):
+        denominator = det * d1[0] ** 3
+        numerators = [n / denominator for n in numerators]
+    return [(f"Eqr4.{i}", n) for i, n in enumerate(numerators, 2)]
+
+
 def fraction_chain_residuals(g, t: Transformation):
     """The Eqr4 residuals of a general pair under a map, built as a chain
     of reduced fractions: D(d1_i/d1_0)/d1_0, where D is the derivative
     along solutions with the solved second derivatives substituted and
     d1 the components' first derivatives along solutions.  This is the
-    definition that `linearization_residuals` rearranges over one
-    denominator, kept here as its oracle."""
+    definition that `chain_rule_residuals` rearranges over one
+    denominator."""
     yp, zp = var("yp"), var("zp")
-    ypp, zpp = g.solve_second_derivatives(yp, zp)
+    ypp, zpp = solve_second_derivatives(g, yp, zp)
 
     def along(f):
         return (f.diff("x") + yp * f.diff("y") + zp * f.diff("z")
@@ -349,7 +453,7 @@ def fraction_chain_normal_form(g, config=DEFAULT_CONFIG):
 def transcribed_second_derivatives(system, slopes):
     """The explicit second derivatives of a ScalarCubic or SystemCubic2,
     typed from the equations each table's docstring writes out; the
-    oracle of the geodesic formula that `linearization_residuals` reads
+    oracle of the geodesic formula that `chain_rule_residuals` reads
     from the lifted connection."""
     if isinstance(system, ScalarCubic):
         (yp,) = slopes

@@ -432,3 +432,27 @@ def test_exponent_past_the_degree_limit_stops_the_gcd(monkeypatch):
         f = parse(f"x^{e} - y")
         g, _, _, found = core._p_gcd((f * (var("y") + 1)).num, (f * (var("y") + 2)).num)
         assert (g == f.num, found) == (whole, whole)
+
+
+def test_a_point_past_the_bit_limit_stops_the_gcd(monkeypatch):
+    # f = x^d*y^d*z^d + x*y + 1 shared by two operands: each level of the
+    # heuristic evaluates at a point past the last level's coefficients,
+    # so the integers grow with the product of the degrees (22.8 s at
+    # d = 120 without the bound); past _GCD_BIT_LIMIT the gcd stops early
+    evaluate = core._pk_eval_first
+
+    def bounded(f, x, s, powers):
+        assert (max(f) >> s) * x.bit_length() <= core._GCD_BIT_LIMIT
+        return evaluate(f, x, s, powers)
+
+    monkeypatch.setattr(core, "_pk_eval_first", bounded)
+    x, y, z = var("x"), var("y"), var("z")
+    for d, whole in ((40, True), (120, False)):
+        f = x ** d * y ** d * z ** d + x * y + 1
+        a, b = (f * (x + y + z + 1)).num, (f * (x - y + 2 * z)).num
+        start = time.perf_counter()
+        g, ca, cb, found = core._p_gcd(a, b)
+        assert time.perf_counter() - start < 1
+        assert found is whole
+        assert (g == f.num) is whole
+        assert core._p_mul(g, ca) == a and core._p_mul(g, cb) == b

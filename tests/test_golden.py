@@ -18,6 +18,7 @@ import contextlib
 import io
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,20 @@ def test_golden_output(name, command, document, gauge, tmp_path):
     golden = GOLDEN / f"{name}.json"
     expected = golden.read_text(encoding="utf-8") if golden.exists() else ""
     assert out == expected
+
+
+def test_the_verify_transform_fail_replays_its_witness():
+    from geolin.kernel import eval_expr, parse
+
+    report = json.loads((GOLDEN / "general-2.verify-transform.json").read_text(encoding="utf-8"))
+    assert report["overall"] == "FAIL"
+    assert _expected_exit_codes()["general-2.verify-transform"] == 1
+    failing = [entry for entry in report["conditions"] if entry["verdict"] == "nonzero"]
+    assert failing
+    for entry in failing:
+        point = {name: Fraction(text) for name, text in entry["witness"].items()}
+        value, _ = eval_expr(parse(entry["residual"]), point, 512)
+        assert abs(value) > 1e-30
 
 
 def regenerate(workdir: Path) -> None:

@@ -78,6 +78,18 @@ def test_generators_survive_copy_and_pickle():
     assert dataclasses.asdict(record)["residual"] == record.residual
 
 
+def test_copies_keep_the_shared_denominator():
+    # the polynomial fast lanes recognize a denominator 1 by identity
+    stopped = core._mk_coprime(parse("x^2 - 1").num, parse("x - 1").num, False)
+    for e in (x, x * y + 3, exp(x) + sqrt(y), 1 / (x + 1), stopped):
+        for back in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            assert back == e and str(back) == str(e)
+            assert (back.den is core.P_ONE) is (e.den is core.P_ONE)
+            assert (back._plain is False) is (e._plain is False)
+    (record,) = evaluate_conditions([("c", x * y)]).records
+    assert dataclasses.asdict(record)["residual"].den is core.P_ONE
+
+
 def test_rational_constant_folding():
     assert (rational(3, 4) + rational(1, 4)).as_rational() == 1
     assert rational(10, 4) == rational(5, 2)

@@ -1,14 +1,16 @@
 import dataclasses
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from geolin.criteria import Linear2, Quadratic2, check_cubic2, tresse_scalar
+from geolin.document import load_document
 from geolin.geometry import Geodesic2Coefficients, Metric
 from geolin.kernel import (
     Verdict, as_expr, exp, integer, is_zero, ln, parse, rational, sqrt, var)
-from geolin.report import FAIL, PASS
+from geolin.report import FAIL, PASS, evaluate_conditions
 from geolin.projection import (
     ScalarCubic, ScalarGauge, SystemCubic2, SystemGauge, lift_scalar, lift_system)
 from geolin.transform import (
@@ -17,24 +19,32 @@ from geolin.transform import (
     SingularSystemError,
     Transformation,
     TransformError,
-    TransversalityError,
-    _geodesic_second_derivatives,
+    _FAMILIES,
     coefficients_from_transformation,
+    flat_pullback,
+    induced_pair,
     normal_form,
     pullback_metric,
     verify_linearizing_transformation,
 )
 
 from helpers import (
+    chain_rule_residuals,
     fraction_chain_residuals,
     general_pair_residual,
+    geodesic_second_derivatives,
     hand_typed_coefficients,
     kernel_maps,
+    pair_lower_terms,
     random_expr,
     random_invertible_map,
     random_polynomial,
+    second_derivative_numerators,
+    solve_second_derivatives,
     transcribed_second_derivatives,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 X, Y, Z = var("x"), var("y"), var("z")
 XYZ = ("x", "y", "z")
@@ -209,11 +219,11 @@ class TestGeneralFamilies:
         yp, zp = var("yp"), var("zp")
         det_j = g.J2_2 * g.J3_3 - g.J2_3 * g.J3_2
         want = det_j * (1 + X * Z * yp + X * Y * zp)
-        assert g.second_derivative_numerators(yp, zp)[0] == want
+        assert second_derivative_numerators(g, yp, zp)[0] == want
 
     def test_solved_derivatives_at_sample_slopes(self):
         g = coefficients_from_transformation(TANGLED_MAP)
-        ypp, zpp = g.solve_second_derivatives(var("yp"), var("zp"))
+        ypp, zpp = solve_second_derivatives(g, var("yp"), var("zp"))
         at = {"x": 1, "y": 1, "z": 3, "yp": 1, "zp": 1}
         assert ypp.substitute(at) == rational(-64, 3)
         assert zpp.substitute(at) == rational(-206, 3)
@@ -224,7 +234,7 @@ class TestGeneralFamilies:
     def test_singular_leading_matrix(self):
         g = GeneralSystem2.make(Om2_2=1, Om3_3=1)
         with pytest.raises(SingularSystemError):
-            g.solve_second_derivatives(var("yp"), var("zp"))
+            solve_second_derivatives(g, var("yp"), var("zp"))
 
 
 class TestInducedCubic:
@@ -292,7 +302,7 @@ class TestNormalForm:
         for name in ("B2_22", "B2_23", "B2_33", "C2_2", "C2_3", "D2", "D3"):
             assert getattr(cubic, name).is_zero_literal(), name
         yp, zp = var("yp"), var("zp")
-        got_ypp, got_zpp = g.solve_second_derivatives(yp, zp)
+        got_ypp, got_zpp = solve_second_derivatives(g, yp, zp)
         shared = cubic.A22 * yp ** 2 + 2 * cubic.A23 * yp * zp + cubic.A33 * zp ** 2
         want_ypp = -(shared * yp + cubic.B2_22 * yp ** 2
                      + 2 * cubic.B2_23 * yp * zp + cubic.B2_33 * zp ** 2
@@ -370,10 +380,11 @@ class TestVerifyTransformation:
             verify_linearizing_transformation(bad, Transformation.identity(2))
 
     def test_constant_first_component_rejected(self):
-        with pytest.raises(TransversalityError):
+        # a constant new independent variable zeroes a row of the Jacobian
+        with pytest.raises(DegenerateJacobianError):
             verify_linearizing_transformation(
                 ScalarCubic.make(), Transformation.make(1, Y))
-        with pytest.raises(TransversalityError):
+        with pytest.raises(DegenerateJacobianError):
             verify_linearizing_transformation(
                 SIMPLE_PAIR, Transformation.make(2, Y, Z))
 
@@ -413,9 +424,8 @@ class TestVerifyTransformation:
         for k in range(10):
             g = coefficients_from_transformation(maps[k])
             report = verify_linearizing_transformation(g, maps[k + 1])
-            oracle = fraction_chain_residuals(g, maps[k + 1])
-            assert [(r.condition_id, str(r.residual)) for r in report.records] == [
-                (label, str(res)) for label, res in oracle]
+            oracle = evaluate_conditions(fraction_chain_residuals(g, maps[k + 1]))
+            assert report.overall == oracle.overall == FAIL
             for record in report.records:
                 assert record.verdict is Verdict.NONZERO
                 point = {name: as_expr(Fraction(value))
@@ -446,6 +456,148 @@ class TestVerifyTransformation:
         assert verdicts == [FAIL, PASS, PASS]
 
 
+def bumped(t: Transformation, k: int, bump) -> Transformation:
+    """The map with bump added to component k (0-based)."""
+    comps = list(t.components)
+    comps[k] = comps[k] + bump
+    return Transformation.make(*comps)
+
+
+def slope_sum(terms_by_slot, i):
+    """The sum over the slope monomials of equation i of a table of
+    sum_of_products terms keyed by family slot name."""
+    total = integer(0)
+    for indices, (slot, _, _) in _FAMILIES.items():
+        monomial = integer(1)
+        for k in indices:
+            monomial = monomial * SLOPES[k - 2]
+        for w, a, b in terms_by_slot[slot.format(i)]:
+            total = total + w * a * b * monomial
+    return total
+
+
+class TestFlatPullback:
+    """Verification against the flat connection pulled back through the
+    map, with the chain rule along solutions as its oracle; the oracle
+    splits the verdict over the records differently (one per transformed
+    coordinate, not one per equation), so the overall verdicts are
+    compared."""
+
+    @pytest.mark.parametrize("pool", [31, 1, 2])
+    def test_pool_maps_agree_with_the_fraction_chain(self, pool):
+        # x*y (even k) or z^2 (odd k) added to component k % 3; pool 1's
+        # map 45 has 4*x*y as its second component, so x*y would only
+        # shift a straightened coordinate there
+        rng = random.Random(pool)
+        for k in range(50):
+            t = random_invertible_map(rng)
+            g = coefficients_from_transformation(t)
+            for m, want in ((t, PASS), (bumped(t, k % 3, Z ** 2 if k % 2 else X * Y), FAIL)):
+                oracle = evaluate_conditions(fraction_chain_residuals(g, m))
+                assert verify_linearizing_transformation(g, m).overall == oracle.overall == want
+
+    def test_kernel_maps_agree_with_the_chain_rule(self):
+        for n, t in enumerate(kernel_maps()):
+            g = coefficients_from_transformation(t)
+            for m, want in ((t, PASS), (bumped(t, n % 3, Z ** 2 if n % 2 else X * Y), FAIL)):
+                oracle = evaluate_conditions(chain_rule_residuals(g, m))
+                assert verify_linearizing_transformation(g, m).overall == oracle.overall == want
+
+    def test_corpus_maps_with_each_component_bumped(self):
+        documents = 0
+        for path in sorted(CORPUS.glob("*.ini")):
+            doc = load_document(str(path))
+            t = doc.transformation()
+            if t is None:
+                continue
+            documents += 1
+            system = doc.system()
+            assert verify_linearizing_transformation(system, t).overall == PASS
+            for k in range(t.dim):
+                m = bumped(t, k, X * Y)
+                oracle = evaluate_conditions(chain_rule_residuals(system, m))
+                assert verify_linearizing_transformation(system, m).overall == (
+                    oracle.overall) == FAIL, (path.name, k)
+        assert documents == 5
+
+    def test_kernel_map_5_normal_form_cubic_verifies(self):
+        # the chain rule along this cubic's solutions ran past 15 minutes
+        t = kernel_maps()[5]
+        cubic, _ = normal_form(coefficients_from_transformation(t))
+        report = verify_linearizing_transformation(cubic, t)
+        assert report.overall == PASS
+        assert all(record.residual.is_zero_literal() for record in report.records)
+
+    def test_scalar_pullback_is_det_times_the_induced_cubic(self):
+        rng = random.Random(25)
+        for _ in range(8):
+            t = random_perturbed_identity(rng, dim=2)
+            det, pulled = flat_pullback(t)
+            cubic = coefficients_from_transformation(t)
+            for key in ScalarCubic.keys():
+                assert (det * getattr(cubic, key) - getattr(pulled, key)).is_zero_literal()
+
+    def test_pair_pullback_is_det_times_the_normal_form_on_pool_31(self):
+        rng = random.Random(31)
+        for _ in range(10):
+            t = random_invertible_map(rng)
+            det, pulled = flat_pullback(t)
+            cubic, _ = normal_form(coefficients_from_transformation(t))
+            for key in SystemCubic2.keys():
+                assert (det * getattr(cubic, key) - getattr(pulled, key)).is_zero_literal()
+
+    def test_induced_pair_matches_the_contraction(self):
+        # J{i}_2 Q2 + J{i}_3 Q3 + G{i}_23 (y'Q3 - z'Q2) with -Q the cubic's
+        # second derivatives is minus the pair's equation on them, with
+        # its lower slots zero
+        rng = random.Random(26)
+        for _ in range(6):
+            cubic = random_cubic(rng, random_polynomial, 3)
+            lead = GeneralSystem2.make(**{key: random_polynomial(rng, XYZ) for key in
+                                          ("J2_2", "J2_3", "J3_2", "J3_3", "G2_23", "G3_23")})
+            seconds = transcribed_second_derivatives(cubic, SLOPES)
+            induced = induced_pair(lead.J, lead.G, cubic)
+            for i in (2, 3):
+                assert slope_sum(induced, i) == -general_pair_residual(lead, i, *SLOPES, *seconds)
+
+    def test_a_pair_residual_is_its_equation_on_the_straightened_derivatives(self):
+        rng = random.Random(31)
+        maps = [random_invertible_map(rng) for _ in range(4)]
+        for k in range(3):
+            g = coefficients_from_transformation(maps[k])
+            det, pulled = flat_pullback(maps[k + 1])
+            straightened = SystemCubic2(*(value / det for value in pulled.entries().values()))
+            seconds = transcribed_second_derivatives(straightened, SLOPES)
+            report = verify_linearizing_transformation(g, maps[k + 1])
+            assert report.overall == FAIL
+            for i, record in zip((2, 3), report.records):
+                want = general_pair_residual(g, i, *SLOPES, *seconds)
+                assert (record.residual - want).is_zero_literal()
+
+    def test_a_scalar_residual_is_the_difference_of_second_derivatives(self):
+        det, pulled = flat_pullback(SCALAR_FLAT_MAP)
+        straightened = ScalarCubic(*(value / det for value in pulled.entries().values()))
+        system = ScalarCubic.make(E0="y", E1=-1, E3=1)
+        (record,) = verify_linearizing_transformation(system, SCALAR_FLAT_MAP).records
+        (mine,), (map_,) = (transcribed_second_derivatives(c, SLOPES[:1])
+                            for c in (system, straightened))
+        assert record.verdict is Verdict.NONZERO
+        assert (record.residual - (map_ - mine)).is_zero_literal()
+
+    def test_a_singular_determinant_needs_every_minor_of_the_leading_block(self):
+        # det J is zero, but J2_2 G3_23 - J3_2 G2_23 = 1: the leading
+        # matrix has determinant y', so the pair is y'' = 0 and
+        # y'z'' - z'y'' = 0, whose solutions are the straight lines
+        g = GeneralSystem2.make(J2_2=1, G3_23=1)
+        identity = Transformation.identity(3)
+        for m, want in ((identity, PASS), (bumped(identity, 1, X * Y), FAIL)):
+            oracle = evaluate_conditions(chain_rule_residuals(g, m))
+            assert verify_linearizing_transformation(g, m).overall == oracle.overall == want
+        with pytest.raises(SingularSystemError):
+            verify_linearizing_transformation(
+                GeneralSystem2.make(J2_2="y", J3_2="y", G2_23="x", G3_23="x"), identity)
+
+
 def random_cubic(rng, draw, dim):
     """A ScalarCubic (dim 2) or SystemCubic2 (dim 3) of draw(rng, names)
     coefficients."""
@@ -472,7 +624,7 @@ class TestGeodesicSecondDerivatives:
         for _ in range(8):
             cubic = random_cubic(rng, random_polynomial, dim)
             slopes = SLOPES[:dim - 1]
-            assert _geodesic_second_derivatives(lifted(cubic, GAUGES[dim].make()), slopes) == (
+            assert geodesic_second_derivatives(lifted(cubic, GAUGES[dim].make()), slopes) == (
                 transcribed_second_derivatives(cubic, slopes))
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -481,7 +633,7 @@ class TestGeodesicSecondDerivatives:
         for _ in range(6):
             cubic = random_cubic(rng, lambda r, names: random_expr(r, 2, names), dim)
             slopes = SLOPES[:dim - 1]
-            got = _geodesic_second_derivatives(lifted(cubic, GAUGES[dim].make()), slopes)
+            got = geodesic_second_derivatives(lifted(cubic, GAUGES[dim].make()), slopes)
             want = transcribed_second_derivatives(cubic, slopes)
             for g, w in zip(got, want):
                 assert g == w or (g - w).is_zero_literal()
@@ -494,7 +646,7 @@ class TestGeodesicSecondDerivatives:
             gauge = GAUGES[dim].make(*(random_polynomial(rng, XYZ[:dim])
                                        for _ in GAUGES[dim].keys()))
             slopes = SLOPES[:dim - 1]
-            assert _geodesic_second_derivatives(lifted(cubic, gauge), slopes) == (
+            assert geodesic_second_derivatives(lifted(cubic, gauge), slopes) == (
                 transcribed_second_derivatives(cubic, slopes))
 
     def test_lower_terms_match_the_contraction_on_pool_31(self):
@@ -502,7 +654,7 @@ class TestGeodesicSecondDerivatives:
         zero = integer(0)
         for _ in range(50):
             g = coefficients_from_transformation(random_invertible_map(rng))
-            lower = g._lower(*SLOPES)
+            lower = pair_lower_terms(g, *SLOPES)
             for i in (2, 3):
                 assert lower[i] == general_pair_residual(g, i, *SLOPES, zero, zero)
 
