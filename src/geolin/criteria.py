@@ -13,8 +13,8 @@ names the exact condition that broke.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import defaultdict
+from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .geometry import (
@@ -33,7 +33,6 @@ from .kernel import (
     parse,
     rational,
     sum_of_products,
-    var,
 )
 from .projection import (
     ScalarCubic,
@@ -42,8 +41,8 @@ from .projection import (
     SystemGauge,
     ZERO_SCALAR_GAUGE,
     ZERO_SYSTEM_GAUGE,
+    lift_forms,
     lift_scalar,
-    lift_system,
 )
 from .report import ConditionReport, evaluate_conditions
 
@@ -197,40 +196,28 @@ _APPENDIX = {
 
 
 @functools.cache
-def _slot_forms():
-    """Each connection slot G{i}_{jk} of the lift as {name: rational}
-    over the coefficient and gauge names, read off one lift of variables."""
-    probe = lift_system(SystemCubic2(*map(var, SystemCubic2.keys())),
-                        SystemGauge(*map(var, SystemGauge.keys())))
-    forms = {}
-    for i, j, k in itertools.product((1, 2, 3), repeat=3):
-        entry = probe.gamma(i, j, k)
-        forms[i, j, k] = {name: entry.diff(name).as_rational()
-                          for name in entry.variables()}
-    return forms
-
-
-@functools.cache
 def _line_terms(combination: str):
     """One combination of curvature components expanded, by index algebra
-    over the slot forms, into derivative terms ((name, coord, c), ...)
+    over `lift_forms(3)`, into derivative terms ((name, coord, c), ...)
     and product terms ((a, b, c), ...), each standing for c * a * b, from
     R{i}_{jkl} = T(k, l) - T(l, k) with
     T(p, q) = d_p G{i}_{jq} + sum_m G{i}_{mp} G{m}_{jq}.  Each weight c is
     an int where it is integral and a Fraction otherwise."""
     line = parse(combination)
-    forms = _slot_forms()
+    forms = lift_forms(3)
     derivs, products = defaultdict(int), defaultdict(int)
     for label in line.variables():
         weight = line.diff(label).as_rational()
         i, j, k, l = (int(ch) for ch in label[1] + label[3:])
         for p, q, w in ((k, l, weight), (l, k, -weight)):
-            for name, u in forms[i, j, q].items():
-                derivs[name, coordinates(3)[p - 1]] += w * u
+            d, terms = forms[(i, *sorted((j, q)))]
+            for name, u in terms:
+                derivs[name, coordinates(3)[p - 1]] += Fraction(w * u, d)
             for m in (1, 2, 3):
-                for a, u in forms[i, m, p].items():
-                    for b, v in forms[m, j, q].items():
-                        products[min(a, b), max(a, b)] += w * u * v
+                (d1, first), (d2, second) = forms[(i, *sorted((m, p)))], forms[(m, *sorted((j, q)))]
+                for a, u in first:
+                    for b, v in second:
+                        products[min(a, b), max(a, b)] += Fraction(w * u * v, d1 * d2)
 
     def exact(c):
         # an int where integral, so that scaling stays in int arithmetic

@@ -32,10 +32,8 @@ from .kernel.frozen import Frozen
 from .report import ConditionReport, evaluate_conditions
 
 # ordered symmetric index pairs (1-based), the storage layout everywhere
-SYM_PAIRS = {
-    2: ((1, 1), (1, 2), (2, 2)),
-    3: ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)),
-}
+SYM_PAIRS = {n: tuple(itertools.combinations_with_replacement(range(1, n + 1), 2))
+             for n in (2, 3)}
 # ordered skew index pairs k < l, the stored last pair of a curvature entry
 SKEW_PAIRS = {dim: tuple((k, l) for k, l in pairs if k < l)
               for dim, pairs in SYM_PAIRS.items()}

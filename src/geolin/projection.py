@@ -1,28 +1,32 @@
 """Between geodesic connections and explicit second-order ODE systems.
 
 Solving the geodesic equations of an n-dimensional symmetric connection
-for derivatives with respect to the first coordinate eliminates the
-curve parameter and leaves n-1 equations that are cubic polynomials in
-the first derivatives.  `project` extracts those polynomial coefficient
-tables; `lift_scalar` / `lift_system` rebuild a connection from them.
-The connection has more components than the table, so lifting takes a
-gauge: two free functions in 2D, three in 3D.  Projection then forgets
-the gauge again, which is the round-trip identity tested here.
+G for derivatives by the first coordinate x (index 1) leaves n-1
+equations cubic in the slopes y_i', with u = (1, y_2', ..., y_n') and
+w_jk the number of orderings of (j, k):
+
+    -y_i'' = sum over j <= k of w_jk (G{i}_jk - y_i' G{1}_jk) u_j u_k.
+
+`project` reads each slot of the coefficient table off this formula, at
+the slope monomial `slope_slot` names.  A lift starts from the section
+with every G{1}_1k zero, in which each slot fills the one other entry
+it reads, and applies the projective change G{i}_jk += delta^i_j psi_k
++ delta^i_k psi_j, which projection cannot see: the gauge (two free
+functions in 2D, three in 3D) fixes psi.  Projection then forgets the
+gauge again, which is the round-trip identity tested here.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from collections import Counter, defaultdict
+from fractions import Fraction
+from functools import cache
+from itertools import permutations, product
+from math import lcm
+from typing import Dict, Tuple, Union
 
-from .geometry import (
-    Christoffel,
-    CoefficientTable,
-    Geodesic2Coefficients,
-)
-from .kernel import Expr, integer, rational, var
-
-_HALF = rational(1, 2)
-_TWO = integer(2)
+from .geometry import SYM_PAIRS, Christoffel, CoefficientTable, Geodesic2Coefficients, sym_key
+from .kernel import Expr
 
 
 class ScalarCubic(CoefficientTable):
@@ -80,93 +84,107 @@ class SystemGauge(CoefficientTable):
 ZERO_SCALAR_GAUGE = ScalarGauge.make()
 ZERO_SYSTEM_GAUGE = SystemGauge.make()
 
+_CUBICS = {2: ScalarCubic, 3: SystemCubic2}
+# connection entries (i, j, k), j <= k, in storage order
+_ENTRIES = {dim: tuple((i, *pair) for i in range(1, dim + 1) for pair in pairs)
+            for dim, pairs in SYM_PAIRS.items()}
+# the entry each gauge field sets, and the sign of the named tables
+# against the connection: a..f, and so b and e, are its negation
+_GAUGE = {2: ({"b": (1, 1, 2), "e": (2, 1, 2)}, -1),
+          3: ({"G1_12": (1, 1, 2), "G2_12": (2, 1, 2), "G3_33": (3, 3, 3)}, 1)}
+
+
+@cache
+def slope_slot(dim: int, i: int, K: Tuple[int, ...]):
+    """(w, name): the ScalarCubic or SystemCubic2 slot that, times w,
+    is the coefficient of the slope monomial K (its sorted dependent
+    indices) in equation i, or None where equation i has no such term.
+    The cubic terms of a pair share the slot A_{K-i}, weighted by the
+    orderings of K less one i; every other slot by the orderings of K."""
+    n = len(K)
+    if max(K, default=i) > dim or dim == n == 3 and i not in K:
+        return None
+    rest = K[:K.index(i)] + K[K.index(i) + 1:] if dim == n == 3 else K
+    name = f"E{n}" if dim == 2 else ("D{}", "C{}_", "B{}_", "A")[n].format(i) + sym_key(*rest)
+    return len(set(permutations(rest))), name
+
+
+@cache
+def project_weights(dim: int) -> Dict[str, Tuple]:
+    """{slot: ((entry, c), ...)}: each slot of the projected equations, in
+    field order, as an int combination of connection entries read off the
+    formula, positive terms first; shared, so callers never mutate it.
+    Each entry reaches a slot once in an equation, both equations give a
+    shared cubic slot the same terms, and a slot's weight divides every c."""
+    weights = defaultdict(dict)
+    for i, (j, k) in product(range(2, dim + 1), SYM_PAIRS[dim]):
+        w, K = len({(j, k), (k, j)}), tuple(m for m in (j, k) if m > 1)
+        for entry, c, at in (((i, j, k), w, K), ((1, j, k), -w, tuple(sorted(K + (i,))))):
+            v, name = slope_slot(dim, i, at)
+            weights[name][entry] = c // v
+    return {name: tuple(sorted(weights[name].items(), key=lambda term: term[1] < 0))
+            for name in _CUBICS[dim].keys()}
+
+
+def _combine(terms: Tuple, values: Dict, d: int = 1) -> Expr:
+    """The sum of c * values[key] over terms (key, c), over d, as one chain
+    of + and -: a weight of 1 or -1 multiplies nothing, and terms with a
+    positive one first negate nothing."""
+    total = None
+    for key, c in terms:
+        v = values[key] if c == 1 or c == -1 else abs(c) * values[key]
+        total = (v if c > 0 else -v) if total is None else total + v if c > 0 else total - v
+    return total if d == 1 else total / d
+
 
 def project(gamma: Christoffel) -> Union[ScalarCubic, SystemCubic2]:
     """Coefficient table of the parameter-free geodesic equations."""
-    g = gamma.gamma
-    if gamma.dim == 2:
-        return ScalarCubic(
-            E0=g(2, 1, 1),
-            E1=_TWO * g(2, 1, 2) - g(1, 1, 1),
-            E2=g(2, 2, 2) - _TWO * g(1, 1, 2),
-            E3=-g(1, 2, 2),
-        )
-    return SystemCubic2(
-        A22=-g(1, 2, 2),
-        A23=-g(1, 2, 3),
-        A33=-g(1, 3, 3),
-        B2_22=g(2, 2, 2) - _TWO * g(1, 1, 2),
-        B2_23=g(2, 2, 3) - g(1, 1, 3),
-        B2_33=g(2, 3, 3),
-        B3_22=g(3, 2, 2),
-        B3_23=g(3, 2, 3) - g(1, 1, 2),
-        B3_33=g(3, 3, 3) - _TWO * g(1, 1, 3),
-        C2_2=_TWO * g(2, 1, 2) - g(1, 1, 1),
-        C2_3=_TWO * g(2, 1, 3),
-        C3_2=_TWO * g(3, 1, 2),
-        C3_3=_TWO * g(3, 1, 3) - g(1, 1, 1),
-        D2=g(2, 1, 1),
-        D3=g(3, 1, 1),
-    )
+    values = dict(zip(_ENTRIES[gamma.dim], gamma.entries))
+    return _CUBICS[gamma.dim](*[_combine(terms, values)
+                                for terms in project_weights(gamma.dim).values()])
+
+
+@cache
+def lift_forms(dim: int) -> Dict[Tuple[int, int, int], Tuple]:
+    """{entry: (d, terms)}: each entry of the lifted table (the connection
+    in 3D, a..f in 2D, in storage order) as the int combination `terms` of
+    the slots and gauge fields, over d.  In the section each slot fills
+    the entry of its projection that is not a G{1}_1k, divided by its
+    weight there; psi_m then takes the m-th gauge entry, which no other
+    psi reaches, to its value.  The gauge terms come first, and with them
+    a positive term.  Shared, so callers never mutate it."""
+    def change(i, j, k):  # {m: n}: the projective change adds n psi_m to G{i}_jk
+        return Counter([k] * (i == j) + [j] * (i == k))
+    section = {entry: {name: Fraction(1, c)} for name, terms in project_weights(dim).items()
+               for entry, c in terms if entry[:2] != (1, 1)}
+    fields, sign = _GAUGE[dim]
+    psi = {m: {name: Fraction(sign, n), **{key: -c / n for key, c in section.get(at, {}).items()}}
+           for name, at in fields.items() for m, n in change(*at).items()}
+    forms = {}
+    for entry in _ENTRIES[dim]:
+        form = Counter()
+        for m, n in change(*entry).items():
+            form.update({key: n * c for key, c in psi[m].items()})
+        form.update(section.get(entry, {}))
+        d = lcm(*(c.denominator for c in form.values()))
+        forms[entry] = d, tuple((key, int(c * sign * d)) for key, c in form.items() if c)
+    return forms
+
+
+def _lift(dim: int, table: CoefficientTable, gauge: CoefficientTable) -> Tuple[Expr, ...]:
+    values = {**table.entries(), **gauge.entries()}
+    return tuple([_combine(terms, values, d) for d, terms in lift_forms(dim).values()])
 
 
 def lift_scalar(
     cubic: ScalarCubic, gauge: ScalarGauge = ZERO_SCALAR_GAUGE
 ) -> Geodesic2Coefficients:
     """2D geodesic coefficients whose projection is the given equation."""
-    b, e = gauge.b, gauge.e
-    return Geodesic2Coefficients(
-        a=cubic.E1 + _TWO * e,
-        b=b,
-        c=cubic.E3,
-        d=-cubic.E0,
-        e=e,
-        f=_TWO * b - cubic.E2,
-    )
+    return Geodesic2Coefficients(*_lift(2, cubic, gauge))
 
 
 def lift_system(
     system: SystemCubic2, gauge: SystemGauge = ZERO_SYSTEM_GAUGE
 ) -> Christoffel:
-    """3D connection whose projection is the given pair of equations.
-
-    The three gauge entries occupy exactly the connection slots the
-    projection cannot see.
-    """
-    g1, g2, g3 = gauge.G1_12, gauge.G2_12, gauge.G3_33
-    s = system
-    return Christoffel.from_components(3, {
-        (1, 1, 1): _TWO * g2 - s.C2_2,
-        (1, 1, 2): g1,
-        (1, 1, 3): _HALF * (g3 - s.B3_33),
-        (1, 2, 2): -s.A22,
-        (1, 2, 3): -s.A23,
-        (1, 3, 3): -s.A33,
-        (2, 1, 1): s.D2,
-        (2, 1, 2): g2,
-        (2, 1, 3): _HALF * s.C2_3,
-        (2, 2, 2): _TWO * g1 + s.B2_22,
-        (2, 2, 3): _HALF * (g3 + _TWO * s.B2_23 - s.B3_33),
-        (2, 3, 3): s.B2_33,
-        (3, 1, 1): s.D3,
-        (3, 1, 2): _HALF * s.C3_2,
-        (3, 1, 3): g2 + _HALF * (s.C3_3 - s.C2_2),
-        (3, 2, 2): s.B3_22,
-        (3, 2, 3): g1 + s.B3_23,
-        (3, 3, 3): g3,
-    })
-
-
-def swap_scalar_axes(cubic: ScalarCubic) -> ScalarCubic:
-    """The same curve family described with the two coordinates traded.
-
-    Writing x as a function of y reverses the coefficient list up to
-    sign; applying the swap twice gives back the original table.
-    """
-    swap = {"x": var("y"), "y": var("x")}
-    return ScalarCubic(
-        E0=-cubic.E3.substitute(swap),
-        E1=-cubic.E2.substitute(swap),
-        E2=-cubic.E1.substitute(swap),
-        E3=-cubic.E0.substitute(swap),
-    )
+    """3D connection whose projection is the given pair of equations."""
+    return Christoffel(3, _lift(3, system, gauge))

@@ -34,7 +34,6 @@ from .geometry import (
 )
 from .kernel import (
     DEFAULT_CONFIG,
-    ONE,
     ZERO,
     Expr,
     ZeroTestConfig,
@@ -44,7 +43,7 @@ from .kernel import (
     var,
 )
 from .kernel.frozen import Frozen
-from .projection import ScalarCubic, SystemCubic2, project
+from .projection import ScalarCubic, SystemCubic2, project, project_weights, slope_slot
 from .report import ConditionReport, evaluate_conditions
 
 
@@ -184,17 +183,9 @@ _DEPENDENT_PAIRS = tuple(combinations_with_replacement((2, 3), 2))
 def _induced_terms():
     """{slot name: (i, K, weight, terms)}: `induced_pair` sums w * factor *
     cubic.key over terms (w, factor, key), factor (i, j) for J{i}_j and i
-    for G{i}_23.  cubic[j, K] = (w, key) holds a SystemCubic2's slope
-    coefficient; K is sorted, so K[1:] drops a 2 and K[:-1] a 3."""
-    cubic = {}
-    for indices, (_, weight, _) in _FAMILIES.items():
-        for j in (2, 3):
-            if len(indices) < 3:
-                cubic[j, indices] = (weight, ("D{}", "C{}_", "B{}_")[len(indices)].format(j)
-                                     + sym_key(*indices))
-            elif j in indices:
-                rest = indices[1:] if j == 2 else indices[:-1]
-                cubic[j, indices] = (_FAMILIES[rest][1], "A" + sym_key(*rest))
+    for G{i}_23.  cubic[j, K] = slope_slot(3, j, K) = (w, key); K is
+    sorted, so K[1:] drops a 2 and K[:-1] a 3."""
+    cubic = {(j, K): slot for j in (2, 3) for K in _FAMILIES if (slot := slope_slot(3, j, K))}
     table = {}
     for indices, (slot, weight, _) in _FAMILIES.items():
         for i in (2, 3):
@@ -233,15 +224,16 @@ def _partials(t: Transformation):
 def flat_pullback(t: Transformation) -> Tuple[Expr, Union[ScalarCubic, SystemCubic2]]:
     """(det T, P): the projected geodesic equations of the flat connection
     pulled back through the map, G{k}_ij = sum over a of (T^-1)_ka T_a,ij,
-    as numerators P over det T: P = project(N), as project is linear, for
-    N{k}_ij the same sum over the adjugate, which needs no fraction."""
+    as numerators P over det T.  The same sum over the adjugate needs no
+    fraction, and project is linear, so each slot of P is one sum of
+    adj_ka T_a,ij over project's weights."""
     _, second, adj, det = _partials(t)
-    index = range(1, t.dim + 1)
     live = {key: value for key, value in second.items() if value.num}
-    return det, project(Christoffel(t.dim, tuple(
-        sum_of_products([(1, adj[k - 1][a - 1], live[a, i, j])
-                         for a in index if (a, i, j) in live])
-        for k in index for i, j in SYM_PAIRS[t.dim])))
+    cubic = ScalarCubic if t.dim == 2 else SystemCubic2
+    return det, cubic(*[sum_of_products([
+        (c, adj[k - 1][a - 1], live[a, i, j])
+        for (k, i, j), c in terms for a in range(1, t.dim + 1) if (a, i, j) in live])
+        for terms in project_weights(t.dim).values()])
 
 
 def induced_pair(J, G, cubic: SystemCubic2):
@@ -427,31 +419,27 @@ def linearization_residuals(system, t: Transformation):
             raise TransformError(f"names {sorted(clash)} are reserved for derivative symbols")
 
     det, pulled = flat_pullback(t)
-    if dim == 2:
-        differences = {(2, (2,) * n): [(1, det, getattr(system, f"E{n}")),
-                                       (-1, getattr(pulled, f"E{n}"), None)] for n in range(4)}
+    if isinstance(system, GeneralSystem2):
+        # the leading matrix has det J + y' M_13 + z' M_23, M the minors of [J | G]
+        rows = [(system.J(i, 2), system.J(i, 3), system.G(i, 2, 3)) for i in (2, 3)]
+        if all(determinant([(row[a], row[b]) for row in rows]).is_zero_literal()
+               for a, b in combinations(range(3), 2)):
+            raise SingularSystemError("leading matrix determinant is canonically zero")
+        induced = induced_pair(system.J, system.G, pulled)
+        differences = {(i, indices): [(weight, det, getattr(system, name)),
+                                      *((-w, a, b) for w, a, b in induced[name])]
+                       for name, (i, indices, weight, _) in _INDUCED.items()}
     else:
-        if isinstance(system, SystemCubic2):
-            # a cubic pair is the general pair with J the identity and G zero
-            own = induced_pair(lambda i, j: det if i == j else ZERO, lambda *_: ZERO, system)
-            induced = induced_pair(lambda i, j: ONE if i == j else ZERO, lambda *_: ZERO, pulled)
-        else:
-            # the leading matrix has det J + y' M_13 + z' M_23, M the minors of [J | G]
-            rows = [(system.J(i, 2), system.J(i, 3), system.G(i, 2, 3)) for i in (2, 3)]
-            if all(determinant([(row[a], row[b]) for row in rows]).is_zero_literal()
-                   for a, b in combinations(range(3), 2)):
-                raise SingularSystemError("leading matrix determinant is canonically zero")
-            own = {name: [(weight, det, slot)] if (slot := getattr(system, name)).num else []
-                   for name, (_, _, weight, _) in _INDUCED.items()}
-            induced = induced_pair(system.J, system.G, pulled)
-        differences = {(i, indices): own[name] + [(-w, a, b) for w, a, b in induced[name]]
-                       for name, (i, indices, _, _) in _INDUCED.items()}
+        # a cubic: det T times each slot against P's, weighted as its term
+        differences = {(i, K): [(w, det, getattr(system, name)), (-w, getattr(pulled, name), None)]
+                       for i, K in product(range(2, dim + 1), _FAMILIES)
+                       if (slot := slope_slot(dim, i, K)) for w, name in [slot]}
 
     residuals = []
     yp, zp = (var(name) for name in _SLOPES)
     for i in range(2, dim + 1):
         sums = {indices: sum_of_products(terms)
-                for (j, indices), terms in differences.items() if j == i and terms}
+                for (j, indices), terms in differences.items() if j == i}
         terms = [(1, d, yp ** indices.count(2) * zp ** indices.count(3))
                  for indices, d in sums.items() if d.num]
         residuals.append((f"Eqr4.{i}", sum_of_products(terms) / det if terms else ZERO))

@@ -250,6 +250,118 @@ def hand_typed_coefficients(t: Transformation):
     return GeneralSystem2.make(**values)
 
 
+def typed_project(gamma: Christoffel):
+    """`projection.project` as it was typed entry by entry, the oracle of
+    the entries read off the geodesic formula."""
+    g, two = gamma.gamma, integer(2)
+    if gamma.dim == 2:
+        return ScalarCubic(
+            E0=g(2, 1, 1),
+            E1=two * g(2, 1, 2) - g(1, 1, 1),
+            E2=g(2, 2, 2) - two * g(1, 1, 2),
+            E3=-g(1, 2, 2),
+        )
+    return SystemCubic2(
+        A22=-g(1, 2, 2),
+        A23=-g(1, 2, 3),
+        A33=-g(1, 3, 3),
+        B2_22=g(2, 2, 2) - two * g(1, 1, 2),
+        B2_23=g(2, 2, 3) - g(1, 1, 3),
+        B2_33=g(2, 3, 3),
+        B3_22=g(3, 2, 2),
+        B3_23=g(3, 2, 3) - g(1, 1, 2),
+        B3_33=g(3, 3, 3) - two * g(1, 1, 3),
+        C2_2=two * g(2, 1, 2) - g(1, 1, 1),
+        C2_3=two * g(2, 1, 3),
+        C3_2=two * g(3, 1, 2),
+        C3_3=two * g(3, 1, 3) - g(1, 1, 1),
+        D2=g(2, 1, 1),
+        D3=g(3, 1, 1),
+    )
+
+
+def typed_lift_scalar(cubic, gauge) -> Geodesic2Coefficients:
+    """`projection.lift_scalar` as it was typed, the oracle of the section
+    plus projective change."""
+    b, e, two = gauge.b, gauge.e, integer(2)
+    return Geodesic2Coefficients(
+        a=cubic.E1 + two * e,
+        b=b,
+        c=cubic.E3,
+        d=-cubic.E0,
+        e=e,
+        f=two * b - cubic.E2,
+    )
+
+
+def typed_lift_system(s, gauge) -> Christoffel:
+    """`projection.lift_system` as it was typed, the oracle of the section
+    plus projective change."""
+    g1, g2, g3 = gauge.G1_12, gauge.G2_12, gauge.G3_33
+    half, two = rational(1, 2), integer(2)
+    return Christoffel.from_components(3, {
+        (1, 1, 1): two * g2 - s.C2_2,
+        (1, 1, 2): g1,
+        (1, 1, 3): half * (g3 - s.B3_33),
+        (1, 2, 2): -s.A22,
+        (1, 2, 3): -s.A23,
+        (1, 3, 3): -s.A33,
+        (2, 1, 1): s.D2,
+        (2, 1, 2): g2,
+        (2, 1, 3): half * s.C2_3,
+        (2, 2, 2): two * g1 + s.B2_22,
+        (2, 2, 3): half * (g3 + two * s.B2_23 - s.B3_33),
+        (2, 3, 3): s.B2_33,
+        (3, 1, 1): s.D3,
+        (3, 1, 2): half * s.C3_2,
+        (3, 1, 3): g2 + half * (s.C3_3 - s.C2_2),
+        (3, 2, 2): s.B3_22,
+        (3, 2, 3): g1 + s.B3_23,
+        (3, 3, 3): g3,
+    })
+
+
+def typed_induced_terms():
+    """`transform._INDUCED` built with its own slot-naming loop for the
+    cubic's coefficients, the oracle of the table that reads slope_slot."""
+    cubic = {}
+    for indices, (_, weight, _) in _FAMILIES.items():
+        for j in (2, 3):
+            if len(indices) < 3:
+                cubic[j, indices] = (weight, ("D{}", "C{}_", "B{}_")[len(indices)].format(j)
+                                     + sym_key(*indices))
+            elif j in indices:
+                rest = indices[1:] if j == 2 else indices[:-1]
+                cubic[j, indices] = (_FAMILIES[rest][1], "A" + sym_key(*rest))
+    table = {}
+    for indices, (slot, weight, _) in _FAMILIES.items():
+        for i in (2, 3):
+            parts = [(1, (i, j), (j, indices)) for j in (2, 3)]
+            if indices[:1] == (2,):
+                parts.append((1, i, (3, indices[1:])))
+            if indices[-1:] == (3,):
+                parts.append((-1, i, (2, indices[:-1])))
+            table[slot.format(i)] = (i, indices, weight, tuple(
+                (sign * cubic[at][0], factor, cubic[at][1])
+                for sign, factor, at in parts if at in cubic))
+    return table
+
+
+def swap_scalar_axes(cubic: ScalarCubic) -> ScalarCubic:
+    """The same curve family described with the two coordinates traded.
+
+    Writing x as a function of y reverses the coefficient list up to
+    sign; applying the swap twice gives back the original table.
+    """
+    swap = {"x": var("y"), "y": var("x")}
+    return ScalarCubic(
+        E0=-cubic.E3.substitute(swap),
+        E1=-cubic.E2.substitute(swap),
+        E2=-cubic.E1.substitute(swap),
+        E3=-cubic.E0.substitute(swap),
+    )
+
+
 def pair_lower_terms(g, yp, zp):
     """The terms free of second derivatives of equations 2 and 3 of a
     general pair: one sum each over the 10 slope monomials, weighted by

@@ -34,7 +34,6 @@ from geolin.projection import (
     lift_scalar,
     lift_system,
     project,
-    swap_scalar_axes,
 )
 from geolin.report import FAIL, PASS
 from geolin.transform import Transformation, coefficients_from_transformation, pullback_metric
@@ -43,6 +42,7 @@ from helpers import (
     random_expr,
     random_invertible_map,
     random_polynomial,
+    swap_scalar_axes,
     transcribed_appendix_residuals,
     transcribed_cubic2_residuals,
     transcribed_tresse_residuals,

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from itertools import combinations_with_replacement
 
 from geolin.geometry import Christoffel, Geodesic2Coefficients, sym_key
 from geolin.kernel import Expr, integer, parse, var
@@ -11,11 +12,18 @@ from geolin.projection import (
     lift_scalar,
     lift_system,
     project,
-    swap_scalar_axes,
+    slope_slot,
 )
-from geolin.transform import GeneralSystem2
+from geolin.transform import _INDUCED, GeneralSystem2
 
-from helpers import random_polynomial
+from helpers import (
+    random_polynomial,
+    swap_scalar_axes,
+    typed_induced_terms,
+    typed_lift_scalar,
+    typed_lift_system,
+    typed_project,
+)
 
 
 def random_scalar_cubic(rng) -> ScalarCubic:
@@ -146,3 +154,84 @@ class TestShapes:
         assert sym_key(3, 2, 2) == "223" and sym_key(3, 2) == "23"
         assert g.Delta(2, 3, 2, 2) == g.Del2_223 == var("x")
         assert g.Lam(3, 3, 2) == g.Lam3_23 == var("y")
+
+
+# coefficient shapes beyond polynomials: kernels, denominators and rationals
+_SHAPES = ("exp(x)/(1 + y)", "sqrt(x^2 + 1)", "1/(x - y)", "sin(y)/3", "2/7")
+
+
+def mixed_coefficient(rng, names) -> Expr:
+    """A random polynomial, half of the time plus one of _SHAPES times
+    another, a third of the time over 1 + a square."""
+    e = random_polynomial(rng, names=names, terms=3)
+    if rng.random() < 0.5:
+        e = e + parse(rng.choice(_SHAPES)) * random_polynomial(rng, names=names, terms=2)
+    if rng.random() < 0.3:
+        e = e / (1 + random_polynomial(rng, names=names, terms=2) ** 2)
+    return e
+
+
+def printed(values) -> list:
+    return [str(value) for value in values]
+
+
+class TestDerivedTables:
+    """project and both lifts read off the geodesic formula print exactly
+    what the hand-typed tables did."""
+
+    def test_project_matches_the_typed_entries(self):
+        rng = random.Random(21)
+        for dim in (2, 3):
+            names = ("x", "y", "z")[:dim]
+            for _ in range(15):
+                gamma = Christoffel(dim, tuple(
+                    mixed_coefficient(rng, names) for _ in range(dim * dim * (dim + 1) // 2)))
+                derived, typed = project(gamma), typed_project(gamma)
+                assert type(derived) is type(typed)
+                assert printed(derived.entries().values()) == printed(typed.entries().values())
+
+    def test_lift_scalar_matches_the_typed_entries(self):
+        rng = random.Random(22)
+        for n in range(20):
+            cubic = ScalarCubic(*(mixed_coefficient(rng, ("x", "y")) for _ in range(4)))
+            gauge = ScalarGauge.make() if n % 2 else ScalarGauge(
+                *(mixed_coefficient(rng, ("x", "y")) for _ in range(2)))
+            assert printed(lift_scalar(cubic, gauge).entries().values()) == \
+                printed(typed_lift_scalar(cubic, gauge).entries().values())
+
+    def test_lift_system_matches_the_typed_entries(self):
+        rng = random.Random(23)
+        for n in range(20):
+            system = SystemCubic2(*(mixed_coefficient(rng, ("x", "y", "z")) for _ in range(15)))
+            gauge = SystemGauge.make() if n % 2 else SystemGauge(
+                *(mixed_coefficient(rng, ("x", "y", "z")) for _ in range(3)))
+            assert printed(lift_system(system, gauge).entries) == \
+                printed(typed_lift_system(system, gauge).entries)
+
+    def test_induced_table_matches_the_typed_slot_loop(self):
+        assert _INDUCED == typed_induced_terms()
+
+    def test_slope_slot_reaches_every_field_and_nothing_else(self):
+        # every (equation, slope monomial of degree <= 3) pair of a dimension
+        for dim, cls in ((2, ScalarCubic), (3, SystemCubic2)):
+            monomials = [K for n in range(4)
+                         for K in combinations_with_replacement((2, 3), n)]
+            slots = {(i, K): slope_slot(dim, i, K)
+                     for i in range(2, dim + 1) for K in monomials}
+            reached = {slot[1] for slot in slots.values() if slot}
+            assert reached == set(cls.keys())
+            # the three A_kl of a pair are shared by both equations, and
+            # every other slot holds one monomial of one equation
+            shared = 3 if dim == 3 else 0
+            assert sum(1 for slot in slots.values() if slot) == len(cls.keys()) + shared
+            assert all(slot is None for (i, K), slot in slots.items() if max(K, default=2) > dim)
+
+    def test_slope_slot_weights(self):
+        assert slope_slot(2, 2, (2, 2, 2)) == (1, "E3")
+        assert slope_slot(3, 2, ()) == (1, "D2")
+        assert slope_slot(3, 3, (2,)) == (1, "C3_2")
+        assert slope_slot(3, 2, (2, 3)) == (2, "B2_23")
+        # y'^2 z' in the y equation is 2 A23 y'z' times y'; in the z equation A22 y'^2 times z'
+        assert slope_slot(3, 2, (2, 2, 3)) == (2, "A23")
+        assert slope_slot(3, 3, (2, 2, 3)) == (1, "A22")
+        assert slope_slot(3, 2, (3, 3, 3)) is None
