@@ -264,12 +264,6 @@ class Geodesic2Coefficients(CoefficientTable):
     def as_christoffel(self) -> Christoffel:
         return Christoffel(2, tuple(-value for value in self.entries().values()))
 
-    @staticmethod
-    def from_christoffel(gamma: Christoffel) -> "Geodesic2Coefficients":
-        if gamma.dim != 2:
-            raise GeometryError("named coefficients a..f exist only in 2D")
-        return Geodesic2Coefficients(*(-value for value in gamma.entries))
-
 
 def christoffel_from_metric(
     g: Metric, config: ZeroTestConfig = DEFAULT_CONFIG

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
 from typing import Tuple, Union
@@ -43,7 +43,8 @@ from .kernel import (
     var,
 )
 from .kernel.frozen import Frozen
-from .projection import ScalarCubic, SystemCubic2, project, project_weights, slope_slot
+from .projection import (
+    ScalarCubic, SystemCubic2, _combine, project, project_weights, slope_slot)
 from .report import ConditionReport, evaluate_conditions
 
 
@@ -92,6 +93,11 @@ class Transformation(Frozen):
         return determinant(self.jacobian())
 
 
+def _ratio(n: int, d: int):
+    """n / d, an int when integral, which sum_of_products need not rescale."""
+    return Fraction(n, d) if n % d else n // d
+
+
 def _induced_families():
     """(slot, weight, terms) of each family of the induced cubic, keyed by
     its dependent indices K in the order of the 10 slope monomials; slot
@@ -106,10 +112,8 @@ def _induced_families():
             counts = Counter((*sorted(p[:2]), p[2]) for p in
                              dict.fromkeys(permutations((1,) * (3 - degree) + indices)))
             slot = f"{name}{{}}_{sym_key(*indices)}" if indices else name + "{}"
-            # integral weights stay ints, which sum_of_products need not rescale
             table[indices] = (slot, weight, tuple(
-                (Fraction(n, weight) if n % weight else n // weight, *abc)
-                for abc, n in counts.items()))
+                (_ratio(n, weight), *abc) for abc, n in counts.items()))
     return table
 
 
@@ -162,22 +166,6 @@ class GeneralSystem2(CoefficientTable):
             return integer(0)
         field = getattr(self, f"G{i}_23")
         return field if (k, j) == (2, 3) else -field
-
-    def Delta(self, i: int, k: int, l: int, m: int) -> Expr:
-        return getattr(self, f"Del{i}_{sym_key(k, l, m)}")
-
-    def Lam(self, i: int, k: int, l: int) -> Expr:
-        return getattr(self, f"Lam{i}_{sym_key(k, l)}")
-
-    def Om(self, i: int, k: int) -> Expr:
-        return getattr(self, f"Om{i}_{k}")
-
-    def E(self, i: int) -> Expr:
-        return getattr(self, f"E{i}")
-
-
-# the ordered symmetric pairs of the dependent indices 2, 3
-_DEPENDENT_PAIRS = tuple(combinations_with_replacement((2, 3), 2))
 
 
 def _induced_terms():
@@ -281,13 +269,50 @@ def coefficients_from_transformation(
         return adj[c - 1][r - 1] if (r + c) % 2 == 0 else -adj[c - 1][r - 1]
 
     if t.dim == 2:
-        return ScalarCubic(**{f"E{len(indices)}": family(2, indices) / det
-                              for indices in _FAMILIES if 3 not in indices})
+        return ScalarCubic(**{slot[1]: family(2, indices) / det
+                              for indices in _FAMILIES if (slot := slope_slot(2, 2, indices))})
     return GeneralSystem2.make(
         **{f"J{i}_{j}": minor(i, 1, j) for i, j in product((2, 3), repeat=2)},
         **{f"G{i}_23": minor(i, 2, 3) for i in (2, 3)},
         **{slot.format(i): family(i, indices)
            for i in (2, 3) for indices, (slot, _, _) in _FAMILIES.items()})
+
+
+@cache
+def _normal_form_plan():
+    """(steps, records) of `normal_form`, read off _FAMILIES, _INDUCED and
+    slope_slot on first use; shared, so callers never mutate them.
+
+    A step (family, scalar, slots) solves the slots of one K, lowest
+    degree first: scalar is the (slot, c) of the G terms of K's induced
+    entry, and a slot (j, name, w, w_gamma) is w (J^-1 F_K)_j + w_gamma
+    scalar gamma_j.  A shared A_kl is read from equation k at K = (k, k, l).
+    A record (label, field, terms) of ordered indices kappa holds the
+    terms (c, factor, slot), factor (i, j) for J{i}_j and i for G{i}_23."""
+    steps = []
+    for K, (family, weight, _) in _FAMILIES.items():
+        scalar = sorted(((key, w) for w, factor, key in _INDUCED[family.format(2)][3]
+                         if factor == 2), key=lambda term: term[1] < 0)
+        steps.append((family, tuple(scalar), tuple(
+            (j, name, _ratio(weight, w), _ratio(-1, w))
+            for j in (2, 3) if len(K) < 3 or K[:2] == (j, j)
+            for w, name in [slope_slot(3, j, K)])))
+    records = []
+    for degree in (3, 2, 1, 0):
+        for i, kappa in product((2, 3), product((2, 3), repeat=degree)):
+            K = tuple(sorted(kappa))
+            field = _FAMILIES[K][0].format(i)
+            # x_j(kappa) = slope_slot(3, j, K), at degree 3 only for j = kappa_1
+            terms = [(-1, (i, j), slope_slot(3, j, K)[1])
+                     for j in (kappa[:1] if degree == 3 else (2, 3))]
+            if kappa:
+                # G(i, m, 5 - m) is G{i}_23 for m = 2 and -G{i}_23 for m = 3
+                m, lower = kappa[-1], tuple(sorted(kappa[:-1]))
+                terms.append((-1 if m == 2 else 1, i, slope_slot(3, 5 - m, lower)[1]))
+            # the field with its sorted lower indices in kappa's order
+            label = field[:len(field) - degree] + "".join(map(str, kappa))
+            records.append((("Eqr57." if degree == 3 else "Eqr55.") + label, field, tuple(terms)))
+    return tuple(steps), tuple(records)
 
 
 def normal_form(
@@ -301,91 +326,46 @@ def normal_form(
     generates, record by record.  A FAIL means the pair is not
     expressible with a single shared cubic coefficient matrix.
 
-    G(i, k, j) is G{i}_23 times the symbol antisymmetric in (k, j), so
-    J^-1 applied to the column (G(i, k, .) . x)_i is +-x_j gamma, with
-    gamma = J^-1 (G2_23, G3_23).  Each level of unknowns is therefore J^-1
-    of an input column, the adjugate times that column over det J, plus a
-    scalar of the level below times gamma, built and reduced as one sum.
+    Each family entry times its weight is its entry of `induced_pair`: J
+    applied to the cubic's column at K plus G{i}_23 times one scalar of
+    lower slots.  With gamma = J^-1 (G2_23, G3_23), each slot is therefore
+    the adjugate times the family's column over det J plus that scalar
+    times gamma, built and reduced as one sum.  Each record is
+    F{i}(kappa) - sum_j J{i}_j x_j(kappa) - G(i, kappa_last, .) .
+    x(kappa less its last index), with x_j(kappa) the cubic's slot at j
+    and the sorted kappa.
     """
-    jac = {i: {j: g.J(i, j) for j in (2, 3)} for i in (2, 3)}
-    det = determinant(((jac[2][2], jac[2][3]), (jac[3][2], jac[3][3])))
+    jac = {(i, j): g.J(i, j) for i in (2, 3) for j in (2, 3)}
+    det = determinant(((jac[2, 2], jac[2, 3]), (jac[3, 2], jac[3, 3])))
     if det.is_zero_literal():
         raise DegenerateJacobianError("leading Jacobian block is singular")
-    adjugate = {2: ((1, jac[3][3]), (-1, jac[2][3])),
-                3: ((-1, jac[3][2]), (1, jac[2][2]))}
+    adjugate = {2: ((1, jac[3, 3]), (-1, jac[2, 3])),
+                3: ((-1, jac[3, 2]), (1, jac[2, 2]))}
     inverse = 1 / det
-
-    def column(family, *indices):
-        return {i: family(i, *indices) for i in (2, 3)}
 
     def adjugate_times(col, j):
         """Component j of adj(J) col = det J * J^-1 col, for a column col = {i: ...}."""
         (w2, a2), (w3, a3) = adjugate[j]
         return sum_of_products([(w2, a2, col[2]), (w3, a3, col[3])])
 
-    gee = column(g.G, 2, 3)
+    gee = {i: g.G(i, 2, 3) for i in (2, 3)}
     gamma = {j: adjugate_times(gee, j) / det for j in (2, 3)}
+    steps, records = _normal_form_plan()
+    x = {}
+    for family, scalar, slots in steps:
+        col = {i: getattr(g, family.format(i)) for i in (2, 3)}
+        s = _combine(scalar, x) if scalar else None
+        for j, name, w, w_gamma in slots:
+            terms = [(w, adjugate_times(col, j), inverse)]
+            if scalar:
+                terms.append((w_gamma, s, gamma[j]))
+            x[name] = sum_of_products(terms)
+    cubic = SystemCubic2(**x)
 
-    def solved(col, j, scalar, w=1, w_scalar=1):
-        """w * (J^-1 col)_j + w_scalar * scalar * gamma_j, as one sum."""
-        return sum_of_products([(w, adjugate_times(col, j), inverse),
-                                (w_scalar, scalar, gamma[j])])
-
-    def level(col, scalar):
-        """The column J^-1 col + scalar * gamma."""
-        return {j: solved(col, j, scalar) for j in (2, 3)}
-
-    half = Fraction(1, 2)
-    # each unknown is a column {2: ..., 3: ...} over its upper index,
-    # keyed by its remaining lower indices
-    d = {j: adjugate_times(column(g.E), j) / det for j in (2, 3)}
-    c = {2: level(column(g.Om, 2), -d[3]),
-         3: level(column(g.Om, 3), d[2])}
-    b = {(2, 2): level(column(g.Lam, 2, 2), -c[2][3]),
-         (2, 3): level(column(g.Lam, 2, 3), half * (c[2][2] - c[3][3])),
-         (3, 3): level(column(g.Lam, 3, 3), c[3][2])}
-    b[3, 2] = b[2, 3]
-    a = {
-        (2, 2): solved(column(g.Delta, 2, 2, 2), 2, b[2, 2][3], w_scalar=-1),
-        (2, 3): solved(column(g.Delta, 2, 2, 3), 2, 2 * b[2, 3][3] - b[2, 2][2],
-                       3 * half, -half),
-        (3, 3): solved(column(g.Delta, 3, 3, 3), 3, b[3, 3][2]),
-    }
-    a[3, 2] = a[2, 3]
-
-    cubic = SystemCubic2.make(
-        **{f"A{sym_key(k, l)}": a[k, l] for k, l in _DEPENDENT_PAIRS},
-        **{f"B{j}_{sym_key(k, l)}": b[k, l][j]
-           for j in (2, 3) for k, l in _DEPENDENT_PAIRS},
-        **{f"C{j}_{k}": c[k][j] for j, k in product((2, 3), repeat=2)},
-        D2=d[2], D3=d[3],
-    )
-
-    # Each record keeps its defining formula as one sum_of_products: the
-    # input entry minus J_i . x minus (G(i, m, .) . y), with
-    # (G(i, m, .) . y) = G{i}_23 y_3 for m = 2 and -G{i}_23 y_2 for m = 3.
-    def minus_j(i, x):
-        return [(-1, jac[i][j], x[j]) for j in (2, 3)]
-
-    def minus_g(i, m, y):
-        return (-1, gee[i], y[3]) if m == 2 else (1, gee[i], y[2])
-
-    labelled = []
-    for i, k, l, m in product((2, 3), (2, 3), (2, 3), (2, 3)):
-        res = sum_of_products([(1, g.Delta(i, k, l, m), None),
-                               (-1, jac[i][k], a[l, m]), minus_g(i, m, b[k, l])])
-        labelled.append((f"Eqr57.Del{i}_{k}{l}{m}", res))
-    for i, k, l in product((2, 3), (2, 3), (2, 3)):
-        res = sum_of_products([(1, g.Lam(i, k, l), None), *minus_j(i, b[k, l]),
-                               minus_g(i, l, c[k])])
-        labelled.append((f"Eqr55.Lam{i}_{k}{l}", res))
-    for i, k in product((2, 3), (2, 3)):
-        res = sum_of_products([(1, g.Om(i, k), None), *minus_j(i, c[k]), minus_g(i, k, d)])
-        labelled.append((f"Eqr55.Om{i}_{k}", res))
-    for i in (2, 3):
-        res = sum_of_products([(1, g.E(i), None), *minus_j(i, d)])
-        labelled.append((f"Eqr55.E{i}", res))
-
+    factors = {**jac, **gee}
+    labelled = [(label, sum_of_products([(1, getattr(g, field), None),
+                                         *((c, factors[f], x[slot]) for c, f, slot in terms)]))
+                for label, field, terms in records]
     report = evaluate_conditions(labelled, config, facts=(("det J", str(det)),))
     return cubic, report
 

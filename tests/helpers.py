@@ -40,7 +40,8 @@ from geolin.kernel.numeric import rational_str
 from geolin import criteria
 from geolin.criteria import Linear2, Quadratic2
 from geolin.geometry import (
-    SYM_PAIRS, Christoffel, Geodesic2Coefficients, coordinates, determinant, sym_key)
+    SYM_PAIRS, Christoffel, Geodesic2Coefficients, GeometryError, coordinates, determinant,
+    sym_key)
 from geolin.projection import ScalarCubic, SystemCubic2, lift_scalar, lift_system
 from geolin.report import evaluate_conditions
 from geolin.transform import (
@@ -48,9 +49,11 @@ from geolin.transform import (
     GeneralSystem2,
     SingularSystemError,
     Transformation,
-    _DEPENDENT_PAIRS,
     _FAMILIES,
 )
+
+# the ordered symmetric pairs of the dependent indices 2, 3
+_DEPENDENT_PAIRS = tuple(combinations_with_replacement((2, 3), 2))
 
 FD_H = Fraction(1, 10**8)
 
@@ -248,6 +251,14 @@ def hand_typed_coefficients(t: Transformation):
         for j, l in _DEPENDENT_PAIRS:
             values[f"Lam{i}_{sym_key(j, l)}"] = lam_sym(i, j, l)
     return GeneralSystem2.make(**values)
+
+
+def geodesic2_from_christoffel(gamma: Christoffel) -> Geodesic2Coefficients:
+    """The named a..f of a 2D connection, the inverse of
+    `Geodesic2Coefficients.as_christoffel`."""
+    if gamma.dim != 2:
+        raise GeometryError("named coefficients a..f exist only in 2D")
+    return Geodesic2Coefficients(*(-value for value in gamma.entries))
 
 
 def typed_project(gamma: Christoffel):
@@ -480,6 +491,12 @@ def fraction_chain_residuals(g, t: Transformation):
     return [(f"Eqr4.{i + 1}", along(d1[i] / d1[0]) / d1[0]) for i in (1, 2)]
 
 
+def _family(g, name, i, *lower) -> Expr:
+    """The family entry name{i}_{lower} of a general pair, its lower
+    indices in any order; E{i} has none."""
+    return getattr(g, f"{name}{i}_{sym_key(*lower)}" if lower else f"{name}{i}")
+
+
 def _dot(row, col) -> Expr:
     """row[2] * col[2] + row[3] * col[3], for {2: ..., 3: ...} dicts."""
     return row[2] * col[2] + row[3] * col[3]
@@ -507,13 +524,13 @@ def fraction_chain_normal_form(g, config=DEFAULT_CONFIG):
 
     # each unknown is a column {2: ..., 3: ...} over its upper index,
     # keyed by its remaining lower indices
-    d = solve({i: g.E(i) for i in (2, 3)})
-    c = {k: solve({i: g.Om(i, k) - _dot(gee[i, k], d) for i in (2, 3)})
+    d = solve({i: _family(g, "E", i) for i in (2, 3)})
+    c = {k: solve({i: _family(g, "Om", i, k) - _dot(gee[i, k], d) for i in (2, 3)})
          for k in (2, 3)}
     b = {}
     for k, l in _DEPENDENT_PAIRS:
         b[k, l] = b[l, k] = solve({
-            i: g.Lam(i, k, l) - rational(1, 2) * (
+            i: _family(g, "Lam", i, k, l) - rational(1, 2) * (
                 _dot(gee[i, l], c[k]) + _dot(gee[i, k], c[l]))
             for i in (2, 3)
         })
@@ -523,7 +540,7 @@ def fraction_chain_normal_form(g, config=DEFAULT_CONFIG):
             _dot(gee[i, m], b[k, l])
             + _dot(gee[i, k], b[l, m])
             + _dot(gee[i, l], b[m, k]))
-        return 3 * g.Delta(i, k, l, m) - 3 * sym_gb
+        return 3 * _family(g, "Del", i, k, l, m) - 3 * sym_gb
 
     def solved(j, k, l, m):
         """Component j of the column x with J x = P_klm: the only one read."""
@@ -546,16 +563,16 @@ def fraction_chain_normal_form(g, config=DEFAULT_CONFIG):
 
     labelled = []
     for i, k, l, m in product((2, 3), (2, 3), (2, 3), (2, 3)):
-        res = g.Delta(i, k, l, m) - jac[i][k] * a[l, m] - _dot(gee[i, m], b[k, l])
+        res = _family(g, "Del", i, k, l, m) - jac[i][k] * a[l, m] - _dot(gee[i, m], b[k, l])
         labelled.append((f"Eqr57.Del{i}_{k}{l}{m}", res))
     for i, k, l in product((2, 3), (2, 3), (2, 3)):
-        res = g.Lam(i, k, l) - _dot(jac[i], b[k, l]) - _dot(gee[i, l], c[k])
+        res = _family(g, "Lam", i, k, l) - _dot(jac[i], b[k, l]) - _dot(gee[i, l], c[k])
         labelled.append((f"Eqr55.Lam{i}_{k}{l}", res))
     for i, k in product((2, 3), (2, 3)):
-        res = g.Om(i, k) - _dot(jac[i], c[k]) - _dot(gee[i, k], d)
+        res = _family(g, "Om", i, k) - _dot(jac[i], c[k]) - _dot(gee[i, k], d)
         labelled.append((f"Eqr55.Om{i}_{k}", res))
     for i in (2, 3):
-        res = g.E(i) - _dot(jac[i], d)
+        res = _family(g, "E", i) - _dot(jac[i], d)
         labelled.append((f"Eqr55.E{i}", res))
 
     report = evaluate_conditions(labelled, config, facts=(("det J", str(det)),))
@@ -587,14 +604,14 @@ def general_pair_residual(g, i, yp, zp, ypp, zpp):
     """Left side of equation i of a general pair `g` on explicit jet
     values, contracted from its named coefficient families."""
     first = {2: yp, 3: zp}
-    total = (g.E(i) + g.J(i, 2) * ypp + g.J(i, 3) * zpp
+    total = (_family(g, "E", i) + g.J(i, 2) * ypp + g.J(i, 3) * zpp
              + g.G(i, 2, 3) * (yp * zpp - zp * ypp))
     for k in (2, 3):
-        total = total + g.Om(i, k) * first[k]
+        total = total + _family(g, "Om", i, k) * first[k]
         for l in (2, 3):
-            total = total + g.Lam(i, k, l) * first[k] * first[l]
+            total = total + _family(g, "Lam", i, k, l) * first[k] * first[l]
             for m in (2, 3):
-                total = total + g.Delta(i, k, l, m) * first[k] * first[l] * first[m]
+                total = total + _family(g, "Del", i, k, l, m) * first[k] * first[l] * first[m]
     return total
 
 

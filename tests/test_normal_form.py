@@ -1,11 +1,14 @@
 """normal_form against its fraction-chain oracle.
 
-`transform.normal_form` solves each level of unknowns through
-gamma = J^-1 (G2_23, G3_23); `helpers.fraction_chain_normal_form` is the
-level-by-level definition it rearranges.  On polynomial maps the kernel's
-reduced fractions are canonical, so the two agree byte for byte.  Over
-kernels a gcd can stop short, so a printed form may differ; the
-difference must then be the canonical zero.
+`transform.normal_form` solves one slope monomial K at a time off the
+family and slot tables, each slot through gamma = J^-1 (G2_23, G3_23),
+and reads each shared A_kl from equation k at K = (k, k, l);
+`helpers.fraction_chain_normal_form` is the level-by-level definition it
+rearranges, with the same A_kl rule.  On polynomial maps the kernel's
+reduced fractions are canonical, so the two agree byte for byte, also on
+pairs that no cubic reproduces, where the A_kl rule shows.  Over kernels
+a gcd can stop short, so a printed form may differ; the difference must
+then be the canonical zero.
 """
 
 import random
@@ -13,10 +16,11 @@ import random
 import pytest
 
 from geolin.criteria import check_cubic2
-from geolin.kernel import rational
+from geolin.kernel import rational, var
 from geolin.report import PASS
 from geolin.transform import (
     DegenerateJacobianError,
+    GeneralSystem2,
     coefficients_from_transformation,
     normal_form,
 )
@@ -36,13 +40,29 @@ def closure_pools():
     return out
 
 
+@pytest.fixture(scope="module")
+def bumped_pool():
+    """(system, normal form) for every pool-31 map, once with Del2_233 + x
+    and once with Del3_223 + y: pairs that no cubic reproduces, so the
+    equation and K that each shared A_kl is read from show in its bytes."""
+    out = []
+    for field, bump in (("Del2_233", "x"), ("Del3_223", "y")):
+        rng = random.Random(31)
+        for _ in range(50):
+            entries = coefficients_from_transformation(random_invertible_map(rng)).entries()
+            entries[field] = entries[field] + var(bump)
+            system = GeneralSystem2(**entries)
+            out.append((system, normal_form(system)))
+    return out
+
+
 def _records(report):
     return [(r.condition_id, str(r.residual), r.verdict, r.result.witness)
             for r in report.records]
 
 
-def test_closure_pools_match_the_fraction_chain(closure_pools):
-    for system, (cubic, report) in closure_pools:
+def test_closure_pools_match_the_fraction_chain(closure_pools, bumped_pool):
+    for system, (cubic, report) in closure_pools + bumped_pool:
         want_cubic, want_report = fraction_chain_normal_form(system)
         assert cubic.entries() == want_cubic.entries()
         assert _records(report) == _records(want_report)

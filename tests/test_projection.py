@@ -14,7 +14,7 @@ from geolin.projection import (
     project,
     slope_slot,
 )
-from geolin.transform import _INDUCED, GeneralSystem2
+from geolin.transform import _INDUCED
 
 from helpers import (
     random_polynomial,
@@ -150,10 +150,7 @@ class TestShapes:
 
     def test_indexed_accessors(self):
         # a symmetric index tuple names the field whose suffix is sym_key
-        g = GeneralSystem2.make(Del2_223="x", Lam3_23="y")
         assert sym_key(3, 2, 2) == "223" and sym_key(3, 2) == "23"
-        assert g.Delta(2, 3, 2, 2) == g.Del2_223 == var("x")
-        assert g.Lam(3, 3, 2) == g.Lam3_23 == var("y")
 
 
 # coefficient shapes beyond polynomials: kernels, denominators and rationals

@@ -159,12 +159,10 @@ class TestGeneralFamilies:
             GeneralSystem2.make(J2_4=1)
 
     def test_index_accessors(self):
-        g = GeneralSystem2.make(G2_23="x", Del3_223="y", Lam2_23="z")
+        g = GeneralSystem2.make(G2_23="x")
         assert g.G(2, 2, 3) == X
         assert g.G(2, 3, 2) == -X
         assert g.G(2, 2, 2).is_zero_literal()
-        assert g.Delta(3, 3, 2, 2) == Y
-        assert g.Lam(2, 3, 2) == Z
 
     def test_exponential_map_families(self):
         g = coefficients_from_transformation(EXP_MAP)
