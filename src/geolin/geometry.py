@@ -308,15 +308,17 @@ def riemann(gamma: Christoffel, coords: Optional[Sequence[str]] = None) -> Riema
                + sum_m (G{i}_{mk} G{m}_{jl} - G{i}_{ml} G{m}_{jk)}.
     """
     names = coords or coordinates(gamma.dim)
+    index = range(1, gamma.dim + 1)
+    G = {(i, j, k): gamma.gamma(i, j, k) for i in index for j in index for k in index}
     entries = []
-    for i in range(1, gamma.dim + 1):
-        for j in range(1, gamma.dim + 1):
+    for i in index:
+        for j in index:
             for k, l in SKEW_PAIRS[gamma.dim]:
-                terms = [(1, gamma.gamma(i, j, l).diff(names[k - 1]), None),
-                         (-1, gamma.gamma(i, j, k).diff(names[l - 1]), None)]
-                for m in range(1, gamma.dim + 1):
-                    terms.append((1, gamma.gamma(i, m, k), gamma.gamma(m, j, l)))
-                    terms.append((-1, gamma.gamma(i, m, l), gamma.gamma(m, j, k)))
+                terms = [(1, G[i, j, l].diff(names[k - 1]), None),
+                         (-1, G[i, j, k].diff(names[l - 1]), None)]
+                for m in index:
+                    terms.append((1, G[i, m, k], G[m, j, l]))
+                    terms.append((-1, G[i, m, l], G[m, j, k]))
                 entries.append(sum_of_products(terms))
     return Riemann(gamma.dim, tuple(entries))
 

@@ -18,15 +18,18 @@ canonical expressions.  Construction keeps every value normalized:
 * squares of sin kernels always rewrite through the Pythagorean
   identity sin^2 = 1 - cos^2.
 
-Two monomials are merged by one dict merge, which applies these
-rewrites; a generator found in one monomial only keeps its (generator,
-exponent) pair object.  Every monomial product is memoized: _MEMO maps a
-pair of monomials to their merged monomial, or to the monomial and the
-polynomials a rewrite left to multiply in.  The memo holds at most
-_MEMO_CAP entries and is emptied when full; a product with more term
-pairs than that skips it.  Monomials are tuples of interned generators,
-so the memo only saves work, and equal products come back as one shared
-monomial tuple whose pairs are shared with its factors.
+Monomials are interned like generators: a monomial is a Mono, a tuple
+of (generator, exponent) pairs that _mono builds once per value, so
+equal monomials are one object, and a polynomial dict, the memo and
+every accumulator hash a monomial by its address.  Two monomials are
+merged by one dict merge, which applies these rewrites.  Every monomial
+product is memoized: _MEMO maps a pair of monomials to their merged
+monomial, or to the monomial and the polynomials a rewrite left to
+multiply in.  The memo holds at most _MEMO_CAP entries and is emptied
+when full; a product with more term pairs than that skips it.  A fresh
+merge returns the very object the memo holds, so the memo only saves
+work.  The intern table drops, past _MONO_CAP entries, the monomials
+that nothing else holds.
 
 Every expression whose denominator is 1 holds the shared P_ONE object, so
 an identity test tells a polynomial apart.  Sums, differences and
@@ -82,6 +85,8 @@ from decimal import Decimal as _Decimal
 from fractions import Fraction
 from math import gcd as _igcd, isqrt as _isqrt, lcm as _ilcm
 from operator import attrgetter
+from sys import getrefcount as _getrefcount
+from threading import Lock
 from typing import Mapping, Optional
 
 
@@ -121,8 +126,10 @@ class Gen:
     """An interned generator: a named variable or a kernel application.
 
     Interning makes equality identity, so Gen keeps object's own __eq__
-    and __hash__, which a monomial lookup calls once per generator, and
-    copy and pickle rebuild a generator through the intern table.
+    and __hash__, and copy and pickle rebuild a generator through the
+    intern table.  Monomials are interned too, so a monomial lookup hashes
+    no generator: only _mono, on a monomial's first build, hashes its
+    pairs.
     """
 
     __slots__ = ("kind", "name", "arg", "skey")
@@ -171,8 +178,9 @@ def _kernel_gen(fname: str, arg: "Expr") -> Gen:
 
 # ---------------------------------------------------------------------------
 # Sparse polynomial layer.  A polynomial is a dict from monomial to nonzero
-# coefficient, never mutated once built; a monomial is a tuple of (Gen,
-# positive int exponent) pairs sorted by generator.  The dict holds no term
+# coefficient, never mutated once built; a monomial is an interned Mono, a
+# tuple of (Gen, positive int exponent) pairs sorted by generator, and the
+# constant monomial is the empty M_ONE.  The dict holds no term
 # order.  Graded order (_term_sort_key, leading term first) is computed only
 # where it is observed: printing and the structural key (_terms), the
 # leading term of sign normalization (_lead), and the summation order of
@@ -185,11 +193,72 @@ def _kernel_gen(fname: str, arg: "Expr") -> Gen:
 # Products have one loop, _p_mul_into, which adds a weighted product into
 # an accumulator dict in place; _p_mul and sum_of_products both run it,
 # and it looks each monomial pair up in the bounded memo _MEMO, whose
-# 2^14 entries hold a few MB.
+# 2^14 entries hold a few MB.  Every key hashes by address, so a lookup
+# costs the same whatever the monomial's length.
 # ---------------------------------------------------------------------------
 
+
+class Mono(tuple):
+    """An interned monomial: a tuple of (Gen, positive int exponent) pairs
+    sorted by generator, built only by _mono.
+
+    Interning makes equality identity, so a polynomial dict hashes its
+    keys by address, and copy and pickle rebuild a monomial through the
+    intern table.
+    """
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
+
+    def __reduce__(self):
+        return _mono, (tuple(self),)
+
+
+# plain tuple of pairs -> the one live Mono of that value.  Once the table
+# holds _MONO_CAP entries and twice the survivors of its last sweep, a
+# miss first drops every monomial that only the table still holds, so its
+# size stays within max(_MONO_CAP, twice the monomials live elsewhere).
+# _MONO_LOCK keeps a lookup from racing a drop, which would let two live
+# monomials of one value split a polynomial's term in two.
+_MONOS: dict = {}
+_MONO_CAP = 1 << 15
+_MONO_LOCK = Lock()
+_mono_live = 0
+
+
+def _mono(pairs: tuple) -> Mono:
+    """The interned monomial of a plain tuple of sorted (Gen, exponent) pairs."""
+    _MONO_LOCK.acquire()
+    try:
+        m = _MONOS.get(pairs)
+        if m is None:
+            if len(_MONOS) >= _MONO_CAP and len(_MONOS) >= 2 * _mono_live:
+                _mono_sweep()
+            m = _MONOS[pairs] = Mono(pairs)
+        return m
+    finally:
+        _MONO_LOCK.release()
+
+
+def _mono_sweep() -> None:
+    """Drop the monomials that only _MONOS holds; run under _MONO_LOCK."""
+    global _mono_live
+    table = _MONOS
+    # the table's reference and the argument's own are the only two
+    for key in [k for k in table if _getrefcount(table[k]) == 2]:
+        del table[key]
+    _mono_live = len(table)
+
+
+M_ONE = _mono(())
 P_ZERO: dict = {}
-P_ONE: dict = {(): 1}
+P_ONE: dict = {M_ONE: 1}
 
 
 _SKEY = attrgetter("skey")
@@ -236,11 +305,11 @@ def _p_const(q) -> dict:
         return P_ZERO
     if q == 1:
         return P_ONE
-    return {(): _qnorm(q)}
+    return {M_ONE: _qnorm(q)}
 
 
 def _p_is_const(p) -> bool:
-    return not p or (len(p) == 1 and () in p)
+    return not p or (len(p) == 1 and M_ONE in p)
 
 
 def _p_add(p1, p2) -> dict:
@@ -302,7 +371,7 @@ def _p_quo(p, q) -> dict:
 def _pyth_poly(arg: "Expr") -> dict:
     # 1 - cos(arg)^2
     g = _kernel_gen("cos", arg)
-    return {(): 1, ((g, 2),): -1}
+    return {M_ONE: 1, _mono(((g, 2),)): -1}
 
 
 def _mono_combine(m1, m2):
@@ -310,26 +379,23 @@ def _mono_combine(m1, m2):
 
     Returns (mono, extras) where extras is a list of polynomials that still
     have to be multiplied in (arguments of collapsed sqrt squares, the
-    Pythagorean replacement of sin squares).  A generator found in one
-    monomial only keeps that monomial's (generator, exponent) pair object,
-    so the products in _MEMO share those pairs.
+    Pythagorean replacement of sin squares).
     """
     if not m1:
         return m2, ()
     if not m2:
         return m1, ()
-    merged = {pair[0]: pair for pair in m1}
-    for pair in m2:
-        g = pair[0]
+    merged = dict(m1)
+    for g, e in m2:
         first = merged.get(g)
-        merged[g] = pair if first is None else (g, first[1] + pair[1])
+        merged[g] = e if first is None else first + e
     exp_arg = None
     extras = []
     out = []
-    for g in sorted(merged, key=_SKEY):
-        pair = merged[g]
+    # when every generator of m2 is in m1, merged keeps m1's sorted order
+    for g in merged if len(merged) == len(m1) else sorted(merged, key=_SKEY):
+        e = merged[g]
         if g.kind == KERNEL:
-            e = pair[1]
             if g.name == "exp":
                 contrib = g.arg if e == 1 else g.arg * e
                 exp_arg = contrib if exp_arg is None else exp_arg + contrib
@@ -338,20 +404,17 @@ def _mono_combine(m1, m2):
                 extras.extend([g.arg.num] * (e // 2))
                 if not e % 2:
                     continue
-                pair = (g, 1)
+                e = 1
             elif g.name == "sin" and e >= 2:
                 extras.extend([_pyth_poly(g.arg)] * (e // 2))
                 if not e % 2:
                     continue
-                pair = (g, 1)
-        out.append(pair)
+                e = 1
+        out.append((g, e))
     if exp_arg is not None and exp_arg.num:
-        g = _kernel_gen("exp", exp_arg)
-        pair = merged.get(g)
-        # a lone exp of one factor keeps its pair
-        out.append(pair if pair == (g, 1) else (g, 1))
+        out.append((_kernel_gen("exp", exp_arg), 1))
         out.sort(key=lambda t: t[0].skey)
-    return tuple(out), extras
+    return _mono(tuple(out)), extras
 
 
 # (m1, m2) -> product monomial, or [mono, extras] when a rewrite fired;
@@ -370,11 +433,11 @@ def _p_mul_into(acc: dict, p1, p2, w=1) -> None:
     product with more term pairs than the memo holds would only evict
     its own entries, so it merges every pair afresh.
     """
-    if len(p1) == 1 and () in p1:
+    if len(p1) == 1 and M_ONE in p1:
         p1, p2 = p2, p1
-    if len(p2) == 1 and () in p2:
+    if len(p2) == 1 and M_ONE in p2:
         # a constant side fires no rewrite, so it only scales the other
-        w = w * p2[()]
+        w = w * p2[M_ONE]
         for m, c in p1.items():
             v = acc.get(m)
             acc[m] = c * w if v is None else v + c * w
@@ -410,10 +473,10 @@ def _p_mul(p1, p2) -> dict:
     if not p1 or not p2:
         return P_ZERO
     # scaling by a constant side returns the other side itself for 1
-    if len(p1) == 1 and () in p1:
-        return _p_scale(p2, p1[()])
-    if len(p2) == 1 and () in p2:
-        return _p_scale(p1, p2[()])
+    if len(p1) == 1 and M_ONE in p1:
+        return _p_scale(p2, p1[M_ONE])
+    if len(p2) == 1 and M_ONE in p2:
+        return _p_scale(p1, p2[M_ONE])
     acc: dict = {}
     _p_mul_into(acc, p1, p2)
     return _poly_from_dict(acc)
@@ -451,7 +514,7 @@ def _mono_div(m1, m2):
             d[g] = have
         else:
             del d[g]
-    return tuple(sorted(d.items(), key=lambda t: t[0].skey))
+    return _mono(tuple(sorted(d.items(), key=lambda t: t[0].skey)))
 
 
 def _p_mono_quo(p, mono) -> dict:
@@ -474,7 +537,7 @@ def _mono_common(monos):
                     del common[g]
                 else:
                     common[g] = e
-    return tuple(sorted(common.items(), key=lambda t: t[0].skey))
+    return _mono(tuple(sorted(common.items(), key=lambda t: t[0].skey)))
 
 
 def _poly_abs_content(p):
@@ -611,7 +674,7 @@ def _pk_from_poly(p, shifts):
 def _pk_to_poly(f, shifts, w, k=1) -> dict:
     """The polynomial k * f, f on packed keys with fields w bits wide."""
     mask = (1 << w) - 1
-    return {tuple([(g, e) for g, s in shifts.items() if (e := m >> s & mask)]):
+    return {_mono(tuple([(g, e) for g, s in shifts.items() if (e := m >> s & mask)])):
             c if k == 1 else _qnorm(c * k) for m, c in f.items()}
 
 
@@ -805,7 +868,7 @@ class Expr:
             raise KernelError("expression is not a rational constant")
         if not self.num:
             return 0
-        return _qdiv(self.num[()], self.den[()])
+        return _qdiv(self.num[M_ONE], self.den[M_ONE])
 
     def variables(self) -> frozenset:
         """Names of all variables, including those inside kernel arguments."""
@@ -1056,9 +1119,9 @@ def _mk(num, den) -> Expr:
         raise ZeroDivisionError("zero denominator in exact arithmetic")
     if not num:
         return ZERO
-    if len(den) == 1 and () in den:
+    if len(den) == 1 and M_ONE in den:
         # a constant denominator only moves its value into the numerator
-        return Expr(_p_quo(num, den[()]), P_ONE, _internal=True)
+        return Expr(_p_quo(num, den[M_ONE]), P_ONE, _internal=True)
     # pull exp kernels out of the denominator through its monomial content
     common = _mono_common(den)
     exp_gens = [(g, e) for g, e in common if g.kind == KERNEL and g.name == "exp"]
@@ -1067,14 +1130,14 @@ def _mk(num, den) -> Expr:
         den = {_mono_div(m, strip): c for m, c in den.items()}
         for g, e in exp_gens:
             inv_arg = -(g.arg * e) if e != 1 else -g.arg
-            num = _p_mul(num, {((_kernel_gen("exp", inv_arg), 1),): 1})
+            num = _p_mul(num, {_mono(((_kernel_gen("exp", inv_arg), 1),)): 1})
     # rationalize sqrt kernels sitting in a pure monomial denominator
     if len(den) == 1:
         (mono,) = den
         roots = [g for g, _ in mono
                  if g.kind == KERNEL and g.name == "sqrt" and _p_is_const(g.arg.den)]
         for g in roots:
-            rp = {((g, 1),): 1}
+            rp = {_mono(((g, 1),)): 1}
             num = _p_mul(num, rp)
             den = _p_mul(den, rp)
     num, den, whole = _cancel(num, den)
@@ -1103,7 +1166,7 @@ def _mk_coprime(num, den, whole=True) -> Expr:
     if c != 1:
         den = _p_quo(den, c)
         num = _p_quo(num, c)
-    if len(den) == 1 and () in den:
+    if len(den) == 1 and M_ONE in den:
         # the polynomial fast lane recognizes a denominator 1 by identity
         den = P_ONE
     e = Expr(num, den, _internal=True)
@@ -1187,7 +1250,7 @@ def rational(p, q=1) -> Expr:
 
 
 def _gen_expr(g: Gen) -> Expr:
-    return Expr({((g, 1),): 1}, P_ONE, _internal=True)
+    return Expr({_mono(((g, 1),)): 1}, P_ONE, _internal=True)
 
 
 def var(name: str) -> Expr:
@@ -1256,7 +1319,7 @@ def sqrt(arg) -> Expr:
             return rational(s, v)
         inner = Expr(p0, P_ONE, _internal=True)
         g = _kernel_gen("sqrt", inner)
-        return Expr({((g, 1),): s}, P_ONE, _internal=True) / integer(v)
+        return Expr({_mono(((g, 1),)): s}, P_ONE, _internal=True) / integer(v)
     if p0 == P_ONE:
         if w < 0:
             raise KernelDomainError("sqrt of a negative constant")
@@ -1308,7 +1371,7 @@ def _poly_diff(p, name: str) -> Expr:
             for i, (g, e) in enumerate(m):
                 if g.name == name:
                     rest = m[:i] + ((g, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
-                    d[rest] = _qnorm(c * e)
+                    d[_mono(rest)] = _qnorm(c * e)
                     break
         return _poly_expr(d)
     total = ZERO
@@ -1321,7 +1384,7 @@ def _poly_diff(p, name: str) -> Expr:
                 rest = m[:i] + ((g, e - 1),) + m[i + 1:]
             else:
                 rest = m[:i] + m[i + 1:]
-            base = Expr({rest: _qnorm(c * e)}, P_ONE, _internal=True)
+            base = Expr({_mono(rest): _qnorm(c * e)}, P_ONE, _internal=True)
             total = total + base * dg
     return total
 

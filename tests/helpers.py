@@ -1124,7 +1124,7 @@ def zz_from_poly(p, gens):
 
 def poly_from_zz(f, gens) -> dict:
     return core._poly_from_dict({
-        tuple((g, e) for g, e in zip(gens, exps) if e): c
+        core._mono(tuple((g, e) for g, e in zip(gens, exps) if e)): c
         for exps, c in f.items()
     })
 

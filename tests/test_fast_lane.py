@@ -3,15 +3,15 @@
 An operand whose denominator is the shared P_ONE object is a polynomial,
 and +, -, *, scalar * and /, and a kernel-free diff act on its numerator
 dict directly.  An operand whose denominator is an equal but distinct
-{(): 1} dict misses the identity check and takes the general path
+copy of P_ONE misses the identity check and takes the general path
 through _cancel, _mk_product and _mk.  Both must give the same canonical
 pair, with every integral coefficient held as an int.
 
 sum_of_products accumulates a sum of polynomial products into one dict,
 and a sum of kernel-free reduced fractions over one common denominator
 that one gcd reduces; every product looks its monomial pairs up in the
-bounded memo _MEMO, and a miss merges the two monomials, keeping the
-pair object of a generator only one of them holds.  All must give what
+bounded memo _MEMO, and a miss merges the two monomials into the one
+interned monomial of their product.  All must give what
 the chained Expr operations give, and a sum holding a kernel, an operand
 whose gcd stopped early, or a gcd of the sum's own that stops early must
 run those operations in order.
@@ -416,7 +416,7 @@ def test_the_memo_stays_within_its_cap(monkeypatch):
 def _random_monomial(rng, names):
     """A kernel-free monomial over a random subset of names, possibly empty."""
     chosen = sorted(rng.sample(names, rng.randint(0, len(names))))
-    return tuple((core._var_gen(name), rng.randint(1, 3)) for name in chosen)
+    return core._mono(tuple((core._var_gen(name), rng.randint(1, 3)) for name in chosen))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -426,7 +426,7 @@ def test_kernel_free_monomials_merge_as_the_oracle(seed):
     for _ in range(200):
         m1, m2 = _random_monomial(rng, names), _random_monomial(rng, names)
         mono, extras = core._mono_combine(m1, m2)
-        assert mono == kernel_free_mono_merge(m1, m2)
+        assert mono is core._mono(kernel_free_mono_merge(m1, m2))
         assert not extras
 
 
@@ -436,7 +436,7 @@ MONOMIAL_FACTORS = (x, y, x**2, exp(x), exp(y), sqrt(x), sqrt(y + 1), sin(x), ln
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_a_generator_of_one_factor_keeps_its_pair(seed):
+def test_an_equal_product_monomial_is_the_same_object(seed):
     rng = random.Random(seed)
     monomials = set()
     for _ in range(30):
@@ -445,16 +445,17 @@ def test_a_generator_of_one_factor_keeps_its_pair(seed):
             term = term * rng.choice(MONOMIAL_FACTORS)
         monomials.update(term.num)
     monomials = sorted(monomials, key=core._term_sort_key)
-    shared = 0
+    merged = 0
     for m1 in monomials:
         for m2 in monomials:
-            mono, _ = core._mono_combine(m1, m2)
+            mono, extras = core._mono_combine(m1, m2)
             keys = [g.skey for g, _ in mono]
             assert keys == sorted(set(keys))
-            for pair in mono:
-                sides = [m for m in (m1, m2) if pair[0] in dict(m)]
-                if len(sides) == 1:
-                    assert any(pair is p for p in sides[0]), (m1, m2, pair)
-                    shared += 1
-    assert shared
+            assert mono is core._mono(tuple(mono))
+            assert core._mono_combine(m2, m1)[0] is mono
+            if not extras:
+                # the product dict holds that very object as its key
+                assert core._p_mul({m1: 1}, {m2: 1}) == {mono: 1}
+                merged += bool(m1 and m2)
+    assert merged
 

@@ -55,8 +55,8 @@ _ln_terms = st.lists(
 def _poly(terms, gens=(X, Y, Z)) -> dict:
     acc: dict = {}
     for c, *exps in terms:
-        mono = tuple(sorted(((g, e) for g, e in zip(gens, exps) if e),
-                            key=lambda t: t[0].skey))
+        mono = core._mono(tuple(sorted(((g, e) for g, e in zip(gens, exps) if e),
+                                       key=lambda t: t[0].skey)))
         acc[mono] = acc.get(mono, 0) + Fraction(c)
     return core._poly_from_dict(acc)
 

@@ -28,7 +28,8 @@ _terms = st.lists(
 
 
 def _monomial(exps, gens):
-    return tuple(sorted(((g, e) for g, e in zip(gens, exps) if e), key=lambda t: t[0].skey))
+    return core._mono(tuple(sorted(((g, e) for g, e in zip(gens, exps) if e),
+                                   key=lambda t: t[0].skey)))
 
 
 def _shuffled_polys(terms, rnd, gens):
