@@ -13,6 +13,7 @@ names the exact condition that broke.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import defaultdict
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -30,6 +31,7 @@ from .kernel import (
     DEFAULT_CONFIG,
     Expr,
     ZeroTestConfig,
+    exact_coefficient,
     parse,
     rational,
     sum_of_products,
@@ -219,13 +221,9 @@ def _line_terms(combination: str):
                     for b, v in second:
                         products[min(a, b), max(a, b)] += Fraction(w * u * v, d1 * d2)
 
-    def exact(c):
-        # an int where integral, so that scaling stays in int arithmetic
-        return c.numerator if c.denominator == 1 else c
-
     return (
-        tuple((name, coord, exact(c)) for (name, coord), c in sorted(derivs.items()) if c),
-        tuple((a, b, exact(c)) for (a, b), c in sorted(products.items()) if c),
+        tuple((name, coord, exact_coefficient(c)) for (name, coord), c in sorted(derivs.items()) if c),
+        tuple((a, b, exact_coefficient(c)) for (a, b), c in sorted(products.items()) if c),
     )
 
 
@@ -294,18 +292,18 @@ def check_linear2(
     return evaluate_conditions(linear2_residuals(l), config)
 
 
-# equations defining the same gauge derivative, in printed order
-_APPENDIX_PAIRS = [
-    ("A1.6", "A2.1"),
-    ("A1.3", "A3.1"),
-    ("A2.2", "A3.2"),
-    ("A1.4", "A2.3"),
-    ("A1.9", "A2.7"),
-    ("A1.9", "A2.8"),
-    ("A2.7", "A2.8"),
-    ("A1.8", "A3.3"),
-    ("A2.9", "A3.4"),
-]
+@functools.cache
+def _appendix_pairs():
+    """The pairs of `_APPENDIX` lines that define the same partial
+    derivative of the gauge, the one gauge term of their `_line_terms`,
+    grouped by gauge key and then coordinate, each group in printed order."""
+    groups = defaultdict(list)
+    for label, line in _APPENDIX.items():
+        for name, coord, _ in _line_terms(line)[0]:
+            if name in SystemGauge.keys():
+                groups[name, coord].append(label)
+    return tuple(pair for key in sorted(groups) for pair in itertools.combinations(groups[key], 2))
+
 
 def appendix_residuals(
     s: SystemCubic2,
@@ -316,15 +314,15 @@ def appendix_residuals(
 
     Each line is its combination `_APPENDIX` of the curvature of
     `lift_system(s, gauge)`: seven are lines of the fifteen, and seventeen
-    define partial derivatives of the gauge.  Slots defined by two lines
-    also get a pairwise consistency record, the difference of the two
-    scores, which is independent of the gauge.  PASS certifies the
-    supplied gauge as a flat-lift witness.
+    define partial derivatives of the gauge.  Each pair of lines that
+    defines the same derivative also gets a consistency record, the
+    difference of the two scores, independent of the gauge.  PASS
+    certifies the supplied gauge as a flat-lift witness.
     """
     lines = _curvature_lines(_APPENDIX.values(), {**s.entries(), **gauge.entries()})
     scored = dict(zip(_APPENDIX, lines))
     labelled = [(f"Eq{label}", line) for label, line in scored.items()]
-    for first, second in _APPENDIX_PAIRS:
+    for first, second in _appendix_pairs():
         labelled.append((f"Eq{first}-{second}", scored[second] - scored[first]))
     return evaluate_conditions(labelled, config)
 

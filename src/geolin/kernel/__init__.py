@@ -9,6 +9,7 @@ from .core import (
     as_expr,
     cos,
     exp,
+    _qnorm as exact_coefficient,
     integer,
     kernel_apply,
     ln,
@@ -31,6 +32,7 @@ __all__ = [
     "as_expr",
     "cos",
     "exp",
+    "exact_coefficient",
     "integer",
     "kernel_apply",
     "ln",

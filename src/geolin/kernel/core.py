@@ -331,24 +331,6 @@ def _p_add(p1, p2) -> dict:
     return acc
 
 
-def _p_sub(p1, p2) -> dict:
-    """p1 - p2, merged without building -p2 first."""
-    if not p2:
-        return p1
-    acc = dict(p1)
-    for m, c in p2.items():
-        v = acc.get(m)
-        if v is None:
-            acc[m] = -c
-        else:
-            v = v - c
-            if v == 0:
-                del acc[m]
-            else:
-                acc[m] = v if v.__class__ is int else _qnorm(v)
-    return acc
-
-
 def _p_neg(p) -> dict:
     return {m: -c for m, c in p.items()}
 
@@ -910,7 +892,7 @@ class Expr:
             if other is NotImplemented:
                 return NotImplemented
         if self.den is P_ONE and other.den is P_ONE:
-            return _poly_expr(_p_sub(self.num, other.num))
+            return _poly_expr(_p_add(self.num, _p_neg(other.num)))
         return self + (-other)
 
     def __rsub__(self, other):

@@ -211,11 +211,9 @@ def _poly_at(p, point: _Point) -> tuple:
     return total, lcm << (_SCALE_BITS * degree)
 
 
-def _exact_at(expr: Expr, point) -> tuple:
+def _exact_at(expr: Expr, point: _Point) -> tuple:
     """Ints (p, q) with p / q the value of a kernel-free expr at a sample
-    point, a _Point or {name: a}, as in _poly_at; q is 0 at a pole."""
-    if point.__class__ is not _Point:
-        point = _Point(point)
+    point, as in _poly_at; q is 0 at a pole."""
     num, num_scale = _poly_at(expr.num, point)
     if expr.den is P_ONE:
         return num, num_scale

@@ -38,6 +38,7 @@ from .kernel import (
     Expr,
     ZeroTestConfig,
     as_expr,
+    exact_coefficient,
     integer,
     sum_of_products,
     var,
@@ -93,11 +94,6 @@ class Transformation(Frozen):
         return determinant(self.jacobian())
 
 
-def _ratio(n: int, d: int):
-    """n / d, an int when integral, which sum_of_products need not rescale."""
-    return Fraction(n, d) if n % d else n // d
-
-
 def _induced_families():
     """(slot, weight, terms) of each family of the induced cubic, keyed by
     its dependent indices K in the order of the 10 slope monomials; slot
@@ -113,7 +109,7 @@ def _induced_families():
                              dict.fromkeys(permutations((1,) * (3 - degree) + indices)))
             slot = f"{name}{{}}_{sym_key(*indices)}" if indices else name + "{}"
             table[indices] = (slot, weight, tuple(
-                (_ratio(n, weight), *abc) for abc, n in counts.items()))
+                (exact_coefficient(Fraction(n, weight)), *abc) for abc, n in counts.items()))
     return table
 
 
@@ -294,7 +290,7 @@ def _normal_form_plan():
         scalar = sorted(((key, w) for w, factor, key in _INDUCED[family.format(2)][3]
                          if factor == 2), key=lambda term: term[1] < 0)
         steps.append((family, tuple(scalar), tuple(
-            (j, name, _ratio(weight, w), _ratio(-1, w))
+            (j, name, exact_coefficient(Fraction(weight, w)), exact_coefficient(Fraction(-1, w)))
             for j in (2, 3) if len(K) < 3 or K[:2] == (j, j)
             for w, name in [slope_slot(3, j, K)])))
     records = []
@@ -339,14 +335,12 @@ def normal_form(
     det = determinant(((jac[2, 2], jac[2, 3]), (jac[3, 2], jac[3, 3])))
     if det.is_zero_literal():
         raise DegenerateJacobianError("leading Jacobian block is singular")
-    adjugate = {2: ((1, jac[3, 3]), (-1, jac[2, 3])),
-                3: ((-1, jac[3, 2]), (1, jac[2, 2]))}
+    adj = adjugate(((jac[2, 2], jac[2, 3]), (jac[3, 2], jac[3, 3])))
     inverse = 1 / det
 
     def adjugate_times(col, j):
         """Component j of adj(J) col = det J * J^-1 col, for a column col = {i: ...}."""
-        (w2, a2), (w3, a3) = adjugate[j]
-        return sum_of_products([(w2, a2, col[2]), (w3, a3, col[3])])
+        return sum_of_products([(1, adj[j - 2][0], col[2]), (1, adj[j - 2][1], col[3])])
 
     gee = {i: g.G(i, 2, 3) for i in (2, 3)}
     gamma = {j: adjugate_times(gee, j) / det for j in (2, 3)}

@@ -37,7 +37,6 @@ from geolin.kernel import (
 )
 from geolin.kernel.core import VAR, int_str
 from geolin.kernel.numeric import rational_str
-from geolin import criteria
 from geolin.criteria import Linear2, Quadratic2
 from geolin.geometry import (
     SYM_PAIRS, Christoffel, Geodesic2Coefficients, GeometryError, coordinates, determinant,
@@ -846,6 +845,14 @@ TRANSCRIBED_APPENDIX_SLOTS = {
     "A3.1": (0, "y"), "A3.2": (0, "z"), "A3.3": (2, "y"), "A3.4": (2, "z"),
 }
 
+# the lines that define the same gauge derivative, in the order of
+# their records
+TRANSCRIBED_APPENDIX_PAIRS = [
+    ("A1.6", "A2.1"), ("A1.3", "A3.1"), ("A2.2", "A3.2"), ("A1.4", "A2.3"),
+    ("A1.9", "A2.7"), ("A1.9", "A2.8"), ("A2.7", "A2.8"), ("A1.8", "A3.3"),
+    ("A2.9", "A3.4"),
+]
+
 # printed order of the full 24-line table, gauge-free lines marked
 TRANSCRIBED_APPENDIX_ORDER = [
     ("A1.1", 0), ("A1.2", 1), ("A1.3", None), ("A1.4", None),
@@ -874,7 +881,7 @@ def transcribed_appendix_residuals(s, gauge):
         else:
             slot, coord = TRANSCRIBED_APPENDIX_SLOTS[label]
             labelled.append((f"Eq{label}", gs[slot].diff(coord) - rhs[label]))
-    for first, second in criteria._APPENDIX_PAIRS:
+    for first, second in TRANSCRIBED_APPENDIX_PAIRS:
         labelled.append((f"Eq{first}-{second}", rhs[first] - rhs[second]))
     return labelled
 

@@ -2,10 +2,12 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from geolin import criteria, transform
 from geolin.criteria import (
     _APPENDIX,
     _EQ51,
@@ -43,6 +45,9 @@ from helpers import (
     random_invertible_map,
     random_polynomial,
     swap_scalar_axes,
+    TRANSCRIBED_APPENDIX_ORDER,
+    TRANSCRIBED_APPENDIX_PAIRS,
+    TRANSCRIBED_APPENDIX_SLOTS,
     transcribed_appendix_residuals,
     transcribed_cubic2_residuals,
     transcribed_tresse_residuals,
@@ -449,6 +454,32 @@ class TestDerivedTables:
         for w, p1, p2 in calls:
             assert w.__class__ is int
             assert all(c.__class__ is int for c in (*p1.values(), *p2.values()))
+
+    def test_integral_weights_are_ints(self):
+        # sum_of_products re-normalizes an integral Fraction weight, so the
+        # test above cannot see one, but it then takes its Fraction branch
+        weights = [w for _, _, terms in transform._FAMILIES.values() for w, *_ in terms]
+        for _, scalar, slots in transform._normal_form_plan()[0]:
+            weights += [w for _, w in scalar] + [c for *_, w, w_gamma in slots for c in (w, w_gamma)]
+        for line in (*_EQ51, *_APPENDIX.values()):
+            derivs, products = criteria._line_terms(line)
+            weights += [c for *_, c in derivs + products]
+        assert {w.__class__ for w in weights} == {int, Fraction}
+        assert [w for w in weights if w.denominator == 1 and w.__class__ is not int] == []
+
+    def test_appendix_pairs_are_read_off_the_gauge_derivatives(self):
+        # 17 lines define one gauge derivative each, 7 (lines of the
+        # fifteen) define none, and the pairs are the lines that define
+        # the same one
+        gauge = SystemGauge.keys()
+        defined = {label: [(name, coord) for name, coord, _ in criteria._line_terms(line)[0]
+                           if name in gauge] for label, line in _APPENDIX.items()}
+        assert {label: terms[0] for label, terms in defined.items() if len(terms) == 1} == {
+            label: (gauge[slot], coord) for label, (slot, coord) in TRANSCRIBED_APPENDIX_SLOTS.items()}
+        assert [label for label, terms in defined.items() if not terms] == [
+            label for label, free in TRANSCRIBED_APPENDIX_ORDER if free is not None]
+        assert len(TRANSCRIBED_APPENDIX_SLOTS) == 17
+        assert criteria._appendix_pairs() == tuple(TRANSCRIBED_APPENDIX_PAIRS)
 
     def test_fraction_coefficients_agree_with_the_transcription(self):
         # a pair with Fraction coefficients gives Fraction operands to the

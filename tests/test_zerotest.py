@@ -379,7 +379,7 @@ def test_exact_value_agrees_with_numeric_evaluation(num_terms, den_terms, a, b):
     if num.is_zero_literal() or den.is_zero_literal():
         return
     e = num / den
-    p, q = zerotest._exact_at(e, {"x": a, "y": b})
+    p, q = zerotest._exact_at(e, zerotest._Point({"x": a, "y": b}))
     point = {"x": Fraction(a, 2 ** 16), "y": Fraction(b, 2 ** 16)}
     if q == 0:
         assert e.den.substitute({k: as_expr(v) for k, v in point.items()}) == 0
