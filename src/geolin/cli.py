@@ -21,9 +21,11 @@ from typing import Dict, Optional, Tuple
 from .document import KINDS, DocumentError, SystemDocument, load_document
 from .geometry import GeometryError, is_flat, metric_pde_residuals
 from .kernel import KernelDomainError, ParseError, ZeroTestConfig, parse
+from .lazy import lazy_module
 from .projection import project
 from .report import FAIL, PASS, UNDECIDED, ConditionReport
-from .transform import verify_linearizing_transformation
+
+transform = lazy_module("geolin.transform")  # loaded by verify-transform
 
 _EXIT_BY_OVERALL = {PASS: 0, FAIL: 1, UNDECIDED: 2}
 _INPUT_ERROR = 3
@@ -196,7 +198,7 @@ def _cmd_verify_transform(doc, config, gauge):
     candidate = doc.transformation()
     if candidate is None:
         raise DocumentError("verify-transform needs a [transformation] block")
-    report = verify_linearizing_transformation(doc.system(), candidate, config)
+    report = transform.verify_linearizing_transformation(doc.system(), candidate, config)
     return _report_payload(doc, "verify-transform", report)
 
 

@@ -20,7 +20,6 @@ from typing import Dict, List, Tuple
 
 from .geometry import (
     Christoffel,
-    CoefficientTable,
     coordinates,
     covariant_derivative,
     geodesic2_flat_conditions,
@@ -36,7 +35,10 @@ from .kernel import (
     rational,
     sum_of_products,
 )
-from .projection import (
+from .projection import (  # CoefficientDomainError is re-exported
+    CoefficientDomainError,
+    Linear2,
+    Quadratic2,
     ScalarCubic,
     ScalarGauge,
     SystemCubic2,
@@ -47,62 +49,6 @@ from .projection import (
     lift_scalar,
 )
 from .report import ConditionReport, evaluate_conditions
-
-
-class CoefficientDomainError(ValueError):
-    """A coefficient depends on a coordinate its equation kind forbids."""
-
-
-class Quadratic2(CoefficientTable):
-    """Quadratically semi-linear pair; coefficients functions of (y, z).
-
-        y'' + B2_22 y'^2 + 2 B2_23 y'z' + B2_33 z'^2 = 0
-        z'' + B3_22 y'^2 + 2 B3_23 y'z' + B3_33 z'^2 = 0
-    """
-
-    B2_22: Expr
-    B2_23: Expr
-    B2_33: Expr
-    B3_22: Expr
-    B3_23: Expr
-    B3_33: Expr
-
-    def __post_init__(self):
-        for name, value in self.entries().items():
-            if not value.diff("x").is_zero_literal():
-                raise CoefficientDomainError(
-                    f"quadratic coefficient {name} depends on x"
-                )
-
-    def as_cubic(self) -> SystemCubic2:
-        return SystemCubic2.make(**self.entries())
-
-
-class Linear2(CoefficientTable):
-    """Pair linear in first derivatives; the C's are functions of x only.
-
-        y'' + C2_2 y' + C2_3 z' + D2 = 0
-        z'' + C3_2 y' + C3_3 z' + D3 = 0
-    """
-
-    C2_2: Expr
-    C2_3: Expr
-    C3_2: Expr
-    C3_3: Expr
-    D2: Expr
-    D3: Expr
-
-    def __post_init__(self):
-        for name in ("C2_2", "C2_3", "C3_2", "C3_3"):
-            value = getattr(self, name)
-            for coord in ("y", "z"):
-                if not value.diff(coord).is_zero_literal():
-                    raise CoefficientDomainError(
-                        f"linear coefficient {name} depends on {coord}"
-                    )
-
-    def as_cubic(self) -> SystemCubic2:
-        return SystemCubic2.make(**self.entries())
 
 
 def tresse_residuals(cubic: ScalarCubic) -> List[Tuple[str, Expr]]:

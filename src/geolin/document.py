@@ -13,36 +13,30 @@ from __future__ import annotations
 import re
 from typing import Callable, Dict, Optional, Tuple, Union
 
-from .criteria import (
-    Linear2,
-    Quadratic2,
-    appendix_residuals,
-    check_cubic2,
-    check_linear2,
-    check_quadratic2,
-    lie_gauge_residuals,
-    tresse_scalar,
-)
+from . import geometry, projection
 from .geometry import (
     Christoffel,
     Geodesic2Coefficients,
     Metric,
     SYM_PAIRS,
     coordinates,
-    geodesic2_flat_conditions,
-    is_flat,
 )
 from .kernel import Expr, KernelDomainError, ParseError, parse
 from .kernel.frozen import Frozen
+from .lazy import lazy_module
 from .projection import (
+    GeneralSystem2,
+    Linear2,
+    Quadratic2,
     ScalarCubic,
     ScalarGauge,
     SystemCubic2,
     SystemGauge,
-    lift_scalar,
-    lift_system,
 )
-from .transform import GeneralSystem2, Transformation, normal_form
+
+# the checks and the transformations load when a command first calls them
+criteria = lazy_module("geolin.criteria")
+transform = lazy_module("geolin.transform")
 
 
 class DocumentError(ValueError):
@@ -60,7 +54,11 @@ class Kind(Frozen):
     gauge with `appendix`; a connection kind converts its system to a
     connection with `connection`; a general kind reduces its system to
     the cubic shape with `normal_form`.  `counterpart` names the kind
-    that lifting or projecting produces.
+    that lifting or projecting produces.  `check`, `lift`, `appendix`
+    and `normal_form` read their function off its module at each call
+    (`_call`), so `criteria` and `transform` load only for a command
+    that calls into them, and a function rebound on its module is the
+    one the registry calls.
     """
 
     dim: int
@@ -89,6 +87,11 @@ def _itself(value):
     return value
 
 
+def _call(module, name: str) -> Callable:
+    """A call of `module.name`, read off the module when made."""
+    return lambda *args: getattr(module, name)(*args)
+
+
 def _table(cls) -> Dict[str, object]:
     """Key list and builder of a kind that reads one coefficient table."""
     return dict(keys=cls.keys(), build=cls.make)
@@ -105,35 +108,35 @@ def _christoffel3(**table) -> Christoffel:
 
 _SCALAR_EQUATION = dict(
     dim=2, counterpart="geodesic-2", equations=_itself, gauge=ScalarGauge,
-    lift=lift_scalar, appendix=lie_gauge_residuals)
+    lift=_call(projection, "lift_scalar"), appendix=_call(criteria, "lie_gauge_residuals"))
 _PAIR_EQUATION = dict(
-    dim=3, counterpart="geodesic-3", gauge=SystemGauge, lift=lift_system,
-    appendix=appendix_residuals)
+    dim=3, counterpart="geodesic-3", gauge=SystemGauge, lift=_call(projection, "lift_system"),
+    appendix=_call(criteria, "appendix_residuals"))
 
 KINDS: Dict[str, Kind] = {
     "scalar-cubic": Kind(
-        **_table(ScalarCubic), check=tresse_scalar, **_SCALAR_EQUATION),
+        **_table(ScalarCubic), check=_call(criteria, "tresse_scalar"), **_SCALAR_EQUATION),
     "cubic-2": Kind(
-        **_table(SystemCubic2), check=check_cubic2, equations=_itself,
+        **_table(SystemCubic2), check=_call(criteria, "check_cubic2"), equations=_itself,
         **_PAIR_EQUATION),
     "quadratic-2": Kind(
-        **_table(Quadratic2), check=check_quadratic2,
+        **_table(Quadratic2), check=_call(criteria, "check_quadratic2"),
         equations=Quadratic2.as_cubic, **_PAIR_EQUATION),
     "linear-2": Kind(
-        **_table(Linear2), check=check_linear2, equations=Linear2.as_cubic,
-        **_PAIR_EQUATION),
+        **_table(Linear2), check=_call(criteria, "check_linear2"),
+        equations=Linear2.as_cubic, **_PAIR_EQUATION),
     "geodesic-2": Kind(
         dim=2, **_table(Geodesic2Coefficients),
-        check=geodesic2_flat_conditions, counterpart="scalar-cubic",
+        check=_call(geometry, "geodesic2_flat_conditions"), counterpart="scalar-cubic",
         connection=Geodesic2Coefficients.as_christoffel),
     "geodesic-3": Kind(
         dim=3,
         keys=tuple(_GEODESIC3),
         build=_christoffel3,
         entry=lambda gamma, key: gamma.gamma(*_GEODESIC3[key]),
-        check=is_flat, counterpart="cubic-2", connection=_itself),
+        check=_call(geometry, "is_flat"), counterpart="cubic-2", connection=_itself),
     "general-2": Kind(
-        dim=3, **_table(GeneralSystem2), normal_form=normal_form),
+        dim=3, **_table(GeneralSystem2), normal_form=_call(transform, "normal_form")),
 }
 
 _MAP_KEYS = {2: ("u", "v"), 3: ("u", "v", "w")}
@@ -165,11 +168,11 @@ class SystemDocument(Frozen):
         """Build the typed coefficient object the kind declares."""
         return self.spec.build(**self.coefficients)
 
-    def transformation(self) -> Optional[Transformation]:
+    def transformation(self) -> Optional[transform.Transformation]:
         if self.transformation_components is None:
             return None
         keys = _MAP_KEYS[self.dim]
-        return Transformation.make(
+        return transform.Transformation.make(
             *(self.transformation_components[k] for k in keys))
 
     def metric(self) -> Optional[Metric]:

@@ -14,6 +14,9 @@ it reads, and applies the projective change G{i}_jk += delta^i_j psi_k
 + delta^i_k psi_j, which projection cannot see: the gauge (two free
 functions in 2D, three in 3D) fixes psi.  Projection then forgets the
 gauge again, which is the round-trip identity tested here.
+
+The coefficient tables of every equation kind live here too, so that
+reading a document needs neither the checks nor the transformations.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from math import lcm
 from typing import Dict, Tuple, Union
 
 from .geometry import SYM_PAIRS, Christoffel, CoefficientTable, Geodesic2Coefficients, sym_key
-from .kernel import Expr
+from .kernel import Expr, integer
 
 
 class ScalarCubic(CoefficientTable):
@@ -64,6 +67,110 @@ class SystemCubic2(CoefficientTable):
     C3_3: Expr
     D2: Expr
     D3: Expr
+
+
+class CoefficientDomainError(ValueError):
+    """A coefficient depends on a coordinate its equation kind forbids."""
+
+
+class Quadratic2(CoefficientTable):
+    """Quadratically semi-linear pair; coefficients functions of (y, z).
+
+        y'' + B2_22 y'^2 + 2 B2_23 y'z' + B2_33 z'^2 = 0
+        z'' + B3_22 y'^2 + 2 B3_23 y'z' + B3_33 z'^2 = 0
+    """
+
+    B2_22: Expr
+    B2_23: Expr
+    B2_33: Expr
+    B3_22: Expr
+    B3_23: Expr
+    B3_33: Expr
+
+    def __post_init__(self):
+        for name, value in self.entries().items():
+            if not value.diff("x").is_zero_literal():
+                raise CoefficientDomainError(
+                    f"quadratic coefficient {name} depends on x"
+                )
+
+    def as_cubic(self) -> SystemCubic2:
+        return SystemCubic2.make(**self.entries())
+
+
+class Linear2(CoefficientTable):
+    """Pair linear in first derivatives; the C's are functions of x only.
+
+        y'' + C2_2 y' + C2_3 z' + D2 = 0
+        z'' + C3_2 y' + C3_3 z' + D3 = 0
+    """
+
+    C2_2: Expr
+    C2_3: Expr
+    C3_2: Expr
+    C3_3: Expr
+    D2: Expr
+    D3: Expr
+
+    def __post_init__(self):
+        for name in ("C2_2", "C2_3", "C3_2", "C3_3"):
+            value = getattr(self, name)
+            for coord in ("y", "z"):
+                if not value.diff(coord).is_zero_literal():
+                    raise CoefficientDomainError(
+                        f"linear coefficient {name} depends on {coord}"
+                    )
+
+    def as_cubic(self) -> SystemCubic2:
+        return SystemCubic2.make(**self.entries())
+
+
+class GeneralSystem2(CoefficientTable):
+    """General linearizable pair; 26 independent coefficient slots.
+
+        J2_2 y'' + J2_3 z'' + G2_23 (y'z'' - z'y'') + cubic + lower = 0
+        J3_2 y'' + J3_3 z'' + G3_23 (y'z'' - z'y'') + cubic + lower = 0
+
+    The Del slots are the fully symmetrized cubic coefficients, the Lam
+    slots the symmetrized quadratic ones; symmetrization never changes
+    the equations since the first derivatives enter symmetrically.
+    """
+
+    J2_2: Expr
+    J2_3: Expr
+    J3_2: Expr
+    J3_3: Expr
+    G2_23: Expr
+    G3_23: Expr
+    Del2_222: Expr
+    Del2_223: Expr
+    Del2_233: Expr
+    Del2_333: Expr
+    Del3_222: Expr
+    Del3_223: Expr
+    Del3_233: Expr
+    Del3_333: Expr
+    Lam2_22: Expr
+    Lam2_23: Expr
+    Lam2_33: Expr
+    Lam3_22: Expr
+    Lam3_23: Expr
+    Lam3_33: Expr
+    Om2_2: Expr
+    Om2_3: Expr
+    Om3_2: Expr
+    Om3_3: Expr
+    E2: Expr
+    E3: Expr
+
+    def J(self, i: int, j: int) -> Expr:
+        return getattr(self, f"J{i}_{j}")
+
+    def G(self, i: int, k: int, j: int) -> Expr:
+        if k == j:
+            return integer(0)
+        field = getattr(self, f"G{i}_23")
+        return field if (k, j) == (2, 3) else -field
 
 
 class ScalarGauge(CoefficientTable):

@@ -20,10 +20,8 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from math import comb
 from typing import Tuple, Union
 
-from .criteria import Linear2, Quadratic2
 from .geometry import (
     Christoffel,
-    CoefficientTable,
     Geodesic2Coefficients,
     Metric,
     SYM_PAIRS,
@@ -45,7 +43,8 @@ from .kernel import (
 )
 from .kernel.frozen import Frozen
 from .projection import (
-    ScalarCubic, SystemCubic2, _combine, project, project_weights, slope_slot)
+    GeneralSystem2, Linear2, Quadratic2, ScalarCubic, SystemCubic2, _combine, project,
+    project_weights, slope_slot)
 from .report import ConditionReport, evaluate_conditions
 
 
@@ -114,54 +113,6 @@ def _induced_families():
 
 
 _FAMILIES = _induced_families()
-
-
-class GeneralSystem2(CoefficientTable):
-    """General linearizable pair; 26 independent coefficient slots.
-
-        J2_2 y'' + J2_3 z'' + G2_23 (y'z'' - z'y'') + cubic + lower = 0
-        J3_2 y'' + J3_3 z'' + G3_23 (y'z'' - z'y'') + cubic + lower = 0
-
-    The Del slots are the fully symmetrized cubic coefficients, the Lam
-    slots the symmetrized quadratic ones; symmetrization never changes
-    the equations since the first derivatives enter symmetrically.
-    """
-
-    J2_2: Expr
-    J2_3: Expr
-    J3_2: Expr
-    J3_3: Expr
-    G2_23: Expr
-    G3_23: Expr
-    Del2_222: Expr
-    Del2_223: Expr
-    Del2_233: Expr
-    Del2_333: Expr
-    Del3_222: Expr
-    Del3_223: Expr
-    Del3_233: Expr
-    Del3_333: Expr
-    Lam2_22: Expr
-    Lam2_23: Expr
-    Lam2_33: Expr
-    Lam3_22: Expr
-    Lam3_23: Expr
-    Lam3_33: Expr
-    Om2_2: Expr
-    Om2_3: Expr
-    Om3_2: Expr
-    Om3_3: Expr
-    E2: Expr
-    E3: Expr
-
-    def J(self, i: int, j: int) -> Expr:
-        return getattr(self, f"J{i}_{j}")
-
-    def G(self, i: int, k: int, j: int) -> Expr:
-        if k == j:
-            return integer(0)
-        field = getattr(self, f"G{i}_23")
-        return field if (k, j) == (2, 3) else -field
 
 
 def _induced_terms():

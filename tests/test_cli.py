@@ -564,7 +564,7 @@ class TestStartup:
             [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
         code = textwrap.dedent("""
             import dataclasses, json, sys
-            import geolin.cli
+            import geolin.cli, geolin.criteria, geolin.transform
             found = {}
             for name, module in sorted(sys.modules.items()):
                 if name != 'geolin' and not name.startswith('geolin.'):
@@ -587,6 +587,86 @@ class TestStartup:
             "Metric", "Christoffel", "Riemann", "Geodesic2Coefficients", "ScalarCubic",
             "SystemCubic2", "ScalarGauge", "SystemGauge", "Quadratic2", "Linear2",
             "Transformation", "GeneralSystem2", "Kind", "SystemDocument"}
+
+    def test_commands_run_only_the_modules_they_call(self):
+        # with no bytecode cache a module costs its compile; import
+        # geolin.cli registers transform and criteria, as the benchmark
+        # tracer reads every module its LAYERS names, but runs neither
+        # body until a command calls into it
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        code = textwrap.dedent("""
+            import contextlib, io, os, sys
+            ran = []
+            sys.addaudithook(lambda event, args: event == 'exec' and ran.append(
+                os.path.basename(getattr(args[0], 'co_filename', ''))))
+            sys.path.insert(0, 'bench')
+            from tracer import LAYERS
+            import geolin.cli
+            def bodies(step):
+                print(step, *sorted(name for name in ('criteria.py', 'transform.py')
+                                    if name in ran) or ['none'], ran.count('criteria.py'))
+            print(all(module in sys.modules for targets in LAYERS.values()
+                      for module, _ in targets))
+            bodies('import')
+            for cmd, doc in [('lift', 'sys-ex4'), ('verify-metric', 'lie-ex2'),
+                             ('check', 'sys-ex3'), ('normal-form', 'sys-ex5')]:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = geolin.cli.main([cmd, f'corpus/{doc}.ini', '--format', 'json'])
+                bodies(f'{cmd}:{code}')
+        """)
+        done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "True",
+            "import none 0",
+            "lift:0 none 0",
+            "verify-metric:0 none 0",
+            "check:0 criteria.py 1",
+            "normal-form:1 criteria.py transform.py 1",
+        ]
+
+    def test_two_threads_load_a_deferred_module_once(self):
+        # two threads behind a barrier read geolin.transform while its body
+        # has not run: the body runs once, and both see the loaded module
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        code = textwrap.dedent("""
+            import contextlib, io, os, sys, threading
+            ran = []
+            sys.addaudithook(lambda event, args: event == 'exec' and ran.append(
+                os.path.basename(getattr(args[0], 'co_filename', ''))))
+            import geolin.cli
+            transform = sys.modules['geolin.transform']
+            start, seen = threading.Barrier(2), []
+            def touch():
+                start.wait(timeout=30)
+                seen.append((transform.GeneralSystem2, transform.Transformation))
+            threads = [threading.Thread(target=touch) for _ in range(2)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            print(any(t.is_alive() for t in threads), len(seen), seen[0] == seen[1],
+                  ran.count('transform.py'))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = geolin.cli.main(['normal-form', 'corpus/sys-ex5.ini', '--format', 'json'])
+            with open('tests/golden/sys-ex5.normal-form.json', encoding='utf-8') as golden:
+                print(code, out.getvalue() == golden.read(), ran.count('transform.py'))
+        """)
+        done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["False 2 True 1", "1 True 1"]
 
     def test_dataclasses_load_on_first_introspection(self):
         # import geolin.cli loads no dataclasses (nor the inspect, ast, dis
