@@ -41,15 +41,18 @@ sum_of_products builds a sum of weighted products of polynomials in one
 accumulator dict, which _p_mul runs on an empty dict for one product.
 
 Common factors are found by one polynomial gcd that returns its
-cofactors: the heuristic gcd GCDHEU (Char, Geddes and Gonnet, 1989),
-which takes each kernel for a free variable and packs each monomial into
-one int, a bit field per generator.  A candidate counts only once it
-divides both inputs exactly over the integers, so soundness never rests
-on the heuristic, and since every polynomial here is rewrite-normal a
-divisor in the free ring divides in the kernel ring with the same
-cofactors.  Over kernels the quotient ring is not a unique factorization
-domain, and the gcd is a verified common divisor rather than the greatest
-one.  Past a size guard (terms, shared generators, or an exponent too
+cofactors, which takes each kernel for a free variable and packs each
+monomial into one int, a bit field per generator.  Most inputs are
+settled by one exact division: one operand over its monomial content
+divides the other, or is irreducible by its degree one in some variable
+and divides neither.  The rest go to the heuristic gcd GCDHEU (Char,
+Geddes and Gonnet, 1989).  A candidate counts only once it divides both
+inputs exactly over the integers, so soundness never rests on the
+heuristic, and since every polynomial here is rewrite-normal a divisor
+in the free ring divides in the kernel ring with the same cofactors.
+Over kernels the quotient ring is not a unique factorization domain, and
+the gcd is a verified common divisor rather than the greatest one.  Past
+a size guard (terms, shared generators, or an exponent too
 large to raise an integer to), or when the heuristic gives up, only the
 common monomial factor cancels, which bounds the work at the price of a
 form that may not be fully reduced; the gcd then reports that it stopped early.
@@ -557,14 +560,18 @@ def _p_gcd(a, b):
 
     g is primitive with a positive leading term, and the cofactors are
     exact quotients, so g always divides both inputs.  The common monomial
-    factor comes out first, term by term; the rest goes to the heuristic
-    gcd, which takes each kernel for a free variable and divides both
-    inputs by its candidate exactly over the integers.  whole is False when
-    the search stopped early: past the size guard (_GCD_TERM_LIMIT terms,
-    _GCD_GEN_LIMIT shared generators, an exponent past _GCD_DEGREE_LIMIT,
-    a power of an evaluation point past _GCD_BIT_LIMIT bits) or when the
-    heuristic gives up.  g is then only the common monomial factor, or 1,
-    and may leave a common factor behind.
+    factor comes out first, term by term.  The rest is packed with each
+    kernel as a free variable and first tried by exact division
+    (_pk_trial_gcd): an operand over its own monomial content that divides
+    the other is the gcd, and one of degree one in a variable with a
+    single term on one side of it is irreducible, so the gcd is 1.  Else
+    the heuristic gcd divides both inputs by its candidate exactly over
+    the integers.  whole is False when the search stopped early: past the
+    size guard (_GCD_TERM_LIMIT terms, _GCD_GEN_LIMIT shared generators,
+    an exponent past _GCD_DEGREE_LIMIT, which also skip the division step,
+    or a power of an evaluation point past _GCD_BIT_LIMIT bits) or when
+    the heuristic gives up.  g is then only the common monomial factor, or
+    1, and may leave a common factor behind.
     """
     if not a or not b:
         c = _poly_rat_content(a or b)
@@ -606,6 +613,12 @@ def _p_gcd(a, b):
 # both is their gcd; the growth between tries follows sympy's
 # dmp_zz_heu_gcd.  Kernels enter as free variables: the candidate is a gcd
 # in the free ring, with cofactors checked there by exact division.
+# Before the search, _pk_trial_gcd settles most inputs by that division
+# alone, the classical trial-division shortcut (Geddes, Czapor and
+# Labahn, 1992): an operand over its monomial content that divides the
+# other is the gcd, and one that is irreducible by its degree one in some
+# variable and divides neither leaves the gcd 1.  The gcd is unique up to
+# sign, which _heu_gcd fixes, so both routes give the same result.
 
 
 def _heu_gcd(a, b, gens):
@@ -619,7 +632,7 @@ def _heu_gcd(a, b, gens):
     guard = ((1 << w * n) - 1) // ((1 << w) - 1) << (w - 1)  # each field's top bit
     ka, fa = _pk_from_poly(a, shifts)
     kb, fb = _pk_from_poly(b, shifts)
-    found = _pk_heu_gcd(fa, fb, n, w, guard)
+    found = _pk_trial_gcd(fa, fb, n, w, guard) or _pk_heu_gcd(fa, fb, n, w, guard)
     if found is None:
         return None
     h, cfa, cfb = found
@@ -658,6 +671,58 @@ def _pk_to_poly(f, shifts, w, k=1) -> dict:
     mask = (1 << w) - 1
     return {_mono(tuple([(g, e) for g, s in shifts.items() if (e := m >> s & mask)])):
             c if k == 1 else _qnorm(c * k) for m, c in f.items()}
+
+
+def _pk_trial_gcd(f, g, n, w, guard):
+    """(h, f/h, g/h) for primitive packed integer polynomials with no
+    common monomial factor, settled by one exact division, or None.
+
+    Since the common monomial factor is 1, each generator of f's monomial
+    content is missing from some term of g and so does not divide g;
+    hence gcd(f, g) = gcd(s, g) with s = f over its monomial content.  If
+    s divides g it is the gcd, and g is tried the same way, the shorter
+    operand first.  Else gcd(s, g) is 1 when s is irreducible.  That
+    holds when s has degree one in some v and its terms in v or its terms
+    free of v are a single term: in any factorization one factor has
+    degree zero in v and so divides both parts, hence the single term;
+    s is primitive with no monomial factor, so that factor is a unit.
+    Degree one alone is not enough: (x + 1)(y + 1) has two terms on each
+    side of x.
+    """
+    s_f, low_f = _pk_drop_monomial(f, w, guard)
+    s_g, low_g = _pk_drop_monomial(g, w, guard)
+    tries = ((s_f, g, False), (s_g, f, True))
+    for s, other, swapped in tries if len(f) <= len(g) else tries[::-1]:
+        q = _pk_exact_div(other, s, w, guard)
+        if q is not None:
+            return (s, q, {low_g: 1}) if swapped else (s, {low_f: 1}, q)
+    if _pk_linear_irreducible(s_f, n, w, guard) or _pk_linear_irreducible(s_g, n, w, guard):
+        return {0: 1}, f, g
+    return None
+
+
+def _pk_drop_monomial(f, w, guard):
+    """(f over its monomial content, the content's key)."""
+    low = guard - (guard >> (w - 1))  # every value bit set
+    for m in f:
+        # guard bits of the fields where low >= m, then their value bits
+        ge = ((low | guard) - m) & guard
+        low ^= (low ^ m) & (ge - (ge >> (w - 1)))
+    return ({m - low: c for m, c in f.items()} if low else f), low
+
+
+def _pk_linear_irreducible(s, n, w, guard) -> bool:
+    """Whether s, of degree one in some variable, has a single term in
+    that variable or a single term free of it."""
+    mask = (1 << w) - 1
+    top = _pk_degrees(s, w, guard)
+    for shift in range(0, n * w, w):
+        if top >> shift & mask == 1:
+            bit = 1 << shift
+            with_v = sum(1 for m in s if m & bit)
+            if with_v == 1 or with_v == len(s) - 1:
+                return True
+    return False
 
 
 def _pk_heu_gcd(f, g, n, w, guard):

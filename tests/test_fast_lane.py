@@ -125,18 +125,24 @@ def test_kernel_free_diff_lane_matches_the_term_sum(seed):
             _assert_same(a.diff(name), _diff_by_terms(a, name))
 
 
+# x^2 + x + 1 over x^2 - 2 and x^2 + 3: neither product divides the other
+# and neither has degree one in x, so their gcd takes the heuristic
+COMMON, LEFT, RIGHT = x**2 + x + 1, x**2 - 2, x**2 + 3
+
+
 def test_scaling_a_fraction_whose_gcd_stopped_early_takes_the_full_path(monkeypatch):
     monkeypatch.setattr(core, "_HEU_TRIES", 0)
-    e = (x * sin(x) - sin(x)) / (x - 1)
+    e = COMMON * LEFT * sin(x) / (COMMON * RIGHT)
     assert core._p_gcd(e.num, e.den)[3] is False
-    assert str(e) == "(sin(x)*x - sin(x))/(x - 1)"
+    assert str(e) == ("(sin(x)*x^4 + sin(x)*x^3 - sin(x)*x^2 - 2*sin(x)*x - 2*sin(x))"
+                      "/(x^4 + x^3 + 4*x^2 + 3*x + 3)")
     three = _general(integer(3))
     _assert_same(e * 3, e * three)
     monkeypatch.undo()
     # with the heuristic back, the full normalization finds the factor
     for scaled in (e * 3, 3 * e, e * three):
-        _assert_same(scaled, 3 * sin(x))
-    _assert_same(e / 3, sin(x) / 3)
+        _assert_same(scaled, 3 * LEFT * sin(x) / RIGHT)
+    _assert_same(e / 3, LEFT * sin(x) / (3 * RIGHT))
 
 
 def _dens(e):
@@ -339,8 +345,9 @@ def test_a_kernel_operand_takes_the_chained_operations(monkeypatch):
 
 def test_an_operand_whose_gcd_stopped_early_takes_the_chained_operations(monkeypatch):
     monkeypatch.setattr(core, "_HEU_TRIES", 0)
-    partial = (x**2 - 1) / (x - 1)
-    assert partial._plain is False and str(partial) == "(x^2 - 1)/(x - 1)"
+    partial = COMMON * LEFT / (COMMON * RIGHT)
+    assert partial._plain is False
+    assert str(partial) == "(x^4 + x^3 - x^2 - 2*x - 2)/(x^4 + x^3 + 4*x^2 + 3*x + 3)"
     monkeypatch.undo()
     _refuse_fused(monkeypatch)
     rng = random.Random(4)

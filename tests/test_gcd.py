@@ -1,12 +1,16 @@
 """Polynomial gcd: cofactors, primitivity, and the heuristic over kernels.
 
-The kernel's gcd returns (g, a/g, b/g, whole).  Every input goes to the
-heuristic gcd, which takes each kernel for a free variable; a candidate
-counts only once it divides both inputs exactly over the integers, and
-whole says whether the search ran to the end.  Every polynomial the
-kernel builds is rewrite-normal, so a divisor in that free ring divides
-in the kernel ring with the same cofactors, and a property below checks
-this over sqrt, sin and exp atoms.  These tests build raw polynomials
+The kernel's gcd returns (g, a/g, b/g, whole).  Each input is packed with
+every kernel as a free variable and first tried by one exact division:
+an operand over its own monomial content that divides the other is the
+gcd, and one of degree one in a variable with a single term in it, or a
+single term free of it, is irreducible, so the gcd is 1.  The rest go to
+the heuristic gcd; a candidate counts only once it divides both inputs
+exactly over the integers, and whole says whether the search ran to the
+end.  A property below checks that the division step changes no result.
+Every polynomial the kernel builds is rewrite-normal, so a divisor in
+that free ring divides in the kernel ring with the same cofactors, and a
+property below checks this over sqrt, sin and exp atoms.  These tests build raw polynomials
 with a planted common factor and check the result against its
 definition, without any outside computer algebra system, and check the
 gcd on packed integer keys result for result against the gcd on
@@ -20,7 +24,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geolin.kernel import core, exp, integer, parse, sin, sqrt, var
+from geolin.kernel import core, exp, integer, ln, parse, sin, sqrt, var
 from geolin.transform import coefficients_from_transformation
 from helpers import (
     fraction_chain_residuals,
@@ -299,23 +303,92 @@ def test_prs_give_up_propagates_on_pool_31_draw_19(monkeypatch):
 
 def test_heuristic_giving_up_leaves_the_fraction_unreduced(monkeypatch):
     # with no evaluation point to try the heuristic returns nothing, the
-    # gcd reports that it stopped early, and the fraction keeps its factor
+    # gcd reports that it stopped early, and the fraction keeps its factor;
+    # neither operand divides the other and neither has degree one, so
+    # the division step leaves the pair to the heuristic
     monkeypatch.setattr(core, "_HEU_TRIES", 0)
     x = var("x")
-    e = (x**2 - 1) / (x - 1)
+    common = x**2 + x + 1
+    e = common * (x**2 - 2) / (common * (x**2 + 3))
     assert core._p_gcd(e.num, e.den)[3] is False
-    assert str(e) == "(x^2 - 1)/(x - 1)"
-    assert (e - (x + 1)).is_zero_literal()
+    assert str(e) == "(x^4 + x^3 - x^2 - 2*x - 2)/(x^4 + x^3 + 4*x^2 + 3*x + 3)"
+    assert (e - (x**2 - 2) / (x**2 + 3)).is_zero_literal()
 
 
-def _gcd_with(heu, a, b):
-    """core._p_gcd(a, b) with heu in place of the heuristic gcd."""
-    packed = core._heu_gcd
-    core._heu_gcd = heu
+def test_a_dividing_or_irreducible_operand_skips_the_search(monkeypatch):
+    # an operand over its own monomial content, here sin(x) or z, either
+    # divides the other operand, in whichever order they come, or is
+    # irreducible by its degree one in x and divides nothing else
+    calls = []
+    search = core._pk_heu_gcd
+    monkeypatch.setattr(core, "_pk_heu_gcd", lambda *args: calls.append(1) or search(*args))
+    x, y, z = var("x"), var("y"), var("z")
+    for num, den, g in ((x**2 - 1, x - 1, x - 1), ((x - 1) * sin(x), x - 1, x - 1),
+                        (z * (x - 1), x**2 + y**2 + 1, integer(1))):
+        assert core._p_gcd(num.num, den.num) == (g.num, (num / g).num, (den / g).num, True)
+        assert core._p_gcd(den.num, num.num) == (g.num, (den / g).num, (num / g).num, True)
+    assert (x**2 - 1) / (x - 1) == x + 1
+    assert (x - 1) * sin(x) / (x - 1) == sin(x)
+    assert calls == []
+
+
+def test_degree_one_with_two_terms_on_each_side_goes_to_the_search():
+    # (x + 1)(y + 1) has degree one in x and in y, with two terms on each
+    # side of either, and is not irreducible: it shares y + 1 with b
+    x, y, z = var("x"), var("y"), var("z")
+    a, b = ((x + 1) * (y + 1)).num, ((y + 1) * (z + 3)).num
+    assert core._p_gcd(a, b) == ((y + 1).num, (x + 1).num, (z + 3).num, True)
+
+
+def _gcd_with(name, f, a, b):
+    """core._p_gcd(a, b) with f in place of core's function name."""
+    saved = getattr(core, name)
+    setattr(core, name, f)
     try:
         return core._p_gcd(a, b)
     finally:
-        core._heu_gcd = packed
+        setattr(core, name, saved)
+
+
+# Atoms of the division step's property: v * t + q, with t a single term
+# and q a polynomial in the atoms other than v, has degree one in v
+_TRIAL_ATOMS = (var("x"), var("y"), var("z"), sqrt(var("x") + 2), exp(var("y")),
+                sin(var("x")), ln(var("z")))
+_trial_terms = st.lists(
+    st.tuples(st.integers(-3, 3).filter(bool),
+              st.lists(st.sampled_from(range(len(_TRIAL_ATOMS))), max_size=2)),
+    min_size=1, max_size=3,
+)
+
+
+def _trial_poly(terms, skip=None):
+    total = integer(0)
+    for c, picks in terms:
+        term = integer(c)
+        for i in picks:
+            if i != skip:
+                term = term * _TRIAL_ATOMS[i]
+        total = total + term
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("divides", "degree one", "degree one divides", "planted")),
+       st.sampled_from(range(len(_TRIAL_ATOMS))), _trial_terms, _trial_terms, _trial_terms,
+       st.booleans())
+def test_division_step_changes_no_gcd(shape, v, f, u, w, swap):
+    # with the step switched off every pair goes to the heuristic, whose
+    # gcd is unique up to sign, so both give the same (g, a/g, b/g, whole)
+    if shape.startswith("degree one"):
+        a = _TRIAL_ATOMS[v] * _trial_poly(u[:1], skip=v) + _trial_poly(w, skip=v)
+        b = _trial_poly(f) * (a if shape.endswith("divides") else _trial_poly(u))
+    else:
+        f, u, w = _trial_poly(f), _trial_poly(u), _trial_poly(w)
+        a, b = (f * u, f) if shape == "divides" else (f * u, f * w)
+    a, b = (b.num, a.num) if swap else (a.num, b.num)
+    if not (a and b):
+        return
+    assert core._p_gcd(a, b) == _gcd_with("_pk_trial_gcd", lambda *args: None, a, b)
 
 
 # One of x, y and ln(z) takes exponents up to 300 (up to 600 in a
@@ -355,7 +428,7 @@ def test_packed_gcd_matches_the_tuple_oracle(wide, f, u, v, su, sv):
     b = core._p_mul(f, _wide_poly(v, wide, sv))
     if not (a and b):
         return
-    assert core._p_gcd(a, b) == _gcd_with(tuple_heu_gcd, a, b)
+    assert core._p_gcd(a, b) == _gcd_with("_heu_gcd", tuple_heu_gcd, a, b)
 
 
 def test_packed_gcd_matches_the_tuple_oracle_on_wide_fields():
@@ -378,7 +451,7 @@ def test_packed_gcd_matches_the_tuple_oracle_on_wide_fields():
         if packed_layout(gens, a, b)[1] < 8:
             continue
         reached += 1
-        assert core._p_gcd(a, b) == _gcd_with(tuple_heu_gcd, a, b)
+        assert core._p_gcd(a, b) == _gcd_with("_heu_gcd", tuple_heu_gcd, a, b)
         assert core._heu_gcd(a, b, gens) == tuple_heu_gcd(a, b, gens)
     assert reached >= 20
 
