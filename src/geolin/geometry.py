@@ -287,16 +287,12 @@ def christoffel_from_metric(
     adj = adjugate([[g.g(i, j) for j in index] for i in index])
     half_over_det = _HALF / det
     components: Dict[Tuple[int, int, int], Expr] = {}
-    for i in range(1, g.dim + 1):
+    for i in index:
         for j, k in SYM_PAIRS[g.dim]:
-            acc = ZERO
-            for m in range(1, g.dim + 1):
-                acc = acc + adj[i - 1][m - 1] * (
-                    g.g(j, m).diff(names[k - 1])
-                    + g.g(k, m).diff(names[j - 1])
-                    - g.g(j, k).diff(names[m - 1])
-                )
-            components[(i, j, k)] = half_over_det * acc
+            components[(i, j, k)] = half_over_det * sum_of_products([
+                (1, adj[i - 1][m - 1], g.g(j, m).diff(names[k - 1])
+                 + g.g(k, m).diff(names[j - 1]) - g.g(j, k).diff(names[m - 1]))
+                for m in index])
     return Christoffel.from_components(g.dim, components)
 
 

@@ -40,22 +40,24 @@ path would only wrap the numerator, so the result is the same pair.
 sum_of_products builds a sum of weighted products of polynomials in one
 accumulator dict, which _p_mul runs on an empty dict for one product.
 
-Common factors are found by one polynomial gcd that returns its
-cofactors, which takes each kernel for a free variable and packs each
-monomial into one int, a bit field per generator.  Most inputs are
-settled by one exact division: one operand over its monomial content
-divides the other, or is irreducible by its degree one in some variable
-and divides neither.  The rest go to the heuristic gcd GCDHEU (Char,
-Geddes and Gonnet, 1989).  A candidate counts only once it divides both
-inputs exactly over the integers, so soundness never rests on the
-heuristic, and since every polynomial here is rewrite-normal a divisor
-in the free ring divides in the kernel ring with the same cofactors.
-Over kernels the quotient ring is not a unique factorization domain, and
-the gcd is a verified common divisor rather than the greatest one.  Past
-a size guard (terms, shared generators, or an exponent too
-large to raise an integer to), or when the heuristic gives up, only the
-common monomial factor cancels, which bounds the work at the price of a
-form that may not be fully reduced; the gcd then reports that it stopped early.
+Common factors are found by one polynomial gcd that returns only its
+cofactors, with a common sign that the caller's normalization removes.
+It packs each monomial once into one int, a bit field per generator with
+each kernel a free variable, and takes the common monomial factor as the
+fieldwise minimum of the keys.  Most other inputs are settled by one
+exact division: one operand over its monomial content divides the other,
+or is irreducible by its degree one in some variable and divides
+neither.  The rest go to the heuristic gcd GCDHEU (Char, Geddes and
+Gonnet, 1989).  A candidate counts only once it divides both inputs
+exactly over the integers, so soundness never rests on the heuristic,
+and since every polynomial here is rewrite-normal a divisor in the free
+ring divides in the kernel ring with the same cofactors.  Over kernels
+the quotient ring is not a unique factorization domain, and the gcd is a
+verified common divisor rather than the greatest one.  Past a size guard
+(terms, shared generators, or an exponent too large to raise an integer
+to), or when the heuristic gives up, only the common monomial factor
+cancels, which bounds the work at the price of a form that may not be
+fully reduced; the gcd then reports that it stopped early.
 
 No gcd runs whose answer the canonical form already fixes.  Kernel-free
 reduced pairs live in Q[vars], a unique factorization domain, so for
@@ -161,21 +163,19 @@ _GEN_CACHE: dict = {}
 
 
 def _var_gen(name: str) -> Gen:
-    key = (VAR, name)
-    g = _GEN_CACHE.get(key)
+    # kernels sort before variables, hence the leading 1 here
+    skey = (1, name)
+    g = _GEN_CACHE.get(skey)
     if g is None:
-        # kernels sort before variables, hence the leading 1 here
-        g = Gen(VAR, name, None, (1, name))
-        _GEN_CACHE[key] = g
+        g = _GEN_CACHE[skey] = Gen(VAR, name, None, skey)
     return g
 
 
 def _kernel_gen(fname: str, arg: "Expr") -> Gen:
-    key = (KERNEL, fname, arg.key())
-    g = _GEN_CACHE.get(key)
+    skey = (0, fname, arg.key())
+    g = _GEN_CACHE.get(skey)
     if g is None:
-        g = Gen(KERNEL, fname, arg, (0, fname, arg.key()))
-        _GEN_CACHE[key] = g
+        g = _GEN_CACHE[skey] = Gen(KERNEL, fname, arg, skey)
     return g
 
 
@@ -502,11 +502,6 @@ def _mono_div(m1, m2):
     return _mono(tuple(sorted(d.items(), key=lambda t: t[0].skey)))
 
 
-def _p_mono_quo(p, mono) -> dict:
-    """p with every monomial divided by mono, which divides each of them."""
-    return {_mono_div(m, mono): c for m, c in p.items()}
-
-
 def _mono_common(monos):
     """Componentwise gcd of an iterable of monomials."""
     it = iter(monos)
@@ -556,47 +551,55 @@ _HEU_TRIES = 6
 
 
 def _p_gcd(a, b):
-    """Polynomial gcd with cofactors: (g, a/g, b/g, whole).
+    """Cofactors of a polynomial gcd: (a/g, b/g, whole) for nonzero a, b.
 
-    g is primitive with a positive leading term, and the cofactors are
-    exact quotients, so g always divides both inputs.  The common monomial
-    factor comes out first, term by term.  The rest is packed with each
-    kernel as a free variable and first tried by exact division
-    (_pk_trial_gcd): an operand over its own monomial content that divides
-    the other is the gcd, and one of degree one in a variable with a
-    single term on one side of it is irreducible, so the gcd is 1.  Else
-    the heuristic gcd divides both inputs by its candidate exactly over
-    the integers.  whole is False when the search stopped early: past the
-    size guard (_GCD_TERM_LIMIT terms, _GCD_GEN_LIMIT shared generators,
-    an exponent past _GCD_DEGREE_LIMIT, which also skip the division step,
-    or a power of an evaluation point past _GCD_BIT_LIMIT bits) or when
-    the heuristic gives up.  g is then only the common monomial factor, or
-    1, and may leave a common factor behind.
+    The cofactors are exact quotients by one common divisor g.  Their
+    common sign is arbitrary: every caller ends in _mk_coprime, which
+    divides by the denominator's signed content.  Both operands are
+    packed once, each kernel a free variable, and their common monomial
+    factor comes out of the keys first; the rest goes to _pk_trial_gcd,
+    then to the heuristic gcd.  whole is False when the search stopped
+    early: past the size guard (_GCD_TERM_LIMIT terms, _GCD_GEN_LIMIT
+    shared generators, an exponent past _GCD_DEGREE_LIMIT), at a power of
+    an evaluation point past _GCD_BIT_LIMIT bits, or when the heuristic
+    gives up.  g is then only the common monomial factor, or 1, and may
+    leave a common factor behind.  A gcd of 1 returns a and b themselves.
     """
-    if not a or not b:
-        c = _poly_rat_content(a or b)
-        k = _p_const(c)
-        return _p_quo(a or b, c), k if a else P_ZERO, k if b else P_ZERO, True
     if _p_is_const(a) or _p_is_const(b):
-        return P_ONE, a, b, True
-    gens_a = _p_gens(a)
-    gens_b = _p_gens(b)
-    common = gens_a & gens_b
-    mono = _mono_common([*a, *b])
-    if len(a) == 1 or len(b) == 1 or not common:
-        if not mono:
-            return P_ONE, a, b, True
-        return {mono: 1}, _p_mono_quo(a, mono), _p_mono_quo(b, mono), True
-    if mono:
-        # the monomial part factors out cheaply and keeps the search small;
-        # g comes back primitive with a positive leading term, and so does
-        # its product with a monomial
-        g, ca, cb, whole = _p_gcd(_p_mono_quo(a, mono), _p_mono_quo(b, mono))
-        return _p_mul({mono: 1}, g), ca, cb, whole
-    found = None
-    if len(a) <= _GCD_TERM_LIMIT and len(b) <= _GCD_TERM_LIMIT and len(common) <= _GCD_GEN_LIMIT:
-        found = _heu_gcd(a, b, sorted(gens_a | gens_b))
-    return (P_ONE, a, b, False) if found is None else (*found, True)
+        return a, b, True
+    gens = sorted(_p_gens(a) | _p_gens(b))
+    w = max([e for p in (a, b) for m in p for _, e in m]).bit_length() + 1
+    n = len(gens)
+    shifts = {g: w * (n - 1 - i) for i, g in enumerate(gens)}
+    guard = ((1 << w * n) - 1) // ((1 << w) - 1) << (w - 1)  # each field's top bit
+    ka, fa = _pk_from_poly(a, shifts)
+    kb, fb = _pk_from_poly(b, shifts)
+    low = _pk_monomial([*fa, *fb], w, guard)
+    fa, fb = _pk_drop_monomial(fa, low), _pk_drop_monomial(fb, low)
+    # the guards read the operands with the common monomial out
+    mask = (1 << w) - 1
+    da, db = _pk_degrees(fa, w, guard), _pk_degrees(fb, w, guard)
+    degrees = [(da >> s & mask, db >> s & mask) for s in range(0, n * w, w)]
+    shared = sum(1 for ea, eb in degrees if ea and eb)
+    found, whole = None, True
+    if len(fa) > 1 and len(fb) > 1 and shared:
+        if (len(fa) <= _GCD_TERM_LIMIT and len(fb) <= _GCD_TERM_LIMIT
+                and shared <= _GCD_GEN_LIMIT and max(map(max, degrees)) <= _GCD_DEGREE_LIMIT):
+            found = _pk_trial_gcd(fa, fb, n, w, guard) or _pk_heu_gcd(fa, fb, n, w, guard)
+        whole = found is not None
+    # fa and fb share no monomial factor, so a divisor of one term is a unit
+    if found and len(found[0]) > 1:
+        _, fa, fb = found
+    elif not low:
+        return a, b, whole
+    # A free-ring divisor divides in the kernel ring with the same
+    # cofactors.  Every polynomial built here is rewrite-normal: sin and
+    # constant-argument sqrt generators have exponent at most 1, and a
+    # monomial holds at most one exp generator, with exponent 1.  Degrees
+    # add under free multiplication, per generator and over all exp
+    # generators together, so the factors of a normal polynomial are
+    # normal and multiplying them back fires no rewrite.
+    return _pk_to_poly(fa, shifts, w, ka), _pk_to_poly(fb, shifts, w, kb), whole
 
 
 # Heuristic gcd (GCDHEU; Char, Geddes and Gonnet, 1989) on integer
@@ -615,47 +618,14 @@ def _p_gcd(a, b):
 # in the free ring, with cofactors checked there by exact division.
 # Before the search, _pk_trial_gcd settles most inputs by that division
 # alone, the classical trial-division shortcut (Geddes, Czapor and
-# Labahn, 1992): an operand over its monomial content that divides the
-# other is the gcd, and one that is irreducible by its degree one in some
-# variable and divides neither leaves the gcd 1.  The gcd is unique up to
-# sign, which _heu_gcd fixes, so both routes give the same result.
-
-
-def _heu_gcd(a, b, gens):
-    """(g, a/g, b/g) over the sorted generators gens, or None, also past _GCD_DEGREE_LIMIT."""
-    top = max([e for p in (a, b) for m in p for _, e in m])
-    if top > _GCD_DEGREE_LIMIT:
-        return None
-    w = top.bit_length() + 1
-    n = len(gens)
-    shifts = {g: w * (n - 1 - i) for i, g in enumerate(gens)}
-    guard = ((1 << w * n) - 1) // ((1 << w) - 1) << (w - 1)  # each field's top bit
-    ka, fa = _pk_from_poly(a, shifts)
-    kb, fb = _pk_from_poly(b, shifts)
-    found = _pk_trial_gcd(fa, fb, n, w, guard) or _pk_heu_gcd(fa, fb, n, w, guard)
-    if found is None:
-        return None
-    h, cfa, cfb = found
-    if len(h) == 1 and 0 in h:
-        return P_ONE, a, b
-    # A free-ring divisor divides in the kernel ring with the same
-    # cofactors.  Every polynomial built here is rewrite-normal: sin and
-    # constant-argument sqrt generators have exponent at most 1, and a
-    # monomial holds at most one exp generator, with exponent 1.  Degrees
-    # add under free multiplication, per generator and over all exp
-    # generators together, so the factors of a normal polynomial are
-    # normal and multiplying them back fires no rewrite.
-    g = _pk_to_poly(h, shifts, w)
-    if g[_lead(g)] < 0:
-        # h is primitive, so only its sign moves into the cofactors
-        g, ka, kb = _p_neg(g), -ka, -kb
-    return g, _pk_to_poly(cfa, shifts, w, ka), _pk_to_poly(cfb, shifts, w, kb)
+# Labahn, 1992).  The gcd is unique up to sign, so both routes give the
+# same cofactors up to one common sign.
 
 
 def _pk_from_poly(p, shifts):
     """(k, f) with p = k * f, k > 0 and f a primitive integer polynomial on
-    packed keys, each generator's field at shifts[generator].  The heuristic
-    ignores signs and _heu_gcd signs g, so f's leading term may be negative."""
+    packed keys, each generator's field at shifts[generator].  The gcd
+    ignores signs, so f's leading term may be negative."""
     k = _poly_abs_content(p)
     f = {}
     for m, c in p.items():
@@ -689,8 +659,8 @@ def _pk_trial_gcd(f, g, n, w, guard):
     Degree one alone is not enough: (x + 1)(y + 1) has two terms on each
     side of x.
     """
-    s_f, low_f = _pk_drop_monomial(f, w, guard)
-    s_g, low_g = _pk_drop_monomial(g, w, guard)
+    low_f, low_g = _pk_monomial(f, w, guard), _pk_monomial(g, w, guard)
+    s_f, s_g = _pk_drop_monomial(f, low_f), _pk_drop_monomial(g, low_g)
     tries = ((s_f, g, False), (s_g, f, True))
     for s, other, swapped in tries if len(f) <= len(g) else tries[::-1]:
         q = _pk_exact_div(other, s, w, guard)
@@ -701,14 +671,9 @@ def _pk_trial_gcd(f, g, n, w, guard):
     return None
 
 
-def _pk_drop_monomial(f, w, guard):
-    """(f over its monomial content, the content's key)."""
-    low = guard - (guard >> (w - 1))  # every value bit set
-    for m in f:
-        # guard bits of the fields where low >= m, then their value bits
-        ge = ((low | guard) - m) & guard
-        low ^= (low ^ m) & (ge - (ge >> (w - 1)))
-    return ({m - low: c for m, c in f.items()} if low else f), low
+def _pk_drop_monomial(f, low) -> dict:
+    """f with the monomial of key low, which divides every term, divided out."""
+    return {m - low: c for m, c in f.items()} if low else f
 
 
 def _pk_linear_irreducible(s, n, w, guard) -> bool:
@@ -803,6 +768,16 @@ def _pk_interpolate(h, x, s, limit):
         h = rest
         i += 1
     return out
+
+
+def _pk_monomial(keys, w, guard) -> int:
+    """The key of the monomial content of keys: the fieldwise minimum."""
+    low = guard - (guard >> (w - 1))  # every value bit set
+    for m in keys:
+        # guard bits of the fields where low >= m, then their value bits
+        ge = ((low | guard) - m) & guard
+        low ^= (low ^ m) & (ge - (ge >> (w - 1)))
+    return low
 
 
 def _pk_degrees(f, w, guard) -> int:
@@ -940,7 +915,7 @@ class Expr:
         if self.den == other.den:
             return _mk(_p_add(self.num, other.num), self.den)
         # over the least common denominator: b*d / gcd(b, d)
-        _, qb, qd, _ = _p_gcd(self.den, other.den)
+        qb, qd, _ = _p_gcd(self.den, other.den)
         num = _p_add(_p_mul(self.num, qd), _p_mul(other.num, qb))
         return _mk(num, _p_mul(self.den, qd))
 
@@ -979,8 +954,8 @@ class Expr:
         if self.den is P_ONE and other.den is P_ONE:
             return _poly_expr(_p_mul(self.num, other.num))
         # cross reduction keeps intermediate products small
-        a, d2, whole = _cancel(self.num, other.den)
-        b, d1, whole2 = _cancel(other.num, self.den)
+        a, d2, whole = _p_gcd(self.num, other.den)
+        b, d1, whole2 = _p_gcd(other.num, self.den)
         return _mk_product(_p_mul(a, b), _p_mul(d1, d2), whole and whole2, self, other)
 
     __rmul__ = __mul__
@@ -997,8 +972,8 @@ class Expr:
             raise ZeroDivisionError("exact division by zero expression")
         if not self.num:
             return ZERO
-        a, b, whole = _cancel(self.num, other.num)
-        c, d, whole2 = _cancel(other.den, self.den)
+        a, b, whole = _p_gcd(self.num, other.num)
+        c, d, whole2 = _p_gcd(other.den, self.den)
         return _mk_product(_p_mul(a, c), _p_mul(d, b), whole and whole2, self, other)
 
     def __rtruediv__(self, other):
@@ -1139,7 +1114,7 @@ def _plain_sum(terms, scale):
         if den == lcm:
             q_lcm = q_den = P_ONE
         else:
-            _, q_lcm, q_den, whole = _p_gcd(lcm, den)
+            q_lcm, q_den, whole = _p_gcd(lcm, den)
             if not whole:
                 return None
         if q_den is not P_ONE:
@@ -1154,7 +1129,7 @@ def _plain_sum(terms, scale):
     num = _poly_from_dict(acc)
     if not num:
         return ZERO
-    num, den, whole = _cancel(_p_quo(num, scale), lcm)
+    num, den, whole = _p_gcd(_p_quo(num, scale), lcm)
     if not whole:
         return None
     return _mk_coprime(num, den)
@@ -1187,7 +1162,7 @@ def _mk(num, den) -> Expr:
             rp = {_mono(((g, 1),)): 1}
             num = _p_mul(num, rp)
             den = _p_mul(den, rp)
-    num, den, whole = _cancel(num, den)
+    num, den, whole = _p_gcd(num, den)
     return _mk_coprime(num, den, whole)
 
 
@@ -1235,17 +1210,6 @@ def _is_plain(e) -> bool:
             g.kind == VAR for g in _p_gens(e.den))
         e._plain = plain
     return plain
-
-
-def _cancel(num, den):
-    """Divide a numerator and a denominator by their polynomial gcd.
-
-    Returns (num/g, den/g, whole) with whole as in _p_gcd.
-    """
-    if _p_is_const(den) or _p_is_const(num):
-        return num, den, True
-    _, qn, qd, whole = _p_gcd(num, den)
-    return qn, qd, whole
 
 
 def _collect_vars(p, names: set):

@@ -1089,10 +1089,49 @@ def signed_pk_from_poly(p, shifts):
     return k, f
 
 
-# The heuristic gcd on exponent tuples, as geolin.kernel.core ran it before
-# its monomials became packed integer keys: the oracle that the packed gcd
-# must match result for result.  tuple_heu_gcd stands in for core._heu_gcd
-# and has no degree limit.
+def gcd_with_divisor(a, b):
+    """core._p_gcd(a, b) as (g, a/g, b/g, whole), with g = a / (a/g) and
+    the common sign of the three chosen so that g has a positive leading
+    term: two results are equal up to the cofactors' common sign exactly
+    when these are equal."""
+    qa, qb, whole = core._p_gcd(a, b)
+    g = poly_quotient(a, qa)
+    if g[core._lead(g)] < 0:
+        g, qa, qb = core._p_neg(g), core._p_neg(qa), core._p_neg(qb)
+    return g, qa, qb, whole
+
+
+# The gcd on exponent tuples, as geolin.kernel.core ran it before its
+# monomials became packed integer keys: the oracle that the packed gcd must
+# match result for result.  tuple_gcd is core._p_gcd as it was then, with
+# tuple_heu_gcd as its search, which has no division step and neither the
+# degree nor the bit limit.
+
+
+def tuple_gcd(a, b):
+    """(g, a/g, b/g, whole): the common monomial factor comes out term by
+    term, then the single-term, shared-generator and size guards read the
+    quotients.  g is read back as a / (a/g), as gcd_with_divisor reads it,
+    so no rewrite of a product forms it; it has a positive leading term."""
+    if core._p_is_const(a) or core._p_is_const(b):
+        return core.P_ONE, a, b, True
+    mono = core._mono_common([*a, *b])
+    qa, qb = a, b
+    if mono:
+        qa, qb = ({core._mono_div(m, mono): c for m, c in p.items()} for p in (a, b))
+    gens_a, gens_b = core._p_gens(qa), core._p_gens(qb)
+    common = gens_a & gens_b
+    whole = True
+    if len(qa) > 1 and len(qb) > 1 and common:
+        found = None
+        if (len(qa) <= core._GCD_TERM_LIMIT and len(qb) <= core._GCD_TERM_LIMIT
+                and len(common) <= core._GCD_GEN_LIMIT):
+            found = tuple_heu_gcd(qa, qb, sorted(gens_a | gens_b))
+        if found is None:
+            whole = False
+        else:
+            _, qa, qb = found
+    return poly_quotient(a, qa), qa, qb, whole
 
 
 def tuple_heu_gcd(a, b, gens):

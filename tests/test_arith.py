@@ -206,40 +206,29 @@ def test_product_whose_cross_gcd_stops_early_keeps_the_final_gcd():
 
 
 @pytest.fixture
-def top_level_gcds(monkeypatch):
-    """The (a, b) of every _p_gcd call not made by _p_gcd itself."""
+def gcd_calls(monkeypatch):
+    """The (a, b) of every _p_gcd call."""
     calls = []
     real = core._p_gcd
-    depth = [0]
-
-    def spy(a, b):
-        if not depth[0]:
-            calls.append((a, b))
-        depth[0] += 1
-        try:
-            return real(a, b)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(core, "_p_gcd", spy)
+    monkeypatch.setattr(core, "_p_gcd", lambda a, b: calls.append((a, b)) or real(a, b))
     return calls
 
 
-def test_coprime_product_runs_only_its_cross_cancellations(top_level_gcds):
+def test_coprime_product_runs_only_its_cross_cancellations(gcd_calls):
     a = (x + 1) / (y + 2)
     b = (y + 3) / (x + 2)
-    top_level_gcds.clear()
+    gcd_calls.clear()
     product = a * b
-    assert top_level_gcds == [((x + 1).num, (x + 2).num), ((y + 3).num, (y + 2).num)]
+    assert gcd_calls == [((x + 1).num, (x + 2).num), ((y + 3).num, (y + 2).num)]
     assert str(product) == "(x*y + 3*x + y + 3)/(x*y + 2*x + 2*y + 4)"
 
 
-def test_sum_over_coprime_denominators_runs_the_lcm_and_final_gcds(top_level_gcds):
+def test_sum_over_coprime_denominators_runs_the_lcm_and_final_gcds(gcd_calls):
     a = 1 / (x + 1)
     b = 1 / (y + 1)
-    top_level_gcds.clear()
+    gcd_calls.clear()
     total = a + b
-    assert top_level_gcds == [
+    assert gcd_calls == [
         ((x + 1).num, (y + 1).num),
         ((x + y + 2).num, ((x + 1) * (y + 1)).num),
     ]

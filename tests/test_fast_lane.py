@@ -4,7 +4,7 @@ An operand whose denominator is the shared P_ONE object is a polynomial,
 and +, -, *, scalar * and /, and a kernel-free diff act on its numerator
 dict directly.  An operand whose denominator is an equal but distinct
 copy of P_ONE misses the identity check and takes the general path
-through _cancel, _mk_product and _mk.  Both must give the same canonical
+through _p_gcd, _mk_product and _mk.  Both must give the same canonical
 pair, with every integral coefficient held as an int.
 
 sum_of_products accumulates a sum of polynomial products into one dict,
@@ -133,7 +133,7 @@ COMMON, LEFT, RIGHT = x**2 + x + 1, x**2 - 2, x**2 + 3
 def test_scaling_a_fraction_whose_gcd_stopped_early_takes_the_full_path(monkeypatch):
     monkeypatch.setattr(core, "_HEU_TRIES", 0)
     e = COMMON * LEFT * sin(x) / (COMMON * RIGHT)
-    assert core._p_gcd(e.num, e.den)[3] is False
+    assert core._p_gcd(e.num, e.den)[2] is False
     assert str(e) == ("(sin(x)*x^4 + sin(x)*x^3 - sin(x)*x^2 - 2*sin(x)*x - 2*sin(x))"
                       "/(x^4 + x^3 + 4*x^2 + 3*x + 3)")
     three = _general(integer(3))
@@ -321,7 +321,8 @@ def test_a_fused_sum_that_cancels_is_zero_and_runs_no_final_gcd(monkeypatch):
         [(1, x, f), (-1, f * x, None), (2, x**2 - y, None), (-2, x**2 - y, None)],
         [(1, f, None), (1, h, None), (-1, f + h, None)],
     ]
-    monkeypatch.setattr(core, "_cancel", None)  # a final reduction raises
+    # a final reduction, the gcd of the sum and its normalization, raises
+    monkeypatch.setattr(core, "_mk_coprime", None)
     for terms in cancelling:
         assert sum_of_products(terms) is core.ZERO
     # over one shared denominator no lcm gcd runs either

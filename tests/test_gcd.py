@@ -1,7 +1,11 @@
 """Polynomial gcd: cofactors, primitivity, and the heuristic over kernels.
 
-The kernel's gcd returns (g, a/g, b/g, whole).  Each input is packed with
-every kernel as a free variable and first tried by one exact division:
+The kernel's gcd returns (a/g, b/g, whole), the cofactors up to one
+common sign; these tests read g as a / (a/g) and fix the sign so that g
+has a positive leading term (helpers.gcd_with_divisor).  Both inputs are
+packed once with every kernel as a free variable, their common monomial
+factor comes out of the packed keys, and the rest is first tried by one
+exact division:
 an operand over its own monomial content that divides the other is the
 gcd, and one of degree one in a variable with a single term in it, or a
 single term free of it, is irreducible, so the gcd is 1.  The rest go to
@@ -14,7 +18,7 @@ property below checks this over sqrt, sin and exp atoms.  These tests build raw 
 with a planted common factor and check the result against its
 definition, without any outside computer algebra system, and check the
 gcd on packed integer keys result for result against the gcd on
-exponent tuples that it replaced (helpers.tuple_heu_gcd).
+exponent tuples that it replaced (helpers.tuple_gcd).
 """
 
 import random
@@ -28,11 +32,12 @@ from geolin.kernel import core, exp, integer, ln, parse, sin, sqrt, var
 from geolin.transform import coefficients_from_transformation
 from helpers import (
     fraction_chain_residuals,
+    gcd_with_divisor,
     packed_layout,
     poly_quotient,
     random_invertible_map,
     signed_pk_from_poly,
-    tuple_heu_gcd,
+    tuple_gcd,
     zz_exact_div,
     zz_from_poly,
 )
@@ -75,7 +80,7 @@ def _divides(d, p) -> bool:
 
 def _check_planted(f, a, b):
     """The gcd of a and b is whole, has exact cofactors and holds f."""
-    g, qa, qb, whole = core._p_gcd(a, b)
+    g, qa, qb, whole = gcd_with_divisor(a, b)
     assert whole
     assert core._p_mul(g, qa) == a
     assert core._p_mul(g, qb) == b
@@ -92,7 +97,7 @@ def test_gcd_properties_with_planted_factor(f, u, v):
     if not (f and u and v):
         return
     _, qa, qb = _check_planted(f, core._p_mul(f, u), core._p_mul(f, v))
-    assert core._p_is_const(core._p_gcd(qa, qb)[0])
+    assert core._p_is_const(gcd_with_divisor(qa, qb)[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,7 +131,7 @@ def test_heuristic_point_keeps_the_greatest_divisor():
     # both inputs and was taken for the gcd
     f = _poly([(1, 1, 2, 0), (-1, 0, 0, 1)])
     u = _poly([(1, 0, 1, 1), (1, 0, 0, 0)])
-    assert core._p_gcd(f, core._p_mul(f, u)) == (f, core.P_ONE, u, True)
+    assert gcd_with_divisor(f, core._p_mul(f, u)) == (f, core.P_ONE, u, True)
 
 
 def test_prs_gives_up_instead_of_returning_a_non_divisor():
@@ -137,7 +142,7 @@ def test_prs_gives_up_instead_of_returning_a_non_divisor():
     f = _poly([(-2, 0, 0, 2), (-2, 3, 2, 0), (2, 0, 2, 0)])
     a = core._p_mul(f, _poly([(3, 0, 0, 0), (2, 3, 3, 0), (-1, 0, 0, 2)]))
     b = core._p_mul(f, _poly([(-5, 0, 2, 1), (-6, 0, 1, 2), (-3, 2, 2, 0), (2, 0, 2, 0)]))
-    g, qa, qb, whole = core._p_gcd(a, b)
+    g, qa, qb, whole = gcd_with_divisor(a, b)
     assert whole
     assert _divides(g, a) and _divides(g, b)
     assert g == _primitive(f)
@@ -147,8 +152,8 @@ def test_prs_gives_up_instead_of_returning_a_non_divisor():
 
 def test_variable_inputs_use_the_heuristic(monkeypatch):
     calls = []
-    heu = core._heu_gcd
-    monkeypatch.setattr(core, "_heu_gcd", lambda *args: calls.append(1) or heu(*args))
+    heu = core._pk_heu_gcd
+    monkeypatch.setattr(core, "_pk_heu_gcd", lambda *args: calls.append(1) or heu(*args))
     x, y = var("x"), var("y")
     assert (x**2 - y**2) / (x**2 + 2 * x * y + y**2) == (x - y) / (x + y)
     assert calls
@@ -160,15 +165,19 @@ def test_kernel_inputs_take_the_heuristic(monkeypatch, kernel):
     factor = kernel(x) + y
     a = (factor * (y + 2)).num
     b = (factor * (x - 3 * y)).num
-    heu = core._heu_gcd
-    gens_seen = []
+    pack, heu = core._pk_from_poly, core._pk_heu_gcd
+    gens_seen, searched = [], []
 
-    def spy(a, b, gens):
-        gens_seen.append(gens)
-        return heu(a, b, gens)
+    def spy(p, shifts):
+        gens_seen.append(list(shifts))
+        return pack(p, shifts)
 
-    monkeypatch.setattr(core, "_heu_gcd", spy)
-    g, qa, qb, whole = core._p_gcd(a, b)
+    monkeypatch.setattr(core, "_pk_from_poly", spy)
+    monkeypatch.setattr(core, "_pk_heu_gcd", lambda *args: searched.append(1) or heu(*args))
+    whole = core._p_gcd(a, b)[2]
+    monkeypatch.undo()
+    g, qa, qb, _ = gcd_with_divisor(a, b)
+    assert searched
     assert any(gen.kind == core.KERNEL for gens in gens_seen for gen in gens)
     assert whole
     assert _divides(g, a) and _divides(g, b)
@@ -206,7 +215,7 @@ def test_free_ring_cofactors_hold_in_the_kernel_ring(f, u, v):
     a, b = (f * u).num, (f * v).num
     if not (a and b):
         return
-    g, qa, qb, _ = core._p_gcd(a, b)
+    g, qa, qb, _ = gcd_with_divisor(a, b)
     assert core._p_mul(g, qa) == a
     assert core._p_mul(g, qb) == b
 
@@ -235,22 +244,31 @@ def _seeded_gcd_pairs():
             for sa in (a, core._p_neg(a)) for sb in (b, core._p_neg(b))]
 
 
+def _up_to_sign(result):
+    """A gcd's (a/g, b/g, whole) with the common sign that gives a/g a
+    positive leading term."""
+    qa, qb, whole = result
+    if qa[core._lead(qa)] < 0:
+        return core._p_neg(qa), core._p_neg(qb), whole
+    return result
+
+
 def test_unsigned_content_gives_the_gcd_of_the_signed_one(monkeypatch):
-    # the heuristic gcd ignores the sign of its inputs and _heu_gcd signs
-    # g, so _pk_from_poly takes the content's magnitude
+    # the gcd ignores the sign of its inputs and returns its cofactors up
+    # to one common sign, so _pk_from_poly takes the content's magnitude
     pairs = _seeded_gcd_pairs()
     calls = []
     unsigned = core._pk_from_poly
     monkeypatch.setattr(core, "_pk_from_poly",
                         lambda p, shifts: calls.append(p) or unsigned(p, shifts))
-    now = [core._p_gcd(a, b) for a, b in pairs]
+    now = [_up_to_sign(core._p_gcd(a, b)) for a, b in pairs]
     # the heuristic ran, also on inputs whose leading term is negative
     negative = sum(p[core._lead(p)] < 0 for p in calls)
     assert negative > 50 and len(calls) - negative > 50
     signed = []
     monkeypatch.setattr(core, "_pk_from_poly",
                         lambda p, shifts: signed.append(p) or signed_pk_from_poly(p, shifts))
-    assert now == [core._p_gcd(a, b) for a, b in pairs]
+    assert now == [_up_to_sign(core._p_gcd(a, b)) for a, b in pairs]
     assert signed == calls
 
 
@@ -291,7 +309,7 @@ def test_prs_give_up_propagates_on_pool_31_draw_19(monkeypatch):
             pairs.append((num, den))
     assert len(pairs) == 1
     a, b = pairs[0]
-    g, qa, qb, whole = core._p_gcd(a, b)
+    g, qa, qb, whole = gcd_with_divisor(a, b)
     assert whole
     assert _divides(g, a) and _divides(g, b)
     y, z, yp, zp = var("y"), var("z"), var("yp"), var("zp")
@@ -310,7 +328,7 @@ def test_heuristic_giving_up_leaves_the_fraction_unreduced(monkeypatch):
     x = var("x")
     common = x**2 + x + 1
     e = common * (x**2 - 2) / (common * (x**2 + 3))
-    assert core._p_gcd(e.num, e.den)[3] is False
+    assert core._p_gcd(e.num, e.den)[2] is False
     assert str(e) == "(x^4 + x^3 - x^2 - 2*x - 2)/(x^4 + x^3 + 4*x^2 + 3*x + 3)"
     assert (e - (x**2 - 2) / (x**2 + 3)).is_zero_literal()
 
@@ -325,8 +343,8 @@ def test_a_dividing_or_irreducible_operand_skips_the_search(monkeypatch):
     x, y, z = var("x"), var("y"), var("z")
     for num, den, g in ((x**2 - 1, x - 1, x - 1), ((x - 1) * sin(x), x - 1, x - 1),
                         (z * (x - 1), x**2 + y**2 + 1, integer(1))):
-        assert core._p_gcd(num.num, den.num) == (g.num, (num / g).num, (den / g).num, True)
-        assert core._p_gcd(den.num, num.num) == (g.num, (den / g).num, (num / g).num, True)
+        assert gcd_with_divisor(num.num, den.num) == (g.num, (num / g).num, (den / g).num, True)
+        assert gcd_with_divisor(den.num, num.num) == (g.num, (den / g).num, (num / g).num, True)
     assert (x**2 - 1) / (x - 1) == x + 1
     assert (x - 1) * sin(x) / (x - 1) == sin(x)
     assert calls == []
@@ -337,15 +355,53 @@ def test_degree_one_with_two_terms_on_each_side_goes_to_the_search():
     # side of either, and is not irreducible: it shares y + 1 with b
     x, y, z = var("x"), var("y"), var("z")
     a, b = ((x + 1) * (y + 1)).num, ((y + 1) * (z + 3)).num
-    assert core._p_gcd(a, b) == ((y + 1).num, (x + 1).num, (z + 3).num, True)
+    assert gcd_with_divisor(a, b) == ((y + 1).num, (x + 1).num, (z + 3).num, True)
+
+
+def test_the_common_monomial_cancels_past_the_term_guard():
+    # the size guard reads the operands with their common monomial out:
+    # past _GCD_TERM_LIMIT terms the gcd stops early, and x^2 still cancels
+    x, y = var("x"), var("y")
+    s = sum((y**k for k in range(core._GCD_TERM_LIMIT + 1)), integer(0))
+    a, b = (x**2 * s).num, (x**2 * (y - 2)).num
+    assert len(a) > core._GCD_TERM_LIMIT
+    assert gcd_with_divisor(a, b) == ((x**2).num, s.num, (y - 2).num, False)
+
+
+def test_generators_of_the_common_monomial_are_not_shared(monkeypatch):
+    # x*(y + 1) and x*(z + 1) share x only in their common monomial: with
+    # it out they share no generator, so the gcd is x and runs no search,
+    # and seven such generators do not trip _GCD_GEN_LIMIT
+    calls = []
+    trial = core._pk_trial_gcd
+    monkeypatch.setattr(core, "_pk_trial_gcd", lambda *args: calls.append(1) or trial(*args))
+    x, y, z = var("x"), var("y"), var("z")
+    seven = x
+    for name in ("t1", "t2", "t3", "t4", "t5", "t6"):
+        seven = seven * var(name)
+    assert core._GCD_GEN_LIMIT < 7
+    for m in (x, seven):
+        a, b = (m * (y + 1)).num, (m * (z + 1)).num
+        assert gcd_with_divisor(a, b) == (m.num, (y + 1).num, (z + 1).num, True)
+    assert calls == []
+
+
+def test_a_single_term_against_many_gives_the_monomial_gcd():
+    # the single-term test comes before the size guard, so one term against
+    # 200 gives their whole monomial gcd
+    x, y = var("x"), var("y")
+    s = sum((y**k for k in range(200)), integer(0))
+    a, b = (x**2 * s).num, (3 * x**3 * y).num
+    assert len(a) == 200
+    assert gcd_with_divisor(a, b) == ((x**2).num, s.num, (3 * x * y).num, True)
 
 
 def _gcd_with(name, f, a, b):
-    """core._p_gcd(a, b) with f in place of core's function name."""
+    """gcd_with_divisor(a, b) with f in place of core's function name."""
     saved = getattr(core, name)
     setattr(core, name, f)
     try:
-        return core._p_gcd(a, b)
+        return gcd_with_divisor(a, b)
     finally:
         setattr(core, name, saved)
 
@@ -379,6 +435,7 @@ def _trial_poly(terms, skip=None):
 def test_division_step_changes_no_gcd(shape, v, f, u, w, swap):
     # with the step switched off every pair goes to the heuristic, whose
     # gcd is unique up to sign, so both give the same (g, a/g, b/g, whole)
+    # once g's sign is fixed
     if shape.startswith("degree one"):
         a = _TRIAL_ATOMS[v] * _trial_poly(u[:1], skip=v) + _trial_poly(w, skip=v)
         b = _trial_poly(f) * (a if shape.endswith("divides") else _trial_poly(u))
@@ -388,7 +445,7 @@ def test_division_step_changes_no_gcd(shape, v, f, u, w, swap):
     a, b = (b.num, a.num) if swap else (a.num, b.num)
     if not (a and b):
         return
-    assert core._p_gcd(a, b) == _gcd_with("_pk_trial_gcd", lambda *args: None, a, b)
+    assert gcd_with_divisor(a, b) == _gcd_with("_pk_trial_gcd", lambda *args: None, a, b)
 
 
 # One of x, y and ln(z) takes exponents up to 300 (up to 600 in a
@@ -428,7 +485,7 @@ def test_packed_gcd_matches_the_tuple_oracle(wide, f, u, v, su, sv):
     b = core._p_mul(f, _wide_poly(v, wide, sv))
     if not (a and b):
         return
-    assert core._p_gcd(a, b) == _gcd_with("_heu_gcd", tuple_heu_gcd, a, b)
+    assert gcd_with_divisor(a, b) == tuple_gcd(a, b)
 
 
 def test_packed_gcd_matches_the_tuple_oracle_on_wide_fields():
@@ -451,8 +508,9 @@ def test_packed_gcd_matches_the_tuple_oracle_on_wide_fields():
         if packed_layout(gens, a, b)[1] < 8:
             continue
         reached += 1
-        assert core._p_gcd(a, b) == _gcd_with("_heu_gcd", tuple_heu_gcd, a, b)
-        assert core._heu_gcd(a, b, gens) == tuple_heu_gcd(a, b, gens)
+        assert gcd_with_divisor(a, b) == tuple_gcd(a, b)
+        # the packed search alone, with the division step switched off
+        assert _gcd_with("_pk_trial_gcd", lambda *args: None, a, b) == tuple_gcd(a, b)
     assert reached >= 20
 
 
@@ -499,11 +557,11 @@ def test_exponent_past_the_degree_limit_stops_the_gcd(monkeypatch):
     total = parse("1/(x^(2^64) - y) + 1/(x^(2^64) + y)")
     assert time.perf_counter() - start < 1
     assert (total - parse("2*x^(2^64)/((x^(2^64) - y)*(x^(2^64) + y))")).is_zero_literal()
-    assert core._p_gcd(parse("x^(2^64) - y").num, parse("x^(2^64) + y").num)[3] is False
+    assert core._p_gcd(parse("x^(2^64) - y").num, parse("x^(2^64) + y").num)[2] is False
     # the limit itself is still evaluated; one past it is not
     for e, whole in ((core._GCD_DEGREE_LIMIT, True), (core._GCD_DEGREE_LIMIT + 1, False)):
         f = parse(f"x^{e} - y")
-        g, _, _, found = core._p_gcd((f * (var("y") + 1)).num, (f * (var("y") + 2)).num)
+        g, _, _, found = gcd_with_divisor((f * (var("y") + 1)).num, (f * (var("y") + 2)).num)
         assert (g == f.num, found) == (whole, whole)
 
 
@@ -524,8 +582,9 @@ def test_a_point_past_the_bit_limit_stops_the_gcd(monkeypatch):
         f = x ** d * y ** d * z ** d + x * y + 1
         a, b = (f * (x + y + z + 1)).num, (f * (x - y + 2 * z)).num
         start = time.perf_counter()
-        g, ca, cb, found = core._p_gcd(a, b)
+        found = core._p_gcd(a, b)[2]
         assert time.perf_counter() - start < 1
+        g, ca, cb, _ = gcd_with_divisor(a, b)
         assert found is whole
         assert (g == f.num) is whole
         assert core._p_mul(g, ca) == a and core._p_mul(g, cb) == b
