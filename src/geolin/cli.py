@@ -7,6 +7,14 @@ nonzero, 2 undecided, 3 the input was unusable.
 
 The JSON report format is byte-deterministic for fixed inputs, flags,
 and seed; wall-clock timing appears only in the text format.
+
+A CLI process (`python -m geolin.cli`, the `geolin` script) enters
+through run(), which flushes stdout and stderr after main() and ends
+with os._exit: the interpreter's teardown (clearing every module, a
+full garbage collection, freeing each object) is work the operating
+system does anyway.  Under a profiler, a tracer or `python -i` the
+process exits normally, so their exit hooks still run.  Library
+callers use main(argv), which returns the exit code.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, NoReturn, Optional, Tuple
 
 from .document import KINDS, DocumentError, SystemDocument, load_document
 from .geometry import GeometryError, is_flat, metric_pde_residuals
@@ -288,5 +296,23 @@ def _render_text(payload: dict, elapsed: float) -> str:
     return "\n".join(lines)
 
 
+def run() -> NoReturn:
+    """Process entry: main()'s code as the exit status, without teardown.
+
+    Usage errors and --help leave through argparse's SystemExit.
+    """
+    code = main()
+    # from Python 3.12 cProfile registers a sys.monitoring tool (ids 0-5)
+    # in place of a profile function
+    monitoring = getattr(sys, "monitoring", None)
+    if (sys.flags.inspect or sys.getprofile() or sys.gettrace()
+            or monitoring and any(map(monitoring.get_tool, range(6)))):
+        sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the descriptor was closed at start-up
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -42,10 +42,12 @@ accumulator dict, which _p_mul runs on an empty dict for one product.
 
 Common factors are found by one polynomial gcd that returns only its
 cofactors, with a common sign that the caller's normalization removes.
-It packs each monomial once into one int, a bit field per generator with
-each kernel a free variable, and takes the common monomial factor as the
-fieldwise minimum of the keys.  Most other inputs are settled by one
-exact division: one operand over its monomial content divides the other,
+A single-term operand, or two that share no generator, cancel only their
+common monomial, read from the dicts.  Else the gcd packs each monomial
+once into one int, a bit field per generator with each kernel a free
+variable, and takes the common monomial factor as the fieldwise minimum
+of the keys.  Most other inputs are settled by one exact division:
+one operand over its monomial content divides the other,
 or is irreducible by its degree one in some variable and divides
 neither.  The rest go to the heuristic gcd GCDHEU (Char, Geddes and
 Gonnet, 1989).  A candidate counts only once it divides both inputs
@@ -555,8 +557,10 @@ def _p_gcd(a, b):
 
     The cofactors are exact quotients by one common divisor g.  Their
     common sign is arbitrary: every caller ends in _mk_coprime, which
-    divides by the denominator's signed content.  Both operands are
-    packed once, each kernel a free variable, and their common monomial
+    divides by the denominator's signed content.  When one operand is a
+    single term or they share no generator, g is their common monomial,
+    read from the dicts.  Else both operands are packed once, each
+    kernel a free variable, and their common monomial
     factor comes out of the keys first; the rest goes to _pk_trial_gcd,
     then to the heuristic gcd.  whole is False when the search stopped
     early: past the size guard (_GCD_TERM_LIMIT terms, _GCD_GEN_LIMIT
@@ -567,7 +571,16 @@ def _p_gcd(a, b):
     """
     if _p_is_const(a) or _p_is_const(b):
         return a, b, True
-    gens = sorted(_p_gens(a) | _p_gens(b))
+    if len(a) == 1 or len(b) == 1:
+        mono = _mono_common([*a, *b])
+        if not mono:
+            return a, b, True
+        return ({_mono_div(m, mono): c for m, c in a.items()},
+                {_mono_div(m, mono): c for m, c in b.items()}, True)
+    gens_a, gens_b = _p_gens(a), _p_gens(b)
+    if gens_a.isdisjoint(gens_b):
+        return a, b, True
+    gens = sorted(gens_a | gens_b)
     w = max([e for p in (a, b) for m in p for _, e in m]).bit_length() + 1
     n = len(gens)
     shifts = {g: w * (n - 1 - i) for i, g in enumerate(gens)}

@@ -27,6 +27,14 @@ def doc_path(name) -> str:
     return str(CORPUS / f"{name}.ini")
 
 
+def _child_env(**extra) -> dict:
+    """The environment of a child interpreter: src/ first on PYTHONPATH."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 class TestCheckCommand:
     def test_scalar_pass(self, capsys):
         code, out, _ = run(capsys, "check", doc_path("lie-ex1"))
@@ -510,9 +518,7 @@ class TestClosedStdout:
     @pytest.mark.parametrize("name, want", [("lie-ex2", 0), ("lie-counter", 1)])
     def test_reader_closing_early_keeps_the_exit_code(self, name, want, fmt):
         # the reader closes its end before any output is written
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        env = _child_env()
         proc = subprocess.Popen(
             [sys.executable, "-m", "geolin.cli", "check", doc_path(name), "--format", fmt],
             cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -523,11 +529,69 @@ class TestClosedStdout:
         assert err == b""
 
 
+class TestProcessEntry:
+    """`python -m geolin.cli` enters through run(), which flushes stdout and
+    stderr after main() and ends with os._exit, skipping the teardown."""
+
+    @staticmethod
+    def cli(*argv, head=("-m", "geolin.cli")):
+        # stdout is block-buffered, as by default, so an unflushed report is lost
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        return subprocess.run([sys.executable, *head, *argv], cwd=ROOT, env=env,
+                              capture_output=True, timeout=60)
+
+    @pytest.mark.parametrize("name, command", [
+        ("sys-ex5", "normal-form"),  # the largest report; its zero test loads mpmath
+        ("lie-counter", "check"),  # FAIL
+        ("sys-ex4", "appendix"),  # PASS
+    ])
+    def test_report_and_code_match_the_golden(self, name, command):
+        golden = ROOT / "tests" / "golden"
+        case = f"{name}.{command}"
+        done = self.cli(command, doc_path(name), "--format", "json")
+        assert done.returncode == json.loads((golden / "exit_codes.json").read_text())[case]
+        assert done.stdout == (golden / f"{case}.json").read_bytes()
+        assert done.stderr == b""
+
+    def test_input_error_prints_only_its_error_line(self):
+        done = self.cli("project", doc_path("lie-ex2"))
+        assert done.returncode == 3
+        assert done.stdout == b""
+        assert done.stderr == b"error: project applies to geodesic-2 or geodesic-3 documents\n"
+
+    def test_a_stdout_closed_at_start_up_keeps_the_code(self):
+        # with descriptor 1 closed the interpreter sets sys.stdout to None,
+        # which print skips and run() does not flush
+        done = subprocess.run(
+            [sys.executable, "-m", "geolin.cli", "check", doc_path("lie-counter")],
+            cwd=ROOT, env=_child_env(), stderr=subprocess.PIPE, timeout=60,
+            preexec_fn=lambda: os.close(1))
+        assert done.returncode == 1
+        assert done.stderr == b""
+
+    def test_exit_hooks_are_skipped(self):
+        # atexit handlers run in the teardown that os._exit skips
+        code = ("import atexit, sys; atexit.register(print, 'teardown'); "
+                "sys.argv[1:] = ['check', 'corpus/lie-counter.ini', '--format', 'json']; "
+                "from geolin.cli import run; run()")
+        done = self.cli(head=("-c", code))
+        assert done.returncode == 1
+        assert done.stdout == (ROOT / "tests" / "golden" / "lie-counter.check.json").read_bytes()
+
+    def test_a_profiler_still_prints_its_table(self):
+        # cProfile sets a profile function (a sys.monitoring tool from
+        # Python 3.12) and prints its table once the module has exited
+        done = self.cli("check", doc_path("lie-ex2"), head=("-m", "cProfile", "-m", "geolin.cli"))
+        assert done.returncode == 0, done.stderr
+        out = done.stdout.decode()
+        assert "overall: PASS" in out
+        assert "function calls" in out and "ncalls  tottime" in out
+
+
 class TestStartup:
     def test_mpmath_is_imported_only_by_evaluation(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        env = _child_env()
         code = textwrap.dedent("""
             import contextlib, io, sys
             import geolin.cli
@@ -559,9 +623,7 @@ class TestStartup:
         # a frozen dataclass compiles six methods per class at import; the
         # value classes share Frozen's and are dataclasses only by fields,
         # registered when is_dataclass first reads them
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        env = _child_env()
         code = textwrap.dedent("""
             import dataclasses, json, sys
             import geolin.cli, geolin.criteria, geolin.transform
@@ -593,9 +655,7 @@ class TestStartup:
         # geolin.cli registers transform and criteria, as the benchmark
         # tracer reads every module its LAYERS names, but runs neither
         # body until a command calls into it
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        env = _child_env(PYTHONDONTWRITEBYTECODE="1")
         code = textwrap.dedent("""
             import contextlib, io, os, sys
             ran = []
@@ -631,9 +691,7 @@ class TestStartup:
     def test_two_threads_load_a_deferred_module_once(self):
         # two threads behind a barrier read geolin.transform while its body
         # has not run: the body runs once, and both see the loaded module
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        env = _child_env()
         code = textwrap.dedent("""
             import contextlib, io, os, sys, threading
             ran = []
@@ -672,9 +730,7 @@ class TestStartup:
         # import geolin.cli loads no dataclasses (nor the inspect, ast, dis
         # and tokenize it imports); a value class registers with it when
         # first read, and then fields, replace, asdict and match work
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        env = _child_env()
         code = textwrap.dedent("""
             import sys, threading
             import geolin.cli

@@ -396,6 +396,32 @@ def test_a_single_term_against_many_gives_the_monomial_gcd():
     assert gcd_with_divisor(a, b) == ((x**2).num, s.num, (3 * x * y).num, True)
 
 
+@pytest.mark.parametrize("a, b, g", [
+    ("3*x^2*y*sin(x)", "x*y^2 + x*sin(x) + 2*x", "x"),
+    ("-2*y^3*exp(x)", "x^2*y + x*y^2", "y"),
+    ("5*x^3*sqrt(x^2 + 1)", "x^2 + 1", "1"),
+    ("x^2 + sin(y)", "z^2 - 3*z + exp(z)", "1"),
+    ("x*y + ln(y)", "z*ln(z) - 2", "1"),
+])
+def test_a_single_term_or_no_shared_generator_packs_nothing(monkeypatch, a, b, g):
+    # one term against anything, or two operands with no generator in
+    # common, have only their common monomial as gcd: it is read from the
+    # dicts, and a gcd of 1 returns the operands themselves
+    a, b = parse(a).num, parse(b).num
+    for p, q in ((a, b), (b, a)):
+        assert gcd_with_divisor(p, q) == tuple_gcd(p, q)
+        assert gcd_with_divisor(p, q)[0] == parse(g).num
+    packed = []
+    pack = core._pk_from_poly
+    monkeypatch.setattr(core, "_pk_from_poly", lambda *args: packed.append(1) or pack(*args))
+    for p, q in ((a, b), (b, a)):
+        qp, qq, whole = core._p_gcd(p, q)
+        assert whole
+        if g == "1":
+            assert qp is p and qq is q
+    assert packed == []
+
+
 def _gcd_with(name, f, a, b):
     """gcd_with_divisor(a, b) with f in place of core's function name."""
     saved = getattr(core, name)
@@ -450,10 +476,13 @@ def test_division_step_changes_no_gcd(shape, v, f, u, w, swap):
 
 # One of x, y and ln(z) takes exponents up to 300 (up to 600 in a
 # product), so fields are up to 11 bits wide; the other generators stay
-# at 2 or less.  The heuristic's integers grow with the product of the
-# degrees in every variable, which keeps these pairs small.
+# at 2 or less, and exp(y) and sqrt(x^2 + 1) at 1, so that each factor is
+# rewrite-normal as every polynomial the kernel builds is.  The
+# heuristic's integers grow with the product of the degrees in every
+# variable, which keeps these pairs small.
 _SMALL_GENS = (X, Y, LN_Z, core._kernel_gen("exp", var("y")),
                core._kernel_gen("sqrt", var("x") ** 2 + 1))
+_SQUARES_REWRITE = frozenset(_SMALL_GENS[3:])
 _wide_terms = st.lists(
     st.tuples(
         st.integers(-9, 9).filter(bool),
@@ -471,7 +500,7 @@ def _wide_poly(terms, wide, scale) -> dict:
         mono = {wide: e} if e else {}
         for g, k in picks:
             if g is not wide:
-                mono[g] = min(mono.get(g, 0) + k, 2)
+                mono[g] = min(mono.get(g, 0) + k, 1 if g in _SQUARES_REWRITE else 2)
         key = tuple(sorted(mono.items(), key=lambda t: t[0].skey))
         acc[key] = acc.get(key, 0) + Fraction(c) * scale
     return core._poly_from_dict(acc)
