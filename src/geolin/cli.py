@@ -58,7 +58,11 @@ def main(argv=None) -> int:
     # document, transform and coefficient-domain errors are ValueErrors
     except (ValueError, ParseError, KernelDomainError, GeometryError,
             OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        if sys.stderr is not None:  # None when descriptor 2 was closed at start-up
+            try:
+                print(f"error: {err}", file=sys.stderr)
+            except OSError:  # descriptor 2 is not writable: the code still tells
+                pass
         return _INPUT_ERROR
     payload["zero_test"] = {
         "points": config.points,

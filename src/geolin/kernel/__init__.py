@@ -20,8 +20,7 @@ from .core import (
     var,
 )
 from .parse import ParseError, parse
-from .numeric import EvalDomainError, eval_expr
-from .zerotest import DEFAULT_CONFIG, Verdict, ZeroTestConfig, ZeroTestResult, is_zero
+from .zerotest import DEFAULT_CONFIG, Verdict, ZeroTestConfig, ZeroTestResult, is_zero, numeric
 
 __all__ = [
     "Expr",
@@ -51,3 +50,10 @@ __all__ = [
     "ZeroTestResult",
     "is_zero",
 ]
+
+
+def __getattr__(name):
+    # the numeric evaluator's names, read from it on first use (PEP 562)
+    if name in ("EvalDomainError", "eval_expr"):
+        return getattr(numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,7 +6,11 @@ That peak is what a relative smallness test must compare against: a tiny
 result produced from huge intermediates is evidence of cancellation, not
 of a tiny function.
 
-mpmath is imported on first use, not with this module: by eval_expr.
+This module loads on first use: zerotest registers it as a placeholder
+(geolin.lazy) whose body runs when the first kernel residual is
+evaluated or the first witness value is printed, so a command that
+decides every residual without a witness never compiles it.  mpmath is
+imported on first use too, not with this module: by eval_expr.
 rational_str, which prints the witness value of every exact NONZERO
 verdict, rounds and prints in integer arithmetic exactly as mpmath would,
 and loads it only for a value past 2^3500 or below 2^-3500.  A run that

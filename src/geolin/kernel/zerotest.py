@@ -37,9 +37,12 @@ from fractions import Fraction
 from math import isfinite, lcm as _ilcm, log2
 from typing import Optional
 
+from ..lazy import lazy_module
 from .core import P_ONE, VAR, Expr, int_str
 from .frozen import Frozen
-from .numeric import EvalDomainError, eval_expr, rational_str
+
+# loaded by the first kernel residual or witness value
+numeric = lazy_module("geolin.kernel.numeric")
 
 
 class Verdict(Enum):
@@ -245,8 +248,8 @@ def is_zero(expr: Expr, config: ZeroTestConfig = DEFAULT_CONFIG) -> ZeroTestResu
     if not names:
         # constant built from kernels, e.g. exp(1) - 1; one evaluation decides
         try:
-            value, peak = eval_expr(expr, {}, config.precision_bits)
-        except EvalDomainError as err:
+            value, peak = numeric.eval_expr(expr, {}, config.precision_bits)
+        except numeric.EvalDomainError as err:
             return ZeroTestResult(Verdict.UNDECIDED, None, None, f"evaluation failed: {err}")
         if abs(value) > config.tolerance * peak:
             return ZeroTestResult(Verdict.NONZERO, {}, str(value), "nonzero kernel constant")
@@ -276,15 +279,15 @@ def is_zero(expr: Expr, config: ZeroTestConfig = DEFAULT_CONFIG) -> ZeroTestResu
             accepted += 1
             if not p:
                 continue
-            value = rational_str(p, q, config.precision_bits)
+            value = numeric.rational_str(p, q, config.precision_bits)
         else:
             values = point.values
             if values is None:
                 values = point.values = {name: Fraction(a, _SCALE)
                                          for name, a in point.coords.items()}
             try:
-                value, peak = eval_expr(expr, values, config.precision_bits)
-            except EvalDomainError:
+                value, peak = numeric.eval_expr(expr, values, config.precision_bits)
+            except numeric.EvalDomainError:
                 continue
             accepted += 1
             if not abs(value) > config.tolerance * peak:

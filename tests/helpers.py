@@ -26,6 +26,7 @@ from geolin.kernel import (
     cos,
     eval_expr,
     exp,
+    gcd,
     integer,
     ln,
     rational,
@@ -636,12 +637,12 @@ def poly_quotient(p, d):
         return core.P_ZERO
     gens = sorted(core._p_gens(p) | core._p_gens(d))
     shifts, w, guard = packed_layout(gens, p, d)
-    kp, fp = core._pk_from_poly(p, shifts)
-    kd, fd = core._pk_from_poly(d, shifts)
-    q = core._pk_exact_div(fp, fd, w, guard)
+    kp, fp = gcd._pk_from_poly(p, shifts)
+    kd, fd = gcd._pk_from_poly(d, shifts)
+    q = gcd._pk_exact_div(fp, fd, w, guard)
     if q is None:
         return None
-    return core._pk_to_poly(q, shifts, w, core._qdiv(kp, kd))
+    return gcd._pk_to_poly(q, shifts, w, core._qdiv(kp, kd))
 
 
 # The pair and appendix tables as transcribed from the source by hand,
@@ -1077,7 +1078,7 @@ def fresh_stream_is_zero(expr: Expr, config=DEFAULT_CONFIG) -> ZeroTestResult:
 
 
 def signed_pk_from_poly(p, shifts):
-    """core._pk_from_poly with the signed content: (k, f) with p = k * f
+    """gcd._pk_from_poly with the signed content: (k, f) with p = k * f
     and f primitive with a positive leading term."""
     k = core._poly_rat_content(p)
     f = {}
@@ -1124,8 +1125,8 @@ def tuple_gcd(a, b):
     whole = True
     if len(qa) > 1 and len(qb) > 1 and common:
         found = None
-        if (len(qa) <= core._GCD_TERM_LIMIT and len(qb) <= core._GCD_TERM_LIMIT
-                and len(common) <= core._GCD_GEN_LIMIT):
+        if (len(qa) <= gcd._GCD_TERM_LIMIT and len(qb) <= gcd._GCD_TERM_LIMIT
+                and len(common) <= gcd._GCD_GEN_LIMIT):
             found = tuple_heu_gcd(qa, qb, sorted(gens_a | gens_b))
         if found is None:
             whole = False
@@ -1189,7 +1190,7 @@ def zz_heu_gcd(f, g, n):
     f_norm = max(abs(c) for c in f.values())
     g_norm = max(abs(c) for c in g.values())
     x = 2 * min(f_norm, g_norm) + 2
-    for _ in range(core._HEU_TRIES):
+    for _ in range(gcd._HEU_TRIES):
         ff = zz_eval_first(f, x)
         gg = zz_eval_first(g, x)
         if ff and gg:

@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geolin.kernel import core, exp, integer, sqrt, var
+from geolin.kernel import core, exp, gcd, integer, sqrt, var
 from helpers import random_polynomial, zz_heu_gcd
 
 x, y, z, w = (var(n) for n in "xyzw")
@@ -152,7 +152,7 @@ def test_operand_past_the_size_guard_keeps_the_final_gcd():
     # leaves the common factor y + 1 in place
     s = sum((x ** k for k in range(151)), integer(0))
     big = (s * (y + 1)) / ((y + 1) * z)
-    assert len(big.num) > core._GCD_TERM_LIMIT
+    assert len(big.num) > gcd._GCD_TERM_LIMIT
     assert big.den == ((y + 1) * z).num
     assert big * ((1 - x) / w) == (1 - x ** 151) / (z * w)
     # negation keeps the record that big's gcd stopped early
@@ -182,7 +182,7 @@ def test_sum_whose_final_gcd_stops_early_is_not_plain(monkeypatch):
     # 6 terms, so past a limit of 4 the final gcd stops and leaves x + 1
     a, b = 2 * y**2, x**2 - 1
     c, d = y**3 + y**2 + x + 1, (x + 1) * (y + 1)
-    monkeypatch.setattr(core, "_GCD_TERM_LIMIT", 4)
+    monkeypatch.setattr(gcd, "_GCD_TERM_LIMIT", 4)
     got = a / b + c / d
     monkeypatch.undo()
     want = a / b + c / d
@@ -271,11 +271,11 @@ def test_unit_heuristic_gcd_matches_trial_division(a, b, da, db, kf, kg):
     # what trial division by the unit candidate gives, content included
     expected = (
         {0: k},
-        core._pk_exact_div(core._pk_exact_div(pf, {0: k}, w, guard), unit, w, guard),
-        core._pk_exact_div(core._pk_exact_div(pg, {0: k}, w, guard), unit, w, guard),
+        gcd._pk_exact_div(gcd._pk_exact_div(pf, {0: k}, w, guard), unit, w, guard),
+        gcd._pk_exact_div(gcd._pk_exact_div(pg, {0: k}, w, guard), unit, w, guard),
     )
     assert expected[1] == packed({m: v // k for m, v in f.items()})
-    assert core._pk_heu_gcd(pf, pg, 2, w, guard) == expected
+    assert gcd._pk_heu_gcd(pf, pg, 2, w, guard) == expected
     # and the tuple oracle gives the same triple on exponent tuples
     h, cf, cg = zz_heu_gcd(f, g, 2)
     assert (packed(h), packed(cf), packed(cg)) == expected

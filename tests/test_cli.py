@@ -529,6 +529,12 @@ class TestClosedStdout:
         assert err == b""
 
 
+def _stderr_read_only():
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.dup2(fd, 2)
+    os.close(fd)
+
+
 class TestProcessEntry:
     """`python -m geolin.cli` enters through run(), which flushes stdout and
     stderr after main() and ends with os._exit, skipping the teardown."""
@@ -569,6 +575,19 @@ class TestProcessEntry:
             preexec_fn=lambda: os.close(1))
         assert done.returncode == 1
         assert done.stderr == b""
+
+    @pytest.mark.parametrize("start", [lambda: os.close(2), _stderr_read_only],
+                             ids=["closed", "read-only"])
+    def test_an_unwritable_stderr_keeps_the_input_error_code(self, start):
+        # with descriptor 2 closed sys.stderr is None, and the error line
+        # must not go to stdout; a read-only descriptor 2 fails the write,
+        # which must not turn the input error into a FAIL
+        done = subprocess.run(
+            [sys.executable, "-m", "geolin.cli", "project", doc_path("lie-ex2")],
+            cwd=ROOT, env=_child_env(), stdout=subprocess.PIPE, timeout=60,
+            preexec_fn=start)
+        assert done.returncode == 3
+        assert done.stdout == b""
 
     def test_exit_hooks_are_skipped(self):
         # atexit handlers run in the teardown that os._exit skips
@@ -652,9 +671,10 @@ class TestStartup:
 
     def test_commands_run_only_the_modules_they_call(self):
         # with no bytecode cache a module costs its compile; import
-        # geolin.cli registers transform and criteria, as the benchmark
-        # tracer reads every module its LAYERS names, but runs neither
-        # body until a command calls into it
+        # geolin.cli registers transform, criteria, the packed gcd and the
+        # numeric evaluator, as the benchmark tracer reads every module
+        # its LAYERS names, but runs none of their bodies until a command
+        # calls into it
         env = _child_env(PYTHONDONTWRITEBYTECODE="1")
         code = textwrap.dedent("""
             import contextlib, io, os, sys
@@ -664,14 +684,15 @@ class TestStartup:
             sys.path.insert(0, 'bench')
             from tracer import LAYERS
             import geolin.cli
+            deferred = ('criteria.py', 'gcd.py', 'numeric.py', 'transform.py')
             def bodies(step):
-                print(step, *sorted(name for name in ('criteria.py', 'transform.py')
-                                    if name in ran) or ['none'], ran.count('criteria.py'))
+                print(step, *sorted(name for name in deferred if name in ran) or ['none'],
+                      *[ran.count(name) for name in deferred])
             print(all(module in sys.modules for targets in LAYERS.values()
                       for module, _ in targets))
             bodies('import')
-            for cmd, doc in [('lift', 'sys-ex4'), ('verify-metric', 'lie-ex2'),
-                             ('check', 'sys-ex3'), ('normal-form', 'sys-ex5')]:
+            for cmd, doc in [('lift', 'sys-ex4'), ('check', 'sys-ex3'),
+                             ('verify-metric', 'lie-ex2'), ('normal-form', 'sys-ex5')]:
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = geolin.cli.main([cmd, f'corpus/{doc}.ini', '--format', 'json'])
                 bodies(f'{cmd}:{code}')
@@ -679,13 +700,16 @@ class TestStartup:
         done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
+        # sys-ex3 passes on exact samples with no witness to print;
+        # verify-metric on lie-ex2 prints an exact witness value; only
+        # normal-form on sys-ex5 meets a gcd past the dict exits
         assert done.stdout.splitlines() == [
             "True",
-            "import none 0",
-            "lift:0 none 0",
-            "verify-metric:0 none 0",
-            "check:0 criteria.py 1",
-            "normal-form:1 criteria.py transform.py 1",
+            "import none 0 0 0 0",
+            "lift:0 none 0 0 0 0",
+            "check:0 criteria.py 1 0 0 0",
+            "verify-metric:0 criteria.py numeric.py 1 0 1 0",
+            "normal-form:1 criteria.py gcd.py numeric.py transform.py 1 1 1 1",
         ]
 
     def test_two_threads_load_a_deferred_module_once(self):

@@ -26,7 +26,7 @@ import pytest
 
 from geolin.document import load_document
 from geolin.geometry import Christoffel, riemann
-from geolin.kernel import core, cos, exp, integer, ln, rational, sin, sqrt, sum_of_products, var
+from geolin.kernel import core, cos, exp, gcd, integer, ln, rational, sin, sqrt, sum_of_products, var
 from geolin.transform import coefficients_from_transformation, normal_form
 from helpers import kernel_free_mono_merge, random_invertible_map, random_polynomial
 
@@ -131,7 +131,7 @@ COMMON, LEFT, RIGHT = x**2 + x + 1, x**2 - 2, x**2 + 3
 
 
 def test_scaling_a_fraction_whose_gcd_stopped_early_takes_the_full_path(monkeypatch):
-    monkeypatch.setattr(core, "_HEU_TRIES", 0)
+    monkeypatch.setattr(gcd, "_HEU_TRIES", 0)
     e = COMMON * LEFT * sin(x) / (COMMON * RIGHT)
     assert core._p_gcd(e.num, e.den)[2] is False
     assert str(e) == ("(sin(x)*x^4 + sin(x)*x^3 - sin(x)*x^2 - 2*sin(x)*x - 2*sin(x))"
@@ -345,7 +345,7 @@ def test_a_kernel_operand_takes_the_chained_operations(monkeypatch):
 
 
 def test_an_operand_whose_gcd_stopped_early_takes_the_chained_operations(monkeypatch):
-    monkeypatch.setattr(core, "_HEU_TRIES", 0)
+    monkeypatch.setattr(gcd, "_HEU_TRIES", 0)
     partial = COMMON * LEFT / (COMMON * RIGHT)
     assert partial._plain is False
     assert str(partial) == "(x^4 + x^3 - x^2 - 2*x - 2)/(x^4 + x^3 + 4*x^2 + 3*x + 3)"
@@ -378,7 +378,7 @@ def test_a_fused_sum_whose_gcd_stops_takes_the_chained_operations(case, monkeypa
     terms = PLAIN_SUMS[case]
     want = sum_of_products(terms)
     outputs = _plain_sum_outputs(monkeypatch)
-    monkeypatch.setattr(core, "_GCD_TERM_LIMIT", 2)
+    monkeypatch.setattr(gcd, "_GCD_TERM_LIMIT", 2)
     got = sum_of_products(terms)
     _assert_same(got, _sequential(terms))
     assert outputs == [None]

@@ -28,7 +28,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geolin.kernel import core, exp, integer, ln, parse, sin, sqrt, var
+from geolin.kernel import core, exp, gcd, integer, ln, parse, sin, sqrt, var
 from geolin.transform import coefficients_from_transformation
 from helpers import (
     fraction_chain_residuals,
@@ -152,8 +152,8 @@ def test_prs_gives_up_instead_of_returning_a_non_divisor():
 
 def test_variable_inputs_use_the_heuristic(monkeypatch):
     calls = []
-    heu = core._pk_heu_gcd
-    monkeypatch.setattr(core, "_pk_heu_gcd", lambda *args: calls.append(1) or heu(*args))
+    heu = gcd._pk_heu_gcd
+    monkeypatch.setattr(gcd, "_pk_heu_gcd", lambda *args: calls.append(1) or heu(*args))
     x, y = var("x"), var("y")
     assert (x**2 - y**2) / (x**2 + 2 * x * y + y**2) == (x - y) / (x + y)
     assert calls
@@ -165,15 +165,15 @@ def test_kernel_inputs_take_the_heuristic(monkeypatch, kernel):
     factor = kernel(x) + y
     a = (factor * (y + 2)).num
     b = (factor * (x - 3 * y)).num
-    pack, heu = core._pk_from_poly, core._pk_heu_gcd
+    pack, heu = gcd._pk_from_poly, gcd._pk_heu_gcd
     gens_seen, searched = [], []
 
     def spy(p, shifts):
         gens_seen.append(list(shifts))
         return pack(p, shifts)
 
-    monkeypatch.setattr(core, "_pk_from_poly", spy)
-    monkeypatch.setattr(core, "_pk_heu_gcd", lambda *args: searched.append(1) or heu(*args))
+    monkeypatch.setattr(gcd, "_pk_from_poly", spy)
+    monkeypatch.setattr(gcd, "_pk_heu_gcd", lambda *args: searched.append(1) or heu(*args))
     whole = core._p_gcd(a, b)[2]
     monkeypatch.undo()
     g, qa, qb, _ = gcd_with_divisor(a, b)
@@ -258,15 +258,15 @@ def test_unsigned_content_gives_the_gcd_of_the_signed_one(monkeypatch):
     # to one common sign, so _pk_from_poly takes the content's magnitude
     pairs = _seeded_gcd_pairs()
     calls = []
-    unsigned = core._pk_from_poly
-    monkeypatch.setattr(core, "_pk_from_poly",
+    unsigned = gcd._pk_from_poly
+    monkeypatch.setattr(gcd, "_pk_from_poly",
                         lambda p, shifts: calls.append(p) or unsigned(p, shifts))
     now = [_up_to_sign(core._p_gcd(a, b)) for a, b in pairs]
     # the heuristic ran, also on inputs whose leading term is negative
     negative = sum(p[core._lead(p)] < 0 for p in calls)
     assert negative > 50 and len(calls) - negative > 50
     signed = []
-    monkeypatch.setattr(core, "_pk_from_poly",
+    monkeypatch.setattr(gcd, "_pk_from_poly",
                         lambda p, shifts: signed.append(p) or signed_pk_from_poly(p, shifts))
     assert now == [_up_to_sign(core._p_gcd(a, b)) for a, b in pairs]
     assert signed == calls
@@ -324,7 +324,7 @@ def test_heuristic_giving_up_leaves_the_fraction_unreduced(monkeypatch):
     # gcd reports that it stopped early, and the fraction keeps its factor;
     # neither operand divides the other and neither has degree one, so
     # the division step leaves the pair to the heuristic
-    monkeypatch.setattr(core, "_HEU_TRIES", 0)
+    monkeypatch.setattr(gcd, "_HEU_TRIES", 0)
     x = var("x")
     common = x**2 + x + 1
     e = common * (x**2 - 2) / (common * (x**2 + 3))
@@ -338,8 +338,8 @@ def test_a_dividing_or_irreducible_operand_skips_the_search(monkeypatch):
     # divides the other operand, in whichever order they come, or is
     # irreducible by its degree one in x and divides nothing else
     calls = []
-    search = core._pk_heu_gcd
-    monkeypatch.setattr(core, "_pk_heu_gcd", lambda *args: calls.append(1) or search(*args))
+    search = gcd._pk_heu_gcd
+    monkeypatch.setattr(gcd, "_pk_heu_gcd", lambda *args: calls.append(1) or search(*args))
     x, y, z = var("x"), var("y"), var("z")
     for num, den, g in ((x**2 - 1, x - 1, x - 1), ((x - 1) * sin(x), x - 1, x - 1),
                         (z * (x - 1), x**2 + y**2 + 1, integer(1))):
@@ -362,9 +362,9 @@ def test_the_common_monomial_cancels_past_the_term_guard():
     # the size guard reads the operands with their common monomial out:
     # past _GCD_TERM_LIMIT terms the gcd stops early, and x^2 still cancels
     x, y = var("x"), var("y")
-    s = sum((y**k for k in range(core._GCD_TERM_LIMIT + 1)), integer(0))
+    s = sum((y**k for k in range(gcd._GCD_TERM_LIMIT + 1)), integer(0))
     a, b = (x**2 * s).num, (x**2 * (y - 2)).num
-    assert len(a) > core._GCD_TERM_LIMIT
+    assert len(a) > gcd._GCD_TERM_LIMIT
     assert gcd_with_divisor(a, b) == ((x**2).num, s.num, (y - 2).num, False)
 
 
@@ -373,13 +373,13 @@ def test_generators_of_the_common_monomial_are_not_shared(monkeypatch):
     # it out they share no generator, so the gcd is x and runs no search,
     # and seven such generators do not trip _GCD_GEN_LIMIT
     calls = []
-    trial = core._pk_trial_gcd
-    monkeypatch.setattr(core, "_pk_trial_gcd", lambda *args: calls.append(1) or trial(*args))
+    trial = gcd._pk_trial_gcd
+    monkeypatch.setattr(gcd, "_pk_trial_gcd", lambda *args: calls.append(1) or trial(*args))
     x, y, z = var("x"), var("y"), var("z")
     seven = x
     for name in ("t1", "t2", "t3", "t4", "t5", "t6"):
         seven = seven * var(name)
-    assert core._GCD_GEN_LIMIT < 7
+    assert gcd._GCD_GEN_LIMIT < 7
     for m in (x, seven):
         a, b = (m * (y + 1)).num, (m * (z + 1)).num
         assert gcd_with_divisor(a, b) == (m.num, (y + 1).num, (z + 1).num, True)
@@ -412,8 +412,8 @@ def test_a_single_term_or_no_shared_generator_packs_nothing(monkeypatch, a, b, g
         assert gcd_with_divisor(p, q) == tuple_gcd(p, q)
         assert gcd_with_divisor(p, q)[0] == parse(g).num
     packed = []
-    pack = core._pk_from_poly
-    monkeypatch.setattr(core, "_pk_from_poly", lambda *args: packed.append(1) or pack(*args))
+    pack = gcd._pk_from_poly
+    monkeypatch.setattr(gcd, "_pk_from_poly", lambda *args: packed.append(1) or pack(*args))
     for p, q in ((a, b), (b, a)):
         qp, qq, whole = core._p_gcd(p, q)
         assert whole
@@ -423,13 +423,13 @@ def test_a_single_term_or_no_shared_generator_packs_nothing(monkeypatch, a, b, g
 
 
 def _gcd_with(name, f, a, b):
-    """gcd_with_divisor(a, b) with f in place of core's function name."""
-    saved = getattr(core, name)
-    setattr(core, name, f)
+    """gcd_with_divisor(a, b) with f in place of the packed gcd's function name."""
+    saved = getattr(gcd, name)
+    setattr(gcd, name, f)
     try:
         return gcd_with_divisor(a, b)
     finally:
-        setattr(core, name, saved)
+        setattr(gcd, name, saved)
 
 
 # Atoms of the division step's property: v * t + q, with t a single term
@@ -550,10 +550,10 @@ def test_a_field_that_borrows_does_not_divide():
     x, y = var("x"), var("y")
     f, d = (x**2 + y**2).num, (x * y**2).num
     shifts, w, guard = packed_layout([X, Y], f, d)
-    assert (w, core._pk_from_poly(f, shifts)[1], core._pk_from_poly(d, shifts)[1]) == (
+    assert (w, gcd._pk_from_poly(f, shifts)[1], gcd._pk_from_poly(d, shifts)[1]) == (
         3, {16: 1, 2: 1}, {10: 1})
     for p in ({16: 1, 2: 1}, {16: 1}, {16: 1, 18: 1}):
-        assert core._pk_exact_div(p, {10: 1}, w, guard) is None
+        assert gcd._pk_exact_div(p, {10: 1}, w, guard) is None
     assert poly_quotient(f, d) is None
     assert poly_quotient((x**2 + x**2 * y**2).num, d) is None
     assert zz_exact_div(zz_from_poly(f, [X, Y])[1], zz_from_poly(d, [X, Y])[1]) is None
@@ -566,29 +566,29 @@ def test_a_digit_past_its_field_rejects_the_candidate():
     # a field w bits wide holds exponents below 2^(w - 1), its guard bit:
     # with w = 2 the balanced 10-adic expansion of 23 = 2*10 + 3 fits, and
     # that of 123 needs exponent 2, so no such candidate divides an input
-    assert core._pk_interpolate({0: 23}, 10, 0, 2) == {1: 2, 0: 3}
-    assert core._pk_interpolate({0: 123}, 10, 0, 2) is None
+    assert gcd._pk_interpolate({0: 23}, 10, 0, 2) == {1: 2, 0: 3}
+    assert gcd._pk_interpolate({0: 123}, 10, 0, 2) is None
     # the digits go into the field above the key's own, at shift 2
-    assert core._pk_interpolate({1: 23}, 10, 2, 2) == {0b101: 2, 0b001: 3}
+    assert gcd._pk_interpolate({1: 23}, 10, 2, 2) == {0b101: 2, 0b001: 3}
 
 
 def test_exponent_past_the_degree_limit_stops_the_gcd(monkeypatch):
     # the heuristic's first point is raised to every exponent, here 2^64;
     # past _GCD_DEGREE_LIMIT the gcd stops early and evaluates nothing
-    evaluate = core._pk_eval_first
+    evaluate = gcd._pk_eval_first
 
     def bounded(f, x, s, powers):
-        assert max(f) >> s <= core._GCD_DEGREE_LIMIT
+        assert max(f) >> s <= gcd._GCD_DEGREE_LIMIT
         return evaluate(f, x, s, powers)
 
-    monkeypatch.setattr(core, "_pk_eval_first", bounded)
+    monkeypatch.setattr(gcd, "_pk_eval_first", bounded)
     start = time.perf_counter()
     total = parse("1/(x^(2^64) - y) + 1/(x^(2^64) + y)")
     assert time.perf_counter() - start < 1
     assert (total - parse("2*x^(2^64)/((x^(2^64) - y)*(x^(2^64) + y))")).is_zero_literal()
     assert core._p_gcd(parse("x^(2^64) - y").num, parse("x^(2^64) + y").num)[2] is False
     # the limit itself is still evaluated; one past it is not
-    for e, whole in ((core._GCD_DEGREE_LIMIT, True), (core._GCD_DEGREE_LIMIT + 1, False)):
+    for e, whole in ((gcd._GCD_DEGREE_LIMIT, True), (gcd._GCD_DEGREE_LIMIT + 1, False)):
         f = parse(f"x^{e} - y")
         g, _, _, found = gcd_with_divisor((f * (var("y") + 1)).num, (f * (var("y") + 2)).num)
         assert (g == f.num, found) == (whole, whole)
@@ -599,13 +599,13 @@ def test_a_point_past_the_bit_limit_stops_the_gcd(monkeypatch):
     # heuristic evaluates at a point past the last level's coefficients,
     # so the integers grow with the product of the degrees (22.8 s at
     # d = 120 without the bound); past _GCD_BIT_LIMIT the gcd stops early
-    evaluate = core._pk_eval_first
+    evaluate = gcd._pk_eval_first
 
     def bounded(f, x, s, powers):
-        assert (max(f) >> s) * x.bit_length() <= core._GCD_BIT_LIMIT
+        assert (max(f) >> s) * x.bit_length() <= gcd._GCD_BIT_LIMIT
         return evaluate(f, x, s, powers)
 
-    monkeypatch.setattr(core, "_pk_eval_first", bounded)
+    monkeypatch.setattr(gcd, "_pk_eval_first", bounded)
     x, y, z = var("x"), var("y"), var("z")
     for d, whole in ((40, True), (120, False)):
         f = x ** d * y ** d * z ** d + x * y + 1

@@ -27,7 +27,7 @@ from geolin.kernel import (
     sqrt,
     var,
 )
-from geolin.kernel import zerotest
+from geolin.kernel import numeric, zerotest
 from geolin.kernel.core import KERNEL_NAMES
 from helpers import fresh_stream_is_zero, from_digits, random_polynomial
 from test_golden import CASES, run_case
@@ -296,8 +296,8 @@ def test_poles_at_every_sample_exhaust_the_budget():
 
 def test_only_kernel_residuals_reach_the_numeric_evaluator(monkeypatch):
     calls = []
-    real = zerotest.eval_expr
-    monkeypatch.setattr(zerotest, "eval_expr",
+    real = numeric.eval_expr
+    monkeypatch.setattr(numeric, "eval_expr",
                         lambda e, *args: calls.append(e) or real(e, *args))
     e = x**2 - y / 3
     r = is_zero(e)
@@ -354,7 +354,7 @@ def _rational_str_cases(rng):
 def test_rational_str_prints_as_mpmath_does():
     checked = 0
     for p, q, prec in _rational_str_cases(random.Random(83)):
-        assert zerotest.rational_str(p, q, prec) == _mpmath_str(p, q, prec), (p, q, prec)
+        assert numeric.rational_str(p, q, prec) == _mpmath_str(p, q, prec), (p, q, prec)
         checked += 1
     assert checked == 1619
 
