@@ -20,7 +20,8 @@ from .core import (
     var,
 )
 from .parse import ParseError, parse
-from .zerotest import DEFAULT_CONFIG, Verdict, ZeroTestConfig, ZeroTestResult, is_zero, numeric
+from .zerotest import DEFAULT_CONFIG, Verdict, ZeroTestConfig, ZeroTestResult, is_zero
+from . import numeric  # the placeholder zerotest registered; its body has not run
 
 __all__ = [
     "Expr",

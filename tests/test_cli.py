@@ -674,7 +674,8 @@ class TestStartup:
         # geolin.cli registers transform, criteria, the packed gcd and the
         # numeric evaluator, as the benchmark tracer reads every module
         # its LAYERS names, but runs none of their bodies until a command
-        # calls into it
+        # calls into it.  A body runs once per process, so each child runs
+        # the commands named on its command line, in that order
         env = _child_env(PYTHONDONTWRITEBYTECODE="1")
         code = textwrap.dedent("""
             import contextlib, io, os, sys
@@ -691,25 +692,36 @@ class TestStartup:
             print(all(module in sys.modules for targets in LAYERS.values()
                       for module, _ in targets))
             bodies('import')
-            for cmd, doc in [('lift', 'sys-ex4'), ('check', 'sys-ex3'),
-                             ('verify-metric', 'lie-ex2'), ('normal-form', 'sys-ex5')]:
+            for pair in sys.argv[1:]:
+                cmd, doc = pair.split(':')
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = geolin.cli.main([cmd, f'corpus/{doc}.ini', '--format', 'json'])
                 bodies(f'{cmd}:{code}')
         """)
-        done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
+
+        def run(*pairs):
+            done = subprocess.run([sys.executable, "-c", code, *pairs], cwd=ROOT, env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            return done.stdout.splitlines()
+
         # sys-ex3 passes on exact samples with no witness to print;
         # verify-metric on lie-ex2 prints an exact witness value; only
         # normal-form on sys-ex5 meets a gcd past the dict exits
-        assert done.stdout.splitlines() == [
+        assert run("lift:sys-ex4", "check:sys-ex3", "verify-metric:lie-ex2",
+                   "normal-form:sys-ex5") == [
             "True",
             "import none 0 0 0 0",
             "lift:0 none 0 0 0 0",
             "check:0 criteria.py 1 0 0 0",
             "verify-metric:0 criteria.py numeric.py 1 0 1 0",
             "normal-form:1 criteria.py gcd.py numeric.py transform.py 1 1 1 1",
+        ]
+        # verify-metric reads neither criteria nor transform
+        assert run("verify-metric:lie-ex2") == [
+            "True",
+            "import none 0 0 0 0",
+            "verify-metric:0 numeric.py 0 0 1 0",
         ]
 
     def test_two_threads_load_a_deferred_module_once(self):
