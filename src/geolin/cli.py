@@ -28,7 +28,7 @@ from typing import Dict, NoReturn, Optional, Tuple
 
 from .document import KINDS, DocumentError, SystemDocument, load_document
 from .geometry import GeometryError, is_flat, metric_pde_residuals
-from .kernel import KernelDomainError, ParseError, ZeroTestConfig, parse
+from .kernel import DEFAULT_CONFIG, KernelDomainError, ParseError, ZeroTestConfig, parse
 from .lazy import lazy_module
 from .projection import project
 from .report import FAIL, PASS, UNDECIDED, ConditionReport
@@ -96,17 +96,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("file", help="system description document")
-    shared.add_argument("--zero-test-points", type=int, default=16, metavar="N",
+    shared.add_argument("--zero-test-points", type=int, metavar="N",
+                        default=DEFAULT_CONFIG.points,
                         help="sample points for the probabilistic zero test")
-    shared.add_argument("--precision-bits", type=int, default=256, metavar="B",
+    shared.add_argument("--precision-bits", type=int, metavar="B",
+                        default=DEFAULT_CONFIG.precision_bits,
                         help="working precision for evaluating residuals that "
                              "hold exp, ln, sin, cos or sqrt (or have degree "
                              "over 4096), and for rounding the printed witness "
                              "value; other residuals are evaluated exactly")
-    shared.add_argument("--tolerance", type=float, default=1e-30, metavar="T",
+    shared.add_argument("--tolerance", type=float, default=DEFAULT_CONFIG.tolerance, metavar="T",
                         help="relative smallness threshold at sample points, "
                              "for the residuals evaluated at working precision")
-    shared.add_argument("--seed", type=int, default=0, metavar="S",
+    shared.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed, metavar="S",
                         help="seed for sample point generation")
     shared.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format")

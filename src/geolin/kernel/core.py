@@ -461,8 +461,7 @@ def _p_mul(p1, p2) -> dict:
 
 
 def _p_pow(p, n: int) -> dict:
-    if n == 0:
-        return P_ONE
+    """p ** n for n >= 1."""
     result = None
     base = p
     k = n

@@ -59,13 +59,14 @@ def packed_gcd(a, b, gens):
     kb, fb = _pk_from_poly(b, shifts)
     low = _pk_monomial([*fa, *fb], w, guard)
     fa, fb = _pk_drop_monomial(fa, low), _pk_drop_monomial(fb, low)
-    # the guards read the operands with the common monomial out
+    # the guards read the operands with the common monomial out, which
+    # leaves their keys distinct, so each still has two or more terms
     mask = (1 << w) - 1
     da, db = _pk_degrees(fa, w, guard), _pk_degrees(fb, w, guard)
     degrees = [(da >> s & mask, db >> s & mask) for s in range(0, n * w, w)]
     shared = sum(1 for ea, eb in degrees if ea and eb)
     found, whole = None, True
-    if len(fa) > 1 and len(fb) > 1 and shared:
+    if shared:
         if (len(fa) <= _GCD_TERM_LIMIT and len(fb) <= _GCD_TERM_LIMIT
                 and shared <= _GCD_GEN_LIMIT and max(map(max, degrees)) <= _GCD_DEGREE_LIMIT):
             found = _pk_trial_gcd(fa, fb, n, w, guard) or _pk_heu_gcd(fa, fb, n, w, guard)

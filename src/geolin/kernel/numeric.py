@@ -10,7 +10,8 @@ This module loads on first use: zerotest registers it as a placeholder
 (geolin.lazy) whose body runs when the first kernel residual is
 evaluated or the first witness value is printed, so a command that
 decides every residual without a witness never compiles it.  mpmath is
-imported on first use too, not with this module: by eval_expr.
+imported on first use too, not with this module: by _context, which
+makes the first mpmath context for eval_expr.
 rational_str, which prints the witness value of every exact NONZERO
 verdict, rounds and prints in integer arithmetic exactly as mpmath would,
 and loads it only for a value past 2^3500 or below 2^-3500.  A run that
@@ -33,8 +34,6 @@ from typing import Mapping, Tuple
 
 from .core import Expr, KERNEL, KernelError, P_ONE, _terms
 
-mpmath = None  # bound by _load on first use
-
 # exp, sin and cos refuse an argument past 2^_ARG_MAG in magnitude:
 # reducing an argument a modulo ln(2) or pi takes about log2|a| bits of
 # working precision, and exp(exp(exp(exp(exp(x))))) meets arguments near
@@ -48,12 +47,6 @@ class EvalDomainError(KernelError):
     """Evaluation hit a pole or left the real domain of a kernel."""
 
 
-def _load():
-    global mpmath
-    if mpmath is None:
-        import mpmath
-
-
 _THREAD = threading.local()
 
 
@@ -63,7 +56,8 @@ def _context():
     other."""
     ctx = getattr(_THREAD, "ctx", None)
     if ctx is None:
-        _load()
+        import mpmath
+
         main = threading.current_thread() is threading.main_thread()
         ctx = _THREAD.ctx = mpmath.mp if main else mpmath.MPContext()
     return ctx

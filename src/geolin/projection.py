@@ -16,7 +16,8 @@ functions in 2D, three in 3D) fixes psi.  Projection then forgets the
 gauge again, which is the round-trip identity tested here.
 
 The coefficient tables of every equation kind live here too, so that
-reading a document needs neither the checks nor the transformations.
+reading a document needs neither the checks nor the transformations;
+each takes its fields from slope_slot, family_slot or _GAUGE.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import lcm
 from typing import Dict, Tuple, Union
 
@@ -32,13 +33,41 @@ from .geometry import SYM_PAIRS, Christoffel, CoefficientTable, Geodesic2Coeffic
 from .kernel import Expr, integer
 
 
+@cache
+def slope_slot(dim: int, i: int, K: Tuple[int, ...]):
+    """(w, name): the ScalarCubic or SystemCubic2 slot that, times w,
+    is the coefficient of the slope monomial K (its sorted dependent
+    indices) in equation i, or None where equation i has no such term.
+    The cubic terms of a pair share the slot A_{K-i}, weighted by the
+    orderings of K less one i; every other slot by the orderings of K."""
+    n = len(K)
+    if max(K, default=i) > dim or dim == n == 3 and i not in K:
+        return None
+    rest = K[:K.index(i)] + K[K.index(i) + 1:] if dim == n == 3 else K
+    name = f"E{n}" if dim == 2 else ("D{}", "C{}_", "B{}_", "A")[n].format(i) + sym_key(*rest)
+    return len(set(permutations(rest))), name
+
+
+def family_slot(K: Tuple[int, ...]) -> str:
+    """The GeneralSystem2 family of the slope monomial K, with {} for the
+    upper index: E{}, Om{}_k, Lam{}_kl or Del{}_klm by the degree of K."""
+    name = ("E", "Om", "Lam", "Del")[len(K)]
+    return f"{name}{{}}_{sym_key(*K)}" if K else name + "{}"
+
+
+def _slots(dim: int, *degrees: int) -> Dict[str, str]:
+    """The annotations of a cubic table's fields: the slope_slot name of
+    each slope monomial of each degree in turn, by equation, then by
+    monomial, each name once."""
+    return dict.fromkeys([slot[1] for n in degrees for i in range(2, dim + 1)
+                          for K in combinations_with_replacement(range(2, dim + 1), n)
+                          if (slot := slope_slot(dim, i, K))], "Expr")
+
+
 class ScalarCubic(CoefficientTable):
     """Coefficients of y'' + E3 y'^3 + E2 y'^2 + E1 y' + E0 = 0."""
 
-    E0: Expr
-    E1: Expr
-    E2: Expr
-    E3: Expr
+    __annotations__ = _slots(2, 0, 1, 2, 3)
 
 
 class SystemCubic2(CoefficientTable):
@@ -52,21 +81,7 @@ class SystemCubic2(CoefficientTable):
             + C3_2 y' + C3_3 z' + D3 = 0
     """
 
-    A22: Expr
-    A23: Expr
-    A33: Expr
-    B2_22: Expr
-    B2_23: Expr
-    B2_33: Expr
-    B3_22: Expr
-    B3_23: Expr
-    B3_33: Expr
-    C2_2: Expr
-    C2_3: Expr
-    C3_2: Expr
-    C3_3: Expr
-    D2: Expr
-    D3: Expr
+    __annotations__ = _slots(3, 3, 2, 1, 0)
 
 
 class CoefficientDomainError(ValueError):
@@ -80,12 +95,7 @@ class Quadratic2(CoefficientTable):
         z'' + B3_22 y'^2 + 2 B3_23 y'z' + B3_33 z'^2 = 0
     """
 
-    B2_22: Expr
-    B2_23: Expr
-    B2_33: Expr
-    B3_22: Expr
-    B3_23: Expr
-    B3_33: Expr
+    __annotations__ = _slots(3, 2)
 
     def __post_init__(self):
         for name, value in self.entries().items():
@@ -105,15 +115,10 @@ class Linear2(CoefficientTable):
         z'' + C3_2 y' + C3_3 z' + D3 = 0
     """
 
-    C2_2: Expr
-    C2_3: Expr
-    C3_2: Expr
-    C3_3: Expr
-    D2: Expr
-    D3: Expr
+    __annotations__ = _slots(3, 1, 0)
 
     def __post_init__(self):
-        for name in ("C2_2", "C2_3", "C3_2", "C3_3"):
+        for name in _slots(3, 1):
             value = getattr(self, name)
             for coord in ("y", "z"):
                 if not value.diff(coord).is_zero_literal():
@@ -131,37 +136,18 @@ class GeneralSystem2(CoefficientTable):
         J2_2 y'' + J2_3 z'' + G2_23 (y'z'' - z'y'') + cubic + lower = 0
         J3_2 y'' + J3_3 z'' + G3_23 (y'z'' - z'y'') + cubic + lower = 0
 
-    The Del slots are the fully symmetrized cubic coefficients, the Lam
-    slots the symmetrized quadratic ones; symmetrization never changes
-    the equations since the first derivatives enter symmetrically.
+    The slots are J{i}_{j}, G{i}_23, then the families Del{i}_{klm},
+    Lam{i}_{kl}, Om{i}_{k} and E{i} of the slope monomials of degree 3
+    down to 0, for i, j, k <= l <= m in (2, 3).  The Del slots are the
+    fully symmetrized cubic coefficients, the Lam slots the symmetrized
+    quadratic ones; symmetrization never changes the equations since the
+    first derivatives enter symmetrically.
     """
 
-    J2_2: Expr
-    J2_3: Expr
-    J3_2: Expr
-    J3_3: Expr
-    G2_23: Expr
-    G3_23: Expr
-    Del2_222: Expr
-    Del2_223: Expr
-    Del2_233: Expr
-    Del2_333: Expr
-    Del3_222: Expr
-    Del3_223: Expr
-    Del3_233: Expr
-    Del3_333: Expr
-    Lam2_22: Expr
-    Lam2_23: Expr
-    Lam2_33: Expr
-    Lam3_22: Expr
-    Lam3_23: Expr
-    Lam3_33: Expr
-    Om2_2: Expr
-    Om2_3: Expr
-    Om3_2: Expr
-    Om3_3: Expr
-    E2: Expr
-    E3: Expr
+    __annotations__ = dict.fromkeys(
+        [*(f"J{i}_{j}" for i, j in product((2, 3), repeat=2)), "G2_23", "G3_23",
+         *(family_slot(K).format(i) for n in (3, 2, 1, 0) for i in (2, 3)
+           for K in combinations_with_replacement((2, 3), n))], "Expr")
 
     def J(self, i: int, j: int) -> Expr:
         return getattr(self, f"J{i}_{j}")
@@ -173,19 +159,22 @@ class GeneralSystem2(CoefficientTable):
         return field if (k, j) == (2, 3) else -field
 
 
+# the entry each gauge field sets, and the sign of the named tables
+# against the connection: a..f, and so b and e, are its negation
+_GAUGE = {2: ({"b": (1, 1, 2), "e": (2, 1, 2)}, -1),
+          3: ({"G1_12": (1, 1, 2), "G2_12": (2, 1, 2), "G3_33": (3, 3, 3)}, 1)}
+
+
 class ScalarGauge(CoefficientTable):
     """Free connection entries b, e left open by a 2D lift."""
 
-    b: Expr
-    e: Expr
+    __annotations__ = dict.fromkeys(_GAUGE[2][0], "Expr")
 
 
 class SystemGauge(CoefficientTable):
     """Free connection entries G1_12, G2_12, G3_33 left open by a 3D lift."""
 
-    G1_12: Expr
-    G2_12: Expr
-    G3_33: Expr
+    __annotations__ = dict.fromkeys(_GAUGE[3][0], "Expr")
 
 
 ZERO_SCALAR_GAUGE = ScalarGauge.make()
@@ -195,25 +184,6 @@ _CUBICS = {2: ScalarCubic, 3: SystemCubic2}
 # connection entries (i, j, k), j <= k, in storage order
 _ENTRIES = {dim: tuple((i, *pair) for i in range(1, dim + 1) for pair in pairs)
             for dim, pairs in SYM_PAIRS.items()}
-# the entry each gauge field sets, and the sign of the named tables
-# against the connection: a..f, and so b and e, are its negation
-_GAUGE = {2: ({"b": (1, 1, 2), "e": (2, 1, 2)}, -1),
-          3: ({"G1_12": (1, 1, 2), "G2_12": (2, 1, 2), "G3_33": (3, 3, 3)}, 1)}
-
-
-@cache
-def slope_slot(dim: int, i: int, K: Tuple[int, ...]):
-    """(w, name): the ScalarCubic or SystemCubic2 slot that, times w,
-    is the coefficient of the slope monomial K (its sorted dependent
-    indices) in equation i, or None where equation i has no such term.
-    The cubic terms of a pair share the slot A_{K-i}, weighted by the
-    orderings of K less one i; every other slot by the orderings of K."""
-    n = len(K)
-    if max(K, default=i) > dim or dim == n == 3 and i not in K:
-        return None
-    rest = K[:K.index(i)] + K[K.index(i) + 1:] if dim == n == 3 else K
-    name = f"E{n}" if dim == 2 else ("D{}", "C{}_", "B{}_", "A")[n].format(i) + sym_key(*rest)
-    return len(set(permutations(rest))), name
 
 
 @cache

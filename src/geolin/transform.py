@@ -28,7 +28,6 @@ from .geometry import (
     adjugate,
     coordinates,
     determinant,
-    sym_key,
 )
 from .kernel import (
     DEFAULT_CONFIG,
@@ -43,8 +42,8 @@ from .kernel import (
 )
 from .kernel.frozen import Frozen
 from .projection import (
-    GeneralSystem2, Linear2, Quadratic2, ScalarCubic, SystemCubic2, _combine, project,
-    project_weights, slope_slot)
+    GeneralSystem2, Linear2, Quadratic2, ScalarCubic, SystemCubic2, _combine, family_slot,
+    project, project_weights, slope_slot)
 from .report import ConditionReport, evaluate_conditions
 
 
@@ -101,13 +100,12 @@ def _induced_families():
     (w, a, b, c) has a <= b and w the number of orderings (a, b, c) of K
     padded with 1s to three indices, divided by the weight."""
     table = {}
-    for degree, name in enumerate(("E", "Om", "Lam", "Del")):
+    for degree in range(4):
         for indices in combinations_with_replacement((2, 3), degree):
             weight = comb(degree, indices.count(3))
             counts = Counter((*sorted(p[:2]), p[2]) for p in
                              dict.fromkeys(permutations((1,) * (3 - degree) + indices)))
-            slot = f"{name}{{}}_{sym_key(*indices)}" if indices else name + "{}"
-            table[indices] = (slot, weight, tuple(
+            table[indices] = (family_slot(indices), weight, tuple(
                 (exact_coefficient(Fraction(n, weight)), *abc) for abc, n in counts.items()))
     return table
 
